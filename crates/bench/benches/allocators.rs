@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdgc_core::baselines::{
     BriggsAllocator, CallCostAllocator, ChaitinAllocator, IteratedAllocator, OptimisticAllocator,
 };
-use pdgc_core::{PreferenceAllocator, RegisterAllocator};
+use pdgc_core::{AllocSession, PreferenceAllocator, RegisterAllocator};
 use pdgc_target::{PressureModel, TargetDesc};
 use pdgc_workloads::{generate, specjvm_suite};
 
@@ -36,7 +36,10 @@ fn bench_allocators(c: &mut Criterion) {
                 BenchmarkId::from_parameter(alloc.name()),
                 func,
                 |b, func| {
-                    b.iter(|| alloc.allocate(func, &target).unwrap());
+                    b.iter(|| {
+                        let out = alloc.allocate(func, &target, &mut AllocSession::default());
+                        out.unwrap()
+                    });
                 },
             );
         }

@@ -13,14 +13,13 @@
 //! # Per-worker scratch
 //!
 //! Each worker owns one [`PhaseScratch`] for its whole lifetime and every
-//! allocation on that worker runs through
-//! [`RegisterAllocator::allocate_scratch`], so the arena-backed pools
-//! (liveness bitsets, IFG adjacency, worklists, select caches, checker
-//! state) are allocated once per worker and reset between functions
-//! instead of hitting the global allocator per function — that allocator
-//! contention is what made `--jobs 2` *slower* than serial before.
-//! Because `allocate_scratch` reuses capacity but never state, results
-//! stay bit-identical to the unpooled path.
+//! allocation on that worker runs in an [`AllocSession`] over it, so the
+//! arena-backed pools (liveness bitsets, IFG adjacency, worklists, select
+//! caches, checker state) are allocated once per worker and reset between
+//! functions instead of hitting the global allocator per function — that
+//! allocator contention is what made `--jobs 2` *slower* than serial
+//! before. Because a session reuses capacity but never state, results
+//! stay bit-identical to a fresh session's.
 //!
 //! Under batch, the symbolic checker runs in [`CheckScope::Rewritten`]:
 //! structural correspondence, calling-convention, pair, and frame rules
@@ -32,14 +31,14 @@
 //!
 //! [`Tracer`]s are `&mut`-based single-threaded sinks and are **never
 //! shared across workers**: the driver builds one sink per *function*
-//! (a [`PhaseTimes`] accumulator, plus whatever [`run_batch_traced`]'s
-//! factory returns) on the worker that allocates it, and hands the
-//! collected sinks back to the caller after the pool joins. Aggregation
-//! (e.g. [`PhaseTimes::merge`]) happens on the calling thread only.
+//! (whatever [`run_batch_traced`]'s factory returns) on the worker that
+//! allocates it, and hands the collected sinks back to the caller after
+//! the pool joins. Phase times need no sink: they come from each
+//! function's always-on metrics, merged on the calling thread.
 
 use crate::fingerprint_mach;
-use pdgc_core::{AllocStats, CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
-use pdgc_obs::{Event, MetricsRegistry, PhaseTimes, Tracer};
+use pdgc_core::{AllocSession, AllocStats, CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
+use pdgc_obs::{MetricsRegistry, Tracer};
 use pdgc_target::TargetDesc;
 use pdgc_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,10 +59,8 @@ pub struct BatchFuncResult {
     /// FNV-1a hash of the rewritten machine function's printed form: two
     /// batch runs produced identical rewrite output iff these match.
     pub fingerprint: u64,
-    /// Allocator wall-clock per pipeline phase for this function.
-    pub phases: PhaseTimes,
     /// Always-on metrics drained from the worker's scratch after this
-    /// function (counters, scorecard, and latency histograms).
+    /// function (counters, scorecard, and per-phase latency).
     pub metrics: MetricsRegistry,
 }
 
@@ -82,12 +79,11 @@ pub struct BatchResult {
     pub funcs: Vec<BatchFuncResult>,
     /// Statistics summed over all functions.
     pub stats: AllocStats,
-    /// Phase times summed over all functions (CPU time, so with `jobs > 1`
-    /// this exceeds `elapsed`).
-    pub phases: PhaseTimes,
     /// Metrics merged over all functions **in task order** at the
     /// slot-keyed join, so the deterministic sections (counters and
-    /// scorecard histograms) are bit-identical at every job count.
+    /// scorecard histograms) are bit-identical at every job count. Its
+    /// latency sums are the run's phase times (CPU time, so with
+    /// `jobs > 1` they exceed `elapsed`).
     pub metrics: MetricsRegistry,
 }
 
@@ -106,24 +102,6 @@ impl BatchResult {
                 .iter()
                 .zip(&other.funcs)
                 .all(|(a, b)| a.stats == b.stats && a.fingerprint == b.fingerprint)
-    }
-}
-
-/// Forwards events to both children; the per-function [`PhaseTimes`] and a
-/// caller-supplied sink observe one allocation without sharing anything
-/// across threads.
-struct PairTracer<'a>(&'a mut dyn Tracer, &'a mut dyn Tracer);
-
-impl Tracer for PairTracer<'_> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn wants_graphs(&self) -> bool {
-        self.0.wants_graphs() || self.1.wants_graphs()
-    }
-    fn record(&mut self, event: &Event) {
-        self.0.record(event);
-        self.1.record(event);
     }
 }
 
@@ -185,8 +163,8 @@ where
 }
 
 /// [`run_batch_traced`] with the symbolic checker run on every allocation.
-/// Checker failures are recorded as [`Event::CheckFailed`] in the
-/// function's sink before the driver panics.
+/// Checker failures are recorded as [`pdgc_obs::Event::CheckFailed`] in
+/// the function's sink before the driver panics.
 ///
 /// # Panics
 ///
@@ -220,21 +198,19 @@ where
 
     let run_one =
         |i: usize, workload: &Workload, func: &pdgc_ir::Function, scratch: &mut PhaseScratch| {
-            let mut phases = PhaseTimes::default();
             let mut sink = make(i);
-            let out = {
-                let mut pair = PairTracer(&mut phases, &mut sink);
-                alloc
-                    .allocate_scratch(
-                        func,
-                        target,
-                        &mut pair,
-                        check,
-                        CheckScope::Rewritten,
-                        scratch,
-                    )
-                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name))
+            // The sink lives for this function only, so the worker's pools
+            // move into a session that traces to it and move back after.
+            let mut session = AllocSession {
+                scratch: std::mem::take(scratch),
+                check,
+                scope: CheckScope::Rewritten,
+                tracer: Some(&mut sink),
             };
+            let out = alloc.allocate(func, target, &mut session);
+            *scratch = session.scratch;
+            let out =
+                out.unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
             let fingerprint = fingerprint_mach(&out.mach);
             let stats = out.stats.clone();
             // The result is consumed here (stats + fingerprint); hand its
@@ -247,7 +223,6 @@ where
                     func: func.name.clone(),
                     stats,
                     fingerprint,
-                    phases,
                     // Drain the always-on registry so each function's
                     // metrics travel with its slot; the worker's scratch
                     // starts the next function empty.
@@ -295,7 +270,6 @@ where
 
     let slots = collected.into_inner().expect("unpoisoned");
     let mut stats = AllocStats::default();
-    let mut phases = PhaseTimes::default();
     let mut metrics = MetricsRegistry::default();
     let mut funcs = Vec::with_capacity(slots.len());
     let mut sinks = Vec::with_capacity(slots.len());
@@ -303,7 +277,6 @@ where
         let (r, s) = pair.unwrap_or_else(|| panic!("task {i} was never claimed"));
         debug_assert_eq!(r.index, i);
         stats.accumulate(&r.stats);
-        phases.merge(&r.phases);
         metrics.merge(&r.metrics);
         funcs.push(r);
         sinks.push(s);
@@ -316,7 +289,6 @@ where
             elapsed,
             funcs,
             stats,
-            phases,
             metrics,
         },
         sinks,
@@ -370,7 +342,7 @@ impl BatchComparison {
                 "speedup_vs_1_thread",
                 r.funcs_per_sec() / self.serial.funcs_per_sec().max(1e-9),
             )
-            .raw("phases_ms", &r.phases.json_millis())
+            .raw("phases_ms", &r.metrics.latency_ms_json())
             .finish()
     }
 
@@ -520,7 +492,7 @@ fn best_of(
 mod tests {
     use super::*;
     use pdgc_core::PreferenceAllocator;
-    use pdgc_obs::RecordingTracer;
+    use pdgc_obs::{Event, RecordingTracer};
     use pdgc_target::PressureModel;
 
     fn small_workloads() -> Vec<Workload> {
@@ -566,8 +538,8 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, Event::Finish { .. })));
         }
-        // Phase times were accumulated alongside the user sinks.
-        assert!(result.phases.total_nanos() > 0);
+        // Phase times were metered alongside the user sinks.
+        assert!(result.metrics.latency_hist(pdgc_obs::Phase::Select).sum > 0);
     }
 
     #[test]

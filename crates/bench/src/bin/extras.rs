@@ -12,10 +12,10 @@
 //!    avoided by the full allocator on a byte-load-dense workload.
 
 use pdgc_bench::{
-    geo_mean, print_table, run_workload_metered, write_metrics, write_results, WorkloadResult,
+    geo_mean, print_table, run_workload, write_metrics, write_results, WorkloadResult,
 };
 use pdgc_core::baselines::{ChaitinAllocator, OptimisticAllocator, PriorityAllocator};
-use pdgc_core::{PreferenceAllocator, PreferenceSet, RegisterAllocator};
+use pdgc_core::{AllocSession, PreferenceAllocator, PreferenceSet, RegisterAllocator};
 use pdgc_obs::MetricsRegistry;
 use pdgc_target::{PressureModel, TargetDesc};
 use pdgc_workloads::{default_args, generate, specjvm_suite, WorkloadProfile};
@@ -54,7 +54,7 @@ fn precoalesce(metrics: &mut MetricsRegistry) -> Vec<WorkloadResult> {
         let w = generate(&prof);
         let mut row = vec![prof.name.clone()];
         for a in &algs {
-            let r = run_workload_metered(a.as_ref(), &w, &target, metrics);
+            let r = run_workload(a.as_ref(), &w, &target, metrics);
             row.push(format!(
                 "{}/{}",
                 r.stats.moves_eliminated, r.stats.spill_instructions
@@ -106,7 +106,7 @@ fn ablation(metrics: &mut MetricsRegistry) -> Vec<WorkloadResult> {
             .iter()
             .map(|(_, prefs)| {
                 let alloc = PreferenceAllocator::with_preferences(*prefs);
-                let r = run_workload_metered(&alloc, &w, &target, metrics);
+                let r = run_workload(&alloc, &w, &target, metrics);
                 let c = r.cycles;
                 all.push(r);
                 c
@@ -149,7 +149,10 @@ fn footprint() {
             let total: usize = w
                 .funcs
                 .iter()
-                .map(|f| a.allocate(f, &target).unwrap().mach.regs_used().len())
+                .map(|f| {
+                    let out = a.allocate(f, &target, &mut AllocSession::default());
+                    out.unwrap().mach.regs_used().len()
+                })
                 .sum();
             row.push(format!("{:.1}", total as f64 / w.funcs.len() as f64));
         }
@@ -190,7 +193,9 @@ fn limited_usage() {
         let mut exts = 0usize;
         let mut cycles = 0u64;
         for f in &w.funcs {
-            let out = a.allocate(f, &target).unwrap();
+            let out = a
+                .allocate(f, &target, &mut AllocSession::default())
+                .unwrap();
             exts += out.stats.zero_extensions;
             let exec =
                 pdgc_sim::run_mach(&out.mach, &target, &default_args(f), pdgc_sim::DEFAULT_FUEL)

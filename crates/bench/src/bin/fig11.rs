@@ -7,7 +7,7 @@
 //! "aggressive+volatility" allocator, and full preferences (= 1.00).
 
 use pdgc_bench::{
-    geo_mean, print_table, run_workload_metered, write_metrics, write_results, WorkloadResult,
+    geo_mean, print_table, run_workload, write_metrics, write_results, WorkloadResult,
 };
 use pdgc_core::baselines::{BriggsAllocator, CallCostAllocator, OptimisticAllocator};
 use pdgc_core::{PreferenceAllocator, RegisterAllocator};
@@ -34,7 +34,7 @@ fn main() {
         let w = generate(&prof);
         let results: Vec<WorkloadResult> = algs
             .iter()
-            .map(|a| run_workload_metered(a.as_ref(), &w, &target, &mut metrics))
+            .map(|a| run_workload(a.as_ref(), &w, &target, &mut metrics))
             .collect();
         let cycles: Vec<u64> = results.iter().map(|r| r.cycles).collect();
         all_results.extend(results);

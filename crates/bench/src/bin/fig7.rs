@@ -12,32 +12,10 @@ use pdgc_core::node::NodeMap;
 use pdgc_core::pipeline::analyze;
 use pdgc_core::rpg::{build_rpg, PrefTarget};
 use pdgc_core::simplify::{simplify, SimplifyMode};
-use pdgc_core::{PreferenceAllocator, PreferenceSet, RegisterAllocator};
+use pdgc_core::{AllocSession, PreferenceAllocator, PreferenceSet, RegisterAllocator};
 use pdgc_ir::{BinOp, CmpOp, FunctionBuilder, RegClass};
-use pdgc_obs::{Event, JsonLinesSink, PhaseTimes, Tracer};
+use pdgc_obs::JsonLinesSink;
 use pdgc_target::TargetDesc;
-
-/// Duplicates every event to two tracers (here: the JSONL trace file and
-/// the per-phase accumulator feeding `results/fig7.json`).
-struct Tee<'a> {
-    a: &'a mut dyn Tracer,
-    b: &'a mut dyn Tracer,
-}
-
-impl Tracer for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn wants_graphs(&self) -> bool {
-        self.a.wants_graphs() || self.b.wants_graphs()
-    }
-
-    fn record(&mut self, event: &Event) {
-        self.a.record(event);
-        self.b.record(event);
-    }
-}
 
 /// `--trace PATH` / `--trace=PATH` from the command line, if given.
 fn trace_arg() -> Option<String> {
@@ -195,34 +173,26 @@ fn main() {
     // and the per-phase wall-clock always lands in `results/fig7.json`.
     let alloc = PreferenceAllocator::full();
     let check = check_arg();
-    let mut phases = PhaseTimes::default();
-    // The scratch path fills the always-on metrics registry alongside the
-    // tracer; single-function entry points keep the full checker scope.
-    let mut scratch = pdgc_core::PhaseScratch::new();
-    let scope = pdgc_core::CheckScope::Full;
-    let out = match trace_arg() {
-        Some(path) => {
-            let file = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("creating trace {path}: {e}"));
-            let mut sink = JsonLinesSink::new(std::io::BufWriter::new(file));
-            let out = {
-                let mut tee = Tee {
-                    a: &mut sink,
-                    b: &mut phases,
-                };
-                alloc
-                    .allocate_scratch(&func, &target, &mut tee, check, scope, &mut scratch)
-                    .unwrap()
-            };
-            use std::io::Write as _;
-            sink.into_inner().flush().unwrap();
-            eprintln!("trace written to {path}");
-            out
-        }
-        None => alloc
-            .allocate_scratch(&func, &target, &mut phases, check, scope, &mut scratch)
-            .unwrap(),
+    let trace = trace_arg();
+    let mut sink = trace.as_ref().map(|path| {
+        let file =
+            std::fs::File::create(path).unwrap_or_else(|e| panic!("creating trace {path}: {e}"));
+        JsonLinesSink::new(std::io::BufWriter::new(file))
+    });
+    let mut session = AllocSession {
+        check,
+        ..AllocSession::default()
     };
+    if let Some(sink) = sink.as_mut() {
+        session.tracer = Some(sink);
+    }
+    let out = alloc.allocate(&func, &target, &mut session).unwrap();
+    let metrics = session.scratch.metrics;
+    if let (Some(sink), Some(path)) = (sink, trace) {
+        use std::io::Write as _;
+        sink.into_inner().flush().unwrap();
+        eprintln!("trace written to {path}");
+    }
     if check.should_check() {
         println!("symbolic check passed ({check} mode)");
     }
@@ -245,13 +215,13 @@ fn main() {
         target: target.name.clone(),
         stats: out.stats,
         cycles: 0, // the Figure 7 walkthrough is not executed
-        phases,
+        metrics,
     };
-    match write_results("fig7", &[record]) {
+    match write_results("fig7", std::slice::from_ref(&record)) {
         Ok(path) => println!("results written to {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    match write_metrics("fig7", alloc.name(), &target.name, &scratch.metrics) {
+    match write_metrics("fig7", alloc.name(), &target.name, &record.metrics) {
         Ok(path) => println!("metrics written to {}", path.display()),
         Err(e) => eprintln!("could not write metrics: {e}"),
     }

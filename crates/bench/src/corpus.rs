@@ -17,10 +17,10 @@
 //! shows up as a named regression.
 
 use crate::fingerprint_mach;
-use pdgc_core::{CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
+use pdgc_core::{AllocSession, CheckMode, RegisterAllocator};
 use pdgc_ir::{parse_function, parse_functions, Function};
 use pdgc_obs::json::{array, Json, JsonObject};
-use pdgc_obs::{MetricsRegistry, PhaseTimes};
+use pdgc_obs::MetricsRegistry;
 use pdgc_target::{parse_mach_function, TargetDesc};
 use std::path::{Path, PathBuf};
 
@@ -136,8 +136,10 @@ pub fn run_corpus(
     metrics: &mut MetricsRegistry,
 ) -> CorpusReport {
     let mut report = CorpusReport::default();
-    let mut phases = PhaseTimes::default();
-    let mut scratch = PhaseScratch::new();
+    let mut session = AllocSession {
+        check,
+        ..AllocSession::default()
+    };
     for (file, text) in files {
         let funcs = match parse_functions(text) {
             Ok(fs) => fs,
@@ -158,14 +160,7 @@ pub fn run_corpus(
                 continue;
             }
             for alloc in allocators {
-                let out = match alloc.allocate_scratch(
-                    func,
-                    target,
-                    &mut phases,
-                    check,
-                    CheckScope::Full,
-                    &mut scratch,
-                ) {
+                let out = match alloc.allocate(func, target, &mut session) {
                     Ok(out) => out,
                     Err(e) => {
                         report
@@ -174,7 +169,7 @@ pub fn run_corpus(
                         continue;
                     }
                 };
-                scratch.metrics.drain_into(metrics);
+                session.scratch.metrics.drain_into(metrics);
                 if let Err(e) = check_mach_roundtrip(&out.mach) {
                     report
                         .failures

@@ -15,9 +15,9 @@ pub mod batch;
 pub mod corpus;
 pub mod serve;
 
-use pdgc_core::{AllocStats, CheckMode, CheckScope, ClassStats, PhaseScratch, RegisterAllocator};
+use pdgc_core::{AllocSession, AllocStats, ClassStats, RegisterAllocator};
 use pdgc_obs::json::JsonObject;
-use pdgc_obs::{MetricsRegistry, PhaseTimes};
+use pdgc_obs::MetricsRegistry;
 use pdgc_sim::{run_mach, DEFAULT_FUEL};
 use pdgc_target::TargetDesc;
 use pdgc_workloads::{default_args, Workload};
@@ -36,13 +36,14 @@ pub struct WorkloadResult {
     pub stats: AllocStats,
     /// Summed dynamic cycles over all functions (simulated elapsed time).
     pub cycles: u64,
-    /// Allocator wall-clock per pipeline phase, summed over all
-    /// functions. All-zero when collected by [`run_workload`]; use
-    /// [`run_workload_timed`] to fill it.
-    pub phases: PhaseTimes,
+    /// This workload's always-on metrics: counters, scorecard, and the
+    /// per-phase latency histograms its `phases_ms` are summed from.
+    pub metrics: MetricsRegistry,
 }
 
-/// Allocates and executes every function of `workload`.
+/// Allocates and executes every function of `workload`, folding the
+/// allocator's always-on metrics (counters, scorecard, latency
+/// histograms) into `metrics` as well as into the result.
 ///
 /// # Panics
 ///
@@ -52,87 +53,28 @@ pub fn run_workload(
     alloc: &dyn RegisterAllocator,
     workload: &Workload,
     target: &TargetDesc,
-) -> WorkloadResult {
-    run_workload_inner(alloc, workload, target, None)
-}
-
-/// [`run_workload`], with per-phase allocator wall-clock collected via a
-/// [`PhaseTimes`] tracer attached to every allocation.
-pub fn run_workload_timed(
-    alloc: &dyn RegisterAllocator,
-    workload: &Workload,
-    target: &TargetDesc,
-) -> WorkloadResult {
-    run_workload_inner(alloc, workload, target, Some(PhaseTimes::default()))
-}
-
-fn run_workload_inner(
-    alloc: &dyn RegisterAllocator,
-    workload: &Workload,
-    target: &TargetDesc,
-    mut phases: Option<PhaseTimes>,
-) -> WorkloadResult {
-    let mut stats = AllocStats::default();
-    let mut cycles = 0u64;
-    for func in &workload.funcs {
-        let out = match phases.as_mut() {
-            Some(pt) => alloc.allocate_traced(func, target, pt),
-            None => alloc.allocate(func, target),
-        }
-        .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
-        stats.accumulate(&out.stats);
-        let exec = run_mach(&out.mach, target, &default_args(func), DEFAULT_FUEL)
-            .unwrap_or_else(|e| panic!("{} produced diverging {}: {e}", alloc.name(), func.name));
-        cycles += exec.cycles;
-    }
-    WorkloadResult {
-        allocator: alloc.name(),
-        workload: workload.name.clone(),
-        target: target.name.clone(),
-        stats,
-        cycles,
-        phases: phases.unwrap_or_default(),
-    }
-}
-
-/// [`run_workload`], accumulating the always-on metrics (counters,
-/// scorecard, latency histograms) into `metrics`. Uses the pooled
-/// per-call scratch path — the same one the batch driver takes — so the
-/// registry fills exactly as it would under `pdgc bench batch`.
-pub fn run_workload_metered(
-    alloc: &dyn RegisterAllocator,
-    workload: &Workload,
-    target: &TargetDesc,
     metrics: &mut MetricsRegistry,
 ) -> WorkloadResult {
     let mut stats = AllocStats::default();
     let mut cycles = 0u64;
-    let mut phases = PhaseTimes::default();
-    let mut scratch = PhaseScratch::new();
+    let mut session = AllocSession::default();
     for func in &workload.funcs {
         let out = alloc
-            .allocate_scratch(
-                func,
-                target,
-                &mut phases,
-                CheckMode::Off,
-                CheckScope::Full,
-                &mut scratch,
-            )
+            .allocate(func, target, &mut session)
             .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
-        scratch.metrics.drain_into(metrics);
         stats.accumulate(&out.stats);
         let exec = run_mach(&out.mach, target, &default_args(func), DEFAULT_FUEL)
             .unwrap_or_else(|e| panic!("{} produced diverging {}: {e}", alloc.name(), func.name));
         cycles += exec.cycles;
     }
+    metrics.merge(&session.scratch.metrics);
     WorkloadResult {
         allocator: alloc.name(),
         workload: workload.name.clone(),
         target: target.name.clone(),
         stats,
         cycles,
-        phases,
+        metrics: session.scratch.metrics,
     }
 }
 
@@ -177,7 +119,7 @@ pub fn result_json(r: &WorkloadResult) -> String {
         .str("target", &r.target)
         .u64("cycles", r.cycles)
         .raw("stats", &stats_json(&r.stats))
-        .raw("phases_ms", &r.phases.json_millis())
+        .raw("phases_ms", &r.metrics.latency_ms_json())
         .finish()
 }
 
@@ -338,8 +280,11 @@ mod tests {
         let mut w = pdgc_workloads::generate(prof);
         w.funcs.truncate(2);
         let target = TargetDesc::ia64_like(PressureModel::Middle);
-        let r = run_workload(&PreferenceAllocator::full(), &w, &target);
+        let mut metrics = MetricsRegistry::default();
+        let r = run_workload(&PreferenceAllocator::full(), &w, &target, &mut metrics);
         assert!(r.cycles > 0);
         assert!(r.stats.copies_before > 0);
+        assert!(r.metrics.latency_hist(pdgc_obs::Phase::Select).sum > 0);
+        assert!(r.metrics.deterministic_eq(&metrics));
     }
 }

@@ -24,27 +24,18 @@
 //! interning order is an artifact of how a function was built, not of
 //! what it computes, so two textual spellings of the same function hash
 //! to the same entry (PR 8's `print → parse → print` fixpoint makes this
-//! well-defined). A *miss* allocates through the pooled
-//! [`RegisterAllocator::allocate_scratch`] path and is proven by the
-//! symbolic checker ([`CheckMode::Always`]) **before** insertion,
-//! whatever the request asked for; a *hit* returns the stored response
-//! and is re-proven at a configurable sampling rate. Hit, miss,
-//! insertion, eviction, and re-check counts ride the always-on metrics
-//! registry next to the allocator's own scorecard.
-//!
-//! # Determinism under `--jobs N`
-//!
-//! Batch-mode sessions (stdin read to EOF) allocate distinct misses
-//! concurrently on the batch driver's worker-pool idiom (atomic task
-//! cursor, slot-keyed merge). Requests are keyed and deduplicated
-//! *serially* before the pool runs and responses are emitted in request
-//! order afterwards, so the full response stream — including each
-//! request's `cached` flag — is bit-identical at every job count.
+//! well-defined). A *miss* allocates in the session's pooled
+//! [`AllocSession`] and is proven by the symbolic checker
+//! ([`CheckMode::Always`]) **before** insertion, whatever the request
+//! asked for; a *hit* returns the stored response and is re-proven at a
+//! configurable sampling rate. Hit, miss, insertion, eviction, and
+//! re-check counts ride the always-on metrics registry next to the
+//! allocator's own scorecard.
 
 use crate::{fingerprint_mach, stats_json};
 use pdgc_core::pipeline::check_output_metered;
 use pdgc_core::{
-    AllocOutput, CheckMode, CheckScope, PhaseScratch, PreferenceAllocator, RegisterAllocator,
+    AllocOutput, AllocSession, CheckMode, CheckScope, PreferenceAllocator, RegisterAllocator,
 };
 use pdgc_ir::{parse_function, parse_functions, Function};
 use pdgc_obs::json::{Json, JsonObject};
@@ -52,11 +43,24 @@ use pdgc_obs::{Counter, MetricsRegistry, NoopTracer};
 use pdgc_target::{TargetDesc, TargetRegistry};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Resolves an allocator by its CLI name, `Sync` so serve workers can
-/// share it. Covers every allocator of the paper's evaluation.
+/// Every name [`allocator_by_name`] resolves, as `pdgc --help` lists them.
+pub const ALLOCATOR_NAMES: [&str; 9] = [
+    "full",
+    "coalesce",
+    "precoalesce",
+    "chaitin",
+    "briggs",
+    "iterated",
+    "optimistic",
+    "callcost",
+    "priority",
+];
+
+/// Resolves an allocator by its CLI name — the one allocator table every
+/// `--allocator` flag and serve request goes through. `Sync` so the batch
+/// driver's workers can share it. Covers every allocator of the paper's
+/// evaluation.
 pub fn allocator_by_name(name: &str) -> Option<Box<dyn RegisterAllocator + Sync>> {
     use pdgc_core::baselines::*;
     Some(match name {
@@ -114,8 +118,6 @@ pub struct ServeConfig {
     /// Re-prove every Nth cache hit with the symbolic checker; 0 never
     /// re-checks.
     pub sample_rate: u64,
-    /// Worker threads for batch-mode (read-to-EOF) sessions.
-    pub jobs: usize,
 }
 
 impl Default for ServeConfig {
@@ -126,7 +128,6 @@ impl Default for ServeConfig {
             check: CheckMode::Always,
             cache_cap: 1024,
             sample_rate: 16,
-            jobs: 1,
         }
     }
 }
@@ -166,7 +167,8 @@ pub struct ServeOutcome {
     pub shutdown: bool,
 }
 
-/// A serve session: the cache, its counters, and the serial scratch.
+/// A serve session: the cache, its counters, and the allocation session
+/// every miss runs in.
 pub struct ServeSession {
     config: ServeConfig,
     cache: HashMap<String, CacheEntry>,
@@ -175,7 +177,9 @@ pub struct ServeSession {
     /// Total hits, driving the sampled re-check cadence.
     hits: u64,
     metrics: MetricsRegistry,
-    scratch: PhaseScratch,
+    /// Misses are proven before they are cached, whatever the request
+    /// asked for: nothing unchecked ever enters the cache.
+    session: AllocSession<'static>,
 }
 
 fn error_response(msg: &str) -> String {
@@ -191,7 +195,10 @@ impl ServeSession {
             tick: 0,
             hits: 0,
             metrics: MetricsRegistry::default(),
-            scratch: PhaseScratch::new(),
+            session: AllocSession {
+                check: CheckMode::Always,
+                ..AllocSession::default()
+            },
         }
     }
 
@@ -264,20 +271,21 @@ impl ServeSession {
         if recheck {
             self.metrics.bump(Counter::CacheHitChecks);
             let entry = self.cache.get(key).expect("checked above");
+            let scratch = &mut self.session.scratch;
             let verdict = check_output_metered(
                 &entry.out,
                 &entry.target,
                 &mut NoopTracer,
                 CheckMode::Always,
                 CheckScope::Full,
-                &mut self.scratch,
+                scratch,
             );
-            self.scratch.metrics.drain_into(&mut self.metrics);
+            scratch.metrics.drain_into(&mut self.metrics);
             if let Err(e) = verdict {
                 // A cached allocation failing re-validation means the
                 // entry (or the checker) is corrupt; drop it and report.
                 let dead = self.cache.remove(key).expect("checked above");
-                dead.out.recycle(&mut self.scratch);
+                dead.out.recycle(scratch);
                 self.metrics.bump(Counter::ServeErrors);
                 return Some(error_response(&format!(
                     "cached allocation failed re-validation (entry dropped): {e}"
@@ -301,7 +309,7 @@ impl ServeSession {
                 .map(|(k, _)| k.clone())
             {
                 let dead = self.cache.remove(&victim).expect("key from iteration");
-                dead.out.recycle(&mut self.scratch);
+                dead.out.recycle(&mut self.session.scratch);
                 self.metrics.bump(Counter::CacheEvictions);
             }
         }
@@ -349,17 +357,10 @@ impl ServeSession {
             };
         }
         self.metrics.bump(Counter::CacheMisses);
-        // Misses are proven before they are cached, whatever the request
-        // asked for: nothing unchecked ever enters the cache.
-        let out = req.alloc.allocate_scratch(
-            &req.func,
-            &req.target,
-            &mut NoopTracer,
-            CheckMode::Always,
-            CheckScope::Full,
-            &mut self.scratch,
-        );
-        self.scratch.metrics.drain_into(&mut self.metrics);
+        let out = req
+            .alloc
+            .allocate(&req.func, &req.target, &mut self.session);
+        self.session.scratch.metrics.drain_into(&mut self.metrics);
         let response = match out {
             Ok(out) => self.insert(req.key, out, req.target),
             Err(e) => {
@@ -373,173 +374,38 @@ impl ServeSession {
         }
     }
 
-    /// Handles a whole batch of request lines, allocating distinct misses
-    /// across `config.jobs` workers. Responses come back in request
-    /// order and are bit-identical at every job count: keys are computed
-    /// and misses deduplicated serially *before* the pool runs, and every
-    /// duplicate of a key — however the pool schedules it — is served
-    /// from the cache (`"cached":true`).
-    pub fn handle_chunk(&mut self, lines: &[String]) -> Vec<String> {
-        // Phase 1 (serial): parse and key every line; claim each distinct
-        // missing key for the first request that wants it.
-        enum Slot {
-            Done(String),
-            Want(usize), // index into `misses`
-        }
-        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(lines.len());
-        let mut misses: Vec<Request> = Vec::new();
-        let mut claimed: HashMap<String, usize> = HashMap::new();
-        for line in lines {
-            self.tick += 1;
-            self.metrics.bump(Counter::ServeRequests);
-            match self.parse_line(line) {
-                Ok(Parsed::Shutdown) => slots.push(Some(Slot::Done(
-                    JsonObject::new()
-                        .bool("ok", true)
-                        .bool("shutdown", true)
-                        .finish(),
-                ))),
-                Err(e) => {
-                    self.metrics.bump(Counter::ServeErrors);
-                    slots.push(Some(Slot::Done(error_response(&e))));
-                }
-                Ok(Parsed::Alloc(req)) => {
-                    if self.cache.contains_key(&req.key) || claimed.contains_key(&req.key) {
-                        // Resolved against the cache in phase 3, after
-                        // the claimed misses have been inserted.
-                        slots.push(None);
-                    } else {
-                        claimed.insert(req.key.clone(), misses.len());
-                        slots.push(Some(Slot::Want(misses.len())));
-                        misses.push(req);
-                    }
-                }
-            }
-        }
-
-        // Phase 2 (parallel): allocate the distinct misses on the batch
-        // driver's pool idiom — atomic cursor, one scratch per worker,
-        // slot-keyed merge. Metrics are drained per miss and merged in
-        // miss order, so totals stay deterministic.
-        let jobs = self.config.jobs.max(1).min(misses.len().max(1));
-        let mut outs: Vec<Option<(Result<AllocOutput, String>, MetricsRegistry)>> =
-            (0..misses.len()).map(|_| None).collect();
-        let run_one = |req: &Request, scratch: &mut PhaseScratch| {
-            let out = req
-                .alloc
-                .allocate_scratch(
-                    &req.func,
-                    &req.target,
-                    &mut NoopTracer,
-                    CheckMode::Always,
-                    CheckScope::Full,
-                    scratch,
-                )
-                .map_err(|e| e.to_string());
-            (out, std::mem::take(&mut scratch.metrics))
-        };
-        if jobs == 1 {
-            for (i, req) in misses.iter().enumerate() {
-                outs[i] = Some(run_one(req, &mut self.scratch));
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let collected: Mutex<&mut Vec<Option<_>>> = Mutex::new(&mut outs);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| {
-                        let mut scratch = PhaseScratch::new();
-                        let mut local: Vec<(usize, _)> = Vec::new();
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(req) = misses.get(t) else { break };
-                            local.push((t, run_one(req, &mut scratch)));
-                        }
-                        let mut slots = collected.lock().expect("unpoisoned");
-                        for (t, r) in local {
-                            debug_assert!(slots[t].is_none(), "miss {t} claimed twice");
-                            slots[t] = Some(r);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Phase 3 (serial): insert misses in claim order, then render
-        // every response in request order from the cache.
-        let mut miss_responses: Vec<Option<String>> = Vec::with_capacity(misses.len());
-        for (req, slot) in misses.into_iter().zip(outs) {
-            let (out, m) = slot.expect("miss never allocated");
-            self.metrics.merge(&m);
-            self.metrics.bump(Counter::CacheMisses);
-            miss_responses.push(Some(match out {
-                Ok(out) => self.insert(req.key, out, req.target),
-                Err(e) => {
-                    self.metrics.bump(Counter::ServeErrors);
-                    error_response(&e)
-                }
-            }));
-        }
-        lines
-            .iter()
-            .zip(slots)
-            .map(|(line, slot)| match slot {
-                Some(Slot::Done(r)) => r,
-                Some(Slot::Want(i)) => miss_responses[i].take().expect("rendered once"),
-                None => match self.parse_line(line) {
-                    // Duplicate of an earlier request (or an existing
-                    // entry): serve it as the hit it now is.
-                    Ok(Parsed::Alloc(req)) => self.try_hit(&req.key).unwrap_or_else(|| {
-                        error_response("allocation failed for an identical earlier request")
-                    }),
-                    _ => unreachable!("phase 1 classified this line as an allocation"),
-                },
-            })
-            .collect()
-    }
-
-    /// Runs a session over a reader/writer pair. With `jobs <= 1` the
-    /// session streams: each line is answered (and flushed) before the
-    /// next is read, until EOF or a shutdown request. With `jobs > 1` the
-    /// input is read to EOF and processed as one deterministic chunk.
+    /// Runs a session over a reader/writer pair, streaming: each line is
+    /// answered (and flushed) before the next is read, until EOF or a
+    /// shutdown request.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the reader or writer.
-    pub fn run<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> std::io::Result<()> {
-        if self.config.jobs <= 1 {
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let outcome = self.handle_line(&line);
-                writeln!(writer, "{}", outcome.response)?;
-                writer.flush()?;
-                if outcome.shutdown {
-                    break;
-                }
+    pub fn run<R: BufRead, W: Write>(&mut self, reader: R, writer: W) -> std::io::Result<()> {
+        self.stream(reader, writer).map(|_shutdown| ())
+    }
+
+    /// [`Self::run`], reporting whether a shutdown request ended it.
+    fn stream<R: BufRead, W: Write>(&mut self, reader: R, mut writer: W) -> std::io::Result<bool> {
+        for line in reader.lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
             }
-        } else {
-            let lines: Vec<String> = reader
-                .lines()
-                .collect::<std::io::Result<Vec<_>>>()?
-                .into_iter()
-                .filter(|l| !l.trim().is_empty())
-                .collect();
-            for response in self.handle_chunk(&lines) {
-                writeln!(writer, "{response}")?;
-            }
+            let outcome = self.handle_line(&line);
+            writeln!(writer, "{}", outcome.response)?;
             writer.flush()?;
+            if outcome.shutdown {
+                return Ok(true);
+            }
         }
-        Ok(())
+        Ok(false)
     }
 
     /// Serves connections on a Unix socket at `path`, one at a time,
-    /// streaming each connection like [`ServeSession::run`] with
-    /// `jobs == 1`. The cache persists across connections. Returns after
-    /// a `{"op":"shutdown"}` request; the socket file is removed on the
-    /// way out.
+    /// streaming each connection like [`ServeSession::run`]. The cache
+    /// persists across connections. Returns after a `{"op":"shutdown"}`
+    /// request; the socket file is removed on the way out.
     ///
     /// # Errors
     ///
@@ -551,21 +417,8 @@ impl ServeSession {
         let mut shutdown = false;
         while !shutdown {
             let (stream, _) = listener.accept()?;
-            let mut writer = stream.try_clone()?;
-            let reader = std::io::BufReader::new(stream);
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let outcome = self.handle_line(&line);
-                writeln!(writer, "{}", outcome.response)?;
-                writer.flush()?;
-                if outcome.shutdown {
-                    shutdown = true;
-                    break;
-                }
-            }
+            let writer = stream.try_clone()?;
+            shutdown = self.stream(std::io::BufReader::new(stream), writer)?;
         }
         let _ = std::fs::remove_file(path);
         Ok(())
@@ -624,11 +477,8 @@ mod tests {
     const OTHER: &str =
         "fn mul2(v0: int, v1: int) -> int {\nb0:\n    v2 = mul v0, v1\n    ret v2\n}\n";
 
-    fn session(jobs: usize) -> ServeSession {
-        ServeSession::new(ServeConfig {
-            jobs,
-            ..ServeConfig::default()
-        })
+    fn session() -> ServeSession {
+        ServeSession::new(ServeConfig::default())
     }
 
     fn field<'a>(json: &'a Json, k: &str) -> &'a Json {
@@ -637,7 +487,7 @@ mod tests {
 
     #[test]
     fn resubmission_is_a_recorded_hit_with_identical_payload() {
-        let mut s = session(1);
+        let mut s = session();
         let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
         let first = Json::parse(&s.handle_line(&line).response).unwrap();
         let second = Json::parse(&s.handle_line(&line).response).unwrap();
@@ -655,7 +505,7 @@ mod tests {
 
     #[test]
     fn malformed_and_hostile_input_is_an_error_response() {
-        let mut s = session(1);
+        let mut s = session();
         for bad in [
             "not json",
             "{\"target\":\"ia64-24\"}",                       // missing fn
@@ -677,7 +527,7 @@ mod tests {
 
     #[test]
     fn shutdown_op_stops_a_streaming_session() {
-        let mut s = session(1);
+        let mut s = session();
         let input = format!(
             "{}\n{{\"op\":\"shutdown\"}}\n{}\n",
             request_line(SMALL, "ia64-24", "full", CheckMode::Always),
@@ -726,33 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_responses_are_identical_at_every_job_count() {
-        let reqs: Vec<String> = vec![
-            request_line(SMALL, "ia64-24", "full", CheckMode::Always),
-            request_line(OTHER, "ia64-24", "chaitin", CheckMode::Always),
-            request_line(SMALL, "ia64-24", "full", CheckMode::Always), // dup of [0]
-            "garbage".to_string(),
-            request_line(SMALL, "x86-24", "full", CheckMode::Always),
-        ];
-        let serial = session(1).handle_chunk(&reqs);
-        let parallel = session(4).handle_chunk(&reqs);
-        assert_eq!(serial, parallel, "chunk responses diverged across job counts");
-        // The duplicate is a hit even within one chunk.
-        let dup = Json::parse(&serial[2]).unwrap();
-        assert_eq!(field(&dup, "cached").as_bool(), Some(true));
-        let first = Json::parse(&serial[0]).unwrap();
-        assert_eq!(field(&first, "cached").as_bool(), Some(false));
-        assert_eq!(first.get("fingerprint"), dup.get("fingerprint"));
-        // Metrics (counters) agree too.
-        let m1 = session(1);
-        let m4 = session(4);
-        let (mut m1, mut m4) = (m1, m4);
-        m1.handle_chunk(&reqs);
-        m4.handle_chunk(&reqs);
-        assert!(m1.metrics().deterministic_eq(m4.metrics()));
-    }
-
-    #[test]
     fn builder_callee_order_does_not_split_the_key() {
         use pdgc_ir::{FunctionBuilder, RegClass};
         // Intern callees out of appearance order: h first, then g, while
@@ -779,7 +602,7 @@ mod tests {
         let text = corpus_requests(&files, "ia64-24", "full", CheckMode::Always).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let mut s = session(1);
+        let mut s = session();
         for line in &lines {
             let r = Json::parse(&s.handle_line(line).response).unwrap();
             assert_eq!(field(&r, "ok").as_bool(), Some(true), "{line}");
@@ -796,7 +619,7 @@ mod tests {
         let path = dir.join("serve.sock");
         let path2 = path.clone();
         let server = std::thread::spawn(move || {
-            let mut s = session(1);
+            let mut s = session();
             s.run_socket(&path2).unwrap();
             s.metrics().get(Counter::CacheHits)
         });

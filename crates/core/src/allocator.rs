@@ -1,16 +1,12 @@
 //! The public allocator API and the paper's allocator (Figure 8).
 
 use crate::cpg::Cpg;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_scratch_checked, run_pipeline_traced, Analyses, ClassCtx,
-    ClassStrategy, RoundOutcome,
-};
+use crate::pipeline::{AllocSession, Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::rpg::build_rpg;
-use crate::scratch::PhaseScratch;
 use crate::select::{select_traced_in, SelectConfig};
 use crate::simplify::{simplify_in, SimplifyMode};
 use pdgc_ir::Function;
-use pdgc_obs::{with_span, Event, GraphKind, Phase, Tracer};
+use pdgc_obs::{Event, GraphKind, Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
 
 pub use crate::pipeline::{AllocError, AllocOutput};
@@ -19,88 +15,32 @@ pub use pdgc_check::{CheckMode, CheckScope};
 
 /// A complete register allocator: lowers, colors, spills, and rewrites.
 ///
+/// An allocator is a [`ClassStrategy`] — how it colors one register class
+/// in one round — plus a name; everything else is the shared pipeline.
 /// Implemented by [`PreferenceAllocator`] and every baseline in
 /// [`crate::baselines`], so harnesses can drive them interchangeably.
-pub trait RegisterAllocator {
+pub trait RegisterAllocator: ClassStrategy {
     /// A short identifier used in reports (e.g. `"full-preference"`).
     fn name(&self) -> &'static str;
 
-    /// Allocates `func` against `target`.
+    /// Allocates `func` against `target` under `session`: the session's
+    /// pools supply every phase's storage, its registry records the
+    /// metrics, its tracer (if any) receives spans and decisions, and its
+    /// check mode decides whether the symbolic checker proves the result
+    /// before it is returned. The allocation itself never depends on the
+    /// session.
     ///
     /// # Errors
     ///
-    /// See [`AllocError`].
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError>;
-
-    /// Allocates `func` with an attached [`Tracer`] receiving phase spans
-    /// and (for tracing-aware allocators) decision events.
-    ///
-    /// The default ignores the tracer and defers to [`Self::allocate`];
-    /// every allocator in this crate overrides it to route through
-    /// [`run_pipeline_traced`]. Tracing never changes the allocation: with
-    /// any tracer the result is bit-identical to the untraced run.
-    ///
-    /// # Errors
-    ///
-    /// See [`AllocError`].
-    fn allocate_traced(
+    /// See [`AllocError`]; [`AllocError::CheckFailed`] when the checker
+    /// finds a violation.
+    fn allocate(
         &self,
         func: &Function,
         target: &TargetDesc,
-        _tracer: &mut dyn Tracer,
+        session: &mut AllocSession<'_>,
     ) -> Result<AllocOutput, AllocError> {
-        self.allocate(func, target)
-    }
-
-    /// [`Self::allocate_traced`] followed by the post-allocation symbolic
-    /// checker (`pdgc-check`) when `check` says so: the result is
-    /// independently proven semantics-preserving before it is returned.
-    ///
-    /// # Errors
-    ///
-    /// See [`AllocError`]; additionally [`AllocError::CheckFailed`] when
-    /// the checker finds a violation.
-    fn allocate_checked(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: CheckMode,
-    ) -> Result<AllocOutput, AllocError> {
-        let out = self.allocate_traced(func, target, tracer)?;
-        crate::pipeline::check_output(&out, target, tracer, check)?;
-        Ok(out)
-    }
-
-    /// [`Self::allocate_checked`] drawing every phase's working storage
-    /// from a per-worker [`PhaseScratch`] and scoping the checker with
-    /// `scope`. Batch drivers keep one scratch per worker thread and call
-    /// this in a loop; after the pools warm up the steady state performs
-    /// (near) zero heap allocation per function.
-    ///
-    /// The default still allocates fresh storage (only the checker is
-    /// pooled) and defers to [`Self::allocate_traced`]; scratch-aware
-    /// allocators override it with the fully pooled pipeline. Either way
-    /// the result is bit-identical to [`Self::allocate_checked`] with
-    /// [`CheckScope::Full`], and the checker's runs land in
-    /// `scratch.metrics` either way.
-    ///
-    /// # Errors
-    ///
-    /// See [`AllocError`]; additionally [`AllocError::CheckFailed`] when
-    /// the checker finds a violation.
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: CheckMode,
-        scope: CheckScope,
-        scratch: &mut PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        let out = self.allocate_traced(func, target, tracer)?;
-        crate::pipeline::check_output_metered(&out, target, tracer, check, scope, scratch)?;
-        Ok(out)
+        crate::pipeline::run(func, target, self, session)
     }
 }
 
@@ -179,8 +119,8 @@ impl ClassStrategy for PreferenceAllocator {
         if self.pre_coalesce {
             // Conservative (never spill-causing) merges before simplify.
             use crate::baselines::{briggs_conservative_ok, fold_spill_costs, george_ok};
-            let t0 = std::time::Instant::now();
-            with_span(tracer, Phase::Coalesce, round, Some(class), || loop {
+            let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
+            loop {
                 let mut merged = false;
                 for c in &ctx.copies {
                     let a = ctx.ifg.rep(c.dst);
@@ -207,10 +147,8 @@ impl ClassStrategy for PreferenceAllocator {
                 if !merged {
                     break;
                 }
-            });
-            cls.select
-                .metrics
-                .observe_latency(Phase::Coalesce, t0.elapsed().as_nanos() as u64);
+            }
+            timer.stop(&mut cls.select.metrics, tracer);
             fold_spill_costs(&ctx.ifg, &mut costs);
             // A representative absorbing an unspillable temporary becomes
             // unspillable itself.
@@ -221,23 +159,20 @@ impl ClassStrategy for PreferenceAllocator {
                 }
             }
         }
-        let t0 = std::time::Instant::now();
-        let cpg = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            let sr = simplify_in(
-                &mut ctx.ifg,
-                ctx.k,
-                &costs,
-                SimplifyMode::Optimistic,
-                &mut cls.simplify,
-            );
-            ctx.ifg.restore_all();
-            let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
-            sr.recycle(&mut cls.simplify);
-            cpg
-        });
-        cls.select
-            .metrics
-            .observe_latency(Phase::Simplify, t0.elapsed().as_nanos() as u64);
+        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
+        let sr = simplify_in(
+            &mut ctx.ifg,
+            ctx.k,
+            &costs,
+            SimplifyMode::Optimistic,
+            &mut cls.simplify,
+        );
+        ctx.ifg.restore_all();
+        timer.stop(&mut cls.select.metrics, tracer);
+        let timer = PhaseTimer::start(Phase::Cpg, round, Some(class));
+        let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
+        sr.recycle(&mut cls.simplify);
+        timer.stop(&mut cls.select.metrics, tracer);
         if tracer.wants_graphs() {
             for (kind, dot) in [
                 (GraphKind::Ifg, crate::dot::ifg_to_dot(&ctx.ifg, &ctx.nodes)),
@@ -251,9 +186,7 @@ impl ClassStrategy for PreferenceAllocator {
             active_spill: self.prefs.volatility,
             nonvolatile_first: !self.prefs.volatility,
         };
-        // `with_span` can't wrap this call: select itself needs the tracer,
-        // so the span is timed by hand around the traced select.
-        let t0 = std::time::Instant::now();
+        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
         let res = select_traced_in(
             &ctx.ifg,
             &ctx.nodes,
@@ -267,18 +200,7 @@ impl ClassStrategy for PreferenceAllocator {
             tracer,
             &mut cls.select,
         );
-        let select_nanos = t0.elapsed().as_nanos();
-        cls.select
-            .metrics
-            .observe_latency(Phase::Select, select_nanos as u64);
-        if tracer.enabled() {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: select_nanos,
-            });
-        }
+        timer.stop(&mut cls.select.metrics, tracer);
         cpg.recycle(&mut cls.cpg);
         let mut assignment = res.assignment;
         let mut spilled = res.spilled;
@@ -312,31 +234,6 @@ impl RegisterAllocator for PreferenceAllocator {
             (false, false) => "pdgc-coalescing-only",
         }
     }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: CheckMode,
-        scope: CheckScope,
-        scratch: &mut PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_scratch_checked(func, target, self, tracer, check, scope, scratch)
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +262,9 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
-        let out = PreferenceAllocator::full().allocate(&f, &target).unwrap();
+        let out = PreferenceAllocator::full()
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         // Plenty of registers: no spilling expected.
         assert_eq!(out.stats.spill_instructions, 0);
         // The paired load should have been fused.
@@ -385,7 +284,7 @@ mod tests {
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
         let out = PreferenceAllocator::coalescing_only()
-            .allocate(&f, &target)
+            .allocate(&f, &target, &mut AllocSession::default())
             .unwrap();
         // The rewriter may still fuse by luck, but nothing is guaranteed;
         // what matters is the run succeeds without volatility preferences.
@@ -413,7 +312,9 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::toy(3);
-        let out = PreferenceAllocator::full().allocate(&f, &target).unwrap();
+        let out = PreferenceAllocator::full()
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.stats.spill_instructions > 0);
         assert!(out.stats.rounds >= 2);
     }

@@ -2,13 +2,10 @@
 //! coloring — Figure 1(b); "Briggs + aggressive" in the paper's §6.
 
 use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::simplify::{simplify_in, SimplifyMode};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
 
 /// Briggs-style optimistic coloring: aggressive coalescing, optimistic
@@ -27,26 +24,32 @@ impl ClassStrategy for BriggsAllocator {
     ) -> RoundOutcome {
         let round = ctx.round as u32;
         let class = ctx.class;
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic)
-        });
+        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
+        let sr = simplify_in(
+            &mut ctx.ifg,
+            ctx.k,
+            &costs,
+            SimplifyMode::Optimistic,
+            &mut ctx.scratch.simplify,
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         ctx.ifg.restore_all();
-        let (mut assignment, spilled_reps) =
-            with_span(tracer, Phase::Select, round, Some(class), || {
-                color_stack(
-                    &ctx.ifg,
-                    &ctx.nodes,
-                    &sr.stack,
-                    target,
-                    Some(&ctx.copies), // biased coloring
-                    true,
-                )
-            });
+        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
+        let (mut assignment, spilled_reps) = color_stack(
+            &ctx.ifg,
+            &ctx.nodes,
+            &sr.stack,
+            target,
+            Some(&ctx.copies), // biased coloring
+            true,
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        sr.recycle(&mut ctx.scratch.simplify);
         propagate_merged(&ctx.ifg, &mut assignment);
         // A spilled representative spills all members.
         let mut spilled = Vec::new();
@@ -67,38 +70,12 @@ impl RegisterAllocator for BriggsAllocator {
     fn name(&self) -> &'static str {
         "briggs-aggressive"
     }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocSession;
     use pdgc_ir::{BinOp, CmpOp, FunctionBuilder, RegClass};
     use pdgc_target::PressureModel;
 
@@ -118,7 +95,9 @@ mod tests {
         b.ret(Some(s3));
         let f = b.finish();
         let target = TargetDesc::toy(3);
-        let out = BriggsAllocator.allocate(&f, &target).unwrap();
+        let out = BriggsAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.lowered.verify().is_ok());
     }
 
@@ -137,7 +116,9 @@ mod tests {
         b.ret(Some(p));
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
-        let out = BriggsAllocator.allocate(&f, &target).unwrap();
+        let out = BriggsAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert_eq!(out.stats.spill_instructions, 0);
         // p crosses calls; under the non-volatile-first heuristic it must
         // not need caller saves.

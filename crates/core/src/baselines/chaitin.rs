@@ -2,13 +2,10 @@
 //! paper and the *base* algorithm of the Figure 9 ratios.
 
 use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::simplify::{simplify_in, SimplifyMode};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// Chaitin-style coloring: renumber → build → **aggressive coalesce** →
@@ -27,14 +24,20 @@ impl ClassStrategy for ChaitinAllocator {
     ) -> RoundOutcome {
         let round = ctx.round as u32;
         let class = ctx.class;
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Chaitin)
-        });
+        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
+        let sr = simplify_in(
+            &mut ctx.ifg,
+            ctx.k,
+            &costs,
+            SimplifyMode::Chaitin,
+            &mut ctx.scratch.simplify,
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         if sr.must_spill() {
             // Spill decisions are definite: split now, retry next round.
             let assignment: Vec<Option<PhysReg>> = (0..ctx.nodes.num_nodes())
@@ -53,19 +56,20 @@ impl ClassStrategy for ChaitinAllocator {
                     }
                 }
             }
-            return RoundOutcome { assignment, spilled };
+            sr.recycle(&mut ctx.scratch.simplify);
+            return RoundOutcome {
+                assignment,
+                spilled,
+            };
         }
         ctx.ifg.restore_all();
-        let (mut assignment, spilled) = with_span(tracer, Phase::Select, round, Some(class), || {
-            color_stack(
-                &ctx.ifg,
-                &ctx.nodes,
-                &sr.stack,
-                target,
-                None,
-                true, // the §6.2 non-volatile-first heuristic
-            )
-        });
+        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
+        let (mut assignment, spilled) = color_stack(
+            &ctx.ifg, &ctx.nodes, &sr.stack, target, None,
+            true, // the §6.2 non-volatile-first heuristic
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        sr.recycle(&mut ctx.scratch.simplify);
         assert!(
             spilled.is_empty(),
             "Chaitin select found no color after clean simplification"
@@ -82,38 +86,12 @@ impl RegisterAllocator for ChaitinAllocator {
     fn name(&self) -> &'static str {
         "chaitin-aggressive"
     }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocSession;
     use pdgc_ir::{BinOp, FunctionBuilder, RegClass};
     use pdgc_target::PressureModel;
 
@@ -127,7 +105,9 @@ mod tests {
         b.ret(Some(d));
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
-        let out = ChaitinAllocator.allocate(&f, &target).unwrap();
+        let out = ChaitinAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         // Everything coalesces: param copy + 3 chain copies + ret copy.
         assert_eq!(out.stats.copies_remaining, 0);
         assert_eq!(out.stats.moves_eliminated, out.stats.copies_before);
@@ -146,7 +126,9 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::toy(4);
-        let out = ChaitinAllocator.allocate(&f, &target).unwrap();
+        let out = ChaitinAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.stats.spill_instructions > 0);
         assert!(out.stats.rounds > 1);
     }

@@ -11,12 +11,9 @@ use super::coalesce::{
     briggs_conservative_ok, color_stack, fold_spill_costs, george_ok, propagate_merged,
 };
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
 
 /// The iterated-coalescing allocator.
@@ -60,7 +57,8 @@ impl ClassStrategy for IteratedAllocator {
 
         // Simplify / conservative-coalesce / freeze / potential-spill are
         // interleaved in one worklist loop, so one Coalesce span covers it.
-        with_span(tracer, Phase::Coalesce, round, Some(class), || loop {
+        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
+        loop {
             let active = ctx.ifg.active_live_ranges();
             if active.is_empty() {
                 break;
@@ -124,13 +122,20 @@ impl ClassStrategy for IteratedAllocator {
             ctx.ifg.remove(cand);
             stack.push(cand);
             optimistic.push(cand);
-        });
+        }
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
 
         ctx.ifg.restore_all();
-        let (mut assignment, spilled_reps) =
-            with_span(tracer, Phase::Select, round, Some(class), || {
-                color_stack(&ctx.ifg, &ctx.nodes, &stack, target, Some(&ctx.copies), true)
-            });
+        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
+        let (mut assignment, spilled_reps) = color_stack(
+            &ctx.ifg,
+            &ctx.nodes,
+            &stack,
+            target,
+            Some(&ctx.copies),
+            true,
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         propagate_merged(&ctx.ifg, &mut assignment);
         let mut spilled = Vec::new();
         for &s in &spilled_reps {
@@ -150,38 +155,12 @@ impl RegisterAllocator for IteratedAllocator {
     fn name(&self) -> &'static str {
         "iterated-coalescing"
     }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocSession;
     use pdgc_ir::{BinOp, FunctionBuilder, RegClass};
     use pdgc_target::PressureModel;
 
@@ -194,7 +173,9 @@ mod tests {
         b.ret(Some(c));
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
-        let out = IteratedAllocator.allocate(&f, &target).unwrap();
+        let out = IteratedAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert_eq!(out.stats.spill_instructions, 0);
         // Low pressure: conservative coalescing removes every copy.
         assert_eq!(out.stats.copies_remaining, 0);
@@ -221,7 +202,9 @@ mod tests {
         b.ret(Some(r));
         let f = b.finish();
         let target = TargetDesc::toy(4);
-        let out = IteratedAllocator.allocate(&f, &target).unwrap();
+        let out = IteratedAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.lowered.verify().is_ok());
     }
 }

@@ -9,13 +9,10 @@
 
 use super::coalesce::{aggressive_coalesce, fold_spill_costs};
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Event, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::simplify::{simplify_in, SimplifyMode};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// The optimistic-coalescing allocator.
@@ -35,17 +32,23 @@ impl ClassStrategy for OptimisticAllocator {
         // Keep the pre-coalescing graph: undoing needs primitive
         // interference.
         let pristine = ctx.ifg.clone();
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic)
-        });
+        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
+        let sr = simplify_in(
+            &mut ctx.ifg,
+            ctx.k,
+            &costs,
+            SimplifyMode::Optimistic,
+            &mut ctx.scratch.simplify,
+        );
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
         ctx.ifg.restore_all();
 
-        let select_started = tracer.enabled().then(std::time::Instant::now);
+        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
         let nn = ctx.nodes.num_nodes();
         let mut assignment: Vec<Option<PhysReg>> = (0..nn)
             .map(|i| {
@@ -153,15 +156,12 @@ impl ClassStrategy for OptimisticAllocator {
                 assignment[i] = assignment[ctx.ifg.rep(p).index()];
             }
         }
-        if let Some(t0) = select_started {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: t0.elapsed().as_nanos(),
-            });
+        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        sr.recycle(&mut ctx.scratch.simplify);
+        RoundOutcome {
+            assignment,
+            spilled,
         }
-        RoundOutcome { assignment, spilled }
     }
 }
 
@@ -169,38 +169,12 @@ impl RegisterAllocator for OptimisticAllocator {
     fn name(&self) -> &'static str {
         "optimistic-coalescing"
     }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocSession;
     use pdgc_ir::{BinOp, FunctionBuilder, RegClass};
     use pdgc_target::PressureModel;
 
@@ -213,7 +187,9 @@ mod tests {
         b.ret(Some(c));
         let f = b.finish();
         let target = TargetDesc::ia64_like(PressureModel::High);
-        let out = OptimisticAllocator.allocate(&f, &target).unwrap();
+        let out = OptimisticAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert_eq!(out.stats.copies_remaining, 0);
         assert_eq!(out.stats.spill_instructions, 0);
     }
@@ -239,7 +215,9 @@ mod tests {
         b.ret(Some(r));
         let f = b.finish();
         let target = TargetDesc::toy(4);
-        let out = OptimisticAllocator.allocate(&f, &target).unwrap();
+        let out = OptimisticAllocator
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.lowered.verify().is_ok());
     }
 }

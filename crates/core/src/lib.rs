@@ -17,13 +17,14 @@
 //!   and paired-load fusion ([`rewrite`]);
 //! * the comparison allocators of the paper's §6 ([`baselines`]): Chaitin
 //!   with aggressive coalescing, Briggs optimistic coloring, George–Appel
-//!   iterated coalescing, Park–Moon optimistic coalescing, and a
-//!   Lueh–Gross-style call-cost-directed allocator.
+//!   iterated coalescing, Park–Moon optimistic coalescing, a
+//!   Lueh–Gross-style call-cost-directed allocator, and Chow–Hennessy
+//!   priority-based coloring.
 //!
 //! # Quick start
 //!
 //! ```
-//! use pdgc_core::{PreferenceAllocator, RegisterAllocator};
+//! use pdgc_core::{AllocSession, PreferenceAllocator, RegisterAllocator};
 //! use pdgc_ir::{FunctionBuilder, RegClass, BinOp};
 //! use pdgc_target::{PressureModel, TargetDesc};
 //!
@@ -35,7 +36,8 @@
 //! let func = b.finish();
 //!
 //! let target = TargetDesc::ia64_like(PressureModel::Middle);
-//! let out = PreferenceAllocator::full().allocate(&func, &target)?;
+//! let mut session = AllocSession::default();
+//! let out = PreferenceAllocator::full().allocate(&func, &target, &mut session)?;
 //! assert_eq!(out.stats.spill_instructions, 0);
 //! # Ok(())
 //! # }
@@ -67,5 +69,6 @@ pub use allocator::{
     AllocError, AllocOutput, CheckMode, CheckScope, PreferenceAllocator, PreferenceSet,
     RegisterAllocator,
 };
+pub use pipeline::AllocSession;
 pub use scratch::{ClassScratch, PhaseScratch};
 pub use stats::{AllocStats, ClassStats};

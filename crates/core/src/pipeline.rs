@@ -1,7 +1,8 @@
 //! The shared allocation pipeline.
 //!
-//! Every allocator in this crate — the preference-directed one and the five
-//! baselines — is a *class strategy* plugged into the same driver:
+//! Every allocator in this crate — the preference-directed one and the six
+//! baselines — is a *class strategy* plugged into the same driver, reached
+//! through the one entry point [`crate::RegisterAllocator::allocate`]:
 //!
 //! ```text
 //! lower ABI → loop {
@@ -11,8 +12,12 @@
 //!         strategy: coalesce/simplify/select however it likes
 //!     no spills? → rewrite to machine code, done
 //!     insert spill code, iterate
-//! }
+//! } → check (when the session asks for it)
 //! ```
+//!
+//! Every phase is timed once, by a [`PhaseTimer`]: the same reading lands
+//! in the session's metrics registry and, when a tracer is attached, in a
+//! phase span.
 
 use crate::build::{build_ifg_in, collect_copies_in, CopyRel};
 use crate::cost::CostModel;
@@ -25,12 +30,11 @@ use crate::select::SelectResult;
 use crate::spill::{insert_spill_code_fwd, SPL_FORWARD_MAX_ROUNDS};
 use crate::stats::AllocStats;
 use pdgc_analysis::{CallCrossing, Cfg, DefUse, Dominators, Liveness, LivenessScratch, Loops, Spl};
-use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope, CheckScratch};
+use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope};
 use pdgc_ir::{Function, RegClass, VReg};
-use pdgc_obs::{with_span, Counter, Event, NoopTracer, Phase, Tracer, ValueHist};
+use pdgc_obs::{Counter, Event, NoopTracer, Phase, PhaseTimer, Tracer, ValueHist};
 use pdgc_target::{MachFunction, PhysReg, TargetDesc};
 use std::fmt;
-use std::time::Instant;
 
 /// Upper bound on spill iterations before giving up.
 pub const MAX_ROUNDS: usize = 16;
@@ -238,39 +242,9 @@ impl AllocOutput {
     }
 }
 
-/// Builds a [`ClassCtx`] for one class of the lowered function.
-pub fn class_ctx<'a>(
-    lowered: &'a Lowered,
-    target: &TargetDesc,
-    class: RegClass,
-    analyses: &Analyses,
-    no_spill_vregs: &[bool],
-) -> ClassCtx<'a> {
-    class_ctx_for_round(lowered, target, class, analyses, no_spill_vregs, 1)
-}
-
-/// [`class_ctx`] with an explicit round number recorded for tracing.
-pub fn class_ctx_for_round<'a>(
-    lowered: &'a Lowered,
-    target: &TargetDesc,
-    class: RegClass,
-    analyses: &Analyses,
-    no_spill_vregs: &[bool],
-    round: usize,
-) -> ClassCtx<'a> {
-    class_ctx_for_round_in(
-        lowered,
-        target,
-        class,
-        analyses,
-        no_spill_vregs,
-        round,
-        &mut PhaseScratch::default(),
-    )
-}
-
-/// [`class_ctx_for_round`] drawing the node universe, interference graph,
-/// copy records, and cost vectors from pooled scratch. Return the consumed
+/// Builds the [`ClassCtx`] for one class of the lowered function in spill
+/// round `round`, drawing the node universe, interference graph, copy
+/// records, and cost vectors from pooled scratch. Return the consumed
 /// context with [`recycle_class_ctx`] when done.
 pub fn class_ctx_for_round_in<'a>(
     lowered: &'a Lowered,
@@ -345,83 +319,77 @@ pub fn recycle_class_ctx(ctx: ClassCtx<'_>, scratch: &mut PhaseScratch) {
     scratch.class = class_scratch;
 }
 
-/// Runs the full pipeline with the given strategy.
+/// What an allocation runs with: the per-worker pooled storage (with the
+/// always-on metrics registry inside it), the checker settings, and the
+/// tracer. These are the only settable inputs to an allocation.
 ///
-/// # Errors
-///
-/// Returns [`AllocError::Lower`] if the function cannot be lowered against
-/// the convention, or [`AllocError::TooManyRounds`] if spilling fails to
-/// converge.
-pub fn run_pipeline(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-) -> Result<AllocOutput, AllocError> {
-    run_pipeline_traced(func, target, strategy, &mut NoopTracer)
+/// The default session checks nothing, would check with the full scope,
+/// and traces nothing. Pooling reuses capacity but never state, so a
+/// function allocates bit-identically whether its session is fresh, warm,
+/// or shared across thousands of functions. Batch drivers keep one
+/// session per worker thread; after the pools warm up the steady state
+/// performs (near) zero heap allocation per function.
+#[derive(Default)]
+pub struct AllocSession<'t> {
+    /// Pooled phase storage, and the metrics every allocation records.
+    pub scratch: PhaseScratch,
+    /// Whether the symbolic checker (`pdgc-check`) proves each allocation
+    /// before it is returned.
+    pub check: CheckMode,
+    /// What the checker replays: [`CheckScope::Full`] for single
+    /// functions, [`CheckScope::Rewritten`] for batch drivers.
+    pub scope: CheckScope,
+    /// Receives phase spans and decision events; `None` traces nothing.
+    /// Tracing never changes the allocation.
+    pub tracer: Option<&'t mut dyn Tracer>,
 }
 
-/// [`run_pipeline`] with an attached [`Tracer`].
-///
-/// Every phase is wrapped in a span (lower, analyze, build, then whatever
-/// phases the strategy emits, spill, rewrite); spill-code insertion and
-/// the final statistics are reported as events. With [`NoopTracer`] this
-/// is exactly [`run_pipeline`]: no clock reads, no allocation, no I/O.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline`].
-pub fn run_pipeline_traced(
+/// Allocates `func` with `strategy` under `session`: the pooled, metered
+/// pipeline, then the checker when `session.check` says so.
+pub(crate) fn run<S: ClassStrategy + ?Sized>(
     func: &Function,
     target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
+    strategy: &S,
+    session: &mut AllocSession<'_>,
 ) -> Result<AllocOutput, AllocError> {
-    run_pipeline_scratch(func, target, strategy, tracer, &mut PhaseScratch::default())
+    let mut noop = NoopTracer;
+    let tracer: &mut dyn Tracer = match &mut session.tracer {
+        Some(t) => &mut **t,
+        None => &mut noop,
+    };
+    let scratch = &mut session.scratch;
+    let out = pipeline(func, target, strategy, tracer, scratch)?;
+    check_output_metered(&out, target, tracer, session.check, session.scope, scratch)?;
+    Ok(out)
 }
 
-/// [`run_pipeline_traced`] drawing every phase's working storage from a
-/// per-worker [`PhaseScratch`].
-///
-/// With a fresh scratch this is exactly [`run_pipeline_traced`] — every
-/// pooled phase has a single code path, so the result is bit-identical
-/// whether the pools are warm, cold, or shared across thousands of
-/// functions. Batch drivers keep one scratch per worker thread; after
-/// warm-up the steady state performs (near) zero heap allocation per
-/// function.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline`].
-pub fn run_pipeline_scratch(
+/// The allocation rounds: lower, then analyze, build, and color every
+/// class, spilling and iterating until a round spills nothing, then
+/// rewrite. Spill-code insertion and the final statistics are reported as
+/// events.
+fn pipeline<S: ClassStrategy + ?Sized>(
     func: &Function,
     target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
+    strategy: &S,
     tracer: &mut dyn Tracer,
     scratch: &mut PhaseScratch,
 ) -> Result<AllocOutput, AllocError> {
-    // Always-on metrics: each phase gets a manual `Instant` pair recorded
-    // into `scratch.metrics` (an array bump, no allocation), independent
-    // of whether the opt-in tracer is attached.
-    let t0 = Instant::now();
-    let mut lowered = with_span(tracer, Phase::Lower, 0, None, || lower_abi(func, target))?;
-    scratch
-        .metrics
-        .observe_latency(Phase::Lower, t0.elapsed().as_nanos() as u64);
+    let timer = PhaseTimer::start(Phase::Lower, 0, None);
+    let lowered = lower_abi(func, target);
+    timer.stop(&mut scratch.metrics, tracer);
+    let mut lowered = lowered?;
     let mut no_spill_vregs = scratch.flags.take_filled(lowered.func.num_vregs(), false);
     let mut slots = 0u32;
     let mut stats = AllocStats::default();
 
     for round in 1..=MAX_ROUNDS {
+        let r = round as u32;
         if tracer.enabled() {
-            tracer.record(&Event::RoundStart { round: round as u32 });
+            tracer.record(&Event::RoundStart { round: r });
         }
-        let t0 = Instant::now();
-        let analyses = with_span(tracer, Phase::Analyze, round as u32, None, || {
-            analyze_in(&lowered.func, &mut scratch.liveness)
-        });
-        scratch
-            .metrics
-            .observe_latency(Phase::Analyze, t0.elapsed().as_nanos() as u64);
+        let timer = PhaseTimer::start(Phase::Analyze, r, None);
+        let analyses = analyze_in(&lowered.func, &mut scratch.liveness);
+        timer.stop(&mut scratch.metrics, tracer);
         scratch.metrics.bump(if analyses.spl.is_spl() {
             Counter::SplAnalysesFast
         } else {
@@ -445,21 +413,17 @@ pub fn run_pipeline_scratch(
         let mut spilled_vregs: Vec<VReg> = scratch.vregs.take();
 
         for class in RegClass::ALL {
-            let t0 = Instant::now();
-            let mut ctx = with_span(tracer, Phase::Build, round as u32, Some(class), || {
-                class_ctx_for_round_in(
-                    &lowered,
-                    target,
-                    class,
-                    &analyses,
-                    &no_spill_vregs,
-                    round,
-                    scratch,
-                )
-            });
-            scratch
-                .metrics
-                .observe_latency(Phase::Build, t0.elapsed().as_nanos() as u64);
+            let timer = PhaseTimer::start(Phase::Build, r, Some(class));
+            let mut ctx = class_ctx_for_round_in(
+                &lowered,
+                target,
+                class,
+                &analyses,
+                &no_spill_vregs,
+                round,
+                scratch,
+            );
+            timer.stop(&mut scratch.metrics, tracer);
             let outcome = strategy.allocate_class(&mut ctx, &analyses, target, tracer);
             for n in ctx.nodes.all_nodes() {
                 if let Some(r) = outcome.assignment[n.index()] {
@@ -509,17 +473,20 @@ pub fn run_pipeline_scratch(
             analyses.recycle(&mut scratch.liveness);
             scratch.vregs.put(spilled_vregs);
             stats.rounds = round;
-            let t0 = Instant::now();
-            let mach = with_span(tracer, Phase::Rewrite, round as u32, None, || {
-                rewrite_in(&lowered.func, &assignment, target, slots, &mut stats, scratch)
-            });
-            scratch
-                .metrics
-                .observe_latency(Phase::Rewrite, t0.elapsed().as_nanos() as u64);
+            let timer = PhaseTimer::start(Phase::Rewrite, r, None);
+            let mach = rewrite_in(
+                &lowered.func,
+                &assignment,
+                target,
+                slots,
+                &mut stats,
+                scratch,
+            );
+            timer.stop(&mut scratch.metrics, tracer);
             record_scorecard(&mut scratch.metrics, &stats);
             if tracer.enabled() {
                 tracer.record(&Event::Finish {
-                    rounds: round as u32,
+                    rounds: r,
                     spill_instructions: stats.spill_instructions as u64,
                     moves_eliminated: stats.moves_eliminated as u64,
                 });
@@ -536,7 +503,6 @@ pub fn run_pipeline_scratch(
         // This round spills and iterates; its assignment is abandoned, so
         // return the vector to the pool for the next round to refill.
         scratch.assignments.put(assignment);
-        let t0 = Instant::now();
         // Region-aware spill placement: forward reloads along SPL linear
         // runs for the early rounds; late rounds fall back to minimal
         // per-use reloads so temporary pressure cannot stall convergence.
@@ -545,19 +511,16 @@ pub fn run_pipeline_scratch(
         } else {
             None
         };
-        let outcome = with_span(tracer, Phase::Spill, round as u32, None, || {
-            insert_spill_code_fwd(&mut lowered.func, &spilled_vregs, &mut slots, fwd)
-        });
-        scratch
-            .metrics
-            .observe_latency(Phase::Spill, t0.elapsed().as_nanos() as u64);
+        let timer = PhaseTimer::start(Phase::Spill, r, None);
+        let outcome = insert_spill_code_fwd(&mut lowered.func, &spilled_vregs, &mut slots, fwd);
+        timer.stop(&mut scratch.metrics, tracer);
         scratch
             .metrics
             .add(Counter::SplForwardedReloads, outcome.forwarded as u64);
         analyses.recycle(&mut scratch.liveness);
         if tracer.enabled() {
             tracer.record(&Event::SpillCode {
-                round: round as u32,
+                round: r,
                 vregs: spilled_vregs.iter().map(|v| v.index() as u32).collect(),
                 slots,
             });
@@ -598,117 +561,14 @@ fn record_scorecard(m: &mut pdgc_obs::MetricsRegistry, stats: &AllocStats) {
     m.observe_value(ValueHist::SpillsPerFunc, stats.spill_instructions as u64);
 }
 
-/// [`run_pipeline_scratch`] followed by [`check_output_metered`]: the
-/// pooled, metered pipeline plus the symbolic checker, in one call. Every
-/// allocator's `allocate_scratch` routes through here so batch workers
-/// share one code path (and one metrics contract) regardless of strategy.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline_scratch`], plus [`AllocError::CheckFailed`]
-/// when the checker finds a violation.
-pub fn run_pipeline_scratch_checked(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-    scope: CheckScope,
-    scratch: &mut PhaseScratch,
-) -> Result<AllocOutput, AllocError> {
-    let out = run_pipeline_scratch(func, target, strategy, tracer, scratch)?;
-    check_output_metered(&out, target, tracer, mode, scope, scratch)?;
-    Ok(out)
-}
-
-/// [`run_pipeline_traced`] followed by the post-allocation symbolic
-/// checker (when `mode` says so): the returned allocation is
-/// independently proven semantics-preserving before anyone consumes it.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline_traced`], plus [`AllocError::CheckFailed`] when
-/// the checker finds a violation.
-pub fn run_pipeline_checked(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-) -> Result<AllocOutput, AllocError> {
-    let out = run_pipeline_traced(func, target, strategy, tracer)?;
-    check_output(&out, target, tracer, mode)?;
-    Ok(out)
-}
-
-/// Runs the symbolic checker over a finished allocation, honoring `mode`.
+/// Runs the symbolic checker over a finished allocation when `mode` says
+/// so, drawing its storage from `scratch` and recording the run in the
+/// always-on metrics: check latency, runs by scope, the proof's coverage
+/// (blocks/instructions/pairs), and violation counts on rejection.
 ///
 /// Emits a [`Phase::Check`] span and, on rejection, an
-/// [`Event::CheckFailed`] carrying every violation, so `--trace` artifacts
-/// capture exactly what was wrong.
-///
-/// # Errors
-///
-/// [`AllocError::CheckFailed`] when the checker finds a violation.
-pub fn check_output(
-    out: &AllocOutput,
-    target: &TargetDesc,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-) -> Result<(), AllocError> {
-    check_output_in(
-        out,
-        target,
-        tracer,
-        mode,
-        CheckScope::Full,
-        &mut CheckScratch::default(),
-    )
-}
-
-/// [`check_output`] with an explicit [`CheckScope`] and pooled checker
-/// scratch. Batch drivers pass [`CheckScope::Rewritten`] so
-/// re-verification pays per rewrite instead of per function; the `Full`
-/// scope with a fresh scratch is exactly [`check_output`].
-///
-/// # Errors
-///
-/// [`AllocError::CheckFailed`] when the checker finds a violation.
-pub fn check_output_in(
-    out: &AllocOutput,
-    target: &TargetDesc,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-    scope: CheckScope,
-    scratch: &mut CheckScratch,
-) -> Result<(), AllocError> {
-    if !mode.should_check() {
-        return Ok(());
-    }
-    let round = out.stats.rounds as u32;
-    let result = with_span(tracer, Phase::Check, round, None, || {
-        check_allocation_in(&out.lowered, &out.assignment, &out.mach, target, scope, scratch)
-    });
-    match result {
-        Ok(_) => Ok(()),
-        Err(e) => {
-            if tracer.enabled() {
-                tracer.record(&Event::CheckFailed {
-                    func: e.func.clone(),
-                    violations: e.violations.iter().map(|v| v.to_string()).collect(),
-                });
-            }
-            Err(AllocError::CheckFailed(e))
-        }
-    }
-}
-
-/// [`check_output_in`] against a full [`PhaseScratch`], with the run
-/// recorded in the always-on metrics: check latency, runs by scope, the
-/// proof's coverage (blocks/instructions/pairs, from the [`CheckReport`]
-/// that [`check_output_in`] discards), and violation counts on rejection.
-///
-/// [`CheckReport`]: pdgc_check::CheckReport
+/// [`Event::CheckFailed`] carrying every violation, so `--trace`
+/// artifacts capture exactly what was wrong.
 ///
 /// # Errors
 ///
@@ -724,20 +584,17 @@ pub fn check_output_metered(
     if !mode.should_check() {
         return Ok(());
     }
-    let round = out.stats.rounds as u32;
-    let t0 = Instant::now();
-    let result = with_span(tracer, Phase::Check, round, None, || {
-        check_allocation_in(
-            &out.lowered,
-            &out.assignment,
-            &out.mach,
-            target,
-            scope,
-            &mut scratch.check,
-        )
-    });
+    let timer = PhaseTimer::start(Phase::Check, out.stats.rounds as u32, None);
+    let result = check_allocation_in(
+        &out.lowered,
+        &out.assignment,
+        &out.mach,
+        target,
+        scope,
+        &mut scratch.check,
+    );
     let m = &mut scratch.metrics;
-    m.observe_latency(Phase::Check, t0.elapsed().as_nanos() as u64);
+    timer.stop(m, tracer);
     m.bump(Counter::CheckRuns);
     m.bump(match scope {
         CheckScope::Full => Counter::CheckScopeFull,
@@ -767,6 +624,7 @@ pub fn check_output_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RegisterAllocator;
 
     /// A minimal strategy: plain Briggs simplify + stack coloring, no
     /// coalescing. Exercises the pipeline plumbing.
@@ -799,6 +657,12 @@ mod tests {
             RoundOutcome { assignment, spilled }
         }
     }
+
+    impl RegisterAllocator for Plain {
+        fn name(&self) -> &'static str {
+            "plain"
+        }
+    }
     use Plain as Greedy;
 
     #[test]
@@ -810,7 +674,9 @@ mod tests {
         b.ret(Some(x));
         let f = b.finish();
         let target = TargetDesc::ia64_like(pdgc_target::PressureModel::High);
-        let out = run_pipeline(&f, &target, &Greedy).unwrap();
+        let out = Greedy
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert_eq!(out.stats.rounds, 1);
         assert_eq!(out.stats.spill_instructions, 0);
         assert!(out.mach.num_insts() > 0);
@@ -830,7 +696,9 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::toy(3);
-        let out = run_pipeline(&f, &target, &Greedy).unwrap();
+        let out = Greedy
+            .allocate(&f, &target, &mut AllocSession::default())
+            .unwrap();
         assert!(out.stats.rounds > 1);
         assert!(out.stats.spill_instructions > 0);
         // Final code verifies and all vregs of the final IR got registers

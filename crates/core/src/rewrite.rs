@@ -22,43 +22,19 @@ use pdgc_target::{MInst, MachFunction, PhysReg, TargetDesc};
 use std::collections::HashMap;
 
 /// Applies `assignment` (one register per live virtual register) to the
-/// lowered, spill-free function and produces machine code.
+/// lowered, spill-free function and produces machine code, drawing its
+/// liveness sets and the machine function's block storage from pooled
+/// scratch.
 ///
 /// `spill_slots` is the number of frame slots already consumed by spill
 /// code; caller-save shadow slots are allocated above it. Statistics are
-/// accumulated into `stats`.
+/// accumulated into `stats`. The block storage escapes inside the
+/// returned [`MachFunction`]; it returns to the pool when the caller
+/// recycles the surrounding [`crate::pipeline::AllocOutput`].
 ///
 /// # Panics
 ///
 /// Panics if a referenced virtual register has no assignment.
-pub fn rewrite(
-    func: &Function,
-    assignment: &[Option<PhysReg>],
-    target: &TargetDesc,
-    spill_slots: u32,
-    stats: &mut AllocStats,
-) -> MachFunction {
-    rewrite_in(
-        func,
-        assignment,
-        target,
-        spill_slots,
-        stats,
-        &mut PhaseScratch::default(),
-    )
-}
-
-/// [`rewrite`] drawing its liveness sets and the machine function's block
-/// storage from pooled scratch.
-///
-/// The block storage escapes inside the returned [`MachFunction`]; it
-/// returns to the pool when the caller recycles the surrounding
-/// [`crate::pipeline::AllocOutput`]. With a fresh scratch this is exactly
-/// [`rewrite`].
-///
-/// # Panics
-///
-/// Same as [`rewrite`].
 pub fn rewrite_in(
     func: &Function,
     assignment: &[Option<PhysReg>],
@@ -430,7 +406,7 @@ mod tests {
         let t = TargetDesc::ia64_like(PressureModel::High);
         let a = assign_all(&f, &[(p, PhysReg::int(0)), (c, PhysReg::int(0))]);
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.moves_eliminated, 1);
         assert_eq!(stats.copies_remaining, 0);
         assert_eq!(m.num_copies(), 0);
@@ -448,7 +424,7 @@ mod tests {
         // p in a volatile register crosses the call.
         let a = assign_all(&f, &[(p, PhysReg::int(3)), (r, PhysReg::int(0))]);
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.caller_save_insts, 2);
         let kinds: Vec<&str> = m.blocks[0]
             .iter()
@@ -484,7 +460,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.caller_save_insts, 0);
         // But the non-volatile register is recorded for the prologue.
         assert_eq!(m.used_nonvolatiles, vec![PhysReg::int(12)]);
@@ -506,7 +482,7 @@ mod tests {
         let t = TargetDesc::ia64_like(PressureModel::High);
         let a = assign_all(&f, &[(p, PhysReg::int(0)), (q, PhysReg::int(9))]);
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(m.used_nonvolatiles, vec![PhysReg::int(9)]);
     }
 
@@ -530,7 +506,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.paired_loads, 1);
         assert_eq!(m.num_paired_loads(), 1);
 
@@ -545,7 +521,7 @@ mod tests {
             ],
         );
         let mut stats2 = AllocStats::default();
-        let m2 = rewrite(&f, &a2, &t, 0, &mut stats2);
+        let m2 = rewrite_in(&f, &a2, &t, 0, &mut stats2, &mut PhaseScratch::new());
         assert_eq!(stats2.paired_loads, 0);
         assert_eq!(m2.num_paired_loads(), 0);
     }
@@ -573,7 +549,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.paired_loads, 1, "descending-offset pair must fuse");
         assert!(matches!(
             m.blocks[0][0],
@@ -598,7 +574,7 @@ mod tests {
             .finish()
             .unwrap();
         let mut stats3 = AllocStats::default();
-        let m3 = rewrite(&f, &a, &seq, 0, &mut stats3);
+        let m3 = rewrite_in(&f, &a, &seq, 0, &mut stats3, &mut PhaseScratch::new());
         assert_eq!(stats3.paired_loads, 1);
         let _ = m3;
 
@@ -613,7 +589,7 @@ mod tests {
             ],
         );
         let mut stats4 = AllocStats::default();
-        let m4 = rewrite(&f, &a2, &seq, 0, &mut stats4);
+        let m4 = rewrite_in(&f, &a2, &seq, 0, &mut stats4, &mut PhaseScratch::new());
         assert_eq!(stats4.paired_loads, 0);
         let _ = m4;
     }
@@ -651,7 +627,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.paired_loads, 1);
         let _ = m;
     }
@@ -678,7 +654,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(m.num_paired_loads(), 0);
     }
 
@@ -706,7 +682,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.paired_loads, 1);
         assert_eq!(m.num_paired_loads(), 1);
 
@@ -723,7 +699,14 @@ mod tests {
             .finish()
             .unwrap();
         let mut stats2 = AllocStats::default();
-        let m2 = rewrite(&f, &a, &adjacent_only, 0, &mut stats2);
+        let m2 = rewrite_in(
+            &f,
+            &a,
+            &adjacent_only,
+            0,
+            &mut stats2,
+            &mut PhaseScratch::new(),
+        );
         assert_eq!(stats2.paired_loads, 0);
         assert_eq!(m2.num_paired_loads(), 0);
     }
@@ -754,7 +737,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(m.num_paired_loads(), 0);
 
         // A store between the loads is a memory barrier.
@@ -776,7 +759,7 @@ mod tests {
             ],
         );
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 0, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 0, &mut stats, &mut PhaseScratch::new());
         assert_eq!(m.num_paired_loads(), 0);
     }
 
@@ -792,7 +775,7 @@ mod tests {
         let t = TargetDesc::ia64_like(PressureModel::High);
         let a = assign_all(&f, &[(p, PhysReg::int(0)), (t1, PhysReg::int(0))]);
         let mut stats = AllocStats::default();
-        let m = rewrite(&f, &a, &t, 1, &mut stats);
+        let m = rewrite_in(&f, &a, &t, 1, &mut stats, &mut PhaseScratch::new());
         assert_eq!(stats.spill_loads, 1);
         assert_eq!(stats.spill_stores, 1);
         assert_eq!(stats.spill_instructions, 2);

@@ -3,10 +3,10 @@
 //! One [`PhaseScratch`] aggregates every pooled buffer the pipeline needs —
 //! liveness sets, the IFG bit matrix and adjacency pools, node-universe
 //! storage, simplify/select working sets, and the checker's internals. A
-//! batch worker allocates one per thread, threads it through
-//! [`crate::pipeline::run_pipeline_scratch`] for every function it
-//! processes, and after the first few functions warm the pools up the
-//! steady state performs (near) zero heap allocation per function.
+//! batch worker keeps one per thread inside its [`crate::AllocSession`],
+//! allocates every function it processes through that session, and after
+//! the first few functions warm the pools up the steady state performs
+//! (near) zero heap allocation per function.
 //!
 //! Ownership contract: phases *take* buffers out of the pools (leaving the
 //! pool entry empty) and either return them on their own (`recycle`

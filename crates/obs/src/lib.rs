@@ -5,8 +5,8 @@
 //! crate defines the event vocabulary the pipeline emits while it works:
 //!
 //! * **phase spans** — one per pipeline phase (lower, analyze, build,
-//!   coalesce, simplify, select, spill, rewrite) with monotonic wall-clock
-//!   durations and the spill round they belong to;
+//!   coalesce, simplify, cpg, select, spill, rewrite, check) with
+//!   monotonic wall-clock durations and the spill round they belong to;
 //! * **decision events** — one per node the select phase resolves: the
 //!   ready-frontier snapshot, the strength differential that made the node
 //!   urgent, every preference screened (with its `Str(V, P)` strength and
@@ -18,11 +18,11 @@
 //!
 //! Consumers implement [`Tracer`]; the provided sinks serialize to JSON
 //! Lines ([`JsonLinesSink`]), a human-readable log ([`PrettySink`]), DOT
-//! files ([`DotDirSink`]), an in-memory event list ([`RecordingTracer`]),
-//! or a per-phase time accumulator ([`PhaseTimes`]). [`NoopTracer`] is the
-//! zero-cost default: its `enabled()` returns `false`, and every emit site
-//! in the allocator checks that flag before constructing an event, so the
-//! untraced hot path performs no allocation and no I/O.
+//! files ([`DotDirSink`]), or an in-memory event list
+//! ([`RecordingTracer`]). [`NoopTracer`] is the zero-cost default: its
+//! `enabled()` returns `false`, and every emit site in the allocator
+//! checks that flag before constructing an event, so the untraced hot
+//! path performs no allocation and no I/O.
 //!
 //! Alongside the opt-in event stream sits the **always-on metrics layer**
 //! ([`metrics::MetricsRegistry`]): fixed-size counter arrays and log₂
@@ -30,6 +30,10 @@
 //! deterministically across batch workers, and serialize to the
 //! `results/metrics.json` snapshots the `pdgc report` regression gate
 //! diffs. See the [`metrics`] module docs for the merge contract.
+//!
+//! Both layers share one clock: every phase is timed by a
+//! [`PhaseTimer`], whose single reading becomes the phase's latency
+//! observation and, when a tracer is enabled, its [`Event::Span`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +43,7 @@ pub mod metrics;
 mod sinks;
 
 pub use metrics::{Counter, Histogram, MetricsRegistry, ValueHist};
-pub use sinks::{
-    event_json, DotDirSink, FanoutTracer, JsonLinesSink, PhaseTimes, PrettySink, RecordingTracer,
-};
+pub use sinks::{event_json, DotDirSink, FanoutTracer, JsonLinesSink, PrettySink, RecordingTracer};
 
 use pdgc_ir::RegClass;
 use pdgc_target::PhysReg;
@@ -60,6 +62,8 @@ pub enum Phase {
     Coalesce,
     /// Chaitin/Briggs graph simplification.
     Simplify,
+    /// Coloring Precedence Graph construction from the simplify stack.
+    Cpg,
     /// Register selection (preference-directed or stack coloring).
     Select,
     /// Spill-code insertion between rounds.
@@ -72,12 +76,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Lower,
         Phase::Analyze,
         Phase::Build,
         Phase::Coalesce,
         Phase::Simplify,
+        Phase::Cpg,
         Phase::Select,
         Phase::Spill,
         Phase::Rewrite,
@@ -92,6 +97,7 @@ impl Phase {
             Phase::Build => "build",
             Phase::Coalesce => "coalesce",
             Phase::Simplify => "simplify",
+            Phase::Cpg => "cpg",
             Phase::Select => "select",
             Phase::Spill => "spill",
             Phase::Rewrite => "rewrite",
@@ -297,27 +303,50 @@ pub struct NoopTracer;
 
 impl Tracer for NoopTracer {}
 
-/// Runs `f`, emitting a [`Event::Span`] for it when `tracer` is enabled.
-/// When disabled this is exactly `f()` — no clock reads, no allocation.
-pub fn with_span<T>(
-    tracer: &mut dyn Tracer,
+/// The one clock every pipeline phase is timed by.
+///
+/// [`PhaseTimer::start`] reads the clock when a phase begins;
+/// [`PhaseTimer::stop`] reads it once more and hands the same nanoseconds
+/// to both consumers: the always-on [`MetricsRegistry`] latency histogram
+/// and, when the tracer is enabled, an [`Event::Span`]. A phase's span
+/// count and summed span nanos therefore equal its latency histogram's
+/// `count` and `sum` exactly.
+#[derive(Debug)]
+#[must_use = "a phase is only recorded when its timer is stopped"]
+pub struct PhaseTimer {
     phase: Phase,
     round: u32,
     class: Option<RegClass>,
-    f: impl FnOnce() -> T,
-) -> T {
-    if !tracer.enabled() {
-        return f();
+    start: Instant,
+}
+
+impl PhaseTimer {
+    /// Starts timing `phase` in spill round `round` (0 for lowering,
+    /// which runs before the first round), for `class` when the phase
+    /// runs per register class.
+    pub fn start(phase: Phase, round: u32, class: Option<RegClass>) -> PhaseTimer {
+        PhaseTimer {
+            phase,
+            round,
+            class,
+            start: Instant::now(),
+        }
     }
-    let start = Instant::now();
-    let out = f();
-    tracer.record(&Event::Span {
-        phase,
-        round,
-        class,
-        nanos: start.elapsed().as_nanos(),
-    });
-    out
+
+    /// Stops the timer and records the elapsed nanoseconds into
+    /// `metrics` and, when `tracer` is enabled, as an [`Event::Span`].
+    pub fn stop(self, metrics: &mut MetricsRegistry, tracer: &mut dyn Tracer) {
+        let nanos = self.start.elapsed().as_nanos() as u64;
+        metrics.observe_latency(self.phase, nanos);
+        if tracer.enabled() {
+            tracer.record(&Event::Span {
+                phase: self.phase,
+                round: self.round,
+                class: self.class,
+                nanos: u128::from(nanos),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -332,20 +361,30 @@ mod tests {
     }
 
     #[test]
-    fn with_span_skips_events_when_disabled() {
+    fn phase_timer_skips_events_when_disabled() {
         let mut t = RecordingTracer::default();
         t.set_enabled(false);
-        let v = with_span(&mut t, Phase::Select, 1, None, || 42);
-        assert_eq!(v, 42);
+        let mut m = MetricsRegistry::new();
+        PhaseTimer::start(Phase::Select, 1, None).stop(&mut m, &mut t);
         assert!(t.events().is_empty());
+        assert_eq!(m.latency_hist(Phase::Select).count, 1);
+
         t.set_enabled(true);
-        with_span(&mut t, Phase::Select, 2, Some(RegClass::Int), || ());
+        let mut m = MetricsRegistry::new();
+        PhaseTimer::start(Phase::Select, 2, Some(RegClass::Int)).stop(&mut m, &mut t);
         assert_eq!(t.events().len(), 1);
         match &t.events()[0] {
-            Event::Span { phase, round, class, .. } => {
+            Event::Span {
+                phase,
+                round,
+                class,
+                nanos,
+            } => {
                 assert_eq!(*phase, Phase::Select);
                 assert_eq!(*round, 2);
                 assert_eq!(*class, Some(RegClass::Int));
+                // One clock reading feeds both consumers.
+                assert_eq!(*nanos, u128::from(m.latency_hist(Phase::Select).sum));
             }
             other => panic!("unexpected event {other:?}"),
         }
@@ -356,7 +395,10 @@ mod tests {
         let names: Vec<&str> = Phase::ALL.iter().map(|p| p.as_str()).collect();
         assert_eq!(
             names,
-            ["lower", "analyze", "build", "coalesce", "simplify", "select", "spill", "rewrite", "check"]
+            [
+                "lower", "analyze", "build", "coalesce", "simplify", "cpg", "select", "spill",
+                "rewrite", "check"
+            ]
         );
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);

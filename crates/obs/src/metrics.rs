@@ -523,6 +523,16 @@ impl MetricsRegistry {
         o.finish()
     }
 
+    /// `{"lower": <ms>, ...}`: each phase's summed latency in fractional
+    /// milliseconds, the `phases_ms` figure of every bench result.
+    pub fn latency_ms_json(&self) -> String {
+        let mut o = JsonObject::new();
+        for p in Phase::ALL {
+            o = o.f64(p.as_str(), self.latency_hist(p).sum as f64 / 1e6);
+        }
+        o.finish()
+    }
+
     /// The whole registry as a JSON object with the deterministic
     /// sections (`counters`, `scorecard_hists`) separated from the
     /// nondeterministic one (`latency_hists`).
@@ -598,6 +608,20 @@ mod tests {
         assert_eq!(ab.to_json(), ba.to_json());
         assert_eq!(ab.get(Counter::SpillLoads), 5);
         assert_eq!(ab.value_hist(ValueHist::RoundsPerFunc).count, 2);
+    }
+
+    #[test]
+    fn latency_ms_accumulates_and_merges() {
+        let mut a = MetricsRegistry::new();
+        a.observe_latency(Phase::Select, 1_500_000);
+        a.observe_latency(Phase::Select, 500_000);
+        assert_eq!(a.latency_hist(Phase::Select).sum, 2_000_000);
+        assert_eq!(a.latency_hist(Phase::Select).count, 2);
+        let mut b = MetricsRegistry::new();
+        b.merge(&a);
+        let ms = b.latency_ms_json();
+        assert!(ms.contains("\"select\":2"), "{ms}");
+        assert!(ms.contains("\"cpg\":0"), "{ms}");
     }
 
     #[test]

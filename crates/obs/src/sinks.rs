@@ -1,9 +1,8 @@
 //! Trace sinks: JSON Lines, human-readable pretty printing, per-round DOT
-//! graph files, in-memory recording, per-phase time accumulation, and
-//! fan-out composition.
+//! graph files, in-memory recording, and fan-out composition.
 
 use crate::json::{self, JsonObject};
-use crate::{Decision, Event, Phase, Tracer, Verdict};
+use crate::{Decision, Event, Tracer, Verdict};
 use pdgc_ir::RegClass;
 use std::io::Write;
 use std::path::PathBuf;
@@ -411,71 +410,6 @@ impl Tracer for RecordingTracer {
     }
 }
 
-/// Accumulates span durations per phase — the bench harness's per-phase
-/// wall-clock collector.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    nanos: [u128; Phase::ALL.len()],
-    spans: [u64; Phase::ALL.len()],
-}
-
-impl PhaseTimes {
-    /// Accumulated nanoseconds for one phase.
-    pub fn nanos(&self, phase: Phase) -> u128 {
-        self.nanos[phase.index()]
-    }
-
-    /// Span count for one phase.
-    pub fn spans(&self, phase: Phase) -> u64 {
-        self.spans[phase.index()]
-    }
-
-    /// Total accumulated nanoseconds across phases.
-    pub fn total_nanos(&self) -> u128 {
-        self.nanos.iter().sum()
-    }
-
-    /// Adds another accumulator's totals into this one.
-    pub fn merge(&mut self, other: &PhaseTimes) {
-        for i in 0..self.nanos.len() {
-            self.nanos[i] += other.nanos[i];
-            self.spans[i] += other.spans[i];
-        }
-    }
-
-    /// `{"lower": <ms>, ...}` with fractional milliseconds per phase.
-    pub fn json_millis(&self) -> String {
-        let mut o = JsonObject::new();
-        for p in Phase::ALL {
-            o = o.f64(p.as_str(), self.nanos(p) as f64 / 1e6);
-        }
-        o.finish()
-    }
-
-    /// A compact `phase=ms` summary for logs.
-    pub fn summary(&self) -> String {
-        Phase::ALL
-            .iter()
-            .filter(|p| self.nanos(**p) > 0)
-            .map(|p| format!("{}={:.2}ms", p.as_str(), self.nanos(*p) as f64 / 1e6))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-}
-
-impl Tracer for PhaseTimes {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: &Event) {
-        if let Event::Span { phase, nanos, .. } = event {
-            self.nanos[phase.index()] += nanos;
-            self.spans[phase.index()] += 1;
-        }
-    }
-}
-
 /// Forwards every event to each child sink; enabled/wants-graphs are the
 /// union of the children's. Lets the CLI write a JSON trace and DOT dumps
 /// from one allocation.
@@ -624,30 +558,6 @@ mod tests {
         let path = dir.join("round2-int-cpg.dot");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "digraph cpg {}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn phase_times_accumulates_and_merges() {
-        let mut t = PhaseTimes::default();
-        t.record(&Event::Span {
-            phase: Phase::Select,
-            round: 1,
-            class: None,
-            nanos: 1_500_000,
-        });
-        t.record(&Event::Span {
-            phase: Phase::Select,
-            round: 2,
-            class: None,
-            nanos: 500_000,
-        });
-        assert_eq!(t.nanos(Phase::Select), 2_000_000);
-        assert_eq!(t.spans(Phase::Select), 2);
-        let mut u = PhaseTimes::default();
-        u.merge(&t);
-        assert_eq!(u.total_nanos(), 2_000_000);
-        assert!(u.json_millis().contains("\"select\":2"));
-        assert!(u.summary().contains("select=2.00ms"));
     }
 
     #[test]

@@ -30,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alloc in all_allocators() {
         let mut stats = AllocStats::default();
         let mut cycles = 0u64;
+        let mut session = AllocSession::default();
         for func in &workload.funcs {
-            let out = alloc.allocate(func, &target)?;
+            let out = alloc.allocate(func, &target, &mut session)?;
             stats.accumulate(&out.stats);
             let args = default_args(func);
             // Re-verify equivalence while we are at it.

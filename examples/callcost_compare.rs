@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(PreferenceAllocator::full()),
     ];
     for alloc in allocators {
-        let out = alloc.allocate(&func, &target)?;
+        let out = alloc.allocate(&func, &target, &mut AllocSession::default())?;
         let exec = run_mach(&out.mach, &target, &args, DEFAULT_FUEL)?;
         check_equivalent(&reference, &exec).map_err(|e| format!("diverged: {e}"))?;
         println!(

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PreferenceAllocator::coalescing_only(),
         PreferenceAllocator::full(),
     ] {
-        let out = alloc.allocate(&func, &target)?;
+        let out = alloc.allocate(&func, &target, &mut AllocSession::default())?;
         let exec = run_mach(&out.mach, &target, &[0, 8], DEFAULT_FUEL)?;
         println!(
             "{:<22} paired loads: {}  caller-saves: {}  non-volatiles: {}  cycles: {}",

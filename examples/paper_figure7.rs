@@ -39,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper registers r1, r2, r3 are r0, r1, r2 here: r0 = arg0/return
     // (volatile), r1 = arg1 (volatile), r2 = non-volatile.
     let target = TargetDesc::figure7();
-    let out = PreferenceAllocator::full().allocate(&func, &target)?;
+    let mut session = AllocSession::default();
+    let out = PreferenceAllocator::full().allocate(&func, &target, &mut session)?;
 
     println!("Assignment (paper names):");
     for (v, name) in [(v0, "v0"), (v1, "v1"), (v2, "v2"), (v3, "v3"), (v4, "v4")] {

@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's IA-64-like middle-pressure model: 24 registers per
     // class, half volatile, parity-paired loads.
     let target = TargetDesc::ia64_like(PressureModel::Middle);
-    let out = PreferenceAllocator::full().allocate(&func, &target)?;
+    let mut session = AllocSession::default();
+    let out = PreferenceAllocator::full().allocate(&func, &target, &mut session)?;
 
     println!("--- allocated machine code ---\n{}\n", out.mach);
     println!(

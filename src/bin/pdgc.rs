@@ -28,13 +28,14 @@ USAGE:
     pdgc corpus <DIR> [--allocator NAME] [--target NAME] [--check[=MODE]]
                       [--baseline FILE] [--write-baseline]
     pdgc report --baseline FILE --current FILE
-    pdgc serve [--socket PATH] [--jobs N] [--allocator NAME] [--target NAME]
+    pdgc serve [--socket PATH] [--allocator NAME] [--target NAME]
                [--check[=MODE]] [--cache-cap N] [--sample-rate N]
                [--emit-requests DIR]
     pdgc --help
 
 ALLOCATORS:
-    full (default), coalesce, chaitin, briggs, iterated, optimistic, callcost
+    full (default), coalesce, precoalesce, chaitin, briggs, iterated,
+    optimistic, callcost, priority
 
 TARGETS (the built-in registry; ia64-24 is the default):
     ia64-16, ia64-24, ia64-32    the paper's parity-paired machine at
@@ -90,9 +91,7 @@ SERVE:
     target, allocator, and check mode; misses are proven by the symbolic
     checker before insertion and hits are re-proven every --sample-rate
     hits (default 16, 0 = never). --cache-cap N (default 1024, 0 =
-    unbounded) bounds the cache with LRU eviction. With --jobs N > 1
-    stdin is read to EOF and distinct misses allocate in parallel; the
-    response stream is bit-identical at every job count. Serve and cache
+    unbounded) bounds the cache with LRU eviction. Serve and cache
     counters land in results/metrics.json on exit.
     --emit-requests DIR instead prints one request line per function of
     the `.pdgc` corpus under DIR — a self-contained request generator:
@@ -111,18 +110,8 @@ FILE FORMAT:
     `pdgc demo` or the pdgc-ir documentation for the grammar."
 }
 
-fn pick_allocator(name: &str) -> Option<Box<dyn RegisterAllocator>> {
-    use pdgc::core::baselines::*;
-    Some(match name {
-        "full" => Box::new(PreferenceAllocator::full()),
-        "coalesce" => Box::new(PreferenceAllocator::coalescing_only()),
-        "chaitin" => Box::new(ChaitinAllocator),
-        "briggs" => Box::new(BriggsAllocator),
-        "iterated" => Box::new(IteratedAllocator),
-        "optimistic" => Box::new(OptimisticAllocator),
-        "callcost" => Box::new(CallCostAllocator),
-        _ => return None,
-    })
+fn allocator_named(name: &str) -> Result<Box<dyn RegisterAllocator + Sync>, String> {
+    pdgc_bench::serve::allocator_by_name(name).ok_or_else(|| format!("unknown allocator `{name}`"))
 }
 
 fn pick_target(name: &str) -> Result<TargetDesc, String> {
@@ -284,18 +273,19 @@ fn allocate_maybe_traced(
     target: &TargetDesc,
     o: &Options,
 ) -> Result<AllocOutput, String> {
-    // The scratch path fills the always-on metrics registry; the
+    // The session's registry fills the always-on metrics; the
     // single-function CLI keeps the checker's full-replay scope.
-    let mut scratch = pdgc::core::PhaseScratch::new();
-    let scope = pdgc::core::CheckScope::Full;
-    let out = match build_tracer(o)? {
-        Some(mut tracer) => alloc
-            .allocate_scratch(func, target, &mut tracer, o.check, scope, &mut scratch)
-            .map_err(|e| e.to_string())?,
-        None => alloc
-            .allocate_scratch(func, target, &mut NoopTracer, o.check, scope, &mut scratch)
-            .map_err(|e| e.to_string())?,
+    let mut tracer = build_tracer(o)?;
+    let mut session = AllocSession {
+        check: o.check,
+        ..AllocSession::default()
     };
+    if let Some(t) = tracer.as_mut() {
+        session.tracer = Some(t);
+    }
+    let out = alloc
+        .allocate(func, target, &mut session)
+        .map_err(|e| e.to_string())?;
     if o.check.should_check() {
         eprintln!("symbolic check passed ({} mode)", o.check);
     }
@@ -305,19 +295,18 @@ fn allocate_maybe_traced(
     if let Some(dir) = &o.dump_graphs {
         eprintln!("graph dumps written to {dir}/");
     }
-    match pdgc_bench::write_metrics("pdgc", alloc.name(), &target.name, &scratch.metrics) {
+    match pdgc_bench::write_metrics("pdgc", alloc.name(), &target.name, &session.scratch.metrics) {
         Ok(path) => eprintln!("metrics written to {}", path.display()),
         Err(e) => eprintln!("could not write metrics: {e}"),
     }
     Ok(out)
 }
 
-fn load(o: &Options) -> Result<(Function, Box<dyn RegisterAllocator>, TargetDesc), String> {
+fn load(o: &Options) -> Result<(Function, Box<dyn RegisterAllocator + Sync>, TargetDesc), String> {
     let file = o.file.as_ref().ok_or("missing input file")?;
     let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let func = pdgc::ir::parse_function(&text).map_err(|e| format!("{file}: {e}"))?;
-    let alloc = pick_allocator(&o.allocator)
-        .ok_or_else(|| format!("unknown allocator `{}`", o.allocator))?;
+    let alloc = allocator_named(&o.allocator)?;
     let target = pick_target(&o.target)?;
     Ok((func, alloc, target))
 }
@@ -369,26 +358,8 @@ fn cmd_run(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Like [`pick_allocator`], but `Sync` so the batch driver can share the
-/// allocator across worker threads. Every shipped allocator is stateless
-/// between calls, so all of them qualify.
-fn pick_allocator_sync(name: &str) -> Option<Box<dyn RegisterAllocator + Sync>> {
-    use pdgc::core::baselines::*;
-    Some(match name {
-        "full" => Box::new(PreferenceAllocator::full()),
-        "coalesce" => Box::new(PreferenceAllocator::coalescing_only()),
-        "chaitin" => Box::new(ChaitinAllocator),
-        "briggs" => Box::new(BriggsAllocator),
-        "iterated" => Box::new(IteratedAllocator),
-        "optimistic" => Box::new(OptimisticAllocator),
-        "callcost" => Box::new(CallCostAllocator),
-        _ => return None,
-    })
-}
-
 fn cmd_bench_batch(o: &Options) -> Result<(), String> {
-    let alloc = pick_allocator_sync(&o.allocator)
-        .ok_or_else(|| format!("unknown allocator `{}`", o.allocator))?;
+    let alloc = allocator_named(&o.allocator)?;
     let target = pick_target(&o.target)?;
     let jobs = o
         .jobs
@@ -446,8 +417,7 @@ fn cmd_corpus(o: &Options) -> Result<(), String> {
         .map_err(|e| format!("loading corpus {dir}: {e}"))?;
     let target = pick_target(&o.target)?;
     let allocators: Vec<Box<dyn RegisterAllocator>> = if o.allocator_given {
-        vec![pick_allocator(&o.allocator)
-            .ok_or_else(|| format!("unknown allocator `{}`", o.allocator))?]
+        vec![allocator_named(&o.allocator)?]
     } else {
         pdgc::all_allocators()
     };
@@ -611,7 +581,7 @@ fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {
 
 fn cmd_serve(o: &Options) -> Result<(), String> {
     use pdgc::obs::Counter;
-    use pdgc_bench::serve::{allocator_by_name, corpus_requests, ServeConfig, ServeSession};
+    use pdgc_bench::serve::{corpus_requests, ServeConfig, ServeSession};
     if let Some(dir) = &o.emit_requests {
         // Request-generator mode: render a corpus as a JSONL request
         // stream and exit, so a shell pipeline (or CI) can feed the
@@ -624,7 +594,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     }
     // Validate the default names up front so a typo fails at startup
     // rather than on every request.
-    allocator_by_name(&o.allocator).ok_or_else(|| format!("unknown allocator `{}`", o.allocator))?;
+    allocator_named(&o.allocator)?;
     pick_target(&o.target)?;
     let mut session = ServeSession::new(ServeConfig {
         target: o.target.clone(),
@@ -632,7 +602,6 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         check: o.check,
         cache_cap: o.cache_cap,
         sample_rate: o.sample_rate,
-        jobs: o.jobs.unwrap_or(1).max(1),
     });
     // Responses go to stdout; everything human-facing goes to stderr so
     // the JSONL stream stays machine-clean.

@@ -13,7 +13,7 @@
 //! * [`analysis`] — liveness, dominators, loops, frequencies;
 //! * [`target`] — register files, conventions, pressure models, machine
 //!   code;
-//! * [`core`] — the allocator, the RPG/CPG machinery, and five baseline
+//! * [`core`] — the allocator, the RPG/CPG machinery, and six baseline
 //!   allocators from the literature;
 //! * [`check`] — the post-allocation symbolic checker that independently
 //!   proves an allocation correct (see `DESIGN.md` §6f);
@@ -38,9 +38,12 @@
 //! b.ret(Some(s));
 //! let func = b.finish();
 //!
-//! // Allocate with the paper's full-preference allocator.
+//! // Allocate with the paper's full-preference allocator. The session
+//! // holds the pooled storage, the metrics, the checker mode and the
+//! // tracer; the default one checks and traces nothing.
 //! let target = TargetDesc::ia64_like(PressureModel::Middle);
-//! let out = PreferenceAllocator::full().allocate(&func, &target)?;
+//! let mut session = AllocSession::default();
+//! let out = PreferenceAllocator::full().allocate(&func, &target, &mut session)?;
 //!
 //! // The adjacent loads were fused into an IA-64-style paired load.
 //! assert_eq!(out.stats.paired_loads, 1);
@@ -73,13 +76,13 @@ pub mod prelude {
     };
     pub use pdgc_check::{check_allocation, CheckError, CheckMode, CheckReport, Violation};
     pub use pdgc_core::{
-        AllocError, AllocOutput, AllocStats, CheckScope, PhaseScratch, PreferenceAllocator,
-        PreferenceSet, RegisterAllocator,
+        AllocError, AllocOutput, AllocSession, AllocStats, CheckScope, PhaseScratch,
+        PreferenceAllocator, PreferenceSet, RegisterAllocator,
     };
     pub use pdgc_ir::{BinOp, Block, CmpOp, Function, FunctionBuilder, RegClass, VReg};
     pub use pdgc_obs::{
-        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, PhaseTimes,
-        PrettySink, RecordingTracer, Tracer,
+        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, PrettySink,
+        RecordingTracer, Tracer,
     };
     pub use pdgc_sim::{check_equivalent, run_ir, run_mach, DEFAULT_FUEL};
     pub use pdgc_target::{

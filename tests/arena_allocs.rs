@@ -17,9 +17,8 @@ use std::cell::Cell;
 use pdgc_analysis::{Cfg, Liveness};
 use pdgc_core::build::build_ifg_in;
 use pdgc_core::node::NodeMap;
-use pdgc_core::{CheckMode, CheckScope, PhaseScratch, PreferenceAllocator, RegisterAllocator};
+use pdgc_core::{AllocSession, PhaseScratch, PreferenceAllocator, RegisterAllocator};
 use pdgc_ir::{Function, RegClass};
-use pdgc_obs::NoopTracer;
 use pdgc_target::{PhysReg, PressureModel, TargetDesc};
 
 struct CountingAlloc;
@@ -109,28 +108,18 @@ fn pooled_pipeline_allocates_a_fraction_of_the_unpooled_one() {
     let func = bench_function();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let mut scratch = PhaseScratch::new();
-    let mut tracer = NoopTracer;
-
-    let run_pooled = |scratch: &mut PhaseScratch, tracer: &mut NoopTracer| {
+    let run = |session: &mut AllocSession<'_>| {
         alloc
-            .allocate_scratch(
-                &func,
-                &target,
-                tracer,
-                CheckMode::Off,
-                CheckScope::Full,
-                scratch,
-            )
+            .allocate(&func, &target, session)
             .expect("allocation succeeds")
     };
 
     // Warm-up run grows the pools; it is not measured.
-    let warm = run_pooled(&mut scratch, &mut tracer);
+    let mut session = AllocSession::default();
+    let warm = run(&mut session);
 
-    let (pooled, pooled_out) = count_allocs(|| run_pooled(&mut scratch, &mut tracer));
-    let (fresh, fresh_out) =
-        count_allocs(|| alloc.allocate_traced(&func, &target, &mut tracer).unwrap());
+    let (pooled, pooled_out) = count_allocs(|| run(&mut session));
+    let (fresh, fresh_out) = count_allocs(|| run(&mut AllocSession::default()));
 
     // Pooling must not change the allocation: same stats, same rewrite.
     assert_eq!(warm.stats, fresh_out.stats);
@@ -155,40 +144,31 @@ fn recycling_results_cuts_warm_run_allocations_further() {
     let func = bench_function();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let mut tracer = NoopTracer;
-
-    let run = |scratch: &mut PhaseScratch, tracer: &mut NoopTracer| {
+    let run = |session: &mut AllocSession<'_>| {
         alloc
-            .allocate_scratch(
-                &func,
-                &target,
-                tracer,
-                CheckMode::Off,
-                CheckScope::Full,
-                scratch,
-            )
+            .allocate(&func, &target, session)
             .expect("allocation succeeds")
     };
 
     // Baseline: warm scratch pools, but every run's results are dropped,
     // so the assignment vector and machine-code block storage are fresh
     // heap allocations each time.
-    let mut dropped = PhaseScratch::new();
-    let baseline_out = run(&mut dropped, &mut tracer);
-    run(&mut dropped, &mut tracer);
-    let (unrecycled, _) = count_allocs(|| run(&mut dropped, &mut tracer));
+    let mut dropped = AllocSession::default();
+    let baseline_out = run(&mut dropped);
+    run(&mut dropped);
+    let (unrecycled, _) = count_allocs(|| run(&mut dropped));
 
     // Recycled: each run returns its output's buffers to the pools, so
     // the next run's results reuse their capacity.
-    let mut recycled = PhaseScratch::new();
-    run(&mut recycled, &mut tracer).recycle(&mut recycled);
-    run(&mut recycled, &mut tracer).recycle(&mut recycled);
-    let (with_recycle, out) = count_allocs(|| run(&mut recycled, &mut tracer));
+    let mut recycled = AllocSession::default();
+    run(&mut recycled).recycle(&mut recycled.scratch);
+    run(&mut recycled).recycle(&mut recycled.scratch);
+    let (with_recycle, out) = count_allocs(|| run(&mut recycled));
 
     // Recycling must not change the allocation.
     assert_eq!(out.stats, baseline_out.stats);
     assert_eq!(format!("{}", out.mach), format!("{}", baseline_out.mach));
-    out.recycle(&mut recycled);
+    out.recycle(&mut recycled.scratch);
 
     // The recycled buffers are one assignment vector plus one Vec<MInst>
     // per block (the bench function has ~60 blocks, measured gap ~67

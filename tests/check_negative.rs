@@ -22,7 +22,9 @@ fn sum2() -> Function {
 }
 
 fn proven(f: &Function, t: &TargetDesc) -> AllocOutput {
-    let out = PreferenceAllocator::full().allocate(f, t).expect("allocation");
+    let out = PreferenceAllocator::full()
+        .allocate(f, t, &mut AllocSession::default())
+        .expect("allocation");
     check_allocation(&out.lowered, &out.assignment, &out.mach, t)
         .expect("the uncorrupted allocation must be provable");
     out
@@ -256,7 +258,9 @@ fn rejects_a_real_allocation_with_its_caller_save_code_removed() {
     let f = b.finish();
     let t = TargetDesc::figure7();
 
-    let out = PreferenceAllocator::full().allocate(&f, &t).expect("allocation");
+    let out = PreferenceAllocator::full()
+        .allocate(&f, &t, &mut AllocSession::default())
+        .expect("allocation");
     assert!(out.stats.caller_save_insts > 0, "expected caller-save traffic");
     check_allocation(&out.lowered, &out.assignment, &out.mach, &t)
         .expect("the uncorrupted allocation must be provable");

@@ -73,21 +73,23 @@ fn has_path_unwritten_reload(func: &Function) -> bool {
 
 /// Allocates `func` with every allocator and proves each allocation.
 fn prove_all_allocators(func: &Function, target: &TargetDesc) -> Result<(), TestCaseError> {
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     for alloc in pdgc::all_allocators() {
-        let out = alloc
-            .allocate_checked(func, target, &mut NoopTracer, CheckMode::Always)
-            .map_err(|e| {
-                TestCaseError::fail(format!(
-                    "{} on {} ({}): {e}",
-                    alloc.name(),
-                    func.name,
-                    target.name
-                ))
-            })?;
+        let out = alloc.allocate(func, target, &mut session).map_err(|e| {
+            TestCaseError::fail(format!(
+                "{} on {} ({}): {e}",
+                alloc.name(),
+                func.name,
+                target.name
+            ))
+        })?;
         // The checker's report is consistent with the statistics the
         // rewrite pass published.
         let report = check_allocation(&out.lowered, &out.assignment, &out.mach, target)
-            .expect("allocate_checked already proved this allocation");
+            .expect("the checked session already proved this allocation");
         prop_assert_eq!(report.paired_loads, out.stats.paired_loads as usize);
         prop_assert_eq!(report.blocks, out.mach.blocks.len());
     }
@@ -151,8 +153,12 @@ fn jack_zero_trip_loop_is_provable() {
     let w = generate(&profiles[6]); // jack
     let func = &w.funcs[0];
     let target = TargetDesc::ia64_like(PressureModel::High);
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     let out = PreferenceAllocator::full()
-        .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+        .allocate(func, &target, &mut session)
         .expect("the zero-trip-loop allocation is correct and must be provable");
     // The counterexample shape is still present — if workload generation
     // changes and this stops holding, the pin needs a new specimen.

@@ -28,7 +28,9 @@ fn active_spill_beats_double_caller_save() {
     b.ret(Some(acc));
     let func = b.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     assert_eq!(
         out.stats.caller_save_insts, 0,
         "double save/restore is costlier than the value's Mem_Cost"
@@ -60,7 +62,9 @@ fn single_crossing_prefers_caller_save_over_memory() {
     b.ret(Some(acc));
     let func = b.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // One overflow value, one call: exactly one save/restore pair.
     assert_eq!(out.stats.caller_save_insts, 2);
     assert_eq!(out.stats.spill_instructions, 0);
@@ -83,7 +87,9 @@ fn float_return_values_through_convention() {
     let s = b.bin(BinOp::FAdd, r, r);
     b.ret(Some(s));
     let func = b.finish();
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
 
     let args = vec![2.25f64.to_bits()];
     let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
@@ -123,7 +129,9 @@ fn byte_load_semantics_end_to_end() {
     let func = b.finish();
 
     for alloc in pdgc::all_allocators() {
-        let out = alloc.allocate(&func, &target).unwrap();
+        let out = alloc
+            .allocate(&func, &target, &mut AllocSession::default())
+            .unwrap();
         let args = vec![4096u64];
         let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
@@ -151,7 +159,9 @@ fn callcost_preference_decision_caps_nonvolatile_claims() {
     }
     b.ret(Some(acc));
     let func = b.finish();
-    let out = CallCostAllocator.allocate(&func, &target).unwrap();
+    let out = CallCostAllocator
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // 6 crossing ranges, 4 non-volatile registers: at most 4 claims, the
     // rest volatile (2 ranges × save+restore) or spilled.
     assert!(out.stats.nonvolatiles_used <= 4);
@@ -171,7 +181,9 @@ fn regs_used_accounting() {
     let x = b.bin(BinOp::Add, p, p);
     b.ret(Some(x));
     let func = b.finish();
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     let used = out.mach.regs_used();
     // Everything coalesces into r0.
     assert_eq!(used, vec![PhysReg::int(0)]);
@@ -193,7 +205,9 @@ fn spilled_crossing_values_need_no_caller_saves() {
     }
     b.ret(Some(acc));
     let func = b.finish();
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     assert!(out.stats.spill_instructions > 0);
     let args = vec![0u64];
     let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
@@ -213,7 +227,7 @@ fn precoalesce_variant_correct_under_pressure() {
         let reference = run_ir(func, &args, DEFAULT_FUEL).unwrap();
         let out = PreferenceAllocator::full()
             .with_precoalesce()
-            .allocate(func, &target)
+            .allocate(func, &target, &mut AllocSession::default())
             .unwrap();
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
         check_equivalent(&reference, &mach).unwrap();

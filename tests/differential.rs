@@ -55,13 +55,17 @@ fn check_allocator_with(alloc: &dyn RegisterAllocator, pressure: PressureModel, 
     let started = Instant::now();
     let mut cases = 0usize;
     let mut slowest: (Duration, String) = (Duration::ZERO, String::new());
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     for (wi, w) in workloads().iter().enumerate() {
         for (fi, func) in w.funcs.iter().take(per_workload).enumerate() {
             let args = default_args(func);
             let reference = reference_for(wi, fi);
             let case_started = Instant::now();
             let out = alloc
-                .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+                .allocate(func, &target, &mut session)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", alloc.name(), func.name));
             let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap_or_else(|e| {
                 panic!("{} on {}: machine run failed: {e}", alloc.name(), func.name)
@@ -105,11 +109,15 @@ fn check_allocator_with(alloc: &dyn RegisterAllocator, pressure: PressureModel, 
 fn check_allocator_tiny(alloc: &dyn RegisterAllocator) {
     let target = TargetDesc::toy(8);
     let wi = 0; // compress: highest pressure
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     for (fi, func) in workloads()[wi].funcs.iter().take(3).enumerate() {
         let args = default_args(func);
         let reference = reference_for(wi, fi);
         let out = alloc
-            .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+            .allocate(func, &target, &mut session)
             .unwrap_or_else(|e| panic!("{} on {}: {e}", alloc.name(), func.name));
         assert!(out.stats.spill_instructions > 0, "toy(8) must force spills");
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();

@@ -136,7 +136,9 @@ fn rpg_strengths_match_the_paper() {
 fn final_allocation_matches_figure7_g() {
     let (func, [v0, v1, v2, v3, v4]) = figure7_func();
     let target = TargetDesc::figure7();
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
 
     assert_eq!(out.assignment[v0.index()], Some(PhysReg::int(0)), "v0");
     assert_eq!(out.assignment[v1.index()], Some(PhysReg::int(1)), "v1");
@@ -149,7 +151,9 @@ fn final_allocation_matches_figure7_g() {
 fn final_code_matches_figure7_h() {
     let (func, _) = figure7_func();
     let target = TargetDesc::figure7();
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     let stats = out.stats;
 
     // Every copy coalesced: v3 = v0, the argument copy, the parameter copy.
@@ -251,9 +255,11 @@ fn final_code_matches_figure7_h() {
 fn full_preferences_beat_coalescing_only_on_figure7() {
     let (func, _) = figure7_func();
     let target = TargetDesc::figure7();
-    let full = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let full = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     let only = PreferenceAllocator::coalescing_only()
-        .allocate(&func, &target)
+        .allocate(&func, &target, &mut AllocSession::default())
         .unwrap();
     // Static count: full fuses the pair; coalescing-only has no reason to.
     assert_eq!(full.stats.paired_loads, 1);

@@ -54,7 +54,9 @@ fn byte_kernel() -> Function {
 fn full_preferences_avoid_zero_extensions() {
     let func = byte_kernel();
     let target = TargetDesc::x86_like(PressureModel::Middle);
-    let full = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let full = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     assert_eq!(
         full.stats.zero_extensions, 0,
         "byte-load destinations should land in byte-capable registers"
@@ -76,7 +78,9 @@ fn preference_unaware_allocators_stay_correct_via_extensions() {
     let args = vec![128u64, 5];
     let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
     for alloc in all_allocators() {
-        let out = alloc.allocate(&func, &target).unwrap();
+        let out = alloc
+            .allocate(&func, &target, &mut AllocSession::default())
+            .unwrap();
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
         check_equivalent(&reference, &mach)
             .unwrap_or_else(|e| panic!("{} diverged: {e}", alloc.name()));
@@ -91,9 +95,11 @@ fn extensions_priced_into_dynamic_cycles() {
     let func = byte_kernel();
     let target = TargetDesc::x86_like(PressureModel::Middle);
     let args = vec![128u64, 50];
-    let full = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let full = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     let only = PreferenceAllocator::coalescing_only()
-        .allocate(&func, &target)
+        .allocate(&func, &target, &mut AllocSession::default())
         .unwrap();
     let full_exec = run_mach(&full.mach, &target, &args, DEFAULT_FUEL).unwrap();
     let only_exec = run_mach(&only.mach, &target, &args, DEFAULT_FUEL).unwrap();
@@ -130,7 +136,9 @@ fn byte_dense_workload_differentially_verified() {
         let args = default_args(func);
         let reference = run_ir(func, &args, DEFAULT_FUEL).unwrap();
         for alloc in all_allocators() {
-            let out = alloc.allocate(func, &target).unwrap();
+            let out = alloc
+                .allocate(func, &target, &mut AllocSession::default())
+                .unwrap();
             let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
             check_equivalent(&reference, &mach)
                 .unwrap_or_else(|e| panic!("{} diverged on {}: {e}", alloc.name(), func.name));
@@ -145,7 +153,9 @@ fn ia64_target_has_no_byte_restriction() {
     let func = byte_kernel();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     assert!(!target.has_byte_restriction(RegClass::Int));
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     assert_eq!(out.stats.zero_extensions, 0);
     let args = vec![128u64, 5];
     let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
@@ -171,7 +181,9 @@ fn dedicated_division_register() {
     b.ret(Some(s));
     let func = b.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // The division's destination register must be r0.
     let div_dst = out
         .mach
@@ -238,7 +250,9 @@ fn dedicated_division_under_pressure_all_allocators() {
     let args = vec![512u64, 6];
     let reference = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
     for alloc in pdgc::all_allocators() {
-        let out = alloc.allocate(&func, &target).unwrap();
+        let out = alloc
+            .allocate(&func, &target, &mut AllocSession::default())
+            .unwrap();
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
         check_equivalent(&reference, &mach)
             .unwrap_or_else(|e| panic!("{} diverged: {e}", alloc.name()));

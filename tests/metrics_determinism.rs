@@ -108,18 +108,14 @@ fn figure7_func() -> Function {
 fn figure7_scorecard_is_golden() {
     let func = figure7_func();
     let target = TargetDesc::figure7();
-    let mut scratch = pdgc::core::PhaseScratch::new();
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     PreferenceAllocator::full()
-        .allocate_scratch(
-            &func,
-            &target,
-            &mut NoopTracer,
-            CheckMode::Always,
-            CheckScope::Full,
-            &mut scratch,
-        )
+        .allocate(&func, &target, &mut session)
         .unwrap();
-    let m = &scratch.metrics;
+    let m = &session.scratch.metrics;
 
     // Allocation shape: one function, one round, no spilling.
     assert_eq!(m.get(Counter::FuncsAllocated), 1);

@@ -110,3 +110,26 @@ fn missing_counter_in_current_is_a_regression() {
     );
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// `pdgc allocate` resolves `--allocator` through the same table as
+/// `pdgc serve`: every name the daemon accepts allocates from the CLI.
+#[test]
+fn every_serve_allocator_allocates_through_the_cli() {
+    let dir = std::env::temp_dir().join(format!("pdgc-report-{}-names", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/ir/dot2.pdgc");
+    for name in pdgc_bench::serve::ALLOCATOR_NAMES {
+        let out = Command::new(PDGC)
+            .args(["allocate", ir, "--allocator", name])
+            .current_dir(&dir)
+            .output()
+            .expect("run pdgc allocate");
+        assert!(
+            out.status.success(),
+            "pdgc allocate --allocator {name} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("allocator: "));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}

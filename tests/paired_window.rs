@@ -31,7 +31,7 @@ fn total_pairs(alloc: &dyn RegisterAllocator, target: &TargetDesc) -> usize {
         .flat_map(|p| generate(p).funcs)
         .map(|f| {
             alloc
-                .allocate(&f, target)
+                .allocate(&f, target, &mut AllocSession::default())
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), f.name))
                 .stats
                 .paired_loads

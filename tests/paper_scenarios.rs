@@ -37,7 +37,9 @@ fn figure4_coalescing_vs_nonvolatile_pressure() {
     f.ret(Some(s));
     let func = f.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // Four ranges cross the call but only three non-volatile registers
     // exist: exactly one range can need caller saving (2 instructions) —
     // integrated selection must not do worse.
@@ -89,7 +91,9 @@ fn figure5a_reckless_coalescing_kills_paired_load() {
     f.ret(Some(i));
     let func = f.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // The paired load must survive: v1/v2 get different-parity registers
     // even though their argument homes r0/r2 share parity.
     assert_eq!(
@@ -133,7 +137,9 @@ fn figure5b_coalesce_vs_call_crossing() {
     f.ret(Some(v1));
     let func = f.finish();
 
-    let full = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let full = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // v1 must sit in a non-volatile register across the loop's calls: no
     // caller saves at all; the argument copy stays.
     assert_eq!(
@@ -145,7 +151,9 @@ fn figure5b_coalesce_vs_call_crossing() {
     // Chaitin-aggressive does coalesce v1 into the argument register and
     // pays save/restore around every call — the paper's failure mode.
     use pdgc::core::baselines::ChaitinAllocator;
-    let chaitin = ChaitinAllocator.allocate(&func, &target).unwrap();
+    let chaitin = ChaitinAllocator
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     assert!(
         chaitin.stats.caller_save_insts > 0,
         "the base allocator should exhibit the Figure 5(b) pathology"
@@ -200,7 +208,9 @@ fn figure6a_coalesce_order_depends_on_preferences() {
     f.ret(Some(b_range));
     let func = f.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // B stays call-safe...
     assert_eq!(out.stats.caller_save_insts, 0);
     // ...and A coalesces with arg0 (the paper's preferred order): the only
@@ -247,7 +257,9 @@ fn figure6b_copy_chain_through_return_register() {
     f.ret(Some(c2)); // ret = C2
     let func = f.finish();
 
-    let out = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let out = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     // The chain C0 → T → C2 → ret should collapse; at most the copies
     // touching C1 survive.
     assert!(

@@ -250,7 +250,7 @@ proptest! {
         let reference = run_ir(func, &args, DEFAULT_FUEL).unwrap();
         let target = TargetDesc::ia64_like(PressureModel::High);
         for alloc in pdgc::all_allocators() {
-            let out = alloc.allocate(func, &target).unwrap();
+            let out = alloc.allocate(func, &target, &mut AllocSession::default()).unwrap();
             let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
             prop_assert!(
                 check_equivalent(&reference, &mach).is_ok(),

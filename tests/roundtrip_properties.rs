@@ -127,10 +127,11 @@ proptest! {
             .for_target(&target);
         let allocators = pdgc::all_allocators();
         let alloc = &allocators[which_alloc % allocators.len()];
+        let mut session = AllocSession { check: CheckMode::Always, ..AllocSession::default() };
         for func in &generate(&prof).funcs {
             prop_assume!(func.verify().is_ok());
             let out = alloc
-                .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+                .allocate(func, &target, &mut session)
                 .map_err(|e| TestCaseError::fail(format!(
                     "{} on {} ({name}): {e}", alloc.name(), func.name
                 )))?;

@@ -1,8 +1,8 @@
 //! Differential and hardening properties for the `pdgc serve` cache.
 //!
 //! * **Hit/fresh bit-identity** — a cached response must carry exactly
-//!   the machine code, fingerprint, and scorecard a fresh
-//!   `allocate_scratch` run produces for the same function, on every
+//!   the machine code, fingerprint, and scorecard a fresh checked
+//!   allocation produces for the same function, on every
 //!   builtin target that can allocate generated workloads, under
 //!   `CheckMode::Always` so the checker countersigns both sides.
 //! * **Key canonicalization** — the content-addressed cache key must be
@@ -67,7 +67,10 @@ fn serving_targets() -> Vec<TargetDesc> {
 #[test]
 fn cache_hit_matches_fresh_allocation_on_every_target() {
     let alloc = PreferenceAllocator::full();
-    let mut scratch = PhaseScratch::new();
+    let mut fresh_session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     for target in serving_targets() {
         let w = pdgc::workloads::generate(&profile(7, 60, 1, 0.2).for_target(&target));
         let func = &w.funcs[0];
@@ -81,14 +84,7 @@ fn cache_hit_matches_fresh_allocation_on_every_target() {
 
         // Fresh allocation outside the daemon, checker on.
         let fresh = alloc
-            .allocate_scratch(
-                func,
-                &target,
-                &mut NoopTracer,
-                CheckMode::Always,
-                CheckScope::Full,
-                &mut scratch,
-            )
+            .allocate(func, &target, &mut fresh_session)
             .unwrap_or_else(|e| panic!("{}: fresh allocation failed: {e}", target.name));
 
         for (name, response) in [("miss", &miss), ("hit", &hit)] {
@@ -112,7 +108,7 @@ fn cache_hit_matches_fresh_allocation_on_every_target() {
                 target.name
             );
         }
-        fresh.recycle(&mut scratch);
+        fresh.recycle(&mut fresh_session.scratch);
     }
 }
 

@@ -181,23 +181,19 @@ fn irreducible_cfg_takes_the_fallback_through_the_pipeline() {
     let f = irreducible();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let mut scratch = PhaseScratch::default();
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     let out = alloc
-        .allocate_scratch(
-            &f,
-            &target,
-            &mut NoopTracer,
-            CheckMode::Always,
-            CheckScope::Full,
-            &mut scratch,
-        )
+        .allocate(&f, &target, &mut session)
         .expect("irreducible function allocates via the fallback");
     assert!(
-        scratch.metrics.get(Counter::SplAnalysesFallback) > 0,
+        session.scratch.metrics.get(Counter::SplAnalysesFallback) > 0,
         "fallback path not recorded"
     );
     assert_eq!(
-        scratch.metrics.get(Counter::SplAnalysesFast),
+        session.scratch.metrics.get(Counter::SplAnalysesFast),
         0,
         "irreducible CFG must never take the fast path"
     );
@@ -232,20 +228,17 @@ fn spl_shaped_function_is_counted_as_fast() {
 
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let mut scratch = PhaseScratch::default();
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     alloc
-        .allocate_scratch(
-            &f,
-            &target,
-            &mut NoopTracer,
-            CheckMode::Always,
-            CheckScope::Full,
-            &mut scratch,
-        )
+        .allocate(&f, &target, &mut session)
         .expect("allocation succeeds");
-    assert!(scratch.metrics.get(Counter::SplAnalysesFast) > 0);
-    assert!(scratch.metrics.get(Counter::SplFreqFast) > 0);
-    assert!(scratch.metrics.get(Counter::SplRegions) > 0);
-    assert!(scratch.metrics.get(Counter::SplLoopRegions) > 0);
-    assert_eq!(scratch.metrics.get(Counter::SplAnalysesFallback), 0);
+    let m = &session.scratch.metrics;
+    assert!(m.get(Counter::SplAnalysesFast) > 0);
+    assert!(m.get(Counter::SplFreqFast) > 0);
+    assert!(m.get(Counter::SplRegions) > 0);
+    assert!(m.get(Counter::SplLoopRegions) > 0);
+    assert_eq!(m.get(Counter::SplAnalysesFallback), 0);
 }

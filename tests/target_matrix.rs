@@ -34,6 +34,10 @@ fn workloads_for(target: &TargetDesc) -> Vec<Workload> {
 /// and the symbolic checker must independently prove every allocation.
 fn check_differential(target: &TargetDesc) {
     let allocators = pdgc::all_allocators();
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
     for w in &workloads_for(target) {
         for func in &w.funcs {
             let args = default_args(func);
@@ -41,7 +45,7 @@ fn check_differential(target: &TargetDesc) {
                 .unwrap_or_else(|e| panic!("{}: reference failed: {e}", func.name));
             for alloc in &allocators {
                 let out = alloc
-                    .allocate_checked(func, target, &mut NoopTracer, CheckMode::Always)
+                    .allocate(func, target, &mut session)
                     .unwrap_or_else(|e| {
                         panic!("{} on {} ({}): {e}", alloc.name(), func.name, target.name)
                     });

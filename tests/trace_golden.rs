@@ -38,8 +38,12 @@ fn traced_run() -> (pdgc::core::AllocOutput, RecordingTracer) {
     let func = figure7_func();
     let target = TargetDesc::figure7();
     let mut rec = RecordingTracer::default();
+    let mut session = AllocSession {
+        tracer: Some(&mut rec),
+        ..AllocSession::default()
+    };
     let out = PreferenceAllocator::full()
-        .allocate_traced(&func, &target, &mut rec)
+        .allocate(&func, &target, &mut session)
         .unwrap();
     (out, rec)
 }
@@ -94,9 +98,11 @@ fn figure7_phase_spans_cover_the_pipeline() {
             (Phase::Analyze, 1, None),
             (Phase::Build, 1, int),
             (Phase::Simplify, 1, int),
+            (Phase::Cpg, 1, int),
             (Phase::Select, 1, int),
             (Phase::Build, 1, float),
             (Phase::Simplify, 1, float),
+            (Phase::Cpg, 1, float),
             (Phase::Select, 1, float),
             (Phase::Rewrite, 1, None),
         ],
@@ -119,8 +125,12 @@ fn json_sink_emits_one_line_per_event() {
     let func = figure7_func();
     let target = TargetDesc::figure7();
     let mut sink = JsonLinesSink::new(Vec::new());
+    let mut session = AllocSession {
+        tracer: Some(&mut sink),
+        ..AllocSession::default()
+    };
     PreferenceAllocator::full()
-        .allocate_traced(&func, &target, &mut sink)
+        .allocate(&func, &target, &mut session)
         .unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -144,7 +154,7 @@ fn json_sink_emits_one_line_per_event() {
             .iter()
             .filter(|l| l.contains("\"type\":\"span\""))
             .count(),
-        9
+        11
     );
     assert!(lines.last().unwrap().contains("\"type\":\"finish\""));
 }
@@ -155,7 +165,9 @@ fn json_sink_emits_one_line_per_event() {
 fn tracing_does_not_perturb_the_allocation() {
     let func = figure7_func();
     let target = TargetDesc::figure7();
-    let plain = PreferenceAllocator::full().allocate(&func, &target).unwrap();
+    let plain = PreferenceAllocator::full()
+        .allocate(&func, &target, &mut AllocSession::default())
+        .unwrap();
     let (traced, _) = traced_run();
     assert_eq!(plain.assignment, traced.assignment);
     assert_eq!(plain.stats, traced.stats);
@@ -185,8 +197,12 @@ fn graph_dumps_fire_only_when_requested() {
     }
     let func = figure7_func();
     let mut g = GraphsOnly(Vec::new());
+    let mut session = AllocSession {
+        tracer: Some(&mut g),
+        ..AllocSession::default()
+    };
     PreferenceAllocator::full()
-        .allocate_traced(&func, &TargetDesc::figure7(), &mut g)
+        .allocate(&func, &TargetDesc::figure7(), &mut session)
         .unwrap();
     // One IFG/RPG/CPG triple per class per round: two classes, one round.
     let kinds: Vec<pdgc::obs::GraphKind> = g.0.iter().map(|(k, _)| *k).collect();
