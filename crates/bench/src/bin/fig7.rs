@@ -151,7 +151,8 @@ fn main() {
         sr.stack.iter().map(|&n| node_name(n)).collect::<Vec<_>>()
     );
 
-    let cpg = Cpg::build(&ctx_ifg, &sr.stack, &sr.optimistic, 3);
+    // Transitively reduced, as Figure 7(e) draws it.
+    let cpg = Cpg::build(&ctx_ifg, &sr.stack, &sr.optimistic, 3).transitive_reduction();
     println!("=== Figure 7(e): Coloring Precedence Graph (K = 3) ===");
     for n in cpg.nodes() {
         let mut edges = Vec::new();

@@ -20,10 +20,10 @@
 //!    value (the coalesced-copy-chain case).
 //! 3. **Target rules** — every assigned register must exist in its class's
 //!    file and match the vreg's class; every fused `LoadPair` must satisfy
-//!    the class's [`PairRule`] (destination constraint, stride, alignment
-//!    of the lower word); returned values must sit in the convention's
-//!    return register; written non-volatiles must be declared for
-//!    callee-save.
+//!    the class's [`PairRule`](pdgc_target::PairRule) (destination
+//!    constraint, stride, alignment of the lower word); returned values
+//!    must sit in the convention's return register; written
+//!    non-volatiles must be declared for callee-save.
 //! 4. **Frame bookkeeping** — every slot is written before it is read,
 //!    and all spill traffic stays inside the declared frame
 //!    (`MachFunction::num_slots`).

@@ -6,7 +6,7 @@ use crate::rpg::build_rpg;
 use crate::select::{select_traced_in, SelectConfig};
 use crate::simplify::{simplify_in, SimplifyMode};
 use pdgc_ir::Function;
-use pdgc_obs::{Event, GraphKind, Phase, PhaseTimer, Tracer};
+use pdgc_obs::{Counter, Event, GraphKind, Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
 
 pub use crate::pipeline::{AllocError, AllocOutput};
@@ -173,6 +173,9 @@ impl ClassStrategy for PreferenceAllocator {
         let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
         sr.recycle(&mut cls.simplify);
         timer.stop(&mut cls.select.metrics, tracer);
+        cls.select
+            .metrics
+            .add(Counter::CpgEdges, cpg.num_edges() as u64);
         if tracer.wants_graphs() {
             for (kind, dot) in [
                 (GraphKind::Ifg, crate::dot::ifg_to_dot(&ctx.ifg, &ctx.nodes)),

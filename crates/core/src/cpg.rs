@@ -12,28 +12,27 @@
 //! Construction follows the paper's nine steps: replay the simplification
 //! stack against a working interference graph (physical-register nodes
 //! removed), detect which removals *enable* which ("removing one enables
-//! the other's removal"), and record those enabling constraints as edges,
-//! keeping the DAG transitively reduced.
+//! the other's removal"), and record those enabling constraints as edges.
+//! The built DAG keeps every enabling edge, including the ones a longer
+//! path already implies: it has the same reachability as the transitively
+//! reduced DAG the paper draws, hence the same ready frontier at every
+//! select step, and dropping those edges would cost a reachability sweep
+//! per removal. [`Cpg::transitive_reduction`] yields the reduced DAG for
+//! display (`--dump-graphs` and the Figure 7 walkthrough).
 
 use crate::ifg::InterferenceGraph;
 use crate::node::NodeId;
 use pdgc_arena::{NestedPool, VecPool};
 
 /// Reusable storage for [`Cpg::build_in`]: the DAG's own vectors plus the
-/// construction temporaries (working-graph flags, degrees, the reused
-/// neighbor buffer, and the epoch-stamped reachability sweep). One scratch
+/// construction temporaries (working-graph flags and degrees). One scratch
 /// serves any number of sequential builds; recycle each [`Cpg`] with
 /// [`Cpg::recycle`] when done so the next build is allocation-free.
 #[derive(Debug, Default)]
 pub struct CpgScratch {
     flags: VecPool<bool>,
     adj: NestedPool<NodeId>,
-    degree: VecPool<usize>,
-    /// Reachability stamps: `stamp[i] == epoch` means "seen this sweep",
-    /// so a new sweep is an increment, not an O(n) clear.
-    stamp: VecPool<u32>,
-    neighbors: Vec<NodeId>,
-    reach_stack: Vec<NodeId>,
+    counts: VecPool<usize>,
 }
 
 impl CpgScratch {
@@ -47,13 +46,14 @@ impl CpgScratch {
 ///
 /// An edge `u → v` means `u` must be selected (colored) before `v`.
 /// `from_top(n)` marks edges from the `top` sentinel; `to_bottom(n)` marks
-/// edges to the `bottom` sentinel.
+/// edges to the `bottom` sentinel. Select reads only successor lists and
+/// predecessor counts, so predecessors are stored as a count.
 #[derive(Clone, Debug)]
 pub struct Cpg {
     k: usize,
     present: Vec<bool>,
     succs: Vec<Vec<NodeId>>,
-    preds: Vec<Vec<NodeId>>,
+    pred_count: Vec<usize>,
     from_top: Vec<bool>,
     to_bottom: Vec<bool>,
 }
@@ -95,7 +95,7 @@ impl Cpg {
             k,
             present: scratch.flags.take_filled(n, false),
             succs: scratch.adj.take(n),
-            preds: scratch.adj.take(n),
+            pred_count: scratch.counts.take_filled(n, 0),
             from_top: scratch.flags.take_filled(n, false),
             to_bottom: scratch.flags.take_filled(n, false),
         };
@@ -103,7 +103,7 @@ impl Cpg {
         let is_lr = |x: NodeId| !ifg.is_precolored(x) && !ifg.is_merged(x);
         // Working interference graph: live-range nodes of the stack.
         let mut removed = scratch.flags.take_filled(n, false);
-        let mut degree = scratch.degree.take_filled(n, 0);
+        let mut degree = scratch.counts.take_filled(n, 0);
         for &x in stack {
             degree[x.index()] = ifg
                 .neighbors_slice(x)
@@ -130,82 +130,67 @@ impl Cpg {
             }
         }
 
-        // Epoch-stamped "seen" marks for the per-pop reachability sweep:
-        // bumping the epoch invalidates the whole previous sweep at once.
-        let mut stamp = scratch.stamp.take_filled(n, 0);
-        let mut epoch = 0u32;
-        let mut reach_stack = std::mem::take(&mut scratch.reach_stack);
-        let mut neighbors = std::mem::take(&mut scratch.neighbors);
-
-        // Steps 5–9: replay removals.
+        // Steps 5–9: replay removals. Every edge points *into* the node
+        // being popped, from a working-graph neighbor that is not yet
+        // ready: its removal was enabled by `popped`'s.
         for &popped in stack {
             removed[popped.index()] = true;
             cpg.present[popped.index()] = true;
-            neighbors.clear();
-            neighbors.extend(
-                ifg.neighbors_slice(popped)
-                    .iter()
-                    .copied()
-                    .filter(|&y| is_lr(y) && !removed[y.index()]),
-            );
-            let mut any_non_ready = false;
-            for &x in &neighbors {
+            for &x in ifg.neighbors_slice(popped) {
+                if !is_lr(x) || removed[x.index()] {
+                    continue;
+                }
                 cpg.present[x.index()] = true;
-                any_non_ready |= !ready[x.index()];
-            }
-            if !any_non_ready {
-                cpg.from_top[popped.index()] = true;
-            } else {
-                // Transitive reduction, exploiting the construction order:
-                // all edges point *into* the node being popped, so (1) no
-                // path can reach `popped` yet, and (2) the unpopped sources
-                // cannot reach each other (their successors are all
-                // previously-popped nodes). The only reducible edges are
-                // existing `x → w` made transitive by the new `x → popped`
-                // with `popped →* w` — computable with ONE reachability
-                // sweep from `popped`.
-                epoch += 1;
-                stamp[popped.index()] = epoch;
-                reach_stack.clear();
-                reach_stack.push(popped);
-                while let Some(x) = reach_stack.pop() {
-                    for &y in &cpg.succs[x.index()] {
-                        if stamp[y.index()] != epoch {
-                            stamp[y.index()] = epoch;
-                            reach_stack.push(y);
-                        }
-                    }
-                }
-                for &x in &neighbors {
-                    if ready[x.index()] {
-                        continue;
-                    }
-                    cpg.succs[x.index()].retain(|&w| {
-                        let keep = stamp[w.index()] != epoch;
-                        if !keep {
-                            cpg.preds[w.index()].retain(|&p| p != x);
-                        }
-                        keep
-                    });
+                if !ready[x.index()] {
                     cpg.succs[x.index()].push(popped);
-                    cpg.preds[popped.index()].push(x);
+                    cpg.pred_count[popped.index()] += 1;
                 }
-            }
-            // Step 8: removal may make neighbors low-degree.
-            for &x in &neighbors {
+                // Step 8: removal may make the neighbor low-degree.
                 degree[x.index()] -= 1;
                 if degree[x.index()] < k {
                     ready[x.index()] = true;
                 }
             }
+            cpg.from_top[popped.index()] = cpg.pred_count[popped.index()] == 0;
         }
         scratch.flags.put(removed);
         scratch.flags.put(ready);
-        scratch.degree.put(degree);
-        scratch.stamp.put(stamp);
-        scratch.reach_stack = reach_stack;
-        scratch.neighbors = neighbors;
+        scratch.counts.put(degree);
         cpg
+    }
+
+    /// The transitive reduction of this DAG: the same nodes, sentinels and
+    /// reachability, minus every edge `u → v` that a longer path
+    /// `u → w →* v` already implies. This is the CPG as §5.2 draws it
+    /// (Figure 7(e)); select does not need it, so only the graph dumps and
+    /// the Figure 7 walkthrough compute it. Unpooled, O(nodes × edges).
+    pub fn transitive_reduction(&self) -> Cpg {
+        let n = self.succs.len();
+        let mut red = self.clone();
+        // `longer[x]`: x is reachable from the current `u` by a path of at
+        // least two edges.
+        let mut longer = vec![false; n];
+        let mut stack = Vec::new();
+        for u in 0..n {
+            longer.fill(false);
+            for &w in &self.succs[u] {
+                stack.extend_from_slice(&self.succs[w.index()]);
+            }
+            while let Some(x) = stack.pop() {
+                if !longer[x.index()] {
+                    longer[x.index()] = true;
+                    stack.extend_from_slice(&self.succs[x.index()]);
+                }
+            }
+            red.succs[u].retain(|v| !longer[v.index()]);
+        }
+        red.pred_count.fill(0);
+        for u in 0..n {
+            for &v in &red.succs[u] {
+                red.pred_count[v.index()] += 1;
+            }
+        }
+        red
     }
 
     /// Returns the DAG's storage to `scratch` for the next build.
@@ -214,7 +199,7 @@ impl Cpg {
         scratch.flags.put(self.from_top);
         scratch.flags.put(self.to_bottom);
         scratch.adj.put(self.succs);
-        scratch.adj.put(self.preds);
+        scratch.counts.put(self.pred_count);
     }
 
     /// Whether `to` is reachable from `from` along CPG edges (reflexive).
@@ -263,9 +248,15 @@ impl Cpg {
         &self.succs[n.index()]
     }
 
-    /// Predecessors of `n` (excluding `top`).
-    pub fn preds(&self, n: NodeId) -> &[NodeId] {
-        &self.preds[n.index()]
+    /// The number of predecessors of `n` (excluding `top`).
+    pub fn pred_count(&self, n: NodeId) -> usize {
+        self.pred_count[n.index()]
+    }
+
+    /// The number of edges between live-range nodes (sentinel edges
+    /// excluded).
+    pub fn num_edges(&self) -> usize {
+        self.pred_count.iter().sum()
     }
 
     /// Whether `top → n` exists.
@@ -285,7 +276,7 @@ impl Cpg {
 
     /// The initial ready frontier: the successors of `top`.
     pub fn initial_queue(&self) -> Vec<NodeId> {
-        self.nodes().filter(|&n| self.preds(n).is_empty()).collect()
+        self.nodes().filter(|&n| self.pred_count(n) == 0).collect()
     }
 
     /// Checks acyclicity (used by property tests).
@@ -418,14 +409,14 @@ mod tests {
         // 0 has predecessors 1, 2, 3 — wait: edges point from non-ready
         // neighbors *to the popped node*; when 0 popped, neighbors 1, 2, 3
         // are non-ready (degree 3), so 1→0, 2→0, 3→0.
-        assert_eq!(cpg.preds(n(0)).len(), 3);
+        assert_eq!(cpg.pred_count(n(0)), 3);
         assert_eq!(cpg.initial_queue(), vec![n(1), n(2), n(3)]);
     }
 
     #[test]
     fn transitive_reduction_drops_redundant_edge() {
         // Path graph 0-1, 1-2, 0-2 (triangle) with K=1: removal order
-        // 0, 1, 2 forces chains; ensure no duplicate/transitive edges.
+        // 0, 1, 2 forces chains.
         let mut g = InterferenceGraph::new(3, 0);
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
@@ -433,12 +424,17 @@ mod tests {
         let stack = vec![n(0), n(1), n(2)];
         let cpg = Cpg::build(&g, &stack, &[n(0), n(1), n(2)], 1);
         // With K=1 nothing is ever ready: popping 0 adds 1→0 and 2→0;
-        // popping 1 adds 2→1. Edge 2→0 is now transitive (2→1→0) and must
-        // have been removed.
-        assert!(cpg.has_edge(n(1), n(0)));
-        assert!(cpg.has_edge(n(2), n(1)));
-        assert!(!cpg.has_edge(n(2), n(0)));
-        assert!(cpg.reachable(n(2), n(0)));
-        assert!(cpg.is_acyclic());
+        // popping 1 adds 2→1. The built CPG keeps the implied 2→0.
+        assert!(cpg.has_edge(n(2), n(0)));
+        assert_eq!(cpg.num_edges(), 3);
+        // Its reduction drops it (2→1→0 implies it) and keeps the path.
+        let red = cpg.transitive_reduction();
+        assert!(red.has_edge(n(1), n(0)));
+        assert!(red.has_edge(n(2), n(1)));
+        assert!(!red.has_edge(n(2), n(0)));
+        assert!(red.reachable(n(2), n(0)));
+        assert_eq!(red.pred_count(n(0)), 1);
+        assert_eq!(red.initial_queue(), cpg.initial_queue());
+        assert!(red.is_acyclic());
     }
 }

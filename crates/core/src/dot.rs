@@ -113,8 +113,9 @@ pub fn rpg_to_dot(rpg: &Rpg, nodes: &NodeMap) -> String {
 }
 
 /// Renders the Coloring Precedence Graph with its `top`/`bottom`
-/// sentinels.
+/// sentinels, transitively reduced as the paper draws it.
 pub fn cpg_to_dot(cpg: &Cpg, nodes: &NodeMap) -> String {
+    let cpg = cpg.transitive_reduction();
     let mut buf = String::from("digraph cpg {\n");
     buf.push_str("  top [shape=plaintext];\n  bottom [shape=plaintext];\n");
     emit_nodes(&mut buf, nodes, |n| cpg.contains(n));

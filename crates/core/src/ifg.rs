@@ -14,22 +14,23 @@
 //! The per-node adjacency lists are kept **canonical** at all times: for an
 //! unmerged node `n`, `adj[n]` holds exactly the distinct current
 //! representatives adjacent to `n` — no duplicates, no stale merged
-//! entries. [`add_edge`](Self::add_edge) inserts canonically and
-//! [`merge`](Self::merge) rewrites the neighbors' lists in place, so
-//! [`neighbors_slice`](Self::neighbors_slice) and
-//! [`live_neighbors_iter`](Self::live_neighbors_iter) are allocation-free:
-//! the select and simplify hot paths iterate adjacency directly instead of
-//! materializing a fresh `Vec` + seen-set per call.
+//! entries. [`add_edge`](InterferenceGraph::add_edge) inserts
+//! canonically and [`merge`](InterferenceGraph::merge) rewrites the
+//! neighbors' lists in place, so
+//! [`neighbors_slice`](InterferenceGraph::neighbors_slice) and
+//! [`live_neighbors_iter`](InterferenceGraph::live_neighbors_iter) are
+//! allocation-free: the select and simplify hot paths iterate adjacency
+//! directly instead of materializing a fresh `Vec` + seen-set per call.
 //!
 //! # Degree accounting
 //!
 //! `degree[n]` of a **live** (unmerged, unremoved) node is the number of
 //! its live neighbors. The degree of a **removed** node is *frozen* at its
 //! removal-time value: no mutation may touch it until
-//! [`restore_all`](Self::restore_all) recomputes every degree from the
-//! adjacency lists. This freeze is what a future partial-restore needs to
-//! stay correct, and it is enforced by the degree-accounting property test
-//! in `tests/properties.rs`.
+//! [`restore_all`](InterferenceGraph::restore_all) recomputes every
+//! degree from the adjacency lists. This freeze is what a future
+//! partial-restore needs to stay correct, and it is enforced by the
+//! degree-accounting property test in `tests/properties.rs`.
 
 use crate::node::NodeId;
 use pdgc_arena::{NestedPool, VecPool};

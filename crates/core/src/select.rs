@@ -28,7 +28,8 @@ use pdgc_obs::{
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// Resettable scratch for [`select_traced_in`]: the reverse-preference
-/// index, the differential caches, and the per-select working vectors.
+/// index, the per-register rows, the differential caches, and the
+/// per-select working vectors.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     rev_pref: NestedPool<NodeId>,
@@ -38,12 +39,11 @@ pub struct SelectScratch {
     counts: VecPool<usize>,
     nodes: VecPool<NodeId>,
     /// Pool for candidate-register sets: the available set, per-preference
-    /// honoring sets, narrowed candidate sets, and partner-blocked sets.
+    /// honoring sets, and narrowed candidate sets.
     phys: VecPool<PhysReg>,
     /// Reused per-node screening list (honorable + deferred preferences).
     screens: Vec<ScreenEntry>,
-    /// Register-occupancy buffer threaded into the selector's
-    /// differential scan (the `select.rs` take/restore audit target).
+    /// The per-node occupancy rows, parked between selects.
     used: Vec<bool>,
     /// Always-on screening-outcome counters (honored/deferred/skipped by
     /// preference kind, spill reasons, strength distribution) plus the
@@ -58,9 +58,9 @@ impl SelectScratch {
         Self::default()
     }
 
-    /// Capacity of the pooled differential-occupancy buffer (diagnostic;
-    /// the take/restore regression test asserts it survives the
-    /// no-register-available early return).
+    /// Capacity of the pooled occupancy rows (diagnostic; a regression
+    /// test asserts they come back after a select that spills for lack of
+    /// registers).
     pub fn used_capacity(&self) -> usize {
         self.used.capacity()
     }
@@ -138,15 +138,17 @@ pub fn select_traced_in(
     tracer: &mut dyn Tracer,
     scratch: &mut SelectScratch,
 ) -> SelectResult {
-    // Reverse preference index: rev_pref[m] holds the nodes with a
-    // preference targeting (the representative of) m. Assigning m makes
-    // exactly those nodes' differentials stale.
+    // Reverse preference index: rev_pref[m] holds, once each, the CPG
+    // nodes with a preference targeting (the representative of) m.
+    // Assigning m makes exactly those nodes' differentials stale.
     let mut rev_pref = scratch.rev_pref.take(nodes.num_nodes());
-    for i in 0..nodes.num_nodes() {
-        let holder = NodeId::new(i);
+    for holder in cpg.nodes() {
         for pref in rpg.prefs(holder) {
             if let PrefTarget::Node(m) = pref.target {
-                rev_pref[ifg.rep(m).index()].push(holder);
+                let holders = &mut rev_pref[ifg.rep(m).index()];
+                if holders.last() != Some(&holder) {
+                    holders.push(holder);
+                }
             }
         }
     }
@@ -155,6 +157,10 @@ pub fn select_traced_in(
         let n = NodeId::new(i);
         nodes.is_precolored(n).then(|| nodes.phys_reg(n))
     }));
+    let k = target.num_regs(nodes.class());
+    let mut used = std::mem::take(&mut scratch.used);
+    used.clear();
+    used.resize(nodes.num_nodes() * k, false);
     Selector {
         ifg,
         nodes,
@@ -169,9 +175,11 @@ pub fn select_traced_in(
         spilled: scratch.bools.take_filled(nodes.num_nodes(), false),
         processed: scratch.bools.take_filled(nodes.num_nodes(), false),
         rev_pref,
+        k,
+        best: scratch.diffs.take_filled(nodes.num_nodes() * k, NO_PREF),
+        used,
         diff_cache: scratch.diffs.take_filled(nodes.num_nodes(), 0),
         diff_dirty: scratch.bools.take_filled(nodes.num_nodes(), true),
-        used_scratch: std::mem::take(&mut scratch.used),
         phys: std::mem::take(&mut scratch.phys),
         screen_buf: std::mem::take(&mut scratch.screens),
         metrics: std::mem::take(&mut scratch.metrics),
@@ -195,13 +203,18 @@ struct Selector<'a> {
     /// `rev_pref[m]`: nodes holding a preference that targets `m`'s
     /// representative.
     rev_pref: Vec<Vec<NodeId>>,
+    /// Registers in the class: the width of every per-node row.
+    k: usize,
+    /// `best[n * k + r]`: the strength of `n`'s strongest preference that
+    /// register `r` honors under the current assignments, or [`NO_PREF`].
+    best: Vec<i64>,
+    /// `used[n * k + r]`: an assigned interference neighbor of `n` holds
+    /// register `r`.
+    used: Vec<bool>,
     /// Cached step-3 strength differential per node; valid while the
     /// matching `diff_dirty` bit is clear.
     diff_cache: Vec<i64>,
     diff_dirty: Vec<bool>,
-    /// Reusable register-occupancy scratch for the differential scan,
-    /// owned by the selector so the frontier loop never allocates.
-    used_scratch: Vec<bool>,
     /// Pool for the per-node candidate-register vectors.
     phys: VecPool<PhysReg>,
     /// Reused screening list, cleared between nodes.
@@ -235,10 +248,20 @@ enum ScreenOutcome {
     Skipped,
 }
 
+/// A `best` row entry no preference admits: the register satisfies
+/// nothing, which step 3 scores as 0. The RPG uses `i64::MIN` only as the
+/// "never" strength of the register kind a one-sided preference excludes,
+/// and that preference never admits such a register, so no admitted
+/// strength collides with it (the debug oracle in `cached_differential`
+/// would catch one that did).
+const NO_PREF: i64 = i64::MIN;
+
 impl Selector<'_> {
     fn run(mut self, tracer: &mut dyn Tracer, scratch: &mut SelectScratch) -> SelectResult {
+        self.fill_rows();
         let mut pred_remaining = scratch.counts.take();
-        pred_remaining.extend((0..self.nodes.num_nodes()).map(|i| self.cpg.preds(NodeId::new(i)).len()));
+        pred_remaining
+            .extend((0..self.nodes.num_nodes()).map(|i| self.cpg.pred_count(NodeId::new(i))));
         let mut queue = scratch.nodes.take();
         queue.extend(self.cpg.initial_queue());
         let total: usize = self.cpg.nodes().count();
@@ -247,11 +270,11 @@ impl Selector<'_> {
         while !queue.is_empty() {
             // Step 3: the frontier node with the largest differential
             // (lowest node id on ties). Differentials are cached and only
-            // recomputed for nodes an assignment actually invalidated —
-            // an interference neighbor or preference holder of the
-            // assigned node — so a steady-state step touches the scratch
-            // buffers of the few dirty frontier nodes instead of
-            // re-deriving every frontier member from scratch.
+            // recomputed, in O(K) from the node's rows, for nodes an
+            // assignment actually invalidated — an interference neighbor
+            // or preference holder of the assigned node.
+            self.metrics
+                .add(Counter::SelectFrontierScanned, queue.len() as u64);
             let mut best: Option<(usize, i64)> = None;
             for i in 0..queue.len() {
                 let n = queue[i];
@@ -297,7 +320,8 @@ impl Selector<'_> {
         scratch.bools.put(self.processed);
         scratch.bools.put(self.diff_dirty);
         scratch.diffs.put(self.diff_cache);
-        scratch.used = std::mem::take(&mut self.used_scratch);
+        scratch.diffs.put(std::mem::take(&mut self.best));
+        scratch.used = std::mem::take(&mut self.used);
         scratch.phys = std::mem::take(&mut self.phys);
         scratch.screens = std::mem::take(&mut self.screen_buf);
         scratch.metrics = std::mem::take(&mut self.metrics);
@@ -307,23 +331,52 @@ impl Selector<'_> {
         }
     }
 
-    /// Registers not used by already-allocated interference neighbors,
-    /// written into `out` (occupancy via the reused differential buffer).
-    fn collect_available(&mut self, n: NodeId, out: &mut Vec<PhysReg>) {
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        used.resize(self.target.num_regs(self.nodes.class()), false);
-        for &x in self.ifg.neighbors_slice(n) {
-            if let Some(r) = self.assignment[x.index()] {
-                used[r.index()] = true;
+    /// `n`'s occupancy row: entry `r` is set when an assigned
+    /// interference neighbor holds register `r`.
+    fn used_row(&self, n: NodeId) -> &[bool] {
+        &self.used[n.index() * self.k..][..self.k]
+    }
+
+    /// Fills both rows of every CPG node, preference-major: each
+    /// preference the initial assignments (the precolored nodes) already
+    /// decide folds into its holder's `best` row, and each precolored
+    /// register marks the `used` row of its interference neighbors.
+    fn fill_rows(&mut self) {
+        let rpg = self.rpg;
+        for n in self.cpg.nodes() {
+            for pref in rpg.prefs(n) {
+                self.fold_pref(n, pref);
             }
         }
+        for i in 0..self.nodes.num_nodes() {
+            if let Some(r) = self.assignment[i] {
+                for &x in self.ifg.neighbors_slice(NodeId::new(i)) {
+                    self.used[x.index() * self.k + r.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// Raises `n`'s `best` row to `pref`'s strength at every register
+    /// `pref` admits under the current assignments.
+    fn fold_pref(&mut self, n: NodeId, pref: &Preference) {
+        for r in self.target.regs(self.nodes.class()) {
+            if let Some(s) = self.pref_strength_if_admits(pref, r) {
+                let cell = &mut self.best[n.index() * self.k + r.index()];
+                *cell = (*cell).max(s);
+            }
+        }
+    }
+
+    /// Registers not used by already-allocated interference neighbors,
+    /// written into `out`.
+    fn collect_available(&self, n: NodeId, out: &mut Vec<PhysReg>) {
+        let used = self.used_row(n);
         out.extend(
             self.target
                 .regs(self.nodes.class())
                 .filter(|r| !used[r.index()]),
         );
-        self.used_scratch = used;
     }
 
     /// Steps 2.1–2.2: screens the preferences of `n` into `out` — first
@@ -417,34 +470,71 @@ impl Selector<'_> {
         }
     }
 
-    /// The cached step-3 differential of `n`, recomputed only when a prior
-    /// assignment marked it stale.
+    /// The cached step-3 differential of `n`, recomputed from its rows
+    /// only when a prior assignment marked it stale.
     fn cached_differential(&mut self, n: NodeId) -> i64 {
         if self.diff_dirty[n.index()] {
-            self.diff_cache[n.index()] = self.differential(n);
+            let d = self.row_differential(n);
+            #[cfg(debug_assertions)]
+            assert_eq!(d, self.differential(n), "select rows out of date for {n}");
+            self.diff_cache[n.index()] = d;
             self.diff_dirty[n.index()] = false;
+            self.metrics.bump(Counter::SelectDiffRecomputes);
         }
         self.diff_cache[n.index()]
     }
 
-    /// Marks every node whose differential reads `n`'s assignment as
-    /// stale: `n`'s interference neighbors (their available sets shrank)
-    /// and the holders of preferences targeting `n` (those preferences
-    /// just became honorable). Spills change no assignment, so they
-    /// invalidate nothing.
-    fn invalidate_after_assign(&mut self, n: NodeId) {
+    /// Step 3's metric read off `n`'s rows: the spread between the best
+    /// and worst per-register preference satisfaction over the registers
+    /// no assigned neighbor holds, in O(K).
+    fn row_differential(&self, n: NodeId) -> i64 {
+        let best = &self.best[n.index() * self.k..][..self.k];
+        let mut hi = i64::MIN;
+        let mut lo = i64::MAX;
+        let mut any_available = false;
+        for (&used, &b) in self.used_row(n).iter().zip(best) {
+            if used {
+                continue;
+            }
+            any_available = true;
+            let s = if b == NO_PREF { 0 } else { b };
+            hi = hi.max(s);
+            lo = lo.min(s);
+        }
+        if !any_available {
+            return i64::MIN + 1; // will spill regardless of order
+        }
+        hi - lo
+    }
+
+    /// Brings the rows up to date with `n`'s new register and marks every
+    /// node whose differential reads `n`'s assignment as stale: `n`'s
+    /// interference neighbors (their available sets shrank) and the
+    /// holders of preferences targeting `n` (those preferences just became
+    /// honorable). Spills change no assignment, so they invalidate nothing.
+    fn invalidate_after_assign(&mut self, n: NodeId, reg: PhysReg) {
         for &x in self.ifg.neighbors_slice(n) {
+            self.used[x.index() * self.k + reg.index()] = true;
             self.diff_dirty[x.index()] = true;
         }
+        let rpg = self.rpg;
         for i in 0..self.rev_pref[n.index()].len() {
             let holder = self.rev_pref[n.index()][i];
             self.diff_dirty[holder.index()] = true;
+            if self.processed[holder.index()] {
+                continue;
+            }
+            for pref in rpg.prefs(holder) {
+                if matches!(pref.target, PrefTarget::Node(m) if self.ifg.rep(m) == n) {
+                    self.fold_pref(holder, pref);
+                }
+            }
         }
     }
 
     /// The strength of honoring `pref` with register `r` under the current
     /// assignments, or `None` when `r` does not honor it (mirrors the
-    /// per-register filters of [`honorable_prefs`](Self::honorable_prefs)).
+    /// per-register filters of [`collect_screens`](Self::collect_screens)).
     fn pref_strength_if_admits(&self, pref: &Preference, r: PhysReg) -> Option<i64> {
         let admits = match pref.target {
             PrefTarget::Volatile => self.target.is_volatile(r),
@@ -464,15 +554,13 @@ impl Selector<'_> {
         admits.then(|| pref.strength_with(r, self.target))
     }
 
-    /// Step 3's metric: the spread between the best and worst per-register
-    /// preference satisfaction over the currently available registers.
-    /// Allocation-free: occupancy lives in the selector-owned scratch
-    /// buffer and preferences are evaluated per register instead of
-    /// materializing honoring register sets.
-    fn differential(&mut self, n: NodeId) -> i64 {
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        used.resize(self.target.num_regs(self.nodes.class()), false);
+    /// Step 3's metric recomputed from scratch, the oracle for
+    /// [`row_differential`](Self::row_differential): the spread between
+    /// the best and worst per-register preference satisfaction over the
+    /// currently available registers.
+    #[cfg(debug_assertions)]
+    fn differential(&self, n: NodeId) -> i64 {
+        let mut used = [false; 1 << u8::BITS]; // a register index is a u8
         for &x in self.ifg.neighbors_slice(n) {
             if let Some(r) = self.assignment[x.index()] {
                 used[r.index()] = true;
@@ -496,7 +584,6 @@ impl Selector<'_> {
             best = best.max(s);
             worst = worst.min(s);
         }
-        self.used_scratch = used;
         if !any_available {
             return i64::MIN + 1; // will spill regardless of order
         }
@@ -730,7 +817,7 @@ impl Selector<'_> {
         self.phys.put(cand);
         self.assignment[n.index()] = Some(reg);
         self.metrics.bump(Counter::SelectAssigned);
-        self.invalidate_after_assign(n);
+        self.invalidate_after_assign(n, reg);
         if trace {
             self.emit_decision(
                 tracer,
@@ -760,28 +847,21 @@ impl Selector<'_> {
     ///
     /// * a *coalesce* partner must later be able to take the same register
     ///   we pick, so registers already blocked by the partner's allocated
-    ///   neighbors are removed;
-    /// * a *sequential* partner must later find a register that pairs with
-    ///   ours under the target rule.
-    fn partner_feasible_into(&mut self, pref: &Preference, cand: &[PhysReg], out: &mut Vec<PhysReg>) {
+    ///   neighbors (its occupancy row) are removed;
+    /// * a *sequential* partner must later find an unblocked register that
+    ///   pairs with ours under the target rule.
+    fn partner_feasible_into(&self, pref: &Preference, cand: &[PhysReg], out: &mut Vec<PhysReg>) {
         let PrefTarget::Node(m) = pref.target else {
             out.extend_from_slice(cand);
             return;
         };
-        let m = self.ifg.rep(m);
-        let mut partner_blocked = self.phys.take();
-        partner_blocked.extend(
-            self.ifg
-                .neighbors_slice(m)
-                .iter()
-                .filter_map(|&x| self.assignment[x.index()]),
-        );
+        let partner_blocked = self.used_row(self.ifg.rep(m));
         out.extend(cand.iter().copied().filter(|&r| match pref.kind {
-            PrefKind::Coalesce => !partner_blocked.contains(&r),
+            PrefKind::Coalesce => !partner_blocked[r.index()],
             PrefKind::SequentialPlus | PrefKind::SequentialMinus => {
                 self.target.regs(self.nodes.class()).any(|s| {
                     s != r
-                        && !partner_blocked.contains(&s)
+                        && !partner_blocked[s.index()]
                         && match pref.kind {
                             PrefKind::SequentialPlus => self.target.pair_allows(r, s),
                             _ => self.target.pair_allows(s, r),
@@ -790,7 +870,6 @@ impl Selector<'_> {
             }
             PrefKind::Prefers => true,
         }));
-        self.phys.put(partner_blocked);
     }
 
     fn spill(&mut self, n: NodeId) {
@@ -1016,12 +1095,11 @@ mod tests {
 
     #[test]
     fn differential_early_return_keeps_occupancy_buffer() {
-        // K4 on three registers forces the no-register-available early
-        // return inside the differential scan. The take/restore pair in
-        // `differential` must put the occupancy buffer back before that
-        // return — if a refactor drops it, the scratch comes back with
-        // zero capacity and steady-state reuse silently degrades to
-        // per-call allocation.
+        // K4 on three registers forces a node to spill with no register
+        // available (the differential's early return). Select must still
+        // park its occupancy rows back in the scratch — if a refactor
+        // drops them, the scratch comes back with zero capacity and
+        // steady-state reuse silently degrades to per-call allocation.
         let (mut g, nm) = setup(3, &[(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]);
         let rpg = Rpg::new(nm.num_nodes());
         let target = TargetDesc::figure7();
@@ -1047,7 +1125,7 @@ mod tests {
         assert!(!r1.spilled.is_empty(), "K4 on 3 regs must spill");
         assert!(
             scratch.used_capacity() > 0,
-            "differential dropped its occupancy buffer on the early return"
+            "select dropped its occupancy rows"
         );
         // Reuse: a second run from the same scratch is bit-identical.
         let r2 = select_traced_in(

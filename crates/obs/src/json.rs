@@ -163,6 +163,7 @@ impl Json {
     /// rejected the same way — untrusted input cannot blow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -247,6 +248,8 @@ impl std::ops::Index<&str> for Json {
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text viewed as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting depth, capped at [`MAX_DEPTH`].
@@ -318,6 +321,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one slice. Both
+            // are ASCII, so they never occur inside a multibyte character
+            // and every cut is a char boundary of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(format!("unterminated string at byte {}", self.pos)),
                 Some(b'"') => {
@@ -378,19 +390,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .map(|c| c.len_utf8())
-                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let s = std::str::from_utf8(&rest[..len]).unwrap();
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                Some(_) => unreachable!("a run ends at a quote, a backslash or the end of input"),
             }
         }
     }
@@ -558,6 +558,28 @@ mod tests {
     fn parse_string_escapes() {
         let v = Json::parse(r#""a\"b\\c\nd\u0041\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA\u{1f600}"));
+    }
+
+    #[test]
+    fn multibyte_runs_end_exactly_at_escapes_and_quotes() {
+        // Directly before `\"`, `\u0041` and the closing quote, with 2-,
+        // 3- and 4-byte characters.
+        let v = Json::parse(r#""é\"ü""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\"ü"));
+        let v = Json::parse(r#""€\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("€A"));
+        let v = Json::parse("\"a\u{1f600}\"").unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}"));
+        let v = Json::parse(r#"{"k€":"\\é"}"#).unwrap();
+        assert_eq!(v["k€"].as_str(), Some("\\é"));
+    }
+
+    #[test]
+    fn unterminated_multibyte_string_is_an_error_with_offset() {
+        let err = Json::parse("\"ab\u{e9}\u{1f600}").unwrap_err();
+        assert_eq!(err, "unterminated string at byte 9");
+        let err = Json::parse("\"\u{e9}\\").unwrap_err();
+        assert!(err.contains("unterminated escape at byte"), "{err}");
     }
 
     #[test]

@@ -80,6 +80,14 @@ pub enum Counter {
     SelectSpilledNoRegister,
     /// Select verdicts: §5.4 active spill (strongest preference negative).
     SelectSpilledPreferMemory,
+    /// Edges built into Coloring Precedence Graphs (sentinel edges
+    /// excluded).
+    CpgEdges,
+    /// Ready-frontier nodes select compared, summed over its picks.
+    SelectFrontierScanned,
+    /// Strength differentials select recomputed after an assignment made
+    /// them stale.
+    SelectDiffRecomputes,
     /// Coalesce preferences whose screen narrowed the candidate set.
     PrefCoalesceHonored,
     /// Coalesce preferences screened for an unallocated partner (2.2).
@@ -150,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 50] = [
+    pub const ALL: [Counter; 53] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -168,6 +176,9 @@ impl Counter {
         Counter::SelectAssigned,
         Counter::SelectSpilledNoRegister,
         Counter::SelectSpilledPreferMemory,
+        Counter::CpgEdges,
+        Counter::SelectFrontierScanned,
+        Counter::SelectDiffRecomputes,
         Counter::PrefCoalesceHonored,
         Counter::PrefCoalesceDeferred,
         Counter::PrefCoalesceSkipped,
@@ -226,6 +237,9 @@ impl Counter {
             Counter::SelectAssigned => "select_assigned",
             Counter::SelectSpilledNoRegister => "select_spilled_no_register",
             Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
+            Counter::CpgEdges => "cpg_edges",
+            Counter::SelectFrontierScanned => "select_frontier_scanned",
+            Counter::SelectDiffRecomputes => "select_diff_recomputes",
             Counter::PrefCoalesceHonored => "pref_coalesce_honored",
             Counter::PrefCoalesceDeferred => "pref_coalesce_deferred",
             Counter::PrefCoalesceSkipped => "pref_coalesce_skipped",

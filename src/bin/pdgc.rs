@@ -101,9 +101,10 @@ REPORT:
     `report` diffs two metrics.json snapshots (e.g. a committed baseline
     vs a fresh bench run) against per-metric regression thresholds:
     spill/copy/round counters may not grow by more than their tolerance,
-    coalescing and preference-satisfaction counters may not shrink, and
-    checker violations must stay zero. Exits non-zero naming every
-    regressed metric, so CI can gate on allocation quality.
+    coalescing and preference-satisfaction counters may not shrink,
+    checker violations must stay zero, and the CPG-edge and select work
+    counters may not grow at all. Exits non-zero naming every regressed
+    metric, so CI can gate on allocation quality.
 
 FILE FORMAT:
     The textual IR produced by the library's Display impl; see
@@ -572,6 +573,12 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("spl_freq_fast", Gate::LowerIsWorse, 0),
     ("spl_regions", Gate::Exact, 0),
     ("spl_loop_regions", Gate::Exact, 0),
+    // Work done by the CPG build and select's frontier loop. Each is an
+    // exact function of the allocation, so any growth means a hot loop
+    // does more work for the same result.
+    ("cpg_edges", Gate::HigherIsWorse, 0),
+    ("select_frontier_scanned", Gate::HigherIsWorse, 0),
+    ("select_diff_recomputes", Gate::HigherIsWorse, 0),
 ];
 
 fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {
@@ -727,15 +734,26 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     }
 }
 
+/// [`parse_options`] for every subcommand but `bench batch`, the only one
+/// that reads `--jobs`: elsewhere the flag is an error, not ignored.
+fn parse_options_without_jobs(argv: &[String]) -> Result<Options, String> {
+    let o = parse_options(argv)?;
+    if o.jobs.is_some() {
+        return Err("--jobs is only taken by `pdgc bench batch`".into());
+    }
+    Ok(o)
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_options_without_jobs;
     let result = match argv.first().map(String::as_str) {
-        Some("allocate") => parse_options(&argv[1..]).and_then(|o| cmd_allocate(&o)),
-        Some("run") => parse_options(&argv[1..]).and_then(|o| cmd_run(&o)),
-        Some("demo") => parse_options(&argv[1..]).and_then(|o| cmd_demo(&o)),
-        Some("corpus") => parse_options(&argv[1..]).and_then(|o| cmd_corpus(&o)),
+        Some("allocate") => opts(&argv[1..]).and_then(|o| cmd_allocate(&o)),
+        Some("run") => opts(&argv[1..]).and_then(|o| cmd_run(&o)),
+        Some("demo") => opts(&argv[1..]).and_then(|o| cmd_demo(&o)),
+        Some("corpus") => opts(&argv[1..]).and_then(|o| cmd_corpus(&o)),
         Some("report") => cmd_report(&argv[1..]),
-        Some("serve") => parse_options(&argv[1..]).and_then(|o| cmd_serve(&o)),
+        Some("serve") => opts(&argv[1..]).and_then(|o| cmd_serve(&o)),
         Some("bench") => match argv.get(1).map(String::as_str) {
             Some("batch") => parse_options(&argv[2..]).and_then(|o| cmd_bench_batch(&o)),
             other => Err(format!(

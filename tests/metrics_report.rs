@@ -133,3 +133,26 @@ fn every_serve_allocator_allocates_through_the_cli() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Only `bench batch` takes `--jobs`; every other subcommand rejects it
+/// by name instead of silently ignoring it.
+#[test]
+fn jobs_is_rejected_outside_bench_batch() {
+    for args in [
+        &["serve", "--jobs", "2"][..],
+        &["serve", "--jobs=2"][..],
+        &["demo", "--jobs", "2"][..],
+    ] {
+        let out = Command::new(PDGC)
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run pdgc");
+        assert!(!out.status.success(), "pdgc {args:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--jobs") && err.contains("only taken by `pdgc bench batch`"),
+            "pdgc {args:?}: unexpected error: {err}"
+        );
+    }
+}

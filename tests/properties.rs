@@ -41,9 +41,7 @@ fn color_in_random_topo_order(
 ) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = ifg.num_nodes();
-    let mut pred_remaining: Vec<usize> = (0..n)
-        .map(|i| cpg.preds(NodeId::new(i)).len())
-        .collect();
+    let mut pred_remaining: Vec<usize> = (0..n).map(|i| cpg.pred_count(NodeId::new(i))).collect();
     let mut queue: Vec<NodeId> = cpg.initial_queue();
     let mut color: Vec<Option<usize>> = vec![None; n];
     let mut done = 0;
@@ -103,6 +101,58 @@ proptest! {
                     "a topological order failed to color (n={n}, k={k})"
                 );
             }
+        }
+    }
+
+    /// The built CPG keeps edges its transitive reduction drops, and the
+    /// two are interchangeable for select: the same reachability between
+    /// every pair of nodes (hence the same ready frontier at every step),
+    /// no reduction edge implied by a longer path, and §5.2's
+    /// colorability guarantee on both.
+    #[test]
+    fn cpg_and_its_transitive_reduction_are_interchangeable(
+        n in 2usize..32,
+        edge_prob in 0.05f64..0.6,
+        k in 1usize..6,
+        graph_seed in any::<u64>(),
+        order_seed in any::<u64>(),
+    ) {
+        let mut g = random_ifg(n, edge_prob, graph_seed);
+        let costs = vec![1u64; n];
+        let sr = simplify(&mut g, k, &costs, SimplifyMode::Optimistic);
+        g.restore_all();
+        let cpg = Cpg::build(&g, &sr.stack, &sr.optimistic, k);
+        let red = cpg.transitive_reduction();
+        prop_assert!(red.is_acyclic());
+        prop_assert_eq!(red.initial_queue(), cpg.initial_queue());
+        for a in 0..n {
+            let a = NodeId::new(a);
+            prop_assert_eq!(red.contains(a), cpg.contains(a));
+            prop_assert_eq!(red.from_top(a), cpg.from_top(a));
+            prop_assert_eq!(red.to_bottom(a), cpg.to_bottom(a));
+            for b in 0..n {
+                let b = NodeId::new(b);
+                prop_assert_eq!(
+                    red.reachable(a, b),
+                    cpg.reachable(a, b),
+                    "reachability {:?} -> {:?} differs", a, b
+                );
+            }
+            // A reduction edge a → v is implied by a longer path iff v is
+            // reachable from another successor of a.
+            for &v in red.succs(a) {
+                prop_assert!(cpg.has_edge(a, v));
+                for &w in red.succs(a) {
+                    prop_assert!(
+                        w == v || !red.reachable(w, v),
+                        "reduction keeps {:?} -> {:?}, implied via {:?}", a, v, w
+                    );
+                }
+            }
+        }
+        if sr.optimistic.is_empty() {
+            prop_assert!(color_in_random_topo_order(&g, &cpg, k, order_seed));
+            prop_assert!(color_in_random_topo_order(&g, &red, k, order_seed));
         }
     }
 

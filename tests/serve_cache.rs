@@ -12,6 +12,8 @@
 //! * **Hostile input** — a request nested 100k arrays deep must come
 //!   back as an `{"ok":false}` response through the full serve path, not
 //!   blow the stack.
+//! * **String transport** — any `fn` text, however its multibyte
+//!   characters abut escapes, reads back unchanged from a request line.
 //!
 //! Failing seeds persist to `serve_cache.proptest-regressions` and
 //! replay before fresh cases.
@@ -170,5 +172,34 @@ proptest! {
                 cache_key(&twice, "x86-16", "chaitin", CheckMode::Off),
             );
         }
+    }
+
+    /// A request's `fn` string survives the writer and the parser's
+    /// run-copying scanner for any mix of 1- to 4-byte UTF-8, quotes,
+    /// backslashes and control characters, in any adjacency.
+    #[test]
+    fn request_fn_string_round_trips(
+        cps in proptest::collection::vec(
+            prop_oneof![
+                0x20u32..0x7f,
+                0x80u32..0x800,
+                0x800u32..0xd800,
+                0xe000u32..0x10000,
+                0x10000u32..0x110000,
+                Just(u32::from(b'"')),
+                Just(u32::from(b'\\')),
+                0u32..0x20,
+            ],
+            0..48,
+        ),
+    ) {
+        let s: String = cps
+            .iter()
+            .map(|&cp| char::from_u32(cp).expect("generated ranges skip surrogates"))
+            .collect();
+        let line = request_line(&s, "ia64-24", "full", CheckMode::Always);
+        let parsed = Json::parse(&line)
+            .map_err(|e| TestCaseError::fail(format!("{line:?}: {e}")))?;
+        prop_assert_eq!(parsed["fn"].as_str(), Some(s.as_str()));
     }
 }
