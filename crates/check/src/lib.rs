@@ -36,8 +36,8 @@ use pdgc_analysis::{BitSet, Cfg, Liveness, LivenessScratch};
 use pdgc_arena::{NestedPool, VecPool};
 use pdgc_ir::{BinOp, Block, Function, Inst, RegClass, VReg};
 use pdgc_target::{MInst, MachFunction, PhysReg, TargetDesc};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 
 /// When the pipeline runs the checker.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -104,14 +104,28 @@ pub enum CheckScope {
 }
 
 /// Resettable scratch for [`check_allocation_in`]: pools the checker's
-/// internal liveness storage and per-block buffers so batch drivers can
-/// verify many functions without re-allocating.
+/// liveness storage, its abstract states, and every per-block buffer, so
+/// batch drivers and the daemon can verify many functions without
+/// re-allocating.
 #[derive(Debug, Default)]
 pub struct CheckScratch {
     liveness: LivenessScratch,
     deviated: VecPool<bool>,
     live_after: NestedPool<VReg>,
     walk: BitSet,
+    /// The rule pass's referenced vregs.
+    referenced: BitSet,
+    /// The fixpoint worklist, over reverse-postorder positions.
+    work: BitSet,
+    /// Each block's reverse-postorder position.
+    rpo_pos: VecPool<usize>,
+    /// The entry block's live-in vregs.
+    live_in: VecPool<VReg>,
+    /// Each block's converged out-state, while a check runs.
+    outs: Vec<Option<State>>,
+    /// Free abstract states.
+    states: Vec<State>,
+    bufs: Buffers,
 }
 
 impl CheckScratch {
@@ -334,27 +348,9 @@ pub fn check_allocation(
     )
 }
 
-/// Like [`check_allocation`], with an explicit [`CheckScope`].
-pub fn check_allocation_scoped(
-    func: &Function,
-    assignment: &[Option<PhysReg>],
-    mach: &MachFunction,
-    target: &TargetDesc,
-    scope: CheckScope,
-) -> Result<CheckReport, CheckError> {
-    check_allocation_in(
-        func,
-        assignment,
-        mach,
-        target,
-        scope,
-        &mut CheckScratch::default(),
-    )
-}
-
-/// Like [`check_allocation`], drawing the checker's internal liveness
-/// storage and per-block buffers from `scratch`, which is reset and reused
-/// across calls.
+/// Like [`check_allocation`], with an explicit [`CheckScope`], drawing
+/// the checker's liveness storage, abstract states and per-block buffers
+/// from `scratch`, which is reset and reused across calls.
 pub fn check_allocation_in(
     func: &Function,
     assignment: &[Option<PhysReg>],
@@ -426,19 +422,20 @@ fn check_body(
 
     // Rule pass: every vreg referenced by reachable code has a register of
     // its class inside the class's file.
-    let mut referenced = BTreeSet::new();
+    let referenced = &mut scratch.referenced;
+    referenced.reset(func.num_vregs());
     for b in func.block_ids().filter(|&b| cfg.is_reachable(b)) {
         for inst in &func.block(b).insts {
             if let Some(d) = inst.def() {
-                referenced.insert(d);
+                referenced.insert(d.index());
             }
             inst.visit_uses(|u| {
-                referenced.insert(u);
+                referenced.insert(u.index());
             });
         }
     }
     let mut unassigned = false;
-    for &v in &referenced {
+    for v in referenced.iter().map(VReg::new) {
         match assignment.get(v.index()).copied().flatten() {
             None => {
                 unassigned = true;
@@ -505,7 +502,7 @@ fn check_body(
     // frame, and declares every non-volatile it writes.
     for (bi, blk) in mach.blocks.iter().enumerate() {
         for (ii, m) in blk.iter().enumerate() {
-            for r in m.regs() {
+            m.for_each_reg(|r| {
                 if r.index() >= target.num_regs(r.class()) {
                     violations.push(Violation::Frame {
                         why: format!(
@@ -515,8 +512,8 @@ fn check_body(
                         ),
                     });
                 }
-            }
-            for r in m.defs() {
+            });
+            m.for_each_def(|r| {
                 if !target.is_volatile(r) && !mach.used_nonvolatiles.contains(&r) {
                     violations.push(Violation::Frame {
                         why: format!(
@@ -524,7 +521,7 @@ fn check_body(
                         ),
                     });
                 }
-            }
+            });
             if let MInst::SpillLoad { slot, .. } | MInst::SpillStore { slot, .. } = m {
                 if *slot >= mach.num_slots {
                     violations.push(Violation::BadSlot {
@@ -538,30 +535,19 @@ fn check_body(
         }
     }
 
-    // Slots below this index belong to IR spill code; slots at or above it
-    // are caller-save shadows the rewriter introduced around calls.
-    let mut spill_slots = 0;
-    for b in func.block_ids() {
-        for inst in &func.block(b).insts {
-            if let Inst::Spill { slot, .. } | Inst::Reload { slot, .. } = inst {
-                spill_slots = spill_slots.max(slot + 1);
-            }
-        }
-    }
-
     let checker = Checker {
         func,
         mach,
         target,
         assignment,
-        spill_slots,
+        spill_slots: func.spill_slot_bound(),
         cfg,
         liveness,
     };
     checker.run(scope, scratch, &mut violations);
 
     if violations.is_empty() {
-        let reachable: Vec<Block> = cfg.reverse_postorder().to_vec();
+        let reachable = cfg.reverse_postorder();
         Ok(CheckReport {
             blocks: reachable.len(),
             ir_insts: reachable
@@ -628,83 +614,231 @@ fn pair_violation(
     None
 }
 
+/// Whether the sorted set `set` holds `v`.
+fn set_contains(set: &[u64], v: VReg) -> bool {
+    set.binary_search(&(v.index() as u64)).is_ok()
+}
+
+/// Adds `v` to the sorted set `set`.
+fn set_insert(set: &mut Vec<u64>, v: VReg) {
+    if let Err(i) = set.binary_search(&(v.index() as u64)) {
+        set.insert(i, v.index() as u64);
+    }
+}
+
+/// Removes `v` from the sorted set `set`.
+fn set_remove(set: &mut Vec<u64>, v: VReg) {
+    if let Ok(i) = set.binary_search(&(v.index() as u64)) {
+        set.remove(i);
+    }
+}
+
+/// A location the abstract state tracks: a frame slot (its number) or a
+/// physical register (above bit 32: class above bit 8, index below). Every
+/// slot sorts before every register, so the frequent register writes that
+/// change a run's length move only the register facts behind them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Loc(u64);
+
+impl Loc {
+    const REG: u64 = 1 << 32;
+
+    fn reg(r: PhysReg) -> Loc {
+        Loc(Loc::REG | (r.class().index() as u64) << 8 | r.index() as u64)
+    }
+
+    fn slot(slot: u32) -> Loc {
+        Loc(u64::from(slot))
+    }
+
+    /// The register this location is, if it is one.
+    fn as_reg(self) -> Option<PhysReg> {
+        (self.0 >= Loc::REG).then(|| {
+            let class = RegClass::ALL[((self.0 >> 8) & 1) as usize];
+            PhysReg::new(class, self.0 as u8)
+        })
+    }
+}
+
+/// One fact of the abstract state: `loc` holds the current value of the
+/// vreg whose index is `val` — or, when `val` is [`WRITTEN`], `loc` is a
+/// definitely-written slot.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Fact {
+    loc: Loc,
+    val: u64,
+}
+
+/// The marker fact's value: above every vreg index, so it ends its slot's
+/// run of facts.
+const WRITTEN: u64 = u64::MAX;
+
 /// The abstract machine state: for every location, the set of vregs whose
 /// *current* value it provably holds.
 ///
-/// `regs` and `slots` are must-information. A register absent from `regs`
-/// holds no vreg's value that we can prove (⊥). A slot absent from `slots`
-/// has not definitely been written; present-but-empty means written with a
-/// value we cannot name. Join (at control-flow merges) is key-wise set
-/// intersection.
+/// `facts` is must-information: one sorted, duplicate-free list of
+/// (location, vreg) pairs over registers and frame slots. A register with
+/// no fact holds no vreg's value that we can prove (⊥). A slot without its
+/// [`WRITTEN`] marker has not definitely been written; a marker with no
+/// other fact means written with a value we cannot name. Join (at
+/// control-flow merges) is the intersection of the two lists — one merge,
+/// which keeps a vreg only where both sides hold it and a marker only
+/// where both sides wrote the slot.
 ///
 /// `defined` is the must-defined vreg set: vregs with a def (or, for the
 /// argument carriers, the calling convention) on *every* path from entry.
 /// The IR is not SSA and generated workloads may read a vreg on a path
 /// that never defines it — such a read yields garbage in the IR itself, so
 /// the machine code cannot be wrong about its value, and value checks only
-/// apply to must-defined uses. `written_slots` is the dual may-set for
-/// spill slots: slots some path has spilled to. A reload of a slot outside
-/// it can *never* observe spilled data — broken bookkeeping — while a
-/// reload of a may-written slot on an unwritten path mirrors the IR's own
+/// apply to must-defined uses. `written_slots` (sorted) is the dual may-set
+/// for spill slots: slots some path has spilled to. A reload of a slot
+/// outside it can *never* observe spilled data — broken bookkeeping — while
+/// a reload of a may-written slot on an unwritten path mirrors the IR's own
 /// garbage read of a not-must-defined vreg.
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Default, Debug)]
 struct State {
-    regs: BTreeMap<PhysReg, BTreeSet<VReg>>,
-    slots: BTreeMap<u32, BTreeSet<VReg>>,
-    defined: BTreeSet<VReg>,
-    written_slots: BTreeSet<u32>,
+    facts: Vec<Fact>,
+    /// A superset of the vregs `facts` names, so that [`State::kill`] skips
+    /// the walk for a vreg no location holds — most definitions.
+    held: BitSet,
+    defined: BitSet,
+    written_slots: Vec<u32>,
+}
+
+/// Equal states prove the same facts; `held` is only a filter.
+impl PartialEq for State {
+    fn eq(&self, other: &State) -> bool {
+        self.facts == other.facts
+            && self.defined == other.defined
+            && self.written_slots == other.written_slots
+    }
 }
 
 impl State {
-    fn meet(&self, other: &State) -> State {
-        let mut regs = BTreeMap::new();
-        for (r, s) in &self.regs {
-            if let Some(t) = other.regs.get(r) {
-                let i: BTreeSet<VReg> = s.intersection(t).copied().collect();
-                if !i.is_empty() {
-                    regs.insert(*r, i);
-                }
+    /// Empties the state for a function of `num_vregs` vregs, keeping its
+    /// storage.
+    fn reset(&mut self, num_vregs: usize) {
+        self.facts.clear();
+        self.held.reset(num_vregs);
+        self.defined.reset(num_vregs);
+        self.written_slots.clear();
+    }
+
+    /// Makes `self` a copy of `other`, reusing `self`'s storage.
+    fn copy_from(&mut self, other: &State) {
+        self.facts.clear();
+        self.facts.extend_from_slice(&other.facts);
+        self.held.copy_from(&other.held);
+        self.defined.copy_from(&other.defined);
+        self.written_slots.clear();
+        self.written_slots.extend_from_slice(&other.written_slots);
+    }
+
+    /// `self = self ⊓ other`; the slot union is built in `buf`.
+    fn meet_with(&mut self, other: &State, buf: &mut Vec<u32>) {
+        let theirs = &other.facts;
+        let mut j = 0;
+        self.facts.retain(|f| {
+            while j < theirs.len() && theirs[j] < *f {
+                j += 1;
             }
+            j < theirs.len() && theirs[j] == *f
+        });
+        self.held.intersect_with(&other.held);
+        self.defined.intersect_with(&other.defined);
+        let (a, b) = (&self.written_slots, &other.written_slots);
+        let (mut i, mut j) = (0, 0);
+        buf.clear();
+        while i < a.len() && j < b.len() {
+            let s = a[i].min(b[j]);
+            buf.push(s);
+            i += usize::from(a[i] == s);
+            j += usize::from(b[j] == s);
         }
-        let mut slots = BTreeMap::new();
-        for (k, s) in &self.slots {
-            if let Some(t) = other.slots.get(k) {
-                slots.insert(*k, s.intersection(t).copied().collect());
-            }
-        }
-        State {
-            regs,
-            slots,
-            defined: self.defined.intersection(&other.defined).copied().collect(),
-            written_slots: self
-                .written_slots
-                .union(&other.written_slots)
-                .copied()
-                .collect(),
-        }
+        buf.extend_from_slice(&a[i..]);
+        buf.extend_from_slice(&b[j..]);
+        std::mem::swap(&mut self.written_slots, buf);
+    }
+
+    /// The range of `facts` about `loc`.
+    fn span(&self, loc: Loc) -> Range<usize> {
+        let start = self.facts.partition_point(|f| f.loc < loc);
+        let len = self.facts[start..]
+            .iter()
+            .take_while(|f| f.loc == loc)
+            .count();
+        start..start + len
+    }
+
+    /// Copies into `out` (sorted) the vregs whose values `loc` holds, and
+    /// returns whether `loc` has any fact at all — for a slot, whether it
+    /// is definitely written.
+    fn read(&self, loc: Loc, out: &mut Vec<u64>) -> bool {
+        let span = self.span(loc);
+        out.clear();
+        out.extend(
+            self.facts[span.clone()]
+                .iter()
+                .map(|f| f.val)
+                .filter(|&v| v != WRITTEN),
+        );
+        !span.is_empty()
     }
 
     /// The vreg's old value is dead everywhere once it is redefined.
     fn kill(&mut self, v: VReg) {
-        self.regs.retain(|_, s| {
-            s.remove(&v);
-            !s.is_empty()
-        });
-        for s in self.slots.values_mut() {
-            s.remove(&v);
+        if self.held.remove(v.index()) {
+            let v = v.index() as u64;
+            self.facts.retain(|f| f.val != v);
         }
     }
 
-    fn write(&mut self, r: PhysReg, set: BTreeSet<VReg>) {
-        if set.is_empty() {
-            self.regs.remove(&r);
-        } else {
-            self.regs.insert(r, set);
-        }
+    /// Register `r` now holds exactly the values of `vals` (sorted vreg
+    /// indices; empty makes it ⊥).
+    fn write(&mut self, r: PhysReg, vals: &[u64]) {
+        let loc = Loc::reg(r);
+        let span = self.span(loc);
+        self.facts
+            .splice(span, vals.iter().map(|&val| Fact { loc, val }));
+        self.held.extend(vals.iter().map(|&v| v as usize));
+    }
+
+    /// Register `r` now holds exactly `v`'s value.
+    fn write_one(&mut self, r: PhysReg, v: VReg) {
+        self.write(r, &[v.index() as u64]);
+    }
+
+    /// Register `r` holds no provable value.
+    fn clobber(&mut self, r: PhysReg) {
+        let span = self.span(Loc::reg(r));
+        self.facts.drain(span);
+    }
+
+    /// Slot `slot` is now written with the values of `vals` (sorted vreg
+    /// indices).
+    fn store(&mut self, slot: u32, vals: &[u64]) {
+        let loc = Loc::slot(slot);
+        let span = self.span(loc);
+        self.facts.splice(
+            span,
+            vals.iter()
+                .copied()
+                .chain([WRITTEN])
+                .map(|val| Fact { loc, val }),
+        );
+        self.held.extend(vals.iter().map(|&v| v as usize));
     }
 
     fn holds(&self, r: PhysReg, v: VReg) -> bool {
-        self.regs.get(&r).is_some_and(|s| s.contains(&v))
+        let fact = Fact {
+            loc: Loc::reg(r),
+            val: v.index() as u64,
+        };
+        self.facts.binary_search(&fact).is_ok()
+    }
+
+    fn is_defined(&self, v: VReg) -> bool {
+        self.defined.contains(v.index())
     }
 }
 
@@ -724,14 +858,50 @@ enum Pass {
 
 /// A pending second half of a fused paired load: `LoadPair` already loaded
 /// `[base + offset2]` into `dst2`, and a later IR load in the same block
-/// will claim it. `base_vals` snapshots which vregs' values the base
-/// register held when the address was read; copies extend it, and any
-/// redefinition of a member evicts it.
+/// will claim it. `base_vals` snapshots (sorted vreg indices) which vregs'
+/// values the base register held when the address was read; copies extend
+/// it, and any redefinition of a member evicts it.
+#[derive(Debug)]
 struct Hoist {
     dst2: PhysReg,
     base_reg: PhysReg,
     offset2: i32,
-    base_vals: BTreeSet<VReg>,
+    base_vals: Vec<u64>,
+}
+
+/// The buffers a walk over one block borrows.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// Pending hoisted paired-load halves, in issue order.
+    ledger: Vec<Hoist>,
+    /// Spare storage for [`Hoist::base_vals`].
+    snapshots: VecPool<u64>,
+    /// A location's values, copied out before another location is written.
+    vals: Vec<u64>,
+    /// Where a meet builds its union of written slots.
+    slots: Vec<u32>,
+}
+
+impl Buffers {
+    /// Drops, in order, every ledger entry `keep` rejects.
+    fn evict(&mut self, mut keep: impl FnMut(&Hoist) -> bool) {
+        let mut i = 0;
+        while i < self.ledger.len() {
+            if keep(&self.ledger[i]) {
+                i += 1;
+            } else {
+                let h = self.ledger.remove(i);
+                self.snapshots.put(h.base_vals);
+            }
+        }
+    }
+}
+
+/// A pooled state, emptied for a function of `num_vregs` vregs.
+fn take_state(states: &mut Vec<State>, num_vregs: usize) -> State {
+    let mut st = states.pop().unwrap_or_default();
+    st.reset(num_vregs);
+    st
 }
 
 struct Checker<'a> {
@@ -740,8 +910,8 @@ struct Checker<'a> {
     target: &'a TargetDesc,
     assignment: &'a [Option<PhysReg>],
     /// Slots `0..spill_slots` carry IR spill code; higher slots are
-    /// caller-save shadows.
-    spill_slots: u32,
+    /// caller-save shadows ([`Function::spill_slot_bound`]).
+    spill_slots: u64,
     cfg: &'a Cfg,
     liveness: &'a Liveness,
 }
@@ -751,12 +921,12 @@ impl Checker<'_> {
         self.assignment[v.index()].expect("referenced vreg screened as assigned")
     }
 
-    /// The state on entry: each argument register holds the vreg that
-    /// carries that parameter, when the assignment actually put it there.
-    /// (Lowered functions copy the pinned argument register into the param
-    /// vreg at block entry; hand-built functions use the param directly.)
-    fn entry_state(&self) -> State {
-        let mut st = State::default();
+    /// Fills the (empty) `st` with the state on entry: each argument
+    /// register holds the vreg that carries that parameter, when the
+    /// assignment actually put it there. (Lowered functions copy the pinned
+    /// argument register into the param vreg at block entry; hand-built
+    /// functions use the param directly.)
+    fn entry_state(&self, st: &mut State) {
         let entry = &self.func.block(Block::ENTRY).insts;
         let mut counts = [0usize; RegClass::ALL.len()];
         for (i, &p) in self.func.param_vregs.iter().enumerate() {
@@ -776,17 +946,26 @@ impl Checker<'_> {
             // The carrier is defined by the convention whether or not the
             // assignment honoured it; a dishonoured carrier surfaces as a
             // stale value at its first use.
-            st.defined.insert(carrier);
+            st.defined.insert(carrier.index());
             if self.assignment.get(carrier.index()).copied().flatten() == Some(r) {
-                st.regs.entry(r).or_default().insert(carrier);
+                st.held.insert(carrier.index());
+                let fact = Fact {
+                    loc: Loc::reg(r),
+                    val: carrier.index() as u64,
+                };
+                if let Err(at) = st.facts.binary_search(&fact) {
+                    st.facts.insert(at, fact);
+                }
             }
         }
-        st
     }
 
     fn run(&self, scope: CheckScope, scratch: &mut CheckScratch, violations: &mut Vec<Violation>) {
-        let rpo: Vec<Block> = self.cfg.reverse_postorder().to_vec();
-        let entry_seed = self.entry_state();
+        let rpo = self.cfg.reverse_postorder();
+        let num_vregs = self.func.num_vregs();
+        let mut entry_seed = take_state(&mut scratch.states, num_vregs);
+        self.entry_state(&mut entry_seed);
+        let mut st = take_state(&mut scratch.states, num_vregs);
 
         // Structure pass: the correspondence walk, from a throwaway state.
         // It also records, per block, whether the rewriter deviated from
@@ -794,19 +973,22 @@ impl Checker<'_> {
         // `CheckScope::Rewritten` only those blocks are value-replayed.
         let mut deviated = scratch.deviated.take_filled(self.func.num_blocks(), false);
         let mut structural = Vec::new();
-        for &b in &rpo {
+        for &b in rpo {
+            st.reset(num_vregs);
             let _ = self.transfer(
                 b,
-                State::default(),
+                &mut st,
                 Pass::Structure,
                 &[],
                 &mut deviated[b.index()],
                 &mut structural,
+                &mut scratch.bufs,
             );
         }
         if !structural.is_empty() {
             violations.append(&mut structural);
             scratch.deviated.put(deviated);
+            scratch.states.extend([st, entry_seed]);
             return;
         }
 
@@ -814,7 +996,7 @@ impl Checker<'_> {
         // the direct mapping can still exhibit (`Ret` matches machine
         // `Ret` regardless of the register): route those blocks into the
         // replayed set.
-        for &b in &rpo {
+        for &b in rpo {
             for inst in &self.func.block(b).insts {
                 if let Inst::Ret { value: Some(v) } = inst {
                     if self.reg(*v) != self.target.ret_reg(self.func.class_of(*v)) {
@@ -835,45 +1017,60 @@ impl Checker<'_> {
         // regions converge in a single sweep instead of sweep-per-change.
         // Skipped entirely when no block will be replayed — the converged
         // states would go unread.
-        let mut outs: Vec<Option<State>> = vec![None; self.func.num_blocks()];
+        let mut outs = std::mem::take(&mut scratch.outs);
+        outs.resize_with(self.func.num_blocks(), || None);
         if any_replay {
-            let mut pos_of = vec![usize::MAX; self.func.num_blocks()];
+            let mut rpo_pos = scratch
+                .rpo_pos
+                .take_filled(self.func.num_blocks(), usize::MAX);
             for (p, &b) in rpo.iter().enumerate() {
-                pos_of[b.index()] = p;
+                rpo_pos[b.index()] = p;
             }
-            let mut work: BTreeSet<usize> = (0..rpo.len()).collect();
-            while let Some(p) = work.pop_first() {
+            let work = &mut scratch.work;
+            work.reset(rpo.len());
+            work.extend(0..rpo.len());
+            while let Some(p) = work.iter().next() {
+                work.remove(p);
                 let b = rpo[p];
-                let Some(inp) = self.in_state(b, &outs, &entry_seed) else {
+                if !self.in_state(b, &outs, &entry_seed, &mut st, &mut scratch.bufs.slots) {
                     continue;
-                };
-                let out = self
-                    .transfer(b, inp, Pass::Fixpoint, &[], &mut sink, &mut Vec::new())
-                    .expect("correspondence verified by the structure pass");
-                if outs[b.index()].as_ref() != Some(&out) {
-                    outs[b.index()] = Some(out);
-                    for &s in self.cfg.succs(b) {
-                        if pos_of[s.index()] != usize::MAX {
-                            work.insert(pos_of[s.index()]);
-                        }
+                }
+                self.transfer(
+                    b,
+                    &mut st,
+                    Pass::Fixpoint,
+                    &[],
+                    &mut sink,
+                    &mut Vec::new(),
+                    &mut scratch.bufs,
+                )
+                .expect("correspondence verified by the structure pass");
+                match &mut outs[b.index()] {
+                    Some(old) if *old == st => continue,
+                    Some(old) => std::mem::swap(old, &mut st),
+                    None => {
+                        let spare = take_state(&mut scratch.states, num_vregs);
+                        outs[b.index()] = Some(std::mem::replace(&mut st, spare));
+                    }
+                }
+                for &s in self.cfg.succs(b) {
+                    if rpo_pos[s.index()] != usize::MAX {
+                        work.insert(rpo_pos[s.index()]);
                     }
                 }
             }
+            scratch.rpo_pos.put(rpo_pos);
         }
 
         // Entry interference: live-in vregs sharing a register must both be
         // proven to hold that register's value (same-value coalescing).
-        let live_in: Vec<VReg> = self
-            .liveness
-            .live_in(Block::ENTRY)
-            .iter()
-            .map(VReg::new)
-            .collect();
+        let mut live_in = scratch.live_in.take();
+        live_in.extend(self.liveness.live_in(Block::ENTRY).iter().map(VReg::new));
         for (i, &a) in live_in.iter().enumerate() {
             for &b in &live_in[i + 1..] {
                 // Live-in vregs that are not argument carriers hold garbage
                 // on entry; sharing a register cannot make them wronger.
-                if !(entry_seed.defined.contains(&a) && entry_seed.defined.contains(&b)) {
+                if !(entry_seed.is_defined(a) && entry_seed.is_defined(b)) {
                     continue;
                 }
                 let ra = self.reg(a);
@@ -888,61 +1085,88 @@ impl Checker<'_> {
                 }
             }
         }
+        scratch.live_in.put(live_in);
 
         // Final pass: replay each in-scope block from its converged
         // in-state and record every value violation.
-        for &b in &rpo {
+        for &b in rpo {
             if !(replay_all || deviated[b.index()]) {
                 continue;
             }
-            let Some(inp) = self.in_state(b, &outs, &entry_seed) else {
+            if !self.in_state(b, &outs, &entry_seed, &mut st, &mut scratch.bufs.slots) {
                 continue;
-            };
+            }
             let mut live_after = scratch.live_after.take(self.func.block(b).insts.len());
             self.liveness
                 .for_each_inst_backward_in(self.func, b, &mut scratch.walk, |i, _, la| {
                     live_after[i].extend(la.iter().map(VReg::new));
                 });
-            let _ = self.transfer(b, inp, Pass::Final, &live_after, &mut sink, violations);
+            let _ = self.transfer(
+                b,
+                &mut st,
+                Pass::Final,
+                &live_after,
+                &mut sink,
+                violations,
+                &mut scratch.bufs,
+            );
             scratch.live_after.put(live_after);
         }
+        scratch.states.extend(outs.drain(..).flatten());
+        scratch.states.extend([st, entry_seed]);
+        scratch.outs = outs;
         scratch.deviated.put(deviated);
     }
 
-    /// The meet-over-predecessors in-state of `b` (plus the argument seed
-    /// for the entry block), or `None` when no predecessor has been
-    /// evaluated yet.
-    fn in_state(&self, b: Block, outs: &[Option<State>], seed: &State) -> Option<State> {
-        let mut inp: Option<State> = (b == Block::ENTRY).then(|| seed.clone());
+    /// Sets `st` to the meet-over-predecessors in-state of `b` (met with
+    /// the argument seed for the entry block); `false` when no predecessor
+    /// has been evaluated yet.
+    fn in_state(
+        &self,
+        b: Block,
+        outs: &[Option<State>],
+        seed: &State,
+        st: &mut State,
+        buf: &mut Vec<u32>,
+    ) -> bool {
+        let mut any = b == Block::ENTRY;
+        if any {
+            st.copy_from(seed);
+        }
         for &p in self.cfg.preds(b) {
             if let Some(o) = &outs[p.index()] {
-                inp = Some(match inp {
-                    Some(a) => a.meet(o),
-                    None => o.clone(),
-                });
+                if any {
+                    st.meet_with(o, buf);
+                } else {
+                    st.copy_from(o);
+                    any = true;
+                }
             }
         }
-        inp
+        any
     }
 
     /// Walks block `b`'s IR and machine code in lockstep, applying the
-    /// abstract transfer of each instruction to `st`.
+    /// abstract transfer of each instruction to `st` in place.
     ///
     /// `Err(())` means the machine code does not structurally implement
     /// the IR; the mismatch is recorded only in the `Structure` pass.
+    #[allow(clippy::too_many_arguments)]
     fn transfer(
         &self,
         b: Block,
-        mut st: State,
+        st: &mut State,
         pass: Pass,
         live_after: &[Vec<VReg>],
         deviated: &mut bool,
         violations: &mut Vec<Violation>,
-    ) -> Result<State, ()> {
+        bufs: &mut Buffers,
+    ) -> Result<(), ()> {
         let ir = &self.func.block(b).insts;
         let mc = &self.mach.blocks[b.index()];
         let mut mi = 0usize;
-        let mut ledger: Vec<Hoist> = Vec::new();
+        // A walk that failed to match may have left hoists behind.
+        bufs.evict(|_| false);
         let record = pass == Pass::Final;
 
         macro_rules! structure {
@@ -968,12 +1192,9 @@ impl Checker<'_> {
                         let m = &mc[mi - 1];
                         match m {
                             MInst::Store { .. } | MInst::SpillStore { .. } | MInst::Call { .. } => {
-                                ledger.clear()
+                                bufs.evict(|_| false)
                             }
-                            _ => {
-                                let defs = m.defs();
-                                ledger.retain(|h| !defs.contains(&h.dst2));
-                            }
+                            _ => bufs.evict(|h| !m.writes(h.dst2)),
                         }
                     }
                     found => structure!(
@@ -998,7 +1219,7 @@ impl Checker<'_> {
             macro_rules! use_check {
                 ($v:expr) => {{
                     let v: VReg = $v;
-                    if record && st.defined.contains(&v) && !st.holds(self.reg(v), v) {
+                    if record && st.is_defined(v) && !st.holds(self.reg(v), v) {
                         violations.push(Violation::StaleValue {
                             vreg: v,
                             reg: self.reg(v),
@@ -1025,15 +1246,15 @@ impl Checker<'_> {
                     }
                     use_check!(*src);
                     st.kill(*dst);
-                    let mut set = st.regs.get(&rs).cloned().unwrap_or_default();
-                    set.insert(*dst);
-                    st.write(rd, set);
+                    st.read(Loc::reg(rs), &mut bufs.vals);
+                    set_insert(&mut bufs.vals, *dst);
+                    st.write(rd, &bufs.vals);
                     // A copy propagates pending paired-load base values.
-                    for h in &mut ledger {
-                        let had_src = h.base_vals.contains(src);
-                        h.base_vals.remove(dst);
+                    for h in &mut bufs.ledger {
+                        let had_src = set_contains(&h.base_vals, *src);
+                        set_remove(&mut h.base_vals, *dst);
                         if had_src {
-                            h.base_vals.insert(*dst);
+                            set_insert(&mut h.base_vals, *dst);
                         }
                     }
                 }
@@ -1045,7 +1266,7 @@ impl Checker<'_> {
                         MInst::Iconst { dst: md, value: mv } if *md == rd && mv == value
                     );
                     st.kill(*dst);
-                    st.write(rd, BTreeSet::from([*dst]));
+                    st.write_one(rd, *dst);
                 }
                 Inst::Fconst { dst, value } => {
                     let rd = self.reg(*dst);
@@ -1056,7 +1277,7 @@ impl Checker<'_> {
                             if *md == rd && mv.to_bits() == value.to_bits()
                     );
                     st.kill(*dst);
-                    st.write(rd, BTreeSet::from([*dst]));
+                    st.write_one(rd, *dst);
                 }
                 Inst::Load { dst, base, offset } => {
                     let (rd, rb) = (self.reg(*dst), self.reg(*base));
@@ -1067,10 +1288,10 @@ impl Checker<'_> {
                             offset: mo,
                         }) if *md == rd && *mb == rb && mo == offset => {
                             mi += 1;
-                            ledger.retain(|h| h.dst2 != rd);
+                            bufs.evict(|h| h.dst2 != rd);
                             use_check!(*base);
                             st.kill(*dst);
-                            st.write(rd, BTreeSet::from([*dst]));
+                            st.write_one(rd, *dst);
                         }
                         Some(MInst::LoadPair {
                             dst1,
@@ -1082,17 +1303,18 @@ impl Checker<'_> {
                             *deviated = true;
                             let (dst2, offset2) = (*dst2, *offset2);
                             mi += 1;
-                            ledger.retain(|h| h.dst2 != rd && h.dst2 != dst2);
+                            bufs.evict(|h| h.dst2 != rd && h.dst2 != dst2);
                             use_check!(*base);
                             // The address was read now: snapshot what the
                             // base register holds before any writes.
-                            let base_vals = st.regs.get(&rb).cloned().unwrap_or_default();
+                            let mut base_vals = bufs.snapshots.take();
+                            st.read(Loc::reg(rb), &mut base_vals);
                             st.kill(*dst);
-                            st.write(rd, BTreeSet::from([*dst]));
+                            st.write_one(rd, *dst);
                             // The second word landed in dst2, but no vreg's
                             // value lives there until the claiming load.
-                            st.regs.remove(&dst2);
-                            ledger.push(Hoist {
+                            st.clobber(dst2);
+                            bufs.ledger.push(Hoist {
                                 dst2,
                                 base_reg: rb,
                                 offset2,
@@ -1101,7 +1323,7 @@ impl Checker<'_> {
                         }
                         _ => {
                             // The hoisted second half of an earlier pair?
-                            let Some(pos) = ledger.iter().position(|h| {
+                            let Some(pos) = bufs.ledger.iter().position(|h| {
                                 h.dst2 == rd && h.base_reg == rb && h.offset2 == *offset
                             }) else {
                                 structure!(
@@ -1111,11 +1333,12 @@ impl Checker<'_> {
                                 );
                             };
                             *deviated = true;
-                            let h = ledger.remove(pos);
+                            let h = bufs.ledger.remove(pos);
                             // The base was consumed when the pair issued:
                             // the vreg used *here* must have held the base
                             // register's value back then.
-                            if record && st.defined.contains(base) && !h.base_vals.contains(base) {
+                            if record && st.is_defined(*base) && !set_contains(&h.base_vals, *base)
+                            {
                                 violations.push(Violation::StaleValue {
                                     vreg: *base,
                                     reg: rb,
@@ -1123,8 +1346,9 @@ impl Checker<'_> {
                                     inst: i,
                                 });
                             }
+                            bufs.snapshots.put(h.base_vals);
                             st.kill(*dst);
-                            st.write(rd, BTreeSet::from([*dst]));
+                            st.write_one(rd, *dst);
                         }
                     }
                 }
@@ -1147,7 +1371,7 @@ impl Checker<'_> {
                     }
                     use_check!(*base);
                     st.kill(*dst);
-                    st.write(rd, BTreeSet::from([*dst]));
+                    st.write_one(rd, *dst);
                 }
                 Inst::Store { src, base, offset } => {
                     let (rs, rb) = (self.reg(*src), self.reg(*base));
@@ -1171,7 +1395,7 @@ impl Checker<'_> {
                     use_check!(*lhs);
                     use_check!(*rhs);
                     st.kill(*dst);
-                    st.write(rd, BTreeSet::from([*dst]));
+                    st.write_one(rd, *dst);
                 }
                 Inst::BinImm { op, dst, lhs, imm } => {
                     let (rd, rl) = (self.reg(*dst), self.reg(*lhs));
@@ -1183,22 +1407,22 @@ impl Checker<'_> {
                     );
                     use_check!(*lhs);
                     st.kill(*dst);
-                    st.write(rd, BTreeSet::from([*dst]));
+                    st.write_one(rd, *dst);
                 }
                 Inst::Call { callee, args, ret } => {
                     // Calls clobber every volatile and grow caller-save
                     // shadows: always value-interesting.
                     *deviated = true;
                     // Nothing hoisted survives a call.
-                    ledger.clear();
+                    bufs.evict(|_| false);
                     // Caller-save stores: shadow slots sit above the IR
                     // spill area, so they cannot be IR `Spill`s.
                     while let Some(MInst::SpillStore { src, slot }) = mc.get(mi) {
-                        if *slot < self.spill_slots {
+                        if u64::from(*slot) < self.spill_slots {
                             break;
                         }
-                        let saved = st.regs.get(src).cloned().unwrap_or_default();
-                        st.slots.insert(*slot, saved);
+                        st.read(Loc::reg(*src), &mut bufs.vals);
+                        st.store(*slot, &bufs.vals);
                         mi += 1;
                     }
                     match mc.get(mi) {
@@ -1226,33 +1450,29 @@ impl Checker<'_> {
                         use_check!(a);
                     }
                     // The callee may write every volatile register.
-                    for class in RegClass::ALL {
-                        for r in self.target.volatiles(class) {
-                            st.regs.remove(&r);
-                        }
-                    }
+                    st.facts
+                        .retain(|f| !f.loc.as_reg().is_some_and(|r| self.target.is_volatile(r)));
                     if let Some(v) = ret {
                         st.kill(*v);
-                        st.write(self.reg(*v), BTreeSet::from([*v]));
+                        st.write_one(self.reg(*v), *v);
                     }
                     // Caller-save reloads restore the shadowed values.
                     while let Some(MInst::SpillLoad { dst, slot }) = mc.get(mi) {
-                        if *slot < self.spill_slots {
+                        if u64::from(*slot) < self.spill_slots {
                             break;
                         }
-                        match st.slots.get(slot).cloned() {
-                            Some(s) => st.write(*dst, s),
-                            None => {
-                                if record {
-                                    violations.push(Violation::BadSlot {
-                                        slot: *slot,
-                                        block: b,
-                                        inst: i,
-                                        why: "caller-save restore reads an unwritten slot".into(),
-                                    });
-                                }
-                                st.regs.remove(dst);
+                        if st.read(Loc::slot(*slot), &mut bufs.vals) {
+                            st.write(*dst, &bufs.vals);
+                        } else {
+                            if record {
+                                violations.push(Violation::BadSlot {
+                                    slot: *slot,
+                                    block: b,
+                                    inst: i,
+                                    why: "caller-save restore reads an unwritten slot".into(),
+                                });
                             }
+                            st.clobber(*dst);
                         }
                         mi += 1;
                     }
@@ -1319,8 +1539,9 @@ impl Checker<'_> {
                         format!("`{rd} = frame[{slot}]`"),
                         MInst::SpillLoad { dst: md, slot: ms } if *md == rd && ms == slot
                     );
-                    let content = st.slots.get(slot).cloned();
-                    if record && !st.written_slots.contains(slot) {
+                    // The slot's content is read before the kill below.
+                    st.read(Loc::slot(*slot), &mut bufs.vals);
+                    if record && st.written_slots.binary_search(slot).is_err() {
                         violations.push(Violation::BadSlot {
                             slot: *slot,
                             block: b,
@@ -1329,9 +1550,8 @@ impl Checker<'_> {
                         });
                     }
                     st.kill(*dst);
-                    let mut set = content.unwrap_or_default();
-                    set.insert(*dst);
-                    st.write(rd, set);
+                    set_insert(&mut bufs.vals, *dst);
+                    st.write(rd, &bufs.vals);
                 }
                 Inst::Spill { src, slot } => {
                     *deviated = true;
@@ -1342,9 +1562,11 @@ impl Checker<'_> {
                         MInst::SpillStore { src: ms, slot: mslot } if *ms == rs && mslot == slot
                     );
                     use_check!(*src);
-                    let stored = st.regs.get(&rs).cloned().unwrap_or_default();
-                    st.slots.insert(*slot, stored);
-                    st.written_slots.insert(*slot);
+                    st.read(Loc::reg(rs), &mut bufs.vals);
+                    st.store(*slot, &bufs.vals);
+                    if let Err(at) = st.written_slots.binary_search(slot) {
+                        st.written_slots.insert(at, *slot);
+                    }
                 }
             }
 
@@ -1352,13 +1574,13 @@ impl Checker<'_> {
             // paired-load base snapshots; copies were handled above.
             if !matches!(inst, Inst::Copy { .. }) {
                 if let Some(d) = inst.def() {
-                    for h in &mut ledger {
-                        h.base_vals.remove(&d);
+                    for h in &mut bufs.ledger {
+                        set_remove(&mut h.base_vals, d);
                     }
                 }
             }
             if let Some(d) = inst.def() {
-                st.defined.insert(d);
+                st.defined.insert(d.index());
             }
 
             // Interference: anything still live may not share the defined
@@ -1367,11 +1589,7 @@ impl Checker<'_> {
                 if let Some(d) = inst.def() {
                     let rd = self.reg(d);
                     for &v in &live_after[i] {
-                        if v != d
-                            && self.reg(v) == rd
-                            && st.defined.contains(&v)
-                            && !st.holds(rd, v)
-                        {
+                        if v != d && self.reg(v) == rd && st.is_defined(v) && !st.holds(rd, v) {
                             violations.push(Violation::Interference {
                                 a: d,
                                 b: v,
@@ -1393,14 +1611,14 @@ impl Checker<'_> {
                 found(mi)
             );
         }
-        if !ledger.is_empty() {
+        if let Some(h) = bufs.ledger.first() {
             structure!(
                 ir.len(),
                 "a paired load hoisted a word into {} that no load claims",
-                ledger[0].dst2
+                h.dst2
             );
         }
-        Ok(st)
+        Ok(())
     }
 }
 
@@ -1450,6 +1668,53 @@ mod tests {
 
     fn kinds(err: &CheckError) -> Vec<&'static str> {
         err.violations.iter().map(Violation::kind).collect()
+    }
+
+    fn check_rewritten(
+        f: &Function,
+        a: &[Option<PhysReg>],
+        m: &MachFunction,
+    ) -> Result<CheckReport, CheckError> {
+        let scope = CheckScope::Rewritten;
+        check_allocation_in(f, a, m, &target(), scope, &mut CheckScratch::new())
+    }
+
+    #[test]
+    fn meet_keeps_facts_and_markers_present_on_both_sides() {
+        let (v1, v2, v3) = (VReg::new(1), VReg::new(2), VReg::new(3));
+        let mut vals = Vec::new();
+        let mut left = State::default();
+        left.reset(4);
+        left.write(r(1), &[1, 2]);
+        left.store(0, &[1]);
+        left.store(1, &[]);
+        left.store(2, &[3]);
+        left.written_slots = vec![0, 2];
+        left.defined.extend([1, 2]);
+        let mut right = State::default();
+        right.reset(4);
+        right.write(r(1), &[2, 3]);
+        right.store(0, &[2]);
+        right.store(2, &[3]);
+        right.written_slots = vec![1, 2];
+        right.defined.extend([2, 3]);
+
+        left.meet_with(&right, &mut Vec::new());
+        assert!(left.holds(r(1), v2) && !left.holds(r(1), v1) && !left.holds(r(1), v3));
+        // Slot 0 was written on both sides with different values: present,
+        // but naming no vreg.
+        assert!(left.read(Loc::slot(0), &mut vals) && vals.is_empty());
+        // Slot 1 was written on one side only: not definitely written.
+        assert!(!left.read(Loc::slot(1), &mut vals));
+        assert!(left.read(Loc::slot(2), &mut vals) && vals == [3]);
+        assert_eq!(left.written_slots, [0, 1, 2]);
+        assert_eq!(left.defined.iter().collect::<Vec<_>>(), [2]);
+
+        // A kill empties a register entirely but keeps a slot's marker.
+        left.kill(v2);
+        left.kill(v3);
+        assert!(!left.read(Loc::reg(r(1)), &mut vals));
+        assert!(left.read(Loc::slot(2), &mut vals) && vals.is_empty());
     }
 
     #[test]
@@ -1736,8 +2001,7 @@ mod tests {
             ]],
             0,
         );
-        let err =
-            check_allocation_scoped(&f, &a, &m, &target(), CheckScope::Rewritten).unwrap_err();
+        let err = check_rewritten(&f, &a, &m).unwrap_err();
         assert!(kinds(&err).contains(&"stale-value"), "{err}");
     }
 
@@ -1757,8 +2021,7 @@ mod tests {
             ]],
             0,
         );
-        let err =
-            check_allocation_scoped(&f, &a, &m, &target(), CheckScope::Rewritten).unwrap_err();
+        let err = check_rewritten(&f, &a, &m).unwrap_err();
         assert!(kinds(&err).contains(&"bad-register"), "{err}");
     }
 
@@ -1782,7 +2045,7 @@ mod tests {
             0,
         );
         assert!(check_allocation(&f, &a, &m, &target()).is_err());
-        check_allocation_scoped(&f, &a, &m, &target(), CheckScope::Rewritten).unwrap();
+        check_rewritten(&f, &a, &m).unwrap();
     }
 
     #[test]
@@ -1808,14 +2071,17 @@ mod tests {
             ]],
             0,
         );
+        let fresh_check = |a: &[Option<PhysReg>], m: &MachFunction, scope| {
+            check_allocation_in(&f, a, m, &target(), scope, &mut CheckScratch::new())
+        };
         let mut scratch = CheckScratch::new();
         for _ in 0..3 {
             for scope in [CheckScope::Full, CheckScope::Rewritten] {
                 let pooled =
                     check_allocation_in(&f, &good, &m_good, &target(), scope, &mut scratch);
-                assert_eq!(pooled, check_allocation_scoped(&f, &good, &m_good, &target(), scope));
+                assert_eq!(pooled, fresh_check(&good, &m_good, scope));
                 let pooled = check_allocation_in(&f, &bad, &m_bad, &target(), scope, &mut scratch);
-                let fresh = check_allocation_scoped(&f, &bad, &m_bad, &target(), scope);
+                let fresh = fresh_check(&bad, &m_bad, scope);
                 assert_eq!(
                     pooled.as_ref().map_err(kinds),
                     fresh.as_ref().map_err(kinds)

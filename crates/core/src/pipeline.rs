@@ -181,6 +181,13 @@ pub enum AllocError {
     },
     /// The post-allocation symbolic checker rejected the allocation.
     CheckFailed(CheckError),
+    /// The frame would need a slot numbered past `u32::MAX`: the input's
+    /// own spill code uses a slot so high that the allocator's spill
+    /// slots and caller-save shadows, numbered above it, do not fit.
+    FrameOverflow {
+        /// The function whose frame overflowed.
+        func: String,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -191,6 +198,9 @@ impl fmt::Display for AllocError {
                 write!(f, "allocation of {func} did not converge in {MAX_ROUNDS} rounds")
             }
             AllocError::CheckFailed(e) => write!(f, "{e}"),
+            AllocError::FrameOverflow { func } => {
+                write!(f, "the frame of {func} needs a slot past {}", u32::MAX)
+            }
         }
     }
 }
@@ -199,7 +209,7 @@ impl std::error::Error for AllocError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             AllocError::Lower(e) => Some(e),
-            AllocError::TooManyRounds { .. } => None,
+            AllocError::TooManyRounds { .. } | AllocError::FrameOverflow { .. } => None,
             AllocError::CheckFailed(e) => Some(e),
         }
     }
@@ -378,8 +388,24 @@ fn pipeline<S: ClassStrategy + ?Sized>(
     let lowered = lower_abi(func, target);
     timer.stop(&mut scratch.metrics, tracer);
     let mut lowered = lowered?;
+    let frame_overflow = || AllocError::FrameOverflow {
+        func: func.name.clone(),
+    };
+    // The allocator's spill slots and caller-save shadows are numbered
+    // above every slot the input's own spill code uses, so they never
+    // share a slot with it.
+    let mut slots = u32::try_from(lowered.func.spill_slot_bound()).map_err(|_| frame_overflow())?;
+    // The rewrite gives each volatile register live across some call one
+    // shadow slot; a function without calls needs none.
+    let shadows: usize = if lowered.func.num_calls() == 0 {
+        0
+    } else {
+        RegClass::ALL
+            .iter()
+            .map(|&c| target.volatiles(c).count())
+            .sum()
+    };
     let mut no_spill_vregs = scratch.flags.take_filled(lowered.func.num_vregs(), false);
-    let mut slots = 0u32;
     let mut stats = AllocStats::default();
 
     for round in 1..=MAX_ROUNDS {
@@ -469,6 +495,24 @@ fn pipeline<S: ClassStrategy + ?Sized>(
         });
         scratch.flags.put(seen);
 
+        // Every slot this round hands out — one per spilled vreg, or at
+        // most one caller-save shadow per volatile register in the rewrite
+        // — must stay below `u32::MAX`, the largest frame size.
+        let needed = if spilled_vregs.is_empty() {
+            shadows
+        } else {
+            spilled_vregs.len()
+        };
+        let fits = u32::try_from(needed)
+            .ok()
+            .and_then(|n| slots.checked_add(n));
+        if fits.is_none() {
+            analyses.recycle(&mut scratch.liveness);
+            scratch.assignments.put(assignment);
+            scratch.vregs.put(spilled_vregs);
+            scratch.flags.put(no_spill_vregs);
+            return Err(frame_overflow());
+        }
         if spilled_vregs.is_empty() {
             analyses.recycle(&mut scratch.liveness);
             scratch.vregs.put(spilled_vregs);

@@ -378,7 +378,7 @@ fn fusion_barrier(inst: &MInst, base: PhysReg) -> bool {
         | MInst::Branch { .. }
         | MInst::BranchImm { .. }
         | MInst::Ret => true,
-        _ => inst.defs().contains(&base),
+        _ => inst.writes(base),
     }
 }
 

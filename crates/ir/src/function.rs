@@ -152,6 +152,23 @@ impl Function {
         self.count_insts(Inst::is_call)
     }
 
+    /// One past the highest frame slot this function's spill code
+    /// (`Spill`/`Reload`) addresses, or 0 when it has none. Slots below
+    /// the bound belong to that spill code; a register allocator numbers
+    /// any slot of its own from the bound up. Counted in `u64` so that a
+    /// slot at `u32::MAX` does not wrap.
+    pub fn spill_slot_bound(&self) -> u64 {
+        self.blocks
+            .iter()
+            .flat_map(|b| b.insts.iter())
+            .filter_map(|i| match i {
+                Inst::Spill { slot, .. } | Inst::Reload { slot, .. } => Some(u64::from(*slot) + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Interns a callee name, returning its id.
     pub fn intern_callee(&mut self, name: &str) -> CalleeId {
         if let Some(i) = self.callees.iter().position(|c| c == name) {
@@ -264,5 +281,23 @@ mod tests {
         assert_eq!(f.num_copies(), 1);
         assert_eq!(f.num_calls(), 0);
         assert_eq!(f.num_insts(), 2);
+        assert_eq!(f.spill_slot_bound(), 0);
+    }
+
+    #[test]
+    fn spill_slot_bound_is_one_past_the_highest_slot() {
+        use crate::Inst;
+        let mut b = FunctionBuilder::new("f", vec![RegClass::Int], Some(RegClass::Int));
+        let p = b.param(0);
+        b.emit(Inst::Spill { src: p, slot: 3 });
+        b.emit(Inst::Reload { dst: p, slot: 1 });
+        b.ret(Some(p));
+        let mut f = b.finish();
+        assert_eq!(f.spill_slot_bound(), 4);
+        f.blocks[0].insts[1] = Inst::Reload {
+            dst: p,
+            slot: u32::MAX,
+        };
+        assert_eq!(f.spill_slot_bound(), 1 << 32);
     }
 }

@@ -21,7 +21,8 @@ use std::collections::BTreeMap;
 ///
 /// [`ExecError::BadArity`] if the convention cannot carry the arguments;
 /// [`ExecError::OutOfFuel`] when `fuel` instructions execute without
-/// returning.
+/// returning; [`ExecError::SlotOutOfFrame`] when a spill load or store
+/// addresses a slot at or past `mach.num_slots`.
 pub fn run_mach(
     mach: &MachFunction,
     target: &TargetDesc,
@@ -62,7 +63,21 @@ pub fn run_mach(
         regs[r.class().index()][r.index()] = v;
     };
 
-    let mut frame: Vec<u64> = vec![0; mach.num_slots as usize];
+    // Sparse, like the IR interpreter's: a frame may declare up to
+    // `u32::MAX` slots (input spill code can use high slot numbers) while
+    // touching only a few. An unwritten slot reads as 0.
+    let mut frame: BTreeMap<u32, u64> = BTreeMap::new();
+    let in_frame = |slot: u32| {
+        if slot < mach.num_slots {
+            Ok(slot)
+        } else {
+            Err(ExecError::SlotOutOfFrame {
+                func: mach.name.clone(),
+                slot,
+                num_slots: mach.num_slots,
+            })
+        }
+    };
     let mut written: BTreeMap<i64, u64> = BTreeMap::new();
     let mut calls: Vec<CallRecord> = Vec::new();
     let mut steps = 0u64;
@@ -168,11 +183,11 @@ pub fn run_mach(
                 }
             }
             MInst::SpillLoad { dst, slot } => {
-                let v = frame[*slot as usize];
+                let v = frame.get(&in_frame(*slot)?).copied().unwrap_or(0);
                 set(&mut regs, *dst, v);
             }
             MInst::SpillStore { src, slot } => {
-                frame[*slot as usize] = get(&regs, *src);
+                frame.insert(in_frame(*slot)?, get(&regs, *src));
             }
             MInst::Jump { target: t } => {
                 block = *t;

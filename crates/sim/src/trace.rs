@@ -54,6 +54,16 @@ pub enum ExecError {
         /// Description of the offending read.
         what: String,
     },
+    /// Machine code stored to or reloaded from a slot outside its frame
+    /// (machine interpreter only; indicates broken frame bookkeeping).
+    SlotOutOfFrame {
+        /// The executing function.
+        func: String,
+        /// The slot accessed.
+        slot: u32,
+        /// The frame size (`MachFunction::num_slots`).
+        num_slots: u32,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -68,6 +78,14 @@ impl fmt::Display for ExecError {
             ExecError::UndefinedRead { func, what } => {
                 write!(f, "{func}: read of undefined {what}")
             }
+            ExecError::SlotOutOfFrame {
+                func,
+                slot,
+                num_slots,
+            } => write!(
+                f,
+                "{func}: frame slot {slot} is outside the {num_slots}-slot frame"
+            ),
         }
     }
 }

@@ -161,38 +161,62 @@ pub enum MInst {
 }
 
 impl MInst {
-    /// The registers this instruction reads or writes, in operand order
-    /// (with repeats).
-    pub fn regs(&self) -> Vec<PhysReg> {
+    /// Calls `f` on every register this instruction reads or writes, in
+    /// operand order (with repeats). This and [`MInst::for_each_def`] are
+    /// the one operand table; every other register accessor is built on
+    /// them.
+    pub fn for_each_reg(&self, mut f: impl FnMut(PhysReg)) {
         match self {
-            MInst::Copy { dst, src } => vec![*dst, *src],
-            MInst::Iconst { dst, .. } | MInst::Fconst { dst, .. } => vec![*dst],
-            MInst::Load { dst, base, .. } | MInst::Load8 { dst, base, .. } => vec![*dst, *base],
+            MInst::Copy { dst, src } => {
+                f(*dst);
+                f(*src);
+            }
+            MInst::Iconst { dst, .. } | MInst::Fconst { dst, .. } => f(*dst),
+            MInst::Load { dst, base, .. } | MInst::Load8 { dst, base, .. } => {
+                f(*dst);
+                f(*base);
+            }
             MInst::LoadPair {
                 dst1, dst2, base, ..
-            } => vec![*dst1, *dst2, *base],
-            MInst::Store { src, base, .. } => vec![*src, *base],
-            MInst::Bin { dst, lhs, rhs, .. } => vec![*dst, *lhs, *rhs],
-            MInst::BinImm { dst, lhs, .. } => vec![*dst, *lhs],
+            } => {
+                f(*dst1);
+                f(*dst2);
+                f(*base);
+            }
+            MInst::Store { src, base, .. } => {
+                f(*src);
+                f(*base);
+            }
+            MInst::Bin { dst, lhs, rhs, .. } => {
+                f(*dst);
+                f(*lhs);
+                f(*rhs);
+            }
+            MInst::BinImm { dst, lhs, .. } => {
+                f(*dst);
+                f(*lhs);
+            }
             MInst::Call {
                 arg_regs, ret_reg, ..
             } => {
-                let mut rs = arg_regs.clone();
-                rs.extend(*ret_reg);
-                rs
+                arg_regs.iter().copied().for_each(&mut f);
+                ret_reg.iter().copied().for_each(f);
             }
-            MInst::SpillLoad { dst, .. } => vec![*dst],
-            MInst::SpillStore { src, .. } => vec![*src],
-            MInst::Branch { lhs, rhs, .. } => vec![*lhs, *rhs],
-            MInst::BranchImm { lhs, .. } => vec![*lhs],
-            MInst::Jump { .. } | MInst::Ret => vec![],
+            MInst::SpillLoad { dst, .. } => f(*dst),
+            MInst::SpillStore { src, .. } => f(*src),
+            MInst::Branch { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            MInst::BranchImm { lhs, .. } => f(*lhs),
+            MInst::Jump { .. } | MInst::Ret => {}
         }
     }
 
-    /// The registers this instruction writes. A `Call` additionally
-    /// clobbers every volatile register; only its named result is
-    /// listed here.
-    pub fn defs(&self) -> Vec<PhysReg> {
+    /// Calls `f` on every register this instruction writes. A `Call`
+    /// additionally clobbers every volatile register; only its named
+    /// result is visited.
+    pub fn for_each_def(&self, mut f: impl FnMut(PhysReg)) {
         match self {
             MInst::Copy { dst, .. }
             | MInst::Iconst { dst, .. }
@@ -201,16 +225,43 @@ impl MInst {
             | MInst::Load8 { dst, .. }
             | MInst::Bin { dst, .. }
             | MInst::BinImm { dst, .. }
-            | MInst::SpillLoad { dst, .. } => vec![*dst],
-            MInst::LoadPair { dst1, dst2, .. } => vec![*dst1, *dst2],
-            MInst::Call { ret_reg, .. } => ret_reg.iter().copied().collect(),
+            | MInst::SpillLoad { dst, .. } => f(*dst),
+            MInst::LoadPair { dst1, dst2, .. } => {
+                f(*dst1);
+                f(*dst2);
+            }
+            MInst::Call { ret_reg, .. } => ret_reg.iter().copied().for_each(f),
             MInst::Store { .. }
             | MInst::SpillStore { .. }
             | MInst::Jump { .. }
             | MInst::Branch { .. }
             | MInst::BranchImm { .. }
-            | MInst::Ret => vec![],
+            | MInst::Ret => {}
         }
+    }
+
+    /// The registers this instruction reads or writes, in operand order
+    /// (with repeats): [`MInst::for_each_reg`], collected.
+    pub fn regs(&self) -> Vec<PhysReg> {
+        let mut rs = Vec::new();
+        self.for_each_reg(|r| rs.push(r));
+        rs
+    }
+
+    /// The registers this instruction writes: [`MInst::for_each_def`],
+    /// collected. A `Call`'s volatile clobbers are not listed.
+    pub fn defs(&self) -> Vec<PhysReg> {
+        let mut rs = Vec::new();
+        self.for_each_def(|r| rs.push(r));
+        rs
+    }
+
+    /// Whether this instruction writes `r` (a `Call`'s volatile clobbers
+    /// aside, as in [`MInst::defs`]).
+    pub fn writes(&self, r: PhysReg) -> bool {
+        let mut hit = false;
+        self.for_each_def(|d| hit |= d == r);
+        hit
     }
 
     /// Whether this instruction moves a value between a register and a

@@ -134,6 +134,39 @@ fn every_serve_allocator_allocates_through_the_cli() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `pdgc run` on input that carries its own spill code, on an 8-register
+/// file where the allocator must spill too: it allocates under the
+/// checker, executes both sides and exits 1 if their results differ.
+#[test]
+fn a_spill_carrying_input_runs_equivalent_through_the_cli() {
+    let dir = std::env::temp_dir().join(format!("pdgc-report-{}-spill", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ir = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/spill_input.pdgc"
+    );
+    let out = Command::new(PDGC)
+        .args([
+            "run",
+            ir,
+            "--target",
+            "tight8",
+            "--check=always",
+            "--args",
+            "4096",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("run pdgc run");
+    assert!(
+        out.status.success(),
+        "pdgc run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(equivalence verified)"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Only `bench batch` takes `--jobs`; every other subcommand rejects it
 /// by name instead of silently ignoring it.
 #[test]
