@@ -11,9 +11,8 @@
 //!   queries, plus live-across-call information for volatile/non-volatile
 //!   preferences;
 //! * [`DefUse`] — definition and use sites per virtual register;
-//! * [`Spl`] — series-parallel-loop decomposition with region-composed
-//!   liveness/frequency fast paths (bit-identical to the iterative
-//!   solvers, with a clean fallback on irreducible or non-SPL shapes);
+//! * [`Spl`] — series-parallel-loop shape recognition and the linear
+//!   runs that spill-code reload forwarding travels along;
 //! * [`BitSet`] — the dense bit set used throughout.
 
 #![forbid(unsafe_code)]
@@ -33,4 +32,4 @@ pub use defuse::{DefUse, InstRef};
 pub use dom::Dominators;
 pub use liveness::{CallCrossing, Liveness, LivenessScratch};
 pub use loops::{Loops, DEFAULT_LOOP_FREQ_FACTOR};
-pub use spl::{Spl, SplKind, SplScratch};
+pub use spl::{Spl, SplScratch};

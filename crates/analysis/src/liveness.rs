@@ -12,20 +12,20 @@ use pdgc_ir::{Block, Function, Inst, VReg};
 /// for a stream of functions performs no steady-state heap allocation once
 /// the scratch has grown to the largest function seen. Recycle a finished
 /// [`Liveness`] with [`Liveness::recycle`] to keep its sets in the pool.
-/// Also carries the [`SplScratch`] pools for the SPL region fast path, so
-/// one scratch covers the whole analysis phase.
+/// Also carries the [`SplScratch`] pools for SPL shape detection, so one
+/// scratch covers the whole analysis phase.
 #[derive(Debug, Default)]
 pub struct LivenessScratch {
     /// Pooled `Vec<BitSet>` carcasses (gen/kill/live-in/live-out shaped).
     sets: Vec<Vec<BitSet>>,
     order: Vec<Block>,
-    pub(crate) out_tmp: BitSet,
+    out_tmp: BitSet,
     in_tmp: BitSet,
     walk_tmp: BitSet,
     crossings: NestedPool<(Block, usize)>,
     /// Pool for [`crate::DefUse`]'s per-register site lists.
     pub(crate) sites: NestedPool<crate::InstRef>,
-    /// Pools for [`crate::Spl`] detection and composition.
+    /// Pools for [`crate::Spl`] detection.
     pub spl: SplScratch,
 }
 
@@ -37,9 +37,9 @@ impl LivenessScratch {
 
     /// Takes a pooled set vector with at least `nb` sets of capacity `nv`,
     /// all cleared. Extra sets beyond `nb` are kept (cleared, allocations
-    /// intact) rather than dropped: the pool serves both block-sized and
-    /// SPL region-sized requests, and truncating on every size change
-    /// would re-allocate the difference each round.
+    /// intact) rather than dropped: the pool serves functions of every
+    /// block count, and truncating on every size change would re-allocate
+    /// the difference each round.
     pub(crate) fn take_sets(&mut self, nb: usize, nv: usize) -> Vec<BitSet> {
         let mut v = self.sets.pop().unwrap_or_default();
         for s in &mut v {
@@ -133,21 +133,6 @@ impl Liveness {
             live_in,
             live_out,
             num_vregs: nv,
-        }
-    }
-
-    /// Builds a `Liveness` from already-computed per-block sets. Used by
-    /// the SPL composition fast path, which produces bit-identical sets
-    /// without running the iterative fixpoint.
-    pub(crate) fn from_parts(
-        live_in: Vec<BitSet>,
-        live_out: Vec<BitSet>,
-        num_vregs: usize,
-    ) -> Self {
-        Liveness {
-            live_in,
-            live_out,
-            num_vregs,
         }
     }
 
@@ -254,13 +239,12 @@ impl Liveness {
 
 /// Fills per-block transfer-function sets: `gen[b]` holds the registers
 /// used in `b` before any def (upward-exposed uses), `kill[b]` the
-/// registers defined in `b`. Shared by the iterative solver and the SPL
-/// composition path so both start from identical leaves.
+/// registers defined in `b`.
 ///
 /// # Panics
 ///
 /// Panics if the function still contains φ-functions.
-pub(crate) fn fill_gen_kill(func: &Function, gen: &mut [BitSet], kill: &mut [BitSet]) {
+fn fill_gen_kill(func: &Function, gen: &mut [BitSet], kill: &mut [BitSet]) {
     for b in func.block_ids() {
         assert!(
             func.block(b).phis.is_empty(),

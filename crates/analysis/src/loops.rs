@@ -91,19 +91,6 @@ impl Loops {
         }
     }
 
-    /// Builds a `Loops` from precomputed per-block depths and a sorted
-    /// header list. Used by the SPL region fast path, which derives the
-    /// same natural-loop structure from the region tree without running
-    /// the dominator-based detector.
-    pub(crate) fn from_parts(depth: Vec<u32>, headers: Vec<Block>, freq_factor: u64) -> Self {
-        debug_assert!(headers.windows(2).all(|w| w[0].index() < w[1].index()));
-        Loops {
-            depth,
-            headers,
-            freq_factor,
-        }
-    }
-
     /// The loop-nesting depth of `b` (0 = not in a loop).
     ///
     /// A block inside several distinct natural loops (distinct headers)

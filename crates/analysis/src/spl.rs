@@ -1,67 +1,34 @@
-//! Series-parallel-loop (SPL) decomposition of the CFG, with region-composed
-//! liveness and loop-frequency fast paths.
+//! Series-parallel-loop (SPL) shape recognition of the CFG, and the linear
+//! runs reload forwarding travels along.
 //!
-//! Most compiler-generated CFGs are *structured*: they collapse into a tree
-//! of series regions (straight-line chains), parallel regions (if-then /
-//! if-then-else diamonds), and loop regions (while-shaped and self-loops).
-//! On such functions the backward liveness transfer functions — gen/kill
-//! closures `f(x) = G ∪ (x \ K)` — compose region by region in one linear
-//! bottom-up pass plus one linear top-down pass, instead of iterating a
-//! fixpoint over the whole CFG, and loop nesting depth falls out of the
-//! region tree without a dominator computation.
+//! Most compiler-generated CFGs are *structured*: they collapse into one
+//! region under a small grammar of series regions (straight-line chains),
+//! parallel regions (if-then / if-then-else diamonds), and loop regions
+//! (while-shaped and self-loops). [`Spl::compute`] runs that collapse;
+//! anything the grammar cannot express — irreducible cycles, branch arms
+//! that never rejoin, multi-exit shapes — makes [`Spl::is_spl`] report
+//! `false`.
 //!
-//! The contract is strict: the composed results are **bit-identical** to the
-//! iterative solver ([`Liveness::compute_in`]) and the dominator-based
-//! natural-loop detector ([`Loops::compute_with_factor`]). Anything the
-//! grammar cannot express — irreducible cycles, branch arms that never
-//! rejoin, multi-exit shapes — makes [`Spl::is_spl`] report `false` and the
-//! caller falls back to the iterative solvers. Loop depth additionally
-//! requires [`Spl::depth_fast_ok`]: a collapse where a loop region's entry
-//! block is itself the entry of an enclosed loop region (two cycles sharing
-//! a header) is a single natural loop, not a nest, so only the liveness
-//! composition stays valid there.
-//!
-//! The decomposition also exposes *linear runs* — maximal single-entry
-//! single-exit chains of blocks, i.e. maximal series regions of leaves —
-//! which the spill-code inserter uses to forward reloaded values across
-//! region-interior block boundaries instead of reloading per use.
+//! The decomposition also exposes *linear runs* — maximal chains of blocks
+//! where each link is the predecessor's only exit and the successor's only
+//! entry — which the spill-code inserter uses to forward reloaded values
+//! across block boundaries instead of reloading per use. On an SPL-shaped
+//! CFG a run executes as straight-line code, so [`Spl::run_pred`] is a
+//! proof that a value available at the end of one block is still in its
+//! temporary at the start of the next.
 
-use crate::liveness::fill_gen_kill;
-use crate::{Cfg, Liveness, LivenessScratch, Loops, DEFAULT_LOOP_FREQ_FACTOR};
+use crate::Cfg;
 use pdgc_arena::{NestedPool, VecPool};
-use pdgc_ir::{Block, Function};
+use pdgc_ir::Block;
 
 /// Sentinel for "no node / no run".
 const NONE: u32 = u32::MAX;
-
-/// The schema of one node in the SPL region tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SplKind {
-    /// A leaf region: one basic block.
-    Block,
-    /// `kids[0]` then `kids[1]`: the first region's single exit edge is the
-    /// second region's single entry.
-    Series,
-    /// `kids[0]` branches to `kids[1]` and to the join; the arm rejoins at
-    /// the same join (an if with an empty else).
-    IfThen,
-    /// `kids[0]` branches to `kids[1]` and `kids[2]`; both arms rejoin at
-    /// one join block outside the region.
-    IfThenElse,
-    /// While-shaped loop: header `kids[0]` branches into body `kids[1]`,
-    /// whose single exit latches back to the header.
-    Loop,
-    /// A region whose exit edge returns to its own entry.
-    SelfLoop,
-}
 
 /// Resettable pools for [`Spl::compute_in`], so SPL detection on a stream
 /// of functions performs no steady-state heap allocation.
 #[derive(Debug, Default)]
 pub struct SplScratch {
     adj: NestedPool<u32>,
-    kinds: VecPool<SplKind>,
-    kids: VecPool<[u32; 3]>,
     nums: VecPool<u32>,
     flags: VecPool<bool>,
 }
@@ -73,42 +40,24 @@ impl SplScratch {
     }
 }
 
-/// The SPL region tree of a CFG (or the proof that there isn't one).
-///
-/// Nodes `0..num_blocks` are the basic blocks; composite regions are
-/// appended in collapse order, so ascending ids are a bottom-up traversal
-/// of the tree and descending ids a top-down one.
+/// The outcome of the SPL collapse over a CFG, and its linear runs.
 #[derive(Clone, Debug)]
 pub struct Spl {
-    num_blocks: usize,
-    kind: Vec<SplKind>,
-    kids: Vec<[u32; 3]>,
-    /// Entry block (as a raw index) of each node's region.
-    entry: Vec<u32>,
-    /// Linear-run id per block (`NONE` for unreachable blocks).
-    run_id: Vec<u32>,
     /// The unique in-run predecessor block per block (`NONE` at run heads).
     run_pred: Vec<u32>,
     num_runs: u32,
-    /// The single surviving node if the CFG fully collapsed.
-    root: Option<u32>,
-    /// Whether loop depth may be derived from the region tree (see module
-    /// docs: false when loop regions share an entry block, or when the
-    /// function has unreachable blocks the detector never sees).
-    depth_ok: bool,
+    /// Whether the CFG fully collapsed into one region.
+    is_spl: bool,
+    regions: u32,
     loop_regions: u32,
 }
 
 /// Mutable state of the collapse; split out so the pattern matcher can
 /// borrow it whole.
+///
+/// Nodes `0..num_blocks` are the basic blocks; each collapse appends one
+/// composite node that replaces its members.
 struct Builder<'a> {
-    kind: Vec<SplKind>,
-    kids: Vec<[u32; 3]>,
-    entry: Vec<u32>,
-    /// Whether the node's entry path begins at a loop region.
-    entry_is_loop: Vec<bool>,
-    /// Whether the region contains the function's entry block.
-    contains_entry: Vec<bool>,
     alive: Vec<bool>,
     succs: Vec<Vec<u32>>,
     preds: Vec<Vec<u32>>,
@@ -116,8 +65,8 @@ struct Builder<'a> {
     on_work: Vec<bool>,
     adj: &'a mut NestedPool<u32>,
     live_nodes: usize,
+    regions: u32,
     loop_regions: u32,
-    depth_ok: bool,
 }
 
 impl Builder<'_> {
@@ -130,33 +79,14 @@ impl Builder<'_> {
 
     /// Replaces `members` (in schema role order, entry first) with one new
     /// region node, rewiring external edges onto it.
-    fn collapse(&mut self, k: SplKind, members: &[u32]) {
-        let id = self.kind.len() as u32;
-        self.kind.push(k);
-        let mut kd = [NONE; 3];
-        kd[..members.len()].copy_from_slice(members);
-        self.kids.push(kd);
-        self.entry.push(self.entry[members[0] as usize]);
-        let eil = matches!(k, SplKind::Loop | SplKind::SelfLoop)
-            || self.entry_is_loop[members[0] as usize];
-        self.entry_is_loop.push(eil);
-        let has_entry = members
-            .iter()
-            .any(|&m| self.contains_entry[m as usize]);
-        self.contains_entry.push(has_entry);
+    fn collapse(&mut self, members: &[u32], is_loop: bool) {
+        let id = self.alive.len() as u32;
+        self.regions += 1;
+        if is_loop {
+            self.loop_regions += 1;
+        }
         self.alive.push(true);
         self.on_work.push(false);
-        if matches!(k, SplKind::Loop | SplKind::SelfLoop) {
-            self.loop_regions += 1;
-            // A rotated loop can absorb the function's entry block as a
-            // non-entry member (e.g. `E → H`, `H → {E, exit}` collapses as
-            // a while headed at H). The natural-loop header is the entry
-            // block there, not the region entry, so the depth fast path
-            // must decline; liveness composition remains edge-faithful.
-            if has_entry && self.entry[members[0] as usize] != Block::ENTRY.index() as u32 {
-                self.depth_ok = false;
-            }
-        }
         // External edges of the merged set; internal ones (including any
         // back edge onto the entry) disappear into the region.
         let mut ns = self.adj.take_inner();
@@ -200,10 +130,7 @@ impl Builder<'_> {
         }
         // Self-loop: an edge from x back onto itself.
         if self.succs[xi].contains(&x) {
-            if self.entry_is_loop[xi] {
-                self.depth_ok = false;
-            }
-            self.collapse(SplKind::SelfLoop, &[x]);
+            self.collapse(&[x], true);
             return true;
         }
         // While: x is the header, some successor is a body whose only
@@ -211,12 +138,7 @@ impl Builder<'_> {
         for i in 0..self.succs[xi].len() {
             let b = self.succs[xi][i];
             if b != x && self.succs[b as usize] == [x] && self.preds[b as usize] == [x] {
-                if self.entry_is_loop[xi] {
-                    // A second cycle through an entry that is already a
-                    // loop header is the same natural loop, not a nest.
-                    self.depth_ok = false;
-                }
-                self.collapse(SplKind::Loop, &[x, b]);
+                self.collapse(&[x, b], true);
                 return true;
             }
         }
@@ -237,12 +159,13 @@ impl Builder<'_> {
                 }
                 if j == e {
                     // The arm rejoins x's fall-through edge: if-then.
-                    self.collapse(SplKind::IfThen, &[x, t]);
+                    self.collapse(&[x, t], false);
                     return true;
                 }
                 let ei = e as usize;
                 if self.preds[ei] == [x] && self.succs[ei] == [j] {
-                    self.collapse(SplKind::IfThenElse, &[x, t, e]);
+                    // Both arms rejoin at j: if-then-else.
+                    self.collapse(&[x, t, e], false);
                     return true;
                 }
             }
@@ -254,7 +177,7 @@ impl Builder<'_> {
         if self.succs[xi].len() == 1 {
             let b = self.succs[xi][0];
             if b != x && self.preds[b as usize] == [x] && !self.succs[b as usize].contains(&x) {
-                self.collapse(SplKind::Series, &[x, b]);
+                self.collapse(&[x, b], false);
                 return true;
             }
         }
@@ -273,19 +196,6 @@ impl Spl {
     /// buffer from `scratch`.
     pub fn compute_in(cfg: &Cfg, scratch: &mut SplScratch) -> Self {
         let nb = cfg.num_blocks();
-        let mut kind = scratch.kinds.take();
-        kind.resize(nb, SplKind::Block);
-        let mut kids = scratch.kids.take();
-        kids.resize(nb, [NONE; 3]);
-        let mut entry = scratch.nums.take();
-        entry.extend(0..nb as u32);
-        let mut entry_is_loop = scratch.flags.take();
-        entry_is_loop.resize(nb, false);
-        let mut contains_entry = scratch.flags.take();
-        contains_entry.resize(nb, false);
-        if nb > 0 {
-            contains_entry[Block::ENTRY.index()] = true;
-        }
         let mut alive = scratch.flags.take();
         alive.resize(nb, false);
         let mut succs = scratch.adj.take(nb);
@@ -296,11 +206,9 @@ impl Spl {
         // touching unreachable code never execute. Successors of a
         // reachable block are reachable, so only the source needs a check.
         let mut live_nodes = 0usize;
-        let mut all_reachable = true;
         for i in 0..nb {
             let b = Block::new(i);
             if !cfg.is_reachable(b) {
-                all_reachable = false;
                 continue;
             }
             alive[i] = true;
@@ -317,38 +225,31 @@ impl Spl {
         // Linear runs: maximal chains where each edge is the source's only
         // exit and the sink's only entry. RPO guarantees a chain head is
         // seen before its tail (a chain edge cannot be a back edge unless
-        // the head's run is still unassigned, which breaks the chain).
-        let mut run_id = scratch.nums.take();
-        run_id.resize(nb, NONE);
+        // the head is still unplaced, which breaks the chain).
+        let mut placed = scratch.flags.take();
+        placed.resize(nb, false);
         let mut run_pred = scratch.nums.take();
         run_pred.resize(nb, NONE);
         let mut num_runs = 0u32;
         for &b in cfg.reverse_postorder() {
             let i = b.index();
-            let mut joined = false;
-            if preds[i].len() == 1 {
+            let joined = preds[i].len() == 1 && {
                 let p = preds[i][0] as usize;
-                if succs[p].len() == 1 && run_id[p] != NONE {
-                    run_id[i] = run_id[p];
-                    run_pred[i] = p as u32;
-                    joined = true;
-                }
-            }
-            if !joined {
-                run_id[i] = num_runs;
+                succs[p].len() == 1 && placed[p]
+            };
+            if joined {
+                run_pred[i] = preds[i][0];
+            } else {
                 num_runs += 1;
             }
+            placed[i] = true;
         }
+        scratch.flags.put(placed);
 
         let work = scratch.nums.take();
         let mut on_work = scratch.flags.take();
         on_work.resize(nb, false);
         let mut st = Builder {
-            kind,
-            kids,
-            entry,
-            entry_is_loop,
-            contains_entry,
             alive,
             succs,
             preds,
@@ -356,8 +257,8 @@ impl Spl {
             on_work,
             adj: &mut scratch.adj,
             live_nodes,
+            regions: 0,
             loop_regions: 0,
-            depth_ok: true,
         };
         for i in (0..nb).rev() {
             if st.alive[i] {
@@ -383,23 +284,15 @@ impl Spl {
             }
         }
 
-        let root = if st.live_nodes == 1 {
-            let r = st.alive.iter().position(|&a| a).expect("one live node") as u32;
-            debug_assert!(st.succs[r as usize].is_empty() && st.preds[r as usize].is_empty());
-            Some(r)
-        } else {
-            None
-        };
-        let depth_ok = st.depth_ok && all_reachable;
-        let loop_regions = st.loop_regions;
+        let is_spl = st.live_nodes == 1;
+        if is_spl {
+            let r = st.alive.iter().position(|&a| a).expect("one live node");
+            debug_assert!(st.succs[r].is_empty() && st.preds[r].is_empty());
+        }
+        let (regions, loop_regions) = (st.regions, st.loop_regions);
 
-        // Dismantle the builder, returning detection-only buffers.
+        // Dismantle the builder, returning every buffer but the runs.
         let Builder {
-            kind,
-            kids,
-            entry,
-            entry_is_loop,
-            contains_entry,
             alive,
             succs,
             preds,
@@ -409,49 +302,32 @@ impl Spl {
         } = st;
         scratch.adj.put(succs);
         scratch.adj.put(preds);
-        scratch.flags.put(entry_is_loop);
-        scratch.flags.put(contains_entry);
         scratch.flags.put(alive);
         scratch.flags.put(on_work);
         scratch.nums.put(work);
 
         Spl {
-            num_blocks: nb,
-            kind,
-            kids,
-            entry,
-            run_id,
             run_pred,
             num_runs,
-            root,
-            depth_ok,
+            is_spl,
+            regions,
             loop_regions,
         }
     }
 
-    /// Returns the node/run buffers to `scratch` for reuse.
+    /// Returns the run buffer to `scratch` for reuse.
     pub fn recycle(self, scratch: &mut SplScratch) {
-        scratch.kinds.put(self.kind);
-        scratch.kids.put(self.kids);
-        scratch.nums.put(self.entry);
-        scratch.nums.put(self.run_id);
         scratch.nums.put(self.run_pred);
     }
 
-    /// Whether the CFG fully collapsed into one SPL region tree.
+    /// Whether the CFG fully collapsed into one SPL region.
     pub fn is_spl(&self) -> bool {
-        self.root.is_some()
-    }
-
-    /// Whether loop depth/frequency may be read off the region tree (see
-    /// module docs for when this is narrower than [`Spl::is_spl`]).
-    pub fn depth_fast_ok(&self) -> bool {
-        self.is_spl() && self.depth_ok
+        self.is_spl
     }
 
     /// Number of composite regions built (0 when nothing collapsed).
     pub fn regions(&self) -> usize {
-        self.kind.len() - self.num_blocks
+        self.regions as usize
     }
 
     /// Number of loop regions (while-shaped plus self-loops).
@@ -468,246 +344,19 @@ impl Spl {
     /// falls through into `b`, `b`'s only entry. `None` at run heads.
     ///
     /// Only meaningful for spill forwarding when [`Spl::is_spl`] holds —
-    /// the region tree is what proves a run executes as straight line.
+    /// the collapse is what proves a run executes as straight line.
     pub fn run_pred(&self, b: Block) -> Option<Block> {
         match self.run_pred[b.index()] {
             NONE => None,
             p => Some(Block::new(p as usize)),
         }
     }
-
-    /// Region-composed liveness, bit-identical to
-    /// [`Liveness::compute_in`]. `None` unless the CFG is SPL-shaped.
-    pub fn liveness_in(
-        &self,
-        func: &Function,
-        cfg: &Cfg,
-        scratch: &mut LivenessScratch,
-    ) -> Option<Liveness> {
-        let root = self.root?;
-        let nb = self.num_blocks;
-        let nv = func.num_vregs();
-        let total = self.kind.len();
-        debug_assert_eq!(nb, func.num_blocks());
-
-        // Leaf transfer functions, shared with the iterative solver.
-        let mut gen = scratch.take_sets(total, nv);
-        let mut kill = scratch.take_sets(total, nv);
-        fill_gen_kill(func, &mut gen[..nb], &mut kill[..nb]);
-
-        // Bottom-up: summarize each region as a gen/kill closure
-        // f(x) = G ∪ (x \ K). Ascending id order is bottom-up.
-        for id in nb..total {
-            let [a, b, c] = self.kids[id];
-            let (a, b, c) = (a as usize, b as usize, c as usize);
-            let (glo, ghi) = gen.split_at_mut(id);
-            let (klo, khi) = kill.split_at_mut(id);
-            let (g, k) = (&mut ghi[0], &mut khi[0]);
-            match self.kind[id] {
-                SplKind::Block => unreachable!("leaves are never composite"),
-                SplKind::Series => {
-                    // f = f_a ∘ f_b (liveness flows backward).
-                    g.copy_from(&glo[b]);
-                    g.subtract(&klo[a]);
-                    g.union_with(&glo[a]);
-                    k.copy_from(&klo[a]);
-                    k.union_with(&klo[b]);
-                }
-                SplKind::IfThenElse => {
-                    // Parallel arms: G = G_t ∪ G_e, K = K_t ∩ K_e, then in
-                    // series behind the branch region a.
-                    g.copy_from(&glo[b]);
-                    g.union_with(&glo[c]);
-                    g.subtract(&klo[a]);
-                    g.union_with(&glo[a]);
-                    k.copy_from(&klo[b]);
-                    k.intersect_with(&klo[c]);
-                    k.union_with(&klo[a]);
-                }
-                SplKind::IfThen => {
-                    // The empty else-arm is the identity region (K = ∅),
-                    // so the parallel kill set is empty.
-                    g.copy_from(&glo[b]);
-                    g.subtract(&klo[a]);
-                    g.union_with(&glo[a]);
-                    k.copy_from(&klo[a]);
-                }
-                SplKind::Loop => {
-                    // Loop closure: one application reaches the fixpoint
-                    // for gen/kill closures, so the summary is header ∘
-                    // body with the header's kill.
-                    g.copy_from(&glo[b]);
-                    g.subtract(&klo[a]);
-                    g.union_with(&glo[a]);
-                    k.copy_from(&klo[a]);
-                }
-                SplKind::SelfLoop => {
-                    g.copy_from(&glo[a]);
-                    k.copy_from(&klo[a]);
-                }
-            }
-        }
-
-        // Top-down: distribute each region's live-out to its children.
-        // Descending id order visits parents before children; the root's
-        // live-out is empty. `out[n]` is the union of live-in over n's
-        // actual successor edges (external ones, plus back edges for loop
-        // bodies), which for leaves is exactly live_out[b].
-        let mut out = scratch.take_sets(total, nv);
-        let tmp = &mut scratch.out_tmp;
-        tmp.reset(nv);
-        for id in (nb..total).rev() {
-            let [a, b, _c] = self.kids[id];
-            let (a, b, c) = (a as usize, b as usize, _c as usize);
-            let (olo, ohi) = out.split_at_mut(id);
-            let o = &ohi[0];
-            match self.kind[id] {
-                SplKind::Block => unreachable!("leaves are never composite"),
-                SplKind::Series => {
-                    // live-in(b) = f_b(out), then a sees it as its out.
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[b]);
-                    tmp.union_with(&gen[b]);
-                    olo[a].copy_from(tmp);
-                    olo[b].copy_from(o);
-                }
-                SplKind::IfThenElse => {
-                    // The branch region's out is the union of both arms'
-                    // live-ins; each arm exits straight to the join.
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[b]);
-                    tmp.union_with(&gen[b]);
-                    olo[a].copy_from(tmp);
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[c]);
-                    tmp.union_with(&gen[c]);
-                    olo[a].union_with(tmp);
-                    olo[b].copy_from(o);
-                    olo[c].copy_from(o);
-                }
-                SplKind::IfThen => {
-                    // The branch also exits straight to the join (the
-                    // empty arm), so its out includes the join's live-in.
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[b]);
-                    tmp.union_with(&gen[b]);
-                    tmp.union_with(o);
-                    olo[a].copy_from(tmp);
-                    olo[b].copy_from(o);
-                }
-                SplKind::Loop => {
-                    // Body's out is the header's live-in (the latch);
-                    // header's out is body's live-in plus the exit edge.
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[id]);
-                    tmp.union_with(&gen[id]);
-                    olo[b].copy_from(tmp);
-                    tmp.subtract(&kill[b]);
-                    tmp.union_with(&gen[b]);
-                    tmp.union_with(o);
-                    olo[a].copy_from(tmp);
-                }
-                SplKind::SelfLoop => {
-                    // The region's exit loops back to its own entry: out
-                    // is its own live-in plus the external exit.
-                    tmp.copy_from(o);
-                    tmp.subtract(&kill[a]);
-                    tmp.union_with(&gen[a]);
-                    tmp.union_with(o);
-                    olo[a].copy_from(tmp);
-                }
-            }
-        }
-        debug_assert!(out[root as usize].is_empty());
-
-        let mut live_in = scratch.take_sets(nb, nv);
-        let mut live_out = scratch.take_sets(nb, nv);
-        for i in 0..nb {
-            // The iterative solver leaves unreachable blocks' sets empty;
-            // so does the composition (they are not in the region tree).
-            if !cfg.is_reachable(Block::new(i)) {
-                continue;
-            }
-            live_out[i].copy_from(&out[i]);
-            live_in[i].copy_from(&out[i]);
-            live_in[i].subtract(&kill[i]);
-            live_in[i].union_with(&gen[i]);
-        }
-        scratch.put_sets(gen);
-        scratch.put_sets(kill);
-        scratch.put_sets(out);
-        Some(Liveness::from_parts(live_in, live_out, nv))
-    }
-
-    /// Region-derived natural loops with the paper's default frequency
-    /// factor; bit-identical to [`Loops::compute`]. `None` unless
-    /// [`Spl::depth_fast_ok`].
-    pub fn loops(&self) -> Option<Loops> {
-        self.loops_with_factor(DEFAULT_LOOP_FREQ_FACTOR)
-    }
-
-    /// As [`Spl::loops`] with a custom per-level factor.
-    pub fn loops_with_factor(&self, freq_factor: u64) -> Option<Loops> {
-        if !self.depth_fast_ok() {
-            return None;
-        }
-        let nb = self.num_blocks;
-        let mut depth = vec![0u32; nb];
-        let mut headers = Vec::new();
-        let mut stack = Vec::new();
-        for id in nb..self.kind.len() {
-            if !matches!(self.kind[id], SplKind::Loop | SplKind::SelfLoop) {
-                continue;
-            }
-            // Each loop region is one natural loop: its header is the
-            // region's entry block and its body is every enclosed block.
-            headers.push(Block::new(self.entry[id] as usize));
-            stack.push(id as u32);
-            while let Some(n) = stack.pop() {
-                let n = n as usize;
-                if n < nb {
-                    depth[n] += 1;
-                } else {
-                    for &kid in &self.kids[n] {
-                        if kid != NONE {
-                            stack.push(kid);
-                        }
-                    }
-                }
-            }
-        }
-        headers.sort_unstable_by_key(|h| h.index());
-        Some(Loops::from_parts(depth, headers, freq_factor))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dominators;
-    use pdgc_ir::{BinOp, CmpOp, FunctionBuilder, RegClass};
-
-    fn assert_matches_iterative(f: &Function) {
-        let cfg = Cfg::compute(f);
-        let spl = Spl::compute(&cfg);
-        assert!(spl.is_spl(), "expected SPL shape for {}", f.name);
-        let fast = spl
-            .liveness_in(f, &cfg, &mut LivenessScratch::new())
-            .expect("liveness fast path");
-        let slow = Liveness::compute(f, &cfg);
-        for b in f.block_ids() {
-            assert_eq!(fast.live_in(b), slow.live_in(b), "live_in({b:?})");
-            assert_eq!(fast.live_out(b), slow.live_out(b), "live_out({b:?})");
-        }
-        if let Some(fast_loops) = spl.loops() {
-            let dom = Dominators::compute(&cfg);
-            let slow_loops = Loops::compute(&cfg, &dom);
-            assert_eq!(fast_loops.headers(), slow_loops.headers());
-            for b in f.block_ids() {
-                assert_eq!(fast_loops.depth(b), slow_loops.depth(b), "depth({b:?})");
-            }
-        }
-    }
+    use pdgc_ir::{BinOp, CmpOp, Function, FunctionBuilder, RegClass};
 
     /// entry → diamond → while loop → exit, with values flowing across.
     fn structured_function() -> Function {
@@ -743,19 +392,17 @@ mod tests {
     }
 
     #[test]
-    fn structured_function_collapses_and_matches() {
+    fn structured_function_collapses() {
         let f = structured_function();
         let cfg = Cfg::compute(&f);
         let spl = Spl::compute(&cfg);
         assert!(spl.is_spl());
-        assert!(spl.depth_fast_ok());
         assert!(spl.loop_regions() >= 1);
         assert!(spl.regions() >= 4);
-        assert_matches_iterative(&f);
     }
 
     #[test]
-    fn two_latch_continue_loop_is_spl_and_matches() {
+    fn two_latch_continue_loop_is_spl() {
         let mut b = FunctionBuilder::new("c", vec![RegClass::Int], None);
         let p = b.param(0);
         let h = b.create_block();
@@ -776,10 +423,9 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let spl = Spl::compute(&cfg);
         assert!(spl.is_spl(), "continue-shaped loops are SPL");
-        let loops = spl.loops().expect("depth fast path");
-        assert_eq!(loops.depth(h), 1, "two latches, one loop");
-        assert_eq!(loops.headers(), &[h]);
-        assert_matches_iterative(&f);
+        // The `continue` arm folds into the body as an if-then, so both
+        // latches close one loop region.
+        assert_eq!(spl.loop_regions(), 1);
     }
 
     #[test]
@@ -799,15 +445,12 @@ mod tests {
         let spl = Spl::compute(&cfg);
         assert!(spl.is_spl());
         assert_eq!(spl.loop_regions(), 1);
-        let loops = spl.loops().expect("depth fast path");
-        assert_eq!(loops.depth(h), 1);
-        assert_matches_iterative(&f);
     }
 
     #[test]
     fn irreducible_cfg_falls_back() {
         // entry branches into a two-block cycle with two entry points:
-        // no natural loop, no SPL region tree.
+        // no natural loop, no SPL decomposition.
         let mut bld = FunctionBuilder::new("irr", vec![RegClass::Int], None);
         let p = bld.param(0);
         let a = bld.create_block();
@@ -825,10 +468,6 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let spl = Spl::compute(&cfg);
         assert!(!spl.is_spl(), "irreducible cycles must not collapse");
-        assert!(spl
-            .liveness_in(&f, &cfg, &mut LivenessScratch::new())
-            .is_none());
-        assert!(spl.loops().is_none());
     }
 
     #[test]
@@ -848,48 +487,6 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let spl = Spl::compute(&cfg);
         assert!(!spl.is_spl());
-    }
-
-    #[test]
-    fn sibling_cycles_sharing_a_header_guard_the_depth_path() {
-        // h alternates into two one-block cycles: h→b1→h and h→b2→h.
-        // That is ONE natural loop; the collapse sees two nested loop
-        // regions sharing entry h, so the depth fast path must decline
-        // while liveness composition stays exact.
-        let mut bld = FunctionBuilder::new("sib", vec![RegClass::Int], None);
-        let p = bld.param(0);
-        let h = bld.create_block();
-        let b1 = bld.create_block();
-        let b2 = bld.create_block();
-        let exit = bld.create_block();
-        let z = bld.iconst(0);
-        bld.jump(h);
-        bld.switch_to(h);
-        bld.branch(CmpOp::Gt, p, z, b1, b2);
-        bld.switch_to(b1);
-        bld.jump(h);
-        bld.switch_to(b2);
-        bld.branch(CmpOp::Ne, p, z, h, exit);
-        bld.switch_to(exit);
-        bld.ret(None);
-        let f = bld.finish();
-        let cfg = Cfg::compute(&f);
-        let spl = Spl::compute(&cfg);
-        // Whether this shape collapses (with the depth guard tripped) or
-        // refuses to collapse at all, the frequency fast path must stay
-        // off — the merged-header natural loop is depth 1 everywhere.
-        assert!(!spl.depth_fast_ok(), "shared-header cycles are one loop");
-        assert!(spl.loops().is_none());
-        if spl.is_spl() {
-            let fast = spl
-                .liveness_in(&f, &cfg, &mut LivenessScratch::new())
-                .expect("liveness composition stays valid");
-            let slow = Liveness::compute(&f, &cfg);
-            for b in f.block_ids() {
-                assert_eq!(fast.live_in(b), slow.live_in(b));
-                assert_eq!(fast.live_out(b), slow.live_out(b));
-            }
-        }
     }
 
     #[test]
@@ -930,18 +527,16 @@ mod tests {
         let f = structured_function();
         let cfg = Cfg::compute(&f);
         let mut scratch = SplScratch::new();
-        let mut lscratch = LivenessScratch::new();
         let fresh = Spl::compute(&cfg);
-        let fresh_lv = fresh.liveness_in(&f, &cfg, &mut LivenessScratch::new());
         for _ in 0..3 {
             let spl = Spl::compute_in(&cfg, &mut scratch);
             assert_eq!(spl.is_spl(), fresh.is_spl());
             assert_eq!(spl.regions(), fresh.regions());
-            let lv = spl.liveness_in(&f, &cfg, &mut lscratch).unwrap();
+            assert_eq!(spl.loop_regions(), fresh.loop_regions());
+            assert_eq!(spl.runs(), fresh.runs());
             for blk in f.block_ids() {
-                assert_eq!(lv.live_in(blk), fresh_lv.as_ref().unwrap().live_in(blk));
+                assert_eq!(spl.run_pred(blk), fresh.run_pred(blk));
             }
-            lv.recycle(&mut lscratch);
             spl.recycle(&mut scratch);
         }
     }

@@ -1,7 +1,7 @@
 //! Property tests for the analyses, validated against brute-force
 //! definitions on random CFGs.
 
-use pdgc_analysis::{Cfg, Dominators, Liveness, LivenessScratch, Loops, Spl};
+use pdgc_analysis::{Cfg, Dominators, Liveness, Loops, Spl};
 use pdgc_ir::{Block, CmpOp, Function, FunctionBuilder, RegClass};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -127,37 +127,32 @@ proptest! {
         }
     }
 
-    /// On whatever random CFGs happen to be SPL-shaped, the region-composed
-    /// liveness and loop structure are bit-identical to the iterative
-    /// solvers; on the rest the fast paths decline cleanly.
+    /// Linear runs match their definition: a block's run predecessor is
+    /// its only reachable predecessor, whose only successor it is; every
+    /// block but the entry with such a predecessor joins its run; and each
+    /// run has one head.
     #[test]
-    fn spl_fast_paths_match_iterative_on_random_cfgs(n in 1usize..14, seed in any::<u64>()) {
+    fn linear_runs_match_their_definition_on_random_cfgs(n in 1usize..14, seed in any::<u64>()) {
         let f = random_cfg(n, seed);
         let cfg = Cfg::compute(&f);
         let spl = Spl::compute(&cfg);
-        match spl.liveness_in(&f, &cfg, &mut LivenessScratch::new()) {
-            Some(fast) => {
-                let slow = Liveness::compute(&f, &cfg);
-                for b in f.block_ids() {
-                    prop_assert_eq!(fast.live_in(b), slow.live_in(b),
-                        "live_in({}) diverges (seed {})", b, seed);
-                    prop_assert_eq!(fast.live_out(b), slow.live_out(b),
-                        "live_out({}) diverges (seed {})", b, seed);
-                }
-            }
-            None => prop_assert!(!spl.is_spl()),
+        let distinct = |bs: &[Block]| {
+            let mut v: Vec<Block> = bs.iter().copied().filter(|&b| cfg.is_reachable(b)).collect();
+            v.sort_unstable_by_key(|b| b.index());
+            v.dedup();
+            v
+        };
+        let mut heads = 0;
+        for b in f.block_ids().filter(|&b| cfg.is_reachable(b)) {
+            let preds = distinct(cfg.preds(b));
+            let chain_pred = match preds[..] {
+                [p] if b != Block::ENTRY && distinct(cfg.succs(p)) == [b] => Some(p),
+                _ => None,
+            };
+            prop_assert_eq!(spl.run_pred(b), chain_pred, "run_pred({}) (seed {})", b, seed);
+            heads += usize::from(chain_pred.is_none());
         }
-        if let Some(fast) = spl.loops() {
-            let dom = Dominators::compute(&cfg);
-            let slow = Loops::compute(&cfg, &dom);
-            prop_assert_eq!(fast.headers(), slow.headers(), "headers diverge (seed {})", seed);
-            for b in f.block_ids() {
-                prop_assert_eq!(fast.depth(b), slow.depth(b),
-                    "depth({}) diverges (seed {})", b, seed);
-                prop_assert_eq!(fast.freq(b), slow.freq(b),
-                    "freq({}) diverges (seed {})", b, seed);
-            }
-        }
+        prop_assert_eq!(spl.runs(), heads, "run count (seed {})", seed);
     }
 
     /// Liveness is a fixpoint of the dataflow equations:

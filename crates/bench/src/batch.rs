@@ -12,9 +12,9 @@
 //!
 //! # Per-worker scratch
 //!
-//! Each worker owns one [`PhaseScratch`] for its whole lifetime and every
-//! allocation on that worker runs in an [`AllocSession`] over it, so the
-//! arena-backed pools (liveness bitsets, IFG adjacency, worklists, select
+//! Each worker owns one [`AllocSession`], and with it one [`PhaseScratch`],
+//! for its whole lifetime; every allocation on that worker runs in it, so
+//! the arena-backed pools (liveness bitsets, IFG adjacency, worklists, select
 //! caches, checker state) are allocated once per worker and reset between
 //! functions instead of hitting the global allocator per function — that
 //! allocator contention is what made `--jobs 2` *slower* than serial
@@ -27,18 +27,15 @@
 //! value replay is restricted to blocks the rewriter actually changed.
 //! Single-function entry points keep the full-replay default.
 //!
-//! # Tracer thread-safety contract
+//! # Tracing
 //!
-//! [`Tracer`]s are `&mut`-based single-threaded sinks and are **never
-//! shared across workers**: the driver builds one sink per *function*
-//! (whatever [`run_batch_traced`]'s factory returns) on the worker that
-//! allocates it, and hands the collected sinks back to the caller after
-//! the pool joins. Phase times need no sink: they come from each
-//! function's always-on metrics, merged on the calling thread.
+//! Batch sessions trace nothing (`tracer: None`). A `Tracer` is a
+//! `&mut`-based single-threaded sink, and phase times need none: they come
+//! from each function's always-on metrics, merged on the calling thread.
 
 use crate::fingerprint_mach;
 use pdgc_core::{AllocSession, AllocStats, CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
-use pdgc_obs::{MetricsRegistry, Tracer};
+use pdgc_obs::MetricsRegistry;
 use pdgc_target::TargetDesc;
 use pdgc_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,81 +103,22 @@ impl BatchResult {
 }
 
 /// Allocates every function of `workloads` with `alloc` across `jobs`
-/// worker threads. `jobs` is clamped to at least 1; `jobs == 1` runs on
-/// the calling thread with no pool.
+/// worker threads, running the symbolic checker on every allocation as
+/// `check` says. `jobs` is clamped to at least 1; `jobs == 1` runs on the
+/// calling thread with no pool.
 ///
 /// # Panics
 ///
-/// Panics if any allocation fails (the shipped workloads all allocate) or
-/// a worker thread panics.
+/// Panics if any allocation fails (the shipped workloads all allocate),
+/// the checker rejects one (with the full violation list), or a worker
+/// thread panics.
 pub fn run_batch(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
     target: &TargetDesc,
     jobs: usize,
-) -> BatchResult {
-    run_batch_checked(alloc, workloads, target, jobs, CheckMode::Off)
-}
-
-/// [`run_batch`] with the symbolic checker ([`pdgc_core::CheckMode`]) run
-/// on every allocation. A checker violation panics with the full violation
-/// list, like any other allocation failure.
-///
-/// # Panics
-///
-/// Same as [`run_batch`], plus checker violations under `check`.
-pub fn run_batch_checked(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
     check: CheckMode,
 ) -> BatchResult {
-    run_batch_traced_checked(alloc, workloads, target, jobs, |_| pdgc_obs::NoopTracer, check).0
-}
-
-/// [`run_batch`] with a caller-supplied per-function trace sink: `make(i)`
-/// builds the sink for task `i` (on the worker thread that claims it), and
-/// the sinks are returned in task order after the pool joins. Use this to
-/// attach a `RecordingTracer` or `JsonLinesSink` per function without any
-/// cross-thread sharing.
-///
-/// # Panics
-///
-/// Same as [`run_batch`].
-pub fn run_batch_traced<T, F>(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    make: F,
-) -> (BatchResult, Vec<T>)
-where
-    T: Tracer + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_batch_traced_checked(alloc, workloads, target, jobs, make, CheckMode::Off)
-}
-
-/// [`run_batch_traced`] with the symbolic checker run on every allocation.
-/// Checker failures are recorded as [`pdgc_obs::Event::CheckFailed`] in
-/// the function's sink before the driver panics.
-///
-/// # Panics
-///
-/// Same as [`run_batch`], plus checker violations under `check`.
-pub fn run_batch_traced_checked<T, F>(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    make: F,
-    check: CheckMode,
-) -> (BatchResult, Vec<T>)
-where
-    T: Tracer + Send,
-    F: Fn(usize) -> T + Sync,
-{
     let jobs = jobs.max(1);
     let tasks: Vec<(usize, &Workload, &pdgc_ir::Function)> = workloads
         .iter()
@@ -193,74 +131,68 @@ where
     // Slot per task, keyed by task index. Workers fill their claimed slots;
     // the index *is* the order — no sort happens after the pool joins, so
     // any claim/merge bug surfaces as an unfilled slot, not a reordering.
-    let collected: Mutex<Vec<Option<(BatchFuncResult, T)>>> =
+    let collected: Mutex<Vec<Option<BatchFuncResult>>> =
         Mutex::new((0..tasks.len()).map(|_| None).collect());
 
+    // One session per worker, warm after the first function.
+    let new_session = || AllocSession {
+        scratch: PhaseScratch::new(),
+        check,
+        scope: CheckScope::Rewritten,
+        tracer: None,
+    };
     let run_one =
-        |i: usize, workload: &Workload, func: &pdgc_ir::Function, scratch: &mut PhaseScratch| {
-            let mut sink = make(i);
-            // The sink lives for this function only, so the worker's pools
-            // move into a session that traces to it and move back after.
-            let mut session = AllocSession {
-                scratch: std::mem::take(scratch),
-                check,
-                scope: CheckScope::Rewritten,
-                tracer: Some(&mut sink),
-            };
-            let out = alloc.allocate(func, target, &mut session);
-            *scratch = session.scratch;
-            let out =
-                out.unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
+        |i: usize, workload: &Workload, func: &pdgc_ir::Function, session: &mut AllocSession| {
+            let out = alloc
+                .allocate(func, target, session)
+                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
             let fingerprint = fingerprint_mach(&out.mach);
-            let stats = out.stats.clone();
+            let stats = out.stats;
             // The result is consumed here (stats + fingerprint); hand its
             // buffers back so the next function on this worker reuses them.
-            out.recycle(scratch);
-            (
-                BatchFuncResult {
-                    index: i,
-                    workload: workload.name.clone(),
-                    func: func.name.clone(),
-                    stats,
-                    fingerprint,
-                    // Drain the always-on registry so each function's
-                    // metrics travel with its slot; the worker's scratch
-                    // starts the next function empty.
-                    metrics: std::mem::take(&mut scratch.metrics),
-                },
-                sink,
-            )
+            out.recycle(&mut session.scratch);
+            BatchFuncResult {
+                index: i,
+                workload: workload.name.clone(),
+                func: func.name.clone(),
+                stats,
+                fingerprint,
+                // Drain the always-on registry so each function's metrics
+                // travel with its slot; the worker's scratch starts the
+                // next function empty.
+                metrics: std::mem::take(&mut session.scratch.metrics),
+            }
         };
-    let place = |slots: &mut Vec<Option<(BatchFuncResult, T)>>,
-                 pair: (BatchFuncResult, T)| {
-        let slot = pair.0.index;
+    let place = |slots: &mut Vec<Option<BatchFuncResult>>, r: BatchFuncResult| {
+        let slot = r.index;
         debug_assert!(slots[slot].is_none(), "task {slot} claimed twice");
-        slots[slot] = Some(pair);
+        slots[slot] = Some(r);
     };
 
     let start = Instant::now();
     if jobs == 1 {
-        let mut scratch = PhaseScratch::new();
+        let mut session = new_session();
         let mut slots = collected.lock().expect("unpoisoned");
         for &(i, w, f) in &tasks {
-            let pair = run_one(i, w, f, &mut scratch);
-            place(&mut slots, pair);
+            let r = run_one(i, w, f, &mut session);
+            place(&mut slots, r);
         }
     } else {
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| {
-                    // One scratch per worker, warm after the first function.
-                    let mut scratch = PhaseScratch::new();
-                    let mut local: Vec<(BatchFuncResult, T)> = Vec::new();
+                    let mut session = new_session();
+                    let mut local: Vec<BatchFuncResult> = Vec::new();
                     loop {
                         let t = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, w, f)) = tasks.get(t) else { break };
-                        local.push(run_one(i, w, f, &mut scratch));
+                        let Some(&(i, w, f)) = tasks.get(t) else {
+                            break;
+                        };
+                        local.push(run_one(i, w, f, &mut session));
                     }
                     let mut slots = collected.lock().expect("unpoisoned");
-                    for pair in local {
-                        place(&mut slots, pair);
+                    for r in local {
+                        place(&mut slots, r);
                     }
                 });
             }
@@ -272,27 +204,22 @@ where
     let mut stats = AllocStats::default();
     let mut metrics = MetricsRegistry::default();
     let mut funcs = Vec::with_capacity(slots.len());
-    let mut sinks = Vec::with_capacity(slots.len());
-    for (i, pair) in slots.into_iter().enumerate() {
-        let (r, s) = pair.unwrap_or_else(|| panic!("task {i} was never claimed"));
+    for (i, r) in slots.into_iter().enumerate() {
+        let r = r.unwrap_or_else(|| panic!("task {i} was never claimed"));
         debug_assert_eq!(r.index, i);
         stats.accumulate(&r.stats);
         metrics.merge(&r.metrics);
         funcs.push(r);
-        sinks.push(s);
     }
-    (
-        BatchResult {
-            allocator: alloc.name(),
-            target: target.name.clone(),
-            jobs,
-            elapsed,
-            funcs,
-            stats,
-            metrics,
-        },
-        sinks,
-    )
+    BatchResult {
+        allocator: alloc.name(),
+        target: target.name.clone(),
+        jobs,
+        elapsed,
+        funcs,
+        stats,
+        metrics,
+    }
 }
 
 /// A serial run and a parallel run of the same batch, for throughput
@@ -379,30 +306,15 @@ impl BatchComparison {
 }
 
 /// Runs the batch at `jobs == 1` and at `jobs`, `repeat` times each
-/// (keeping the best wall clock per job count), and pairs the results.
+/// (keeping the best wall clock per job count), with the symbolic checker
+/// run on every allocation as `check` says, and pairs the results.
 ///
 /// # Panics
 ///
-/// Panics if any allocation fails, or if repeats of the *same* job count
-/// disagree — that would mean allocation is not a pure function of its
-/// input, which the whole driver depends on.
+/// Panics if any allocation fails or the checker rejects one, or if
+/// repeats of the *same* job count disagree — that would mean allocation
+/// is not a pure function of its input, which the whole driver depends on.
 pub fn compare_jobs(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    repeat: usize,
-) -> BatchComparison {
-    compare_jobs_checked(alloc, workloads, target, jobs, repeat, CheckMode::Off)
-}
-
-/// [`compare_jobs`] with the symbolic checker run on every allocation of
-/// both the serial and the parallel runs.
-///
-/// # Panics
-///
-/// Same as [`compare_jobs`], plus checker violations under `check`.
-pub fn compare_jobs_checked(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
     target: &TargetDesc,
@@ -422,39 +334,6 @@ pub fn compare_jobs_checked(
     }
 }
 
-/// [`compare_jobs_checked`] across several job counts at once: the serial
-/// baseline is run **once** (best of `repeat`) and shared by every
-/// comparison, instead of being re-measured per jobs value.
-///
-/// # Panics
-///
-/// Same as [`compare_jobs`].
-pub fn compare_jobs_sweep(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs_list: &[usize],
-    repeat: usize,
-    check: CheckMode,
-) -> Vec<BatchComparison> {
-    let repeat = repeat.max(1);
-    let (serial, serial_repeats) = best_of(alloc, workloads, target, 1, repeat, check);
-    jobs_list
-        .iter()
-        .map(|&jobs| {
-            let (parallel, parallel_repeats) =
-                best_of(alloc, workloads, target, jobs, repeat, check);
-            BatchComparison {
-                serial: serial.clone(),
-                parallel,
-                repeat,
-                serial_repeats: serial_repeats.clone(),
-                parallel_repeats,
-            }
-        })
-        .collect()
-}
-
 /// Runs the batch `repeat` times at one job count, asserting all repeats
 /// produce identical allocations, and keeps the best wall clock. Every
 /// repeat's wall-clock is returned alongside (in run order) so callers
@@ -470,7 +349,7 @@ fn best_of(
     let mut best: Option<BatchResult> = None;
     let mut repeats = Vec::with_capacity(repeat);
     for _ in 0..repeat {
-        let r = run_batch_checked(alloc, workloads, target, jobs, check);
+        let r = run_batch(alloc, workloads, target, jobs, check);
         repeats.push(r.elapsed);
         match &mut best {
             Some(prev) => {
@@ -492,7 +371,6 @@ fn best_of(
 mod tests {
     use super::*;
     use pdgc_core::PreferenceAllocator;
-    use pdgc_obs::{Event, RecordingTracer};
     use pdgc_target::PressureModel;
 
     fn small_workloads() -> Vec<Workload> {
@@ -507,8 +385,8 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let serial = run_batch(&alloc, &workloads, &target, 1);
-        let parallel = run_batch(&alloc, &workloads, &target, 3);
+        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
+        let parallel = run_batch(&alloc, &workloads, &target, 3, CheckMode::Off);
         assert_eq!(serial.funcs.len(), 4);
         assert!(serial.same_allocations(&parallel));
         assert_eq!(serial.stats, parallel.stats);
@@ -516,30 +394,12 @@ mod tests {
         // slot-keyed join, so they match bit-for-bit across job counts.
         assert!(serial.metrics.deterministic_eq(&parallel.metrics));
         assert!(!serial.metrics.is_empty());
+        // Phase times are metered without any trace sink attached.
+        for r in [&serial, &parallel] {
+            assert!(r.metrics.latency_hist(pdgc_obs::Phase::Select).sum > 0);
+        }
         assert_eq!(parallel.jobs, 3);
         assert!(serial.funcs_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn per_function_sinks_observe_their_own_allocation() {
-        let target = TargetDesc::ia64_like(PressureModel::Middle);
-        let alloc = PreferenceAllocator::full();
-        let workloads = small_workloads();
-        let (result, sinks) = run_batch_traced(&alloc, &workloads, &target, 2, |_| {
-            let mut t = RecordingTracer::default();
-            t.set_enabled(true);
-            t
-        });
-        assert_eq!(sinks.len(), result.funcs.len());
-        for sink in &sinks {
-            // Every function's own sink saw its pipeline finish.
-            assert!(sink
-                .events()
-                .iter()
-                .any(|e| matches!(e, Event::Finish { .. })));
-        }
-        // Phase times were metered alongside the user sinks.
-        assert!(result.metrics.latency_hist(pdgc_obs::Phase::Select).sum > 0);
     }
 
     #[test]
@@ -547,7 +407,7 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::High);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch_checked(&alloc, &workloads, &target, 2, CheckMode::Always);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Always);
         assert_eq!(r.funcs.len(), 4);
     }
 
@@ -556,7 +416,7 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch(&alloc, &workloads, &target, 2);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Off);
         for (i, f) in r.funcs.iter().enumerate() {
             assert_eq!(f.index, i);
         }

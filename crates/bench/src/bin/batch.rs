@@ -22,7 +22,7 @@
 //! cargo run --release -p pdgc-bench --bin batch -- --jobs 4 [--repeat 3] [--target risc16] [--check] [--min-speedup 1.5]
 //! ```
 
-use pdgc_bench::batch::compare_jobs_checked;
+use pdgc_bench::batch::compare_jobs;
 use pdgc_bench::{print_table, write_metrics};
 use pdgc_core::{CheckMode, PreferenceAllocator};
 use pdgc_target::TargetRegistry;
@@ -82,7 +82,7 @@ fn main() {
         target.name
     );
 
-    let cmp = compare_jobs_checked(&alloc, &workloads, &target, jobs, repeat, check);
+    let cmp = compare_jobs(&alloc, &workloads, &target, jobs, repeat, check);
     if check.should_check() {
         println!("symbolic check: every allocation of both runs proven ({check} mode)");
     }

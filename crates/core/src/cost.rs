@@ -64,10 +64,7 @@ impl<'a> CostModel<'a> {
     ///
     /// `depth` counts *natural loops* — all back edges sharing a header
     /// form one loop, so a two-latch (`continue`-shaped) loop weighs its
-    /// body 10×, not 100×. On SPL-shaped functions the pipeline derives
-    /// `Loops` from the region tree (`Spl::loops`), which is bit-identical
-    /// to the iterative dominator-based computation; costs never depend on
-    /// which path produced the analysis.
+    /// body 10×, not 100×.
     pub fn freq(&self, r: InstRef) -> u64 {
         self.loops.freq(r.block)
     }

@@ -52,11 +52,9 @@ pub struct Analyses {
     pub defuse: DefUse,
     /// Live-across-call records.
     pub crossings: CallCrossing,
-    /// SPL region decomposition of the CFG. When the function is
-    /// SPL-shaped it is what computed `liveness` (and, when
-    /// [`Spl::depth_fast_ok`], `loops`); it also drives run-based reload
-    /// forwarding in the spill phase. On irreducible or otherwise
-    /// non-SPL functions it records the fallback.
+    /// SPL shape of the CFG and its linear runs. When the function is
+    /// SPL-shaped ([`Spl::is_spl`]), the spill phase forwards reloads
+    /// along the runs; otherwise every use reloads.
     pub spl: Spl,
 }
 
@@ -65,27 +63,17 @@ pub fn analyze(func: &Function) -> Analyses {
     analyze_in(func, &mut LivenessScratch::default())
 }
 
-/// Like [`analyze`], drawing the liveness sets and crossing records from
-/// pooled scratch; return them with [`Analyses::recycle`] when done.
+/// Like [`analyze`], drawing the liveness sets, crossing records and SPL
+/// buffers from pooled scratch; return them with [`Analyses::recycle`]
+/// when done.
 ///
-/// Liveness and loop frequency go through the SPL region fast paths when
-/// the CFG is SPL-shaped — bit-identical to the iterative solvers by the
-/// [`Spl`] contract — and fall back to [`Liveness::compute_in`] and the
-/// dominator-based [`Loops::compute`] otherwise.
+/// Liveness is the iterative [`Liveness::compute_in`] and loop frequency
+/// the dominator-based [`Loops::compute`], whatever the CFG's shape.
 pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
     let cfg = Cfg::compute(func);
     let spl = Spl::compute_in(&cfg, &mut scratch.spl);
-    let liveness = match spl.liveness_in(func, &cfg, scratch) {
-        Some(lv) => lv,
-        None => Liveness::compute_in(func, &cfg, scratch),
-    };
-    let loops = match spl.loops() {
-        Some(l) => l,
-        None => {
-            let dom = Dominators::compute(&cfg);
-            Loops::compute(&cfg, &dom)
-        }
-    };
+    let liveness = Liveness::compute_in(func, &cfg, scratch);
+    let loops = Loops::compute(&cfg, &Dominators::compute(&cfg));
     let defuse = DefUse::compute_in(func, scratch);
     let crossings = liveness.call_crossings_in(func, scratch);
     Analyses {
@@ -421,9 +409,6 @@ fn pipeline<S: ClassStrategy + ?Sized>(
         } else {
             Counter::SplAnalysesFallback
         });
-        if analyses.spl.depth_fast_ok() {
-            scratch.metrics.bump(Counter::SplFreqFast);
-        }
         scratch
             .metrics
             .add(Counter::SplRegions, analyses.spl.regions() as u64);

@@ -10,7 +10,7 @@
 //! When the caller hands over an SPL region decomposition
 //! ([`insert_spill_code_fwd`]), the pass additionally *forwards* reloaded
 //! (or just-stored) values along the decomposition's linear runs: inside a
-//! block, and across an edge that the region tree proves is the only way
+//! block, and across an edge that the decomposition proves is the only way
 //! into the next block, a temporary that already holds the slot's value
 //! serves later uses directly instead of reloading per use. Forwarding
 //! lengthens temporary live ranges (they are unspillable), so the pipeline
@@ -326,6 +326,66 @@ mod tests {
         assert_eq!(out.stores, 2);
         assert_eq!(out.loads, 2);
         assert!(f.verify().is_ok());
+    }
+
+    /// Forwarding carries a reloaded value along a linear run, but a call
+    /// ends it even inside the run, and a join block reloads.
+    #[test]
+    fn forwarding_stops_at_calls_and_joins() {
+        use pdgc_analysis::Cfg;
+        use pdgc_ir::CmpOp;
+        let mut b = FunctionBuilder::new("f", vec![RegClass::Int], Some(RegClass::Int));
+        let p = b.param(0);
+        let run = b.create_block();
+        let t = b.create_block();
+        let e = b.create_block();
+        let join = b.create_block();
+        let x = b.bin_imm(BinOp::Add, p, 1);
+        b.jump(run);
+        b.switch_to(run);
+        let y = b.bin_imm(BinOp::Add, x, 2);
+        b.call("g", vec![y], None);
+        let z = b.bin_imm(BinOp::Add, x, 3);
+        b.branch_imm(CmpOp::Gt, z, 0, t, e);
+        b.switch_to(t);
+        b.jump(join);
+        b.switch_to(e);
+        b.jump(join);
+        b.switch_to(join);
+        let w = b.bin_imm(BinOp::Add, x, 4);
+        b.ret(Some(w));
+        let f0 = b.finish();
+        let spl = Spl::compute(&Cfg::compute(&f0));
+        assert!(spl.is_spl());
+        assert_eq!(spl.run_pred(run), Some(Block::ENTRY));
+        assert_eq!(spl.run_pred(join), None);
+
+        let mut f = f0.clone();
+        let mut next = 0;
+        let out = insert_spill_code_fwd(&mut f, &[x], &mut next, Some(&spl));
+        assert!(f.verify().is_ok());
+        assert_eq!(out.stores, 1);
+        // The stored temporary serves `y` across the run edge; `z` (after
+        // the call) and `w` (at the join) reload.
+        assert_eq!(out.forwarded, 1);
+        assert_eq!(out.loads, 2);
+        let is_reload = |i: &Inst| matches!(i, Inst::Reload { .. });
+        let run_insts = &f.blocks[run.index()].insts;
+        assert!(!is_reload(&run_insts[0]), "y is forwarded");
+        let call = run_insts.iter().position(Inst::is_call).unwrap();
+        assert!(is_reload(&run_insts[call + 1]), "z reloads after the call");
+        assert!(
+            is_reload(&f.blocks[join.index()].insts[0]),
+            "the join reloads w"
+        );
+        // The widened store temporary stays spillable.
+        assert_eq!(out.new_temps.len(), 2);
+
+        // Without a decomposition every use reloads.
+        let mut plain = f0.clone();
+        let mut next = 0;
+        let out = insert_spill_code(&mut plain, &[x], &mut next);
+        assert_eq!((out.loads, out.forwarded), (3, 0));
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!   decision can be replayed against the graphs that produced it.
 //!
 //! Consumers implement [`Tracer`]; the provided sinks serialize to JSON
-//! Lines ([`JsonLinesSink`]), a human-readable log ([`PrettySink`]), DOT
-//! files ([`DotDirSink`]), or an in-memory event list
-//! ([`RecordingTracer`]). [`NoopTracer`] is the zero-cost default: its
+//! Lines ([`JsonLinesSink`]), DOT files ([`DotDirSink`]), or an in-memory
+//! event list ([`RecordingTracer`]). [`NoopTracer`] is the zero-cost default: its
 //! `enabled()` returns `false`, and every emit site in the allocator
 //! checks that flag before constructing an event, so the untraced hot
 //! path performs no allocation and no I/O.
@@ -43,7 +42,7 @@ pub mod metrics;
 mod sinks;
 
 pub use metrics::{Counter, Histogram, MetricsRegistry, ValueHist};
-pub use sinks::{event_json, DotDirSink, FanoutTracer, JsonLinesSink, PrettySink, RecordingTracer};
+pub use sinks::{event_json, DotDirSink, FanoutTracer, JsonLinesSink, RecordingTracer};
 
 use pdgc_ir::RegClass;
 use pdgc_target::PhysReg;

@@ -142,12 +142,11 @@ pub enum Counter {
     CacheEvictions,
     /// Cache hits re-proven by the sampled symbolic check.
     CacheHitChecks,
-    /// Analysis rounds where the SPL region tree drove liveness.
+    /// Analysis rounds whose CFG decomposed into SPL regions: the rounds
+    /// where reload forwarding may run.
     SplAnalysesFast,
-    /// Analysis rounds that fell back to the iterative solvers.
+    /// Analysis rounds whose CFG did not decompose (no forwarding).
     SplAnalysesFallback,
-    /// Analysis rounds where loop depth/frequency came off the region tree.
-    SplFreqFast,
     /// Composite SPL regions built across all analysis rounds.
     SplRegions,
     /// Loop regions (while-shaped plus self-loops) among them.
@@ -158,7 +157,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 52] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -208,7 +207,6 @@ impl Counter {
         Counter::CacheHitChecks,
         Counter::SplAnalysesFast,
         Counter::SplAnalysesFallback,
-        Counter::SplFreqFast,
         Counter::SplRegions,
         Counter::SplLoopRegions,
         Counter::SplForwardedReloads,
@@ -269,7 +267,6 @@ impl Counter {
             Counter::CacheHitChecks => "cache_hit_checks",
             Counter::SplAnalysesFast => "spl_analyses_fast",
             Counter::SplAnalysesFallback => "spl_analyses_fallback",
-            Counter::SplFreqFast => "spl_freq_fast",
             Counter::SplRegions => "spl_regions",
             Counter::SplLoopRegions => "spl_loop_regions",
             Counter::SplForwardedReloads => "spl_forwarded_reloads",

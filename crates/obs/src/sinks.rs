@@ -1,5 +1,5 @@
-//! Trace sinks: JSON Lines, human-readable pretty printing, per-round DOT
-//! graph files, in-memory recording, and fan-out composition.
+//! Trace sinks: JSON Lines, per-round DOT graph files, in-memory recording,
+//! and fan-out composition.
 
 use crate::json::{self, JsonObject};
 use crate::{Decision, Event, Tracer, Verdict};
@@ -172,116 +172,6 @@ impl<W: Write> Tracer for JsonLinesSink<W> {
                 self.io_errors += 1;
             }
         }
-    }
-}
-
-/// Human-readable one-event-per-line log for quick terminal inspection.
-#[derive(Debug)]
-pub struct PrettySink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> PrettySink<W> {
-    /// A pretty printer over `writer`.
-    pub fn new(writer: W) -> Self {
-        PrettySink { writer }
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
-
-impl<W: Write> Tracer for PrettySink<W> {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: &Event) {
-        let _ = match event {
-            Event::RoundStart { round } => writeln!(self.writer, "== round {round} =="),
-            Event::Span {
-                phase,
-                round,
-                class,
-                nanos,
-            } => {
-                let class = class.map(|c| format!(" [{}]", class_str(c))).unwrap_or_default();
-                writeln!(
-                    self.writer,
-                    "  {:<9}{class} round {round}: {:.1} µs",
-                    phase.as_str(),
-                    *nanos as f64 / 1e3
-                )
-            }
-            Event::Decision(d) => {
-                let screens: Vec<String> = d
-                    .considered
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{}{}->{} str {}{}",
-                            if c.deferred { "defer " } else { "" },
-                            c.kind,
-                            c.target,
-                            c.strength,
-                            if c.narrowed {
-                                format!(" => {} left", c.survivors)
-                            } else {
-                                " (skipped)".to_string()
-                            }
-                        )
-                    })
-                    .collect();
-                let verdict = match &d.verdict {
-                    Verdict::Assigned { reg } => format!("-> {reg}"),
-                    Verdict::Spilled { reason, cost } => {
-                        format!("-> SPILL ({}, cost {cost})", reason.as_str())
-                    }
-                };
-                writeln!(
-                    self.writer,
-                    "  pick n{} (frontier {}, diff {}, {} avail) [{}] {verdict}",
-                    d.node,
-                    d.frontier,
-                    d.differential,
-                    d.available,
-                    screens.join("; ")
-                )
-            }
-            Event::SpillCode { round, vregs, slots } => writeln!(
-                self.writer,
-                "  spill-code round {round}: {} vregs, {slots} slots",
-                vregs.len()
-            ),
-            Event::GraphDump { round, class, kind, .. } => writeln!(
-                self.writer,
-                "  graph dump: {} [{}] round {round}",
-                kind.as_str(),
-                class_str(*class)
-            ),
-            Event::CheckFailed { func, violations } => {
-                let _ = writeln!(
-                    self.writer,
-                    "== CHECK FAILED for `{func}`: {} violation(s) ==",
-                    violations.len()
-                );
-                violations
-                    .iter()
-                    .try_for_each(|v| writeln!(self.writer, "  ! {v}"))
-            }
-            Event::Finish {
-                rounds,
-                spill_instructions,
-                moves_eliminated,
-            } => writeln!(
-                self.writer,
-                "== done: {rounds} round(s), {spill_instructions} spill insts, \
-                 {moves_eliminated} moves eliminated =="
-            ),
-        };
     }
 }
 
@@ -530,15 +420,6 @@ mod tests {
         assert!(line.contains("\"verdict\":\"spilled\""));
         assert!(line.contains("\"reason\":\"prefer-memory\""));
         assert!(line.contains("\"cost\":12"));
-    }
-
-    #[test]
-    fn pretty_sink_mentions_the_register() {
-        let mut sink = PrettySink::new(Vec::new());
-        sink.record(&Event::Decision(sample_decision()));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert!(text.contains("-> r0"), "{text}");
-        assert!(text.contains("coalesce"), "{text}");
     }
 
     #[test]

@@ -142,6 +142,30 @@ struct Options {
     emit_requests: Option<String>,
 }
 
+/// Splits `--flag=value` into the flag and its inline value; any other
+/// argument comes back whole, with no value.
+fn split_flag(arg: &str) -> (&str, Option<&str>) {
+    match arg.split_once('=') {
+        Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+        _ => (arg, None),
+    }
+}
+
+/// A valued flag's value: the inline `=value`, or else the next argument.
+fn flag_value<'a>(
+    flag: &str,
+    inline: Option<&str>,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<String, String> {
+    match inline {
+        Some(v) => Ok(v.to_string()),
+        None => rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
 fn parse_options(argv: &[String]) -> Result<Options, String> {
     let mut o = Options {
         file: None,
@@ -162,87 +186,62 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let (flag, inline) = split_flag(a);
+        if !flag.starts_with("--") {
+            if o.file.replace(a.clone()).is_some() {
+                return Err("more than one input file".into());
+            }
+            continue;
+        }
+        // The flags that take no value; bare `--check` means `always`.
+        match (flag, inline) {
+            ("--check", None) => {
+                o.check = CheckMode::Always;
+                continue;
+            }
+            ("--write-baseline", None) => {
+                o.write_baseline = true;
+                continue;
+            }
+            _ => {}
+        }
+        let mut value = || flag_value(flag, inline, &mut it);
+        match flag {
             "--allocator" => {
-                o.allocator = it.next().ok_or("--allocator needs a value")?.clone();
+                o.allocator = value()?;
                 o.allocator_given = true;
             }
-            "--target" => {
-                o.target = it.next().ok_or("--target needs a value")?.clone();
-            }
+            "--target" => o.target = value()?,
             "--args" => {
-                let v = it.next().ok_or("--args needs a value")?;
-                o.args = v
+                o.args = value()?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.trim().parse().map_err(|_| format!("bad arg `{s}`")))
                     .collect::<Result<_, _>>()?;
             }
-            "--trace" => {
-                o.trace = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            "--dump-graphs" => {
-                o.dump_graphs = Some(it.next().ok_or("--dump-graphs needs a value")?.clone());
-            }
+            "--trace" => o.trace = Some(value()?),
+            "--dump-graphs" => o.dump_graphs = Some(value()?),
             "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
+                let v = value()?;
                 o.jobs = Some(v.parse().map_err(|_| format!("bad job count `{v}`"))?);
             }
             "--check" => {
-                o.check = CheckMode::Always;
+                let v = value()?;
+                o.check = CheckMode::parse(&v)
+                    .ok_or_else(|| format!("bad check mode `{v}` (off, debug, always)"))?;
             }
-            "--baseline" => {
-                o.baseline = Some(it.next().ok_or("--baseline needs a value")?.clone());
-            }
-            "--write-baseline" => {
-                o.write_baseline = true;
-            }
-            "--socket" => {
-                o.socket = Some(it.next().ok_or("--socket needs a value")?.clone());
-            }
+            "--baseline" => o.baseline = Some(value()?),
+            "--socket" => o.socket = Some(value()?),
             "--cache-cap" => {
-                let v = it.next().ok_or("--cache-cap needs a value")?;
+                let v = value()?;
                 o.cache_cap = v.parse().map_err(|_| format!("bad cache cap `{v}`"))?;
             }
             "--sample-rate" => {
-                let v = it.next().ok_or("--sample-rate needs a value")?;
+                let v = value()?;
                 o.sample_rate = v.parse().map_err(|_| format!("bad sample rate `{v}`"))?;
             }
-            "--emit-requests" => {
-                o.emit_requests = Some(it.next().ok_or("--emit-requests needs a value")?.clone());
-            }
-            other => {
-                // Also accept the --flag=value spelling.
-                if let Some(v) = other.strip_prefix("--trace=") {
-                    o.trace = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--dump-graphs=") {
-                    o.dump_graphs = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--jobs=") {
-                    o.jobs = Some(v.parse().map_err(|_| format!("bad job count `{v}`"))?);
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    o.check = CheckMode::parse(v)
-                        .ok_or_else(|| format!("bad check mode `{v}` (off, debug, always)"))?;
-                } else if let Some(v) = other.strip_prefix("--baseline=") {
-                    o.baseline = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--allocator=") {
-                    o.allocator = v.to_string();
-                    o.allocator_given = true;
-                } else if let Some(v) = other.strip_prefix("--target=") {
-                    o.target = v.to_string();
-                } else if let Some(v) = other.strip_prefix("--socket=") {
-                    o.socket = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--cache-cap=") {
-                    o.cache_cap = v.parse().map_err(|_| format!("bad cache cap `{v}`"))?;
-                } else if let Some(v) = other.strip_prefix("--sample-rate=") {
-                    o.sample_rate = v.parse().map_err(|_| format!("bad sample rate `{v}`"))?;
-                } else if let Some(v) = other.strip_prefix("--emit-requests=") {
-                    o.emit_requests = Some(v.to_string());
-                } else if other.starts_with("--") {
-                    return Err(format!("unknown flag {other}"));
-                } else if o.file.replace(other.to_string()).is_some() {
-                    return Err("more than one input file".into());
-                }
-            }
+            "--emit-requests" => o.emit_requests = Some(value()?),
+            _ => return Err(format!("unknown flag {a}")),
         }
     }
     Ok(o)
@@ -377,7 +376,7 @@ fn cmd_bench_batch(o: &Options) -> Result<(), String> {
         o.allocator, target.name
     );
     let cmp =
-        pdgc_bench::batch::compare_jobs_checked(alloc.as_ref(), &workloads, &target, jobs, 1, o.check);
+        pdgc_bench::batch::compare_jobs(alloc.as_ref(), &workloads, &target, jobs, 1, o.check);
     if o.check.should_check() {
         println!("symbolic check: every allocation of both runs proven ({} mode)", o.check);
     }
@@ -564,13 +563,13 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("pref_seq_minus_honored", Gate::LowerIsWorse, 5),
     ("pref_prefers_honored", Gate::LowerIsWorse, 5),
     ("funcs_allocated", Gate::Exact, 0),
-    // SPL fast-path coverage: fewer fast analyses / SPL-derived frequency
-    // computations means the decomposition stopped recognizing shapes it
-    // used to handle; more fallbacks means the same thing from the other
-    // side. Region counts are workload shape, pinned exactly.
+    // SPL coverage: `spl_analyses_fast` counts the rounds whose CFG
+    // decomposed, where reload forwarding may run. Fewer of them means the
+    // recognizer stopped matching shapes it used to handle; more fallbacks
+    // means the same thing from the other side. Region counts are workload
+    // shape, pinned exactly.
     ("spl_analyses_fast", Gate::LowerIsWorse, 0),
     ("spl_analyses_fallback", Gate::HigherIsWorse, 0),
-    ("spl_freq_fast", Gate::LowerIsWorse, 0),
     ("spl_regions", Gate::Exact, 0),
     ("spl_loop_regions", Gate::Exact, 0),
     // Work done by the CPG build and select's frontier loop. Each is an
@@ -649,19 +648,13 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     let mut current: Option<String> = None;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = Some(it.next().ok_or("--baseline needs a value")?.clone()),
-            "--current" => current = Some(it.next().ok_or("--current needs a value")?.clone()),
-            other => {
-                if let Some(v) = other.strip_prefix("--baseline=") {
-                    baseline = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--current=") {
-                    current = Some(v.to_string());
-                } else {
-                    return Err(format!("unknown report flag {other}"));
-                }
-            }
-        }
+        let (flag, inline) = split_flag(a);
+        let slot = match flag {
+            "--baseline" => &mut baseline,
+            "--current" => &mut current,
+            _ => return Err(format!("unknown report flag {a}")),
+        };
+        *slot = Some(flag_value(flag, inline, &mut it)?);
     }
     let bpath = baseline.ok_or("report needs --baseline FILE")?;
     let cpath = current.ok_or("report needs --current FILE")?;

@@ -21,7 +21,7 @@
 //!   cycle model behind the paper's "elapsed time" figures;
 //! * [`workloads`] — seeded SPECjvm98-analog program generation;
 //! * [`obs`] — the allocation tracing layer: phase spans, per-node
-//!   decision events, and JSONL / pretty / DOT sinks.
+//!   decision events, and JSONL / DOT sinks.
 //!
 //! ## Quick start
 //!
@@ -81,8 +81,7 @@ pub mod prelude {
     };
     pub use pdgc_ir::{BinOp, Block, CmpOp, Function, FunctionBuilder, RegClass, VReg};
     pub use pdgc_obs::{
-        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, PrettySink,
-        RecordingTracer, Tracer,
+        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, RecordingTracer, Tracer,
     };
     pub use pdgc_sim::{check_equivalent, run_ir, run_mach, DEFAULT_FUEL};
     pub use pdgc_target::{

@@ -7,7 +7,7 @@
 //! so every batch allocation is also independently proven.
 
 use pdgc::prelude::*;
-use pdgc_bench::batch::{run_batch, run_batch_checked};
+use pdgc_bench::batch::{compare_jobs, run_batch};
 
 fn suite() -> Vec<Workload> {
     specjvm_suite().iter().map(generate).collect()
@@ -18,8 +18,8 @@ fn jobs4_is_bit_identical_to_jobs1_on_full_allocator() {
     let workloads = suite();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let serial = run_batch_checked(&alloc, &workloads, &target, 1, CheckMode::Always);
-    let parallel = run_batch(&alloc, &workloads, &target, 4);
+    let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Always);
+    let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off);
 
     assert_eq!(serial.funcs.len(), parallel.funcs.len());
     assert!(serial.funcs.len() >= 60, "suite unexpectedly small");
@@ -51,7 +51,7 @@ fn jobs8_oversubscribed_stress_is_bit_identical_and_repeatable() {
     }
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let cmp = pdgc_bench::batch::compare_jobs(&alloc, &workloads, &target, 8, 2);
+    let cmp = compare_jobs(&alloc, &workloads, &target, 8, 2, CheckMode::Off);
     assert_eq!(cmp.parallel.jobs, 8);
     assert!(
         cmp.identical(),
@@ -74,8 +74,8 @@ fn jobs4_is_bit_identical_to_jobs1_across_pressure_models() {
     let alloc = PreferenceAllocator::full();
     for pressure in [PressureModel::High, PressureModel::Low] {
         let target = TargetDesc::ia64_like(pressure);
-        let serial = run_batch(&alloc, &workloads, &target, 1);
-        let parallel = run_batch(&alloc, &workloads, &target, 4);
+        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
+        let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off);
         assert!(
             serial.same_allocations(&parallel),
             "divergence under {pressure:?}"

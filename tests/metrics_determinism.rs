@@ -25,8 +25,8 @@ fn jobs4_metrics_merge_bit_identical_to_jobs1() {
     let workloads = suite();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let serial = run_batch(&alloc, &workloads, &target, 1);
-    let parallel = run_batch(&alloc, &workloads, &target, 4);
+    let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
+    let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off);
 
     assert!(serial.metrics.deterministic_eq(&parallel.metrics));
     // The JSON forms of the deterministic sections must match byte for
@@ -61,7 +61,7 @@ fn per_function_metrics_ride_their_slots() {
     let workloads = suite();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let r = run_batch(&alloc, &workloads, &target, 3);
+    let r = run_batch(&alloc, &workloads, &target, 3, CheckMode::Off);
     // Each slot carries exactly its own function's scorecard, and the
     // merged registry is their sum.
     let mut merged = pdgc::obs::MetricsRegistry::default();

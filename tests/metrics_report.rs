@@ -136,7 +136,9 @@ fn every_serve_allocator_allocates_through_the_cli() {
 
 /// `pdgc run` on input that carries its own spill code, on an 8-register
 /// file where the allocator must spill too: it allocates under the
-/// checker, executes both sides and exits 1 if their results differ.
+/// checker, executes both sides and exits 1 if their results differ. The
+/// `--flag value` and `--flag=value` spellings of every flag run the same
+/// allocation.
 #[test]
 fn a_spill_carrying_input_runs_equivalent_through_the_cli() {
     let dir = std::env::temp_dir().join(format!("pdgc-report-{}-spill", std::process::id()));
@@ -145,25 +147,33 @@ fn a_spill_carrying_input_runs_equivalent_through_the_cli() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/spill_input.pdgc"
     );
-    let out = Command::new(PDGC)
-        .args([
-            "run",
-            ir,
-            "--target",
-            "tight8",
-            "--check=always",
-            "--args",
-            "4096",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("run pdgc run");
-    assert!(
-        out.status.success(),
-        "pdgc run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let spaced = ["--target", "tight8", "--check=always", "--args", "4096"];
+    let joined = ["--target=tight8", "--check=always", "--args=4096"];
+    let mut outputs = Vec::new();
+    for flags in [&spaced[..], &joined[..]] {
+        let out = Command::new(PDGC)
+            .arg("run")
+            .arg(ir)
+            .args(flags)
+            .current_dir(&dir)
+            .output()
+            .expect("run pdgc run");
+        assert!(
+            out.status.success(),
+            "pdgc run {flags:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            stdout.contains("(equivalence verified)"),
+            "{flags:?}: {stdout}"
+        );
+        outputs.push(stdout);
+    }
+    assert_eq!(
+        outputs[0], outputs[1],
+        "the two flag spellings allocated differently"
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(equivalence verified)"));
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -9,10 +9,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pdgc::analysis::{Cfg, Spl};
 use pdgc::core::cpg::Cpg;
 use pdgc::core::ifg::InterferenceGraph;
 use pdgc::core::node::NodeId;
 use pdgc::core::simplify::{simplify, SimplifyMode};
+use pdgc::core::spill::{insert_spill_code, insert_spill_code_fwd};
 use pdgc::prelude::*;
 use pdgc::workloads::WorkloadProfile;
 
@@ -375,7 +377,8 @@ proptest! {
     }
 
     /// Spill-code insertion preserves semantics for arbitrary spill
-    /// choices (any subset of defined, unpinned registers).
+    /// choices (any subset of defined, unpinned registers), with and
+    /// without reload forwarding.
     #[test]
     fn spill_insertion_preserves_semantics(
         seed in any::<u64>(),
@@ -414,10 +417,43 @@ proptest! {
             .filter(|&i| has_def[i] && (spill_mask >> (i % 64)) & 1 == 1)
             .map(VReg::new)
             .collect();
-        let mut slot = 0;
-        pdgc::core::spill::insert_spill_code(&mut func, &spilled, &mut slot);
-        prop_assert!(func.verify().is_ok());
-        let after = run_ir(&func, &args, DEFAULT_FUEL).unwrap();
+        let mut plain_func = func.clone();
+        let mut plain_slots = 0;
+        let plain = insert_spill_code(&mut plain_func, &spilled, &mut plain_slots);
+        prop_assert!(plain_func.verify().is_ok());
+        let after = run_ir(&plain_func, &args, DEFAULT_FUEL).unwrap();
         prop_assert!(check_equivalent(&before, &after).is_ok());
+
+        // Forwarding along the SPL decomposition's linear runs: the same
+        // semantics, stores and frame, with some reloads turned into reuses.
+        let spl = Spl::compute(&Cfg::compute(&func));
+        let mut fwd_func = func.clone();
+        let mut fwd_slots = 0;
+        let fwd = insert_spill_code_fwd(&mut fwd_func, &spilled, &mut fwd_slots, Some(&spl));
+        prop_assert!(fwd_func.verify().is_ok());
+        let after = run_ir(&fwd_func, &args, DEFAULT_FUEL).unwrap();
+        prop_assert!(check_equivalent(&before, &after).is_ok());
+        prop_assert_eq!(fwd.stores, plain.stores);
+        prop_assert_eq!(fwd_slots, plain_slots);
+        prop_assert_eq!(fwd.loads + fwd.forwarded, plain.loads);
+        // A temp that served extra uses was widened and dropped from
+        // `new_temps`; every temp left there has one reader.
+        let mut readers = vec![0usize; fwd_func.num_vregs()];
+        for b in fwd_func.block_ids() {
+            for inst in &fwd_func.block(b).insts {
+                let mut read: Vec<VReg> = Vec::new();
+                inst.visit_uses(|u| {
+                    if !read.contains(&u) {
+                        read.push(u);
+                    }
+                });
+                for u in read {
+                    readers[u.index()] += 1;
+                }
+            }
+        }
+        for t in &fwd.new_temps {
+            prop_assert_eq!(readers[t.index()], 1, "temp {} has other than one reader", t);
+        }
     }
 }
