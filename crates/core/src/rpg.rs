@@ -51,9 +51,10 @@ pub enum PrefTarget {
 }
 
 impl PrefTarget {
-    /// A `Set` target covering register indices `0..n`.
+    /// A `Set` target covering register indices `0..n` (every index when
+    /// `n` is 64 or more).
     pub fn low_regs(n: u8) -> PrefTarget {
-        PrefTarget::Set((1u64 << n) - 1)
+        PrefTarget::Set(1u64.checked_shl(n.into()).map_or(u64::MAX, |bit| bit - 1))
     }
 }
 
@@ -448,6 +449,14 @@ mod tests {
             .class(RegClass::Float, ClassSpec::new(8))
             .finish()
             .unwrap()
+    }
+
+    #[test]
+    fn low_regs_covers_a_full_64_register_file() {
+        assert_eq!(PrefTarget::low_regs(0), PrefTarget::Set(0));
+        assert_eq!(PrefTarget::low_regs(4), PrefTarget::Set(0b1111));
+        assert_eq!(PrefTarget::low_regs(63), PrefTarget::Set(u64::MAX >> 1));
+        assert_eq!(PrefTarget::low_regs(64), PrefTarget::Set(u64::MAX));
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!
 //! Spill decisions, coalescing (same-register selection), and every
 //! preference type are thereby resolved simultaneously.
+//!
+//! Every register set is a `u64` mask over register indices (bit `i` is
+//! register `i`): the target builder caps a class at 64 registers, so
+//! screening, narrowing and the step 4.4 pick are mask operations. The
+//! frontier is a max-heap keyed on (differential, lowest id), so a pick
+//! costs O(log F) rather than a scan of all F frontier nodes.
 
 use crate::cpg::Cpg;
 use crate::ifg::InterferenceGraph;
@@ -26,10 +32,16 @@ use pdgc_obs::{
     Considered, Counter, Decision, Event, MetricsRegistry, SpillReason, Tracer, ValueHist, Verdict,
 };
 use pdgc_target::{PhysReg, TargetDesc};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// A frontier-heap entry: a node keyed by its differential, lowest id
+/// first on ties.
+type FrontierKey = (i64, Reverse<NodeId>);
 
 /// Resettable scratch for [`select_traced_in`]: the reverse-preference
-/// index, the per-register rows, the differential caches, and the
-/// per-select working vectors.
+/// index, the `best` rows and `used` masks, the differential caches, the
+/// frontier heap, and the per-select working vectors.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     rev_pref: NestedPool<NodeId>,
@@ -38,13 +50,12 @@ pub struct SelectScratch {
     diffs: VecPool<i64>,
     counts: VecPool<usize>,
     nodes: VecPool<NodeId>,
-    /// Pool for candidate-register sets: the available set, per-preference
-    /// honoring sets, and narrowed candidate sets.
-    phys: VecPool<PhysReg>,
     /// Reused per-node screening list (honorable + deferred preferences).
     screens: Vec<ScreenEntry>,
-    /// The per-node occupancy rows, parked between selects.
-    used: Vec<bool>,
+    /// The per-node occupancy masks, parked between selects.
+    used: Vec<u64>,
+    /// The frontier heap, parked (empty) between selects.
+    heap: BinaryHeap<FrontierKey>,
     /// Always-on screening-outcome counters (honored/deferred/skipped by
     /// preference kind, spill reasons, strength distribution) plus the
     /// strategy's per-class phase latencies. The pipeline drains this
@@ -58,7 +69,7 @@ impl SelectScratch {
         Self::default()
     }
 
-    /// Capacity of the pooled occupancy rows (diagnostic; a regression
+    /// Capacity of the pooled occupancy masks (diagnostic; a regression
     /// test asserts they come back after a select that spills for lack of
     /// registers).
     pub fn used_capacity(&self) -> usize {
@@ -112,8 +123,8 @@ impl SelectResult {
 /// size, the strength differential, every preference screened with its
 /// strength, and the verdict (register or spill with its cost) — and
 /// drawing every per-select vector — the reverse preference index,
-/// assignment, differential caches, and occupancy buffers — from pooled
-/// scratch. Recycle the result with [`SelectResult::recycle`].
+/// assignment, differential caches, frontier heap, and occupancy masks —
+/// from pooled scratch. Recycle the result with [`SelectResult::recycle`].
 ///
 /// `no_spill[n]` marks spill temporaries that must receive registers.
 /// `spill_costs` (per node, `u64::MAX` = unspillable) only feeds the spill
@@ -157,16 +168,34 @@ pub fn select_traced_in(
         let n = NodeId::new(i);
         nodes.is_precolored(n).then(|| nodes.phys_reg(n))
     }));
-    let k = target.num_regs(nodes.class());
+    let class = nodes.class();
+    let k = target.num_regs(class);
+    let (mut file, mut vol) = (0u64, 0u64);
+    for r in target.regs(class) {
+        file |= 1 << r.index();
+        if target.is_volatile(r) {
+            vol |= 1 << r.index();
+        }
+    }
+    let (mut pair_first, mut pair_second) = ([0u64; 64], [0u64; 64]);
+    if let Some(rule) = target.pair_rule(class) {
+        for r in target.regs(class) {
+            for s in target.regs(class).filter(|&s| rule.allows(r, s)) {
+                pair_second[r.index()] |= 1 << s.index();
+                pair_first[s.index()] |= 1 << r.index();
+            }
+        }
+    }
     let mut used = std::mem::take(&mut scratch.used);
     used.clear();
-    used.resize(nodes.num_nodes() * k, false);
+    used.resize(nodes.num_nodes(), 0);
+    let mut heap = std::mem::take(&mut scratch.heap);
+    heap.clear();
     Selector {
         ifg,
         nodes,
         rpg,
         cpg,
-        target,
         no_spill,
         spill_costs,
         config,
@@ -174,13 +203,19 @@ pub fn select_traced_in(
         assignment,
         spilled: scratch.bools.take_filled(nodes.num_nodes(), false),
         processed: scratch.bools.take_filled(nodes.num_nodes(), false),
+        in_frontier: scratch.bools.take_filled(nodes.num_nodes(), false),
         rev_pref,
+        file,
+        vol,
+        pair_first,
+        pair_second,
         k,
         best: scratch.diffs.take_filled(nodes.num_nodes() * k, NO_PREF),
         used,
-        diff_cache: scratch.diffs.take_filled(nodes.num_nodes(), 0),
+        diff_cache: scratch.diffs.take_filled(nodes.num_nodes(), UNKEYED),
         diff_dirty: scratch.bools.take_filled(nodes.num_nodes(), true),
-        phys: std::mem::take(&mut scratch.phys),
+        heap,
+        frontier_len: 0,
         screen_buf: std::mem::take(&mut scratch.screens),
         metrics: std::mem::take(&mut scratch.metrics),
     }
@@ -192,7 +227,6 @@ struct Selector<'a> {
     nodes: &'a NodeMap,
     rpg: &'a Rpg,
     cpg: &'a Cpg,
-    target: &'a TargetDesc,
     no_spill: &'a [bool],
     spill_costs: &'a [u64],
     config: SelectConfig,
@@ -200,23 +234,37 @@ struct Selector<'a> {
     assignment: Vec<Option<PhysReg>>,
     spilled: Vec<bool>,
     processed: Vec<bool>,
+    /// Released by its CPG predecessors and not yet picked.
+    in_frontier: Vec<bool>,
     /// `rev_pref[m]`: nodes holding a preference that targets `m`'s
     /// representative.
     rev_pref: Vec<Vec<NodeId>>,
-    /// Registers in the class: the width of every per-node row.
+    /// The class's register file, and its volatile registers.
+    file: u64,
+    vol: u64,
+    /// `pair_first[p]`: the registers a paired load may write its first
+    /// word to when `p` takes the second; `pair_second[p]`, the registers
+    /// it may write the second word to when `p` takes the first.
+    pair_first: [u64; 64],
+    pair_second: [u64; 64],
+    /// Registers in the class: the width of every `best` row.
     k: usize,
     /// `best[n * k + r]`: the strength of `n`'s strongest preference that
     /// register `r` honors under the current assignments, or [`NO_PREF`].
     best: Vec<i64>,
-    /// `used[n * k + r]`: an assigned interference neighbor of `n` holds
-    /// register `r`.
-    used: Vec<bool>,
-    /// Cached step-3 strength differential per node; valid while the
-    /// matching `diff_dirty` bit is clear.
+    /// `used[n]`: the registers `n`'s assigned interference neighbors hold.
+    used: Vec<u64>,
+    /// Step-3 strength differential per node — the key of its live heap
+    /// entry once it is in the frontier — valid while the matching
+    /// `diff_dirty` bit is clear.
     diff_cache: Vec<i64>,
     diff_dirty: Vec<bool>,
-    /// Pool for the per-node candidate-register vectors.
-    phys: VecPool<PhysReg>,
+    /// The frontier, keyed on `diff_cache`. An entry is stale once its
+    /// node has left the frontier or been re-keyed; every frontier node
+    /// has a live entry, one whose key is its `diff_cache`.
+    heap: BinaryHeap<FrontierKey>,
+    /// Frontier nodes, counted.
+    frontier_len: usize,
     /// Reused screening list, cleared between nodes.
     screen_buf: Vec<ScreenEntry>,
     /// Taken from the scratch for the duration of the select, parked back
@@ -226,14 +274,14 @@ struct Selector<'a> {
 
 /// One screened preference of the node being allocated: an *honorable*
 /// preference carries the registers of the available set that honor it; a
-/// *deferred* one (unallocated partner) carries no set — it narrows to the
+/// *deferred* one (unallocated partner) carries none — it narrows to the
 /// registers that keep the partner able to honor it later.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ScreenEntry {
     strength: i64,
     pref: Preference,
     deferred: bool,
-    regs: Vec<PhysReg>,
+    regs: u64,
 }
 
 /// How one preference screen ended, for the scorecard.
@@ -252,9 +300,23 @@ enum ScreenOutcome {
 /// nothing, which step 3 scores as 0. The RPG uses `i64::MIN` only as the
 /// "never" strength of the register kind a one-sided preference excludes,
 /// and that preference never admits such a register, so no admitted
-/// strength collides with it (the debug oracle in `cached_differential`
-/// would catch one that did).
+/// strength collides with it (the debug oracle in `rekey` would catch one
+/// that did).
 const NO_PREF: i64 = i64::MIN;
+
+/// The `diff_cache` of a node never keyed. A differential is a spread
+/// (non-negative) or `i64::MIN + 1`, never this, so a node's first
+/// computation always pushes its entry.
+const UNKEYED: i64 = i64::MIN;
+
+/// The register indices in `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let r = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        r
+    })
+}
 
 impl Selector<'_> {
     fn run(mut self, tracer: &mut dyn Tracer, scratch: &mut SelectScratch) -> SelectResult {
@@ -262,47 +324,45 @@ impl Selector<'_> {
         let mut pred_remaining = scratch.counts.take();
         pred_remaining
             .extend((0..self.nodes.num_nodes()).map(|i| self.cpg.pred_count(NodeId::new(i))));
-        let mut queue = scratch.nodes.take();
-        queue.extend(self.cpg.initial_queue());
-        let total: usize = self.cpg.nodes().count();
+        let cpg = self.cpg;
+        for n in cpg.nodes().filter(|&n| cpg.pred_count(n) == 0) {
+            self.enter_frontier(n);
+        }
+        let total: usize = cpg.nodes().count();
         let mut done = 0;
 
-        while !queue.is_empty() {
-            // Step 3: the frontier node with the largest differential
-            // (lowest node id on ties). Differentials are cached and only
-            // recomputed, in O(K) from the node's rows, for nodes an
-            // assignment actually invalidated — an interference neighbor
-            // or preference holder of the assigned node.
-            self.metrics
-                .add(Counter::SelectFrontierScanned, queue.len() as u64);
-            let mut best: Option<(usize, i64)> = None;
-            for i in 0..queue.len() {
-                let n = queue[i];
-                let d = self.cached_differential(n);
-                let better = match best {
-                    None => true,
-                    Some((bi, bd)) => d > bd || (d == bd && n.index() < queue[bi].index()),
-                };
-                if better {
-                    best = Some((i, d));
-                }
+        // Step 3: the frontier node with the largest differential (lowest
+        // node id on ties) tops the heap. Differentials are cached and only
+        // recomputed, in O(K) from the node's row, for nodes an assignment
+        // actually invalidated — an interference neighbor or preference
+        // holder of the assigned node — which are then re-keyed.
+        while let Some((differential, Reverse(n))) = self.heap.pop() {
+            self.metrics.bump(Counter::SelectHeapPops);
+            if !self.in_frontier[n.index()] || self.diff_cache[n.index()] != differential {
+                continue; // stale: picked already, or re-keyed since
             }
-            let (qi, differential) = best.expect("non-empty queue");
-            let frontier = queue.len() as u32;
-            let n = queue.swap_remove(qi);
+            let frontier = self.frontier_len as u32;
+            self.metrics
+                .add(Counter::SelectFrontierScanned, self.frontier_len as u64);
+            self.in_frontier[n.index()] = false;
+            self.frontier_len -= 1;
 
             self.allocate(n, frontier, differential, tracer);
             self.processed[n.index()] = true;
             done += 1;
 
             // Step 5: release successors.
-            for &s in self.cpg.succs(n) {
+            for &s in cpg.succs(n) {
                 pred_remaining[s.index()] -= 1;
                 if pred_remaining[s.index()] == 0 {
-                    queue.push(s);
+                    self.enter_frontier(s);
                 }
             }
         }
+        debug_assert_eq!(
+            self.frontier_len, 0,
+            "a frontier node lost its live heap entry"
+        );
         assert_eq!(done, total, "CPG must drain completely (acyclic)");
 
         let mut spilled = scratch.nodes.take();
@@ -314,15 +374,15 @@ impl Selector<'_> {
         // Park every internal buffer back in the scratch before returning:
         // the next select call reuses all of them.
         scratch.counts.put(pred_remaining);
-        scratch.nodes.put(queue);
         scratch.rev_pref.put(self.rev_pref);
         scratch.bools.put(self.spilled);
         scratch.bools.put(self.processed);
+        scratch.bools.put(self.in_frontier);
         scratch.bools.put(self.diff_dirty);
         scratch.diffs.put(self.diff_cache);
         scratch.diffs.put(std::mem::take(&mut self.best));
         scratch.used = std::mem::take(&mut self.used);
-        scratch.phys = std::mem::take(&mut self.phys);
+        scratch.heap = std::mem::take(&mut self.heap);
         scratch.screens = std::mem::take(&mut self.screen_buf);
         scratch.metrics = std::mem::take(&mut self.metrics);
         SelectResult {
@@ -331,16 +391,11 @@ impl Selector<'_> {
         }
     }
 
-    /// `n`'s occupancy row: entry `r` is set when an assigned
-    /// interference neighbor holds register `r`.
-    fn used_row(&self, n: NodeId) -> &[bool] {
-        &self.used[n.index() * self.k..][..self.k]
-    }
-
-    /// Fills both rows of every CPG node, preference-major: each
-    /// preference the initial assignments (the precolored nodes) already
-    /// decide folds into its holder's `best` row, and each precolored
-    /// register marks the `used` row of its interference neighbors.
+    /// Fills the `best` rows and `used` masks of every CPG node,
+    /// preference-major: each preference the initial assignments (the
+    /// precolored nodes) already decide folds into its holder's `best`
+    /// row, and each precolored register marks the `used` mask of its
+    /// interference neighbors.
     fn fill_rows(&mut self) {
         let rpg = self.rpg;
         for n in self.cpg.nodes() {
@@ -351,98 +406,71 @@ impl Selector<'_> {
         for i in 0..self.nodes.num_nodes() {
             if let Some(r) = self.assignment[i] {
                 for &x in self.ifg.neighbors_slice(NodeId::new(i)) {
-                    self.used[x.index() * self.k + r.index()] = true;
+                    self.used[x.index()] |= 1 << r.index();
                 }
             }
         }
+    }
+
+    /// The registers that honor `pref` under the current assignments:
+    /// none while its partner is unallocated (deferred, 2.2).
+    fn admits(&self, pref: &Preference) -> u64 {
+        match pref.target {
+            PrefTarget::Volatile => self.vol,
+            PrefTarget::NonVolatile => self.file & !self.vol,
+            PrefTarget::Set(mask) => mask & self.file,
+            PrefTarget::Node(m) => {
+                // Resolve through coalesced representatives (pre-
+                // coalescing merges nodes before selection).
+                let Some(partner) = self.assignment[self.ifg.rep(m).index()] else {
+                    return 0;
+                };
+                match pref.kind {
+                    PrefKind::Coalesce => 1 << partner.index(),
+                    PrefKind::SequentialPlus => self.pair_first[partner.index()],
+                    PrefKind::SequentialMinus => self.pair_second[partner.index()],
+                    PrefKind::Prefers => 0,
+                }
+            }
+        }
+    }
+
+    /// The strength of honoring `pref` with register `r`.
+    fn strength_at(&self, pref: &Preference, r: usize) -> i64 {
+        if self.vol >> r & 1 == 1 {
+            pref.strength_vol
+        } else {
+            pref.strength_nonvol
+        }
+    }
+
+    /// The strongest honoring of `pref` by a register of `regs`, or `None`
+    /// when `regs` is empty.
+    fn strength_over(&self, pref: &Preference, regs: u64) -> Option<i64> {
+        let vol = (regs & self.vol != 0).then_some(pref.strength_vol);
+        let nonvol = (regs & !self.vol != 0).then_some(pref.strength_nonvol);
+        vol.max(nonvol)
     }
 
     /// Raises `n`'s `best` row to `pref`'s strength at every register
     /// `pref` admits under the current assignments.
     fn fold_pref(&mut self, n: NodeId, pref: &Preference) {
-        for r in self.target.regs(self.nodes.class()) {
-            if let Some(s) = self.pref_strength_if_admits(pref, r) {
-                let cell = &mut self.best[n.index() * self.k + r.index()];
-                *cell = (*cell).max(s);
-            }
+        for r in bits(self.admits(pref)) {
+            let s = self.strength_at(pref, r);
+            let cell = &mut self.best[n.index() * self.k + r];
+            *cell = (*cell).max(s);
         }
-    }
-
-    /// Registers not used by already-allocated interference neighbors,
-    /// written into `out`.
-    fn collect_available(&self, n: NodeId, out: &mut Vec<PhysReg>) {
-        let used = self.used_row(n);
-        out.extend(
-            self.target
-                .regs(self.nodes.class())
-                .filter(|r| !used[r.index()]),
-        );
     }
 
     /// Steps 2.1–2.2: screens the preferences of `n` into `out` — first
     /// the honorable ones (a non-empty honoring set within `avail`), then
     /// the deferred ones (partner not yet allocated), each in preference
-    /// order so the later stable sort ties out exactly like the unpooled
-    /// path did.
-    fn collect_screens(&mut self, n: NodeId, avail: &[PhysReg], out: &mut Vec<ScreenEntry>) {
+    /// order so the later stable sort ties out by preference order.
+    fn collect_screens(&self, n: NodeId, avail: u64, out: &mut Vec<ScreenEntry>) {
         let rpg = self.rpg;
         for &pref in rpg.prefs(n) {
-            let mut regs = self.phys.take();
-            match pref.target {
-                PrefTarget::Volatile => {
-                    regs.extend(avail.iter().copied().filter(|&r| self.target.is_volatile(r)));
-                }
-                PrefTarget::NonVolatile => {
-                    regs.extend(avail.iter().copied().filter(|&r| !self.target.is_volatile(r)));
-                }
-                PrefTarget::Set(mask) => {
-                    regs.extend(
-                        avail
-                            .iter()
-                            .copied()
-                            .filter(|&r| r.index() < 64 && (mask >> r.index()) & 1 == 1),
-                    );
-                }
-                PrefTarget::Node(m) => {
-                    // Resolve through coalesced representatives (pre-
-                    // coalescing merges nodes before selection). An
-                    // unallocated partner leaves the set empty: the
-                    // preference is deferred (2.2), handled below.
-                    let m = self.ifg.rep(m);
-                    if let Some(partner) = self.assignment[m.index()] {
-                        match pref.kind {
-                            PrefKind::Coalesce => {
-                                regs.extend(avail.iter().copied().filter(|&r| r == partner));
-                            }
-                            PrefKind::SequentialPlus => {
-                                regs.extend(
-                                    avail
-                                        .iter()
-                                        .copied()
-                                        .filter(|&r| self.target.pair_allows(r, partner)),
-                                );
-                            }
-                            PrefKind::SequentialMinus => {
-                                regs.extend(
-                                    avail
-                                        .iter()
-                                        .copied()
-                                        .filter(|&r| self.target.pair_allows(partner, r)),
-                                );
-                            }
-                            PrefKind::Prefers => {}
-                        }
-                    }
-                }
-            }
-            if regs.is_empty() {
-                self.phys.put(regs);
-            } else {
-                let strength = regs
-                    .iter()
-                    .map(|&r| pref.strength_with(r, self.target))
-                    .max()
-                    .unwrap_or(i64::MIN);
+            let regs = avail & self.admits(&pref);
+            if let Some(strength) = self.strength_over(&pref, regs) {
                 out.push(ScreenEntry {
                     strength,
                     pref,
@@ -463,58 +491,67 @@ impl Selector<'_> {
                         strength: pref.best_strength(),
                         pref,
                         deferred: true,
-                        regs: Vec::new(),
+                        regs: 0,
                     });
                 }
             }
         }
     }
 
-    /// The cached step-3 differential of `n`, recomputed from its rows
-    /// only when a prior assignment marked it stale.
-    fn cached_differential(&mut self, n: NodeId) -> i64 {
-        if self.diff_dirty[n.index()] {
-            let d = self.row_differential(n);
-            #[cfg(debug_assertions)]
-            assert_eq!(d, self.differential(n), "select rows out of date for {n}");
-            self.diff_cache[n.index()] = d;
-            self.diff_dirty[n.index()] = false;
-            self.metrics.bump(Counter::SelectDiffRecomputes);
-        }
-        self.diff_cache[n.index()]
+    /// Puts `n` in the frontier and keys it.
+    fn enter_frontier(&mut self, n: NodeId) {
+        self.in_frontier[n.index()] = true;
+        self.frontier_len += 1;
+        self.rekey(n);
     }
 
-    /// Step 3's metric read off `n`'s rows: the spread between the best
+    /// Recomputes the differential of frontier node `n` if a prior
+    /// assignment marked it stale, and pushes a new heap entry when the
+    /// key moved (the old one is then stale).
+    fn rekey(&mut self, n: NodeId) {
+        if !self.in_frontier[n.index()] || !self.diff_dirty[n.index()] {
+            return;
+        }
+        let d = self.row_differential(n);
+        #[cfg(debug_assertions)]
+        assert_eq!(d, self.differential(n), "select rows out of date for {n}");
+        self.diff_dirty[n.index()] = false;
+        self.metrics.bump(Counter::SelectDiffRecomputes);
+        if d != self.diff_cache[n.index()] {
+            self.diff_cache[n.index()] = d;
+            self.heap.push((d, Reverse(n)));
+        }
+    }
+
+    /// Step 3's metric read off `n`'s row: the spread between the best
     /// and worst per-register preference satisfaction over the registers
     /// no assigned neighbor holds, in O(K).
     fn row_differential(&self, n: NodeId) -> i64 {
         let best = &self.best[n.index() * self.k..][..self.k];
+        let avail = self.file & !self.used[n.index()];
+        if avail == 0 {
+            return i64::MIN + 1; // will spill regardless of order
+        }
         let mut hi = i64::MIN;
         let mut lo = i64::MAX;
-        let mut any_available = false;
-        for (&used, &b) in self.used_row(n).iter().zip(best) {
-            if used {
-                continue;
-            }
-            any_available = true;
-            let s = if b == NO_PREF { 0 } else { b };
+        for r in bits(avail) {
+            let s = if best[r] == NO_PREF { 0 } else { best[r] };
             hi = hi.max(s);
             lo = lo.min(s);
-        }
-        if !any_available {
-            return i64::MIN + 1; // will spill regardless of order
         }
         hi - lo
     }
 
-    /// Brings the rows up to date with `n`'s new register and marks every
-    /// node whose differential reads `n`'s assignment as stale: `n`'s
+    /// Brings the rows up to date with `n`'s new register, marks every
+    /// node whose differential reads `n`'s assignment as stale — `n`'s
     /// interference neighbors (their available sets shrank) and the
     /// holders of preferences targeting `n` (those preferences just became
-    /// honorable). Spills change no assignment, so they invalidate nothing.
+    /// honorable) — and re-keys those in the frontier. Spills change no
+    /// assignment, so they invalidate nothing.
     fn invalidate_after_assign(&mut self, n: NodeId, reg: PhysReg) {
-        for &x in self.ifg.neighbors_slice(n) {
-            self.used[x.index() * self.k + reg.index()] = true;
+        let ifg = self.ifg;
+        for &x in ifg.neighbors_slice(n) {
+            self.used[x.index()] |= 1 << reg.index();
             self.diff_dirty[x.index()] = true;
         }
         let rpg = self.rpg;
@@ -525,33 +562,18 @@ impl Selector<'_> {
                 continue;
             }
             for pref in rpg.prefs(holder) {
-                if matches!(pref.target, PrefTarget::Node(m) if self.ifg.rep(m) == n) {
+                if matches!(pref.target, PrefTarget::Node(m) if ifg.rep(m) == n) {
                     self.fold_pref(holder, pref);
                 }
             }
         }
-    }
-
-    /// The strength of honoring `pref` with register `r` under the current
-    /// assignments, or `None` when `r` does not honor it (mirrors the
-    /// per-register filters of [`collect_screens`](Self::collect_screens)).
-    fn pref_strength_if_admits(&self, pref: &Preference, r: PhysReg) -> Option<i64> {
-        let admits = match pref.target {
-            PrefTarget::Volatile => self.target.is_volatile(r),
-            PrefTarget::NonVolatile => !self.target.is_volatile(r),
-            PrefTarget::Set(mask) => r.index() < 64 && (mask >> r.index()) & 1 == 1,
-            PrefTarget::Node(m) => {
-                let m = self.ifg.rep(m);
-                let partner = self.assignment[m.index()]?; // deferred (2.2)
-                match pref.kind {
-                    PrefKind::Coalesce => r == partner,
-                    PrefKind::SequentialPlus => self.target.pair_allows(r, partner),
-                    PrefKind::SequentialMinus => self.target.pair_allows(partner, r),
-                    PrefKind::Prefers => false,
-                }
-            }
-        };
-        admits.then(|| pref.strength_with(r, self.target))
+        // Re-key only now: a node may be both a neighbor and a holder.
+        for &x in ifg.neighbors_slice(n) {
+            self.rekey(x);
+        }
+        for i in 0..self.rev_pref[n.index()].len() {
+            self.rekey(self.rev_pref[n.index()][i]);
+        }
     }
 
     /// Step 3's metric recomputed from scratch, the oracle for
@@ -560,32 +582,29 @@ impl Selector<'_> {
     /// currently available registers.
     #[cfg(debug_assertions)]
     fn differential(&self, n: NodeId) -> i64 {
-        let mut used = [false; 1 << u8::BITS]; // a register index is a u8
-        for &x in self.ifg.neighbors_slice(n) {
-            if let Some(r) = self.assignment[x.index()] {
-                used[r.index()] = true;
-            }
+        let used = self
+            .ifg
+            .neighbors_slice(n)
+            .iter()
+            .filter_map(|x| self.assignment[x.index()])
+            .fold(0u64, |used, r| used | 1 << r.index());
+        let avail = self.file & !used;
+        if avail == 0 {
+            return i64::MIN + 1; // will spill regardless of order
         }
         let mut best = i64::MIN;
         let mut worst = i64::MAX;
-        let mut any_available = false;
-        for r in self.target.regs(self.nodes.class()) {
-            if used[r.index()] {
-                continue;
-            }
-            any_available = true;
+        for r in bits(avail) {
             let s = self
                 .rpg
                 .prefs(n)
                 .iter()
-                .filter_map(|pref| self.pref_strength_if_admits(pref, r))
+                .filter(|pref| self.admits(pref) >> r & 1 == 1)
+                .map(|pref| self.strength_at(pref, r))
                 .max()
                 .unwrap_or(0);
             best = best.max(s);
             worst = worst.min(s);
-        }
-        if !any_available {
-            return i64::MIN + 1; // will spill regardless of order
         }
         best - worst
     }
@@ -668,16 +687,13 @@ impl Selector<'_> {
         }));
     }
 
-    /// Steps 4.1–4.4 for the chosen node. Every candidate-register vector
-    /// is drawn from the selector's pool and returned to it, so a warm
+    /// Steps 4.1–4.4 for the chosen node, on register masks: a warm
     /// untraced select never allocates here.
     fn allocate(&mut self, n: NodeId, frontier: u32, differential: i64, tracer: &mut dyn Tracer) {
         let trace = tracer.enabled();
-        let mut avail = self.phys.take();
-        self.collect_available(n, &mut avail);
-        let navail = avail.len() as u32;
-        if avail.is_empty() {
-            self.phys.put(avail);
+        let avail = self.file & !self.used[n.index()];
+        let navail = avail.count_ones();
+        if avail == 0 {
             self.spill(n);
             self.metrics.bump(Counter::SelectSpilledNoRegister);
             if trace {
@@ -691,7 +707,7 @@ impl Selector<'_> {
         }
         let mut screens = std::mem::take(&mut self.screen_buf);
         debug_assert!(screens.is_empty());
-        self.collect_screens(n, &avail, &mut screens);
+        self.collect_screens(n, avail, &mut screens);
         // §5.4 active spilling: the strongest preference is for memory.
         if self.config.active_spill && !self.no_spill[n.index()] {
             let strongest = screens
@@ -730,8 +746,8 @@ impl Selector<'_> {
                             verdict,
                         );
                     }
-                    self.phys.put(avail);
-                    self.recycle_screens(screens);
+                    screens.clear();
+                    self.screen_buf = screens;
                     return;
                 }
             }
@@ -745,49 +761,42 @@ impl Selector<'_> {
         // it later. Interleaving by strength matters: a strong deferred
         // pairing must be able to veto a weaker coalesce before the
         // coalesce pins the candidate set (Figure 5(a)).
-        screens.sort_by_key(|e| std::cmp::Reverse(e.strength));
+        screens.sort_by_key(|e| Reverse(e.strength));
         let mut considered: Vec<Considered> = Vec::new();
         let mut cand = avail;
-        for mut e in screens.drain(..) {
-            let mut entry = if trace {
-                Some(Considered {
-                    kind: Self::kind_str(e.pref.kind),
-                    target: self.target_str(e.pref.target),
-                    strength: e.strength,
-                    deferred: e.deferred,
-                    narrowed: false,
-                    survivors: cand.len() as u32,
-                })
-            } else {
-                None
-            };
-            let regs = std::mem::take(&mut e.regs);
-            let mut narrowed = self.phys.take();
-            if !e.deferred {
-                narrowed.extend(cand.iter().copied().filter(|r| regs.contains(r)));
-                let gain = narrowed
-                    .iter()
-                    .map(|&r| e.pref.strength_with(r, self.target))
-                    .max()
-                    .unwrap_or(0);
-                if gain <= 0 {
-                    narrowed.clear();
+        for e in screens.drain(..) {
+            let mut entry = trace.then(|| Considered {
+                kind: Self::kind_str(e.pref.kind),
+                target: self.target_str(e.pref.target),
+                strength: e.strength,
+                deferred: e.deferred,
+                narrowed: false,
+                survivors: cand.count_ones(),
+            });
+            let narrowed = if !e.deferred {
+                let narrowed = cand & e.regs;
+                let gain = self.strength_over(&e.pref, narrowed).unwrap_or(0);
+                if gain > 0 {
+                    narrowed
+                } else {
+                    0
                 }
             } else if e.strength > 0 {
-                self.partner_feasible_into(&e.pref, &cand, &mut narrowed);
-            }
+                self.partner_feasible(&e.pref, cand)
+            } else {
+                0
+            };
             // A filter that would empty the set is skipped: the
             // preference is abandoned rather than hurting this node.
-            if narrowed.is_empty() {
-                self.phys.put(narrowed);
+            if narrowed == 0 {
                 self.metrics
                     .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Skipped));
             } else {
                 if let Some(en) = &mut entry {
                     en.narrowed = true;
-                    en.survivors = narrowed.len() as u32;
+                    en.survivors = narrowed.count_ones();
                 }
-                self.phys.put(std::mem::replace(&mut cand, narrowed));
+                cand = narrowed;
                 if e.deferred {
                     self.metrics
                         .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Deferred));
@@ -798,23 +807,19 @@ impl Selector<'_> {
                         .observe_value(ValueHist::PrefStrengthHonored, e.strength.max(0) as u64);
                 }
             }
-            if regs.capacity() > 0 {
-                self.phys.put(regs);
-            }
             considered.extend(entry);
         }
         self.screen_buf = screens;
 
-        // Step 4.4: pick.
-        let reg = if self.config.nonvolatile_first {
-            cand.iter()
-                .copied()
-                .find(|&r| !self.target.is_volatile(r))
-                .unwrap_or(cand[0])
+        // Step 4.4: pick the lowest candidate, non-volatile first when
+        // configured and one remains.
+        let nonvol = cand & !self.vol;
+        let pick = if self.config.nonvolatile_first && nonvol != 0 {
+            nonvol
         } else {
-            cand[0]
+            cand
         };
-        self.phys.put(cand);
+        let reg = PhysReg::new(self.nodes.class(), pick.trailing_zeros() as u8);
         self.assignment[n.index()] = Some(reg);
         self.metrics.bump(Counter::SelectAssigned);
         self.invalidate_after_assign(n, reg);
@@ -831,45 +836,32 @@ impl Selector<'_> {
         }
     }
 
-    /// Returns a drained-or-not screening list's vectors to the pool and
-    /// parks the list itself for the next node.
-    fn recycle_screens(&mut self, mut screens: Vec<ScreenEntry>) {
-        for e in screens.drain(..) {
-            if e.regs.capacity() > 0 {
-                self.phys.put(e.regs);
-            }
-        }
-        self.screen_buf = screens;
-    }
-
-    /// Appends to `out` the registers of `cand` that do not prevent the
-    /// deferred preference `pref` from being honored later:
+    /// The registers of `cand` that do not prevent the deferred preference
+    /// `pref` from being honored later:
     ///
     /// * a *coalesce* partner must later be able to take the same register
     ///   we pick, so registers already blocked by the partner's allocated
-    ///   neighbors (its occupancy row) are removed;
+    ///   neighbors (its `used` mask) are removed;
     /// * a *sequential* partner must later find an unblocked register that
     ///   pairs with ours under the target rule.
-    fn partner_feasible_into(&self, pref: &Preference, cand: &[PhysReg], out: &mut Vec<PhysReg>) {
+    fn partner_feasible(&self, pref: &Preference, cand: u64) -> u64 {
         let PrefTarget::Node(m) = pref.target else {
-            out.extend_from_slice(cand);
-            return;
+            return cand;
         };
-        let partner_blocked = self.used_row(self.ifg.rep(m));
-        out.extend(cand.iter().copied().filter(|&r| match pref.kind {
-            PrefKind::Coalesce => !partner_blocked[r.index()],
-            PrefKind::SequentialPlus | PrefKind::SequentialMinus => {
-                self.target.regs(self.nodes.class()).any(|s| {
-                    s != r
-                        && !partner_blocked[s.index()]
-                        && match pref.kind {
-                            PrefKind::SequentialPlus => self.target.pair_allows(r, s),
-                            _ => self.target.pair_allows(s, r),
-                        }
+        let partner_free = self.file & !self.used[self.ifg.rep(m).index()];
+        match pref.kind {
+            PrefKind::Coalesce => cand & partner_free,
+            PrefKind::SequentialPlus | PrefKind::SequentialMinus => bits(cand)
+                .filter(|&r| {
+                    let partners = match pref.kind {
+                        PrefKind::SequentialPlus => self.pair_second[r],
+                        _ => self.pair_first[r],
+                    };
+                    partners & partner_free & !(1 << r) != 0
                 })
-            }
-            PrefKind::Prefers => true,
-        }));
+                .fold(0, |feasible, r| feasible | 1 << r),
+            PrefKind::Prefers => cand,
+        }
     }
 
     fn spill(&mut self, n: NodeId) {
@@ -1097,7 +1089,7 @@ mod tests {
     fn differential_early_return_keeps_occupancy_buffer() {
         // K4 on three registers forces a node to spill with no register
         // available (the differential's early return). Select must still
-        // park its occupancy rows back in the scratch — if a refactor
+        // park its occupancy masks back in the scratch — if a refactor
         // drops them, the scratch comes back with zero capacity and
         // steady-state reuse silently degrades to per-call allocation.
         let (mut g, nm) = setup(3, &[(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]);
@@ -1125,7 +1117,7 @@ mod tests {
         assert!(!r1.spilled.is_empty(), "K4 on 3 regs must spill");
         assert!(
             scratch.used_capacity() > 0,
-            "select dropped its occupancy rows"
+            "select dropped its occupancy masks"
         );
         // Reuse: a second run from the same scratch is bit-identical.
         let r2 = select_traced_in(

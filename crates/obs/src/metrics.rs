@@ -83,11 +83,13 @@ pub enum Counter {
     /// Edges built into Coloring Precedence Graphs (sentinel edges
     /// excluded).
     CpgEdges,
-    /// Ready-frontier nodes select compared, summed over its picks.
+    /// Ready-frontier size at each select pick, summed over the picks.
     SelectFrontierScanned,
     /// Strength differentials select recomputed after an assignment made
     /// them stale.
     SelectDiffRecomputes,
+    /// Entries select popped off its frontier heap, stale ones included.
+    SelectHeapPops,
     /// Coalesce preferences whose screen narrowed the candidate set.
     PrefCoalesceHonored,
     /// Coalesce preferences screened for an unallocated partner (2.2).
@@ -157,7 +159,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 52] = [
+    pub const ALL: [Counter; 53] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -178,6 +180,7 @@ impl Counter {
         Counter::CpgEdges,
         Counter::SelectFrontierScanned,
         Counter::SelectDiffRecomputes,
+        Counter::SelectHeapPops,
         Counter::PrefCoalesceHonored,
         Counter::PrefCoalesceDeferred,
         Counter::PrefCoalesceSkipped,
@@ -238,6 +241,7 @@ impl Counter {
             Counter::CpgEdges => "cpg_edges",
             Counter::SelectFrontierScanned => "select_frontier_scanned",
             Counter::SelectDiffRecomputes => "select_diff_recomputes",
+            Counter::SelectHeapPops => "select_heap_pops",
             Counter::PrefCoalesceHonored => "pref_coalesce_honored",
             Counter::PrefCoalesceDeferred => "pref_coalesce_deferred",
             Counter::PrefCoalesceSkipped => "pref_coalesce_skipped",

@@ -578,6 +578,7 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("cpg_edges", Gate::HigherIsWorse, 0),
     ("select_frontier_scanned", Gate::HigherIsWorse, 0),
     ("select_diff_recomputes", Gate::HigherIsWorse, 0),
+    ("select_heap_pops", Gate::HigherIsWorse, 0),
 ];
 
 fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {

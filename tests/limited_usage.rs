@@ -11,7 +11,7 @@
 
 use pdgc::all_allocators;
 use pdgc::prelude::*;
-use pdgc::workloads::WorkloadProfile;
+use pdgc::workloads::{specjvm_suite, WorkloadProfile};
 
 /// A hot loop with two byte loads folded into an accumulator.
 fn byte_kernel() -> Function {
@@ -144,6 +144,48 @@ fn byte_dense_workload_differentially_verified() {
                 .unwrap_or_else(|e| panic!("{} diverged on {}: {e}", alloc.name(), func.name));
         }
     }
+}
+
+/// A 64-register class whose every register is byte-capable, so the
+/// limited-usage preference covers the whole file (`low_regs(64)`).
+/// Generated suite functions at pressure near the cap reach register 63,
+/// the top bit of select's register masks; every allocation is
+/// checker-proven and runs equivalently.
+#[test]
+fn full_64_register_byte_file_allocates_equivalently() {
+    let target = TargetDesc::builder("wide64")
+        .class(
+            RegClass::Int,
+            ClassSpec::new(64)
+                .byte_regs(64)
+                .pair(PairRule::new(PairedLoadRule::Parity, 8)),
+        )
+        .class(RegClass::Float, ClassSpec::new(64))
+        .finish()
+        .unwrap();
+    let mut session = AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    };
+    let mut top_used = false;
+    for prof in specjvm_suite() {
+        let mut prof = prof.for_target(&target);
+        prof.num_funcs = 2;
+        prof.byte_density = 0.3;
+        prof.pressure = 62;
+        for func in &generate(&prof).funcs {
+            let args = default_args(func);
+            let reference = run_ir(func, &args, DEFAULT_FUEL).unwrap();
+            let out = PreferenceAllocator::full()
+                .allocate(func, &target, &mut session)
+                .unwrap_or_else(|e| panic!("{}: {e}", func.name));
+            top_used |= out.assignment.iter().flatten().any(|r| r.index() == 63);
+            let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
+            check_equivalent(&reference, &mach)
+                .unwrap_or_else(|e| panic!("{} diverged: {e}", func.name));
+        }
+    }
+    assert!(top_used, "no allocation reached register 63");
 }
 
 #[test]
