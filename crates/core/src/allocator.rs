@@ -1,5 +1,6 @@
 //! The public allocator API and the paper's allocator (Figure 8).
 
+use crate::baselines::coalesce::{coalesce_copies, conservative_ok};
 use crate::cpg::Cpg;
 use crate::pipeline::{AllocSession, Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::rpg::build_rpg;
@@ -118,43 +119,16 @@ impl ClassStrategy for PreferenceAllocator {
         let mut costs = ctx.spill_costs.clone();
         if self.pre_coalesce {
             // Conservative (never spill-causing) merges before simplify.
-            use crate::baselines::{briggs_conservative_ok, fold_spill_costs, george_ok};
             let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-            loop {
-                let mut merged = false;
-                for c in &ctx.copies {
-                    let a = ctx.ifg.rep(c.dst);
-                    let b = ctx.ifg.rep(c.src);
-                    if a == b || ctx.ifg.interferes(a, b) {
-                        continue;
-                    }
-                    let ok = if ctx.ifg.is_precolored(a) {
-                        george_ok(&ctx.ifg, a, b, ctx.k)
-                    } else if ctx.ifg.is_precolored(b) {
-                        george_ok(&ctx.ifg, b, a, ctx.k)
-                    } else {
-                        briggs_conservative_ok(&ctx.ifg, a, b, ctx.k)
-                    };
-                    if ok {
-                        if ctx.ifg.is_precolored(b) {
-                            ctx.ifg.merge(b, a);
-                        } else {
-                            ctx.ifg.merge(a, b);
-                        }
-                        merged = true;
-                    }
-                }
-                if !merged {
-                    break;
-                }
-            }
+            let k = ctx.k;
+            coalesce_copies(&mut ctx.ifg, &ctx.copies, &mut costs, |ifg, a, b| {
+                conservative_ok(ifg, a, b, k)
+            });
             timer.stop(&mut cls.select.metrics, tracer);
-            fold_spill_costs(&ctx.ifg, &mut costs);
             // A representative absorbing an unspillable temporary becomes
             // unspillable itself.
-            for i in 0..ctx.nodes.num_nodes() {
-                let n = crate::node::NodeId::new(i);
-                if ctx.ifg.is_merged(n) && ctx.no_spill[i] {
+            for n in ctx.nodes.live_range_nodes() {
+                if ctx.ifg.is_merged(n) && ctx.no_spill[n.index()] {
                     ctx.no_spill[ctx.ifg.rep(n).index()] = true;
                 }
             }
@@ -208,18 +182,23 @@ impl ClassStrategy for PreferenceAllocator {
         let mut assignment = res.assignment;
         let mut spilled = res.spilled;
         if self.pre_coalesce {
-            // Merged nodes share their representative's fate.
-            use crate::node::NodeId;
-            let spilled_reps: Vec<NodeId> = spilled.clone();
-            for i in 0..ctx.nodes.num_nodes() {
-                let n = NodeId::new(i);
-                if ctx.ifg.is_merged(n) {
-                    let r = ctx.ifg.rep(n);
-                    if spilled_reps.contains(&r) {
-                        spilled.push(n);
-                    } else if assignment[i].is_none() {
-                        assignment[i] = assignment[r.index()];
-                    }
+            // Merged nodes share their representative's fate. They spill
+            // after every representative, in node order: that order
+            // numbers the frame slots.
+            let mut rep_spilled = vec![false; ctx.nodes.num_nodes()];
+            for s in &spilled {
+                rep_spilled[s.index()] = true;
+            }
+            for n in ctx
+                .nodes
+                .live_range_nodes()
+                .filter(|&n| ctx.ifg.is_merged(n))
+            {
+                let r = ctx.ifg.rep(n);
+                if rep_spilled[r.index()] {
+                    spilled.push(n);
+                } else {
+                    assignment[n.index()] = assignment[r.index()];
                 }
             }
         }

@@ -1,11 +1,11 @@
 //! Briggs' optimistic allocator with aggressive coalescing and biased
 //! coloring — Figure 1(b); "Briggs + aggressive" in the paper's §6.
 
-use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
+use super::coalesce::{coalesce_aggressively, color_stack, simplify_timed};
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
-use crate::simplify::{simplify_in, SimplifyMode};
+use crate::simplify::SimplifyMode;
 use crate::RegisterAllocator;
-use pdgc_obs::{Phase, PhaseTimer, Tracer};
+use pdgc_obs::Tracer;
 use pdgc_target::TargetDesc;
 
 /// Briggs-style optimistic coloring: aggressive coalescing, optimistic
@@ -22,47 +22,12 @@ impl ClassStrategy for BriggsAllocator {
         target: &TargetDesc,
         tracer: &mut dyn Tracer,
     ) -> RoundOutcome {
-        let round = ctx.round as u32;
-        let class = ctx.class;
-        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        let mut costs = ctx.spill_costs.clone();
-        fold_spill_costs(&ctx.ifg, &mut costs);
-        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
-        let sr = simplify_in(
-            &mut ctx.ifg,
-            ctx.k,
-            &costs,
-            SimplifyMode::Optimistic,
-            &mut ctx.scratch.simplify,
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        let costs = coalesce_aggressively(ctx, tracer);
+        let sr = simplify_timed(ctx, &costs, SimplifyMode::Optimistic, tracer);
         ctx.ifg.restore_all();
-        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
-        let (mut assignment, spilled_reps) = color_stack(
-            &ctx.ifg,
-            &ctx.nodes,
-            &sr.stack,
-            target,
-            Some(&ctx.copies), // biased coloring
-            true,
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        let outcome = color_stack(ctx, &sr.stack, target, true, tracer);
         sr.recycle(&mut ctx.scratch.simplify);
-        propagate_merged(&ctx.ifg, &mut assignment);
-        // A spilled representative spills all members.
-        let mut spilled = Vec::new();
-        for &s in &spilled_reps {
-            for i in 0..ctx.nodes.num_nodes() {
-                let n = crate::node::NodeId::new(i);
-                if ctx.ifg.rep(n) == s && !ctx.nodes.is_precolored(n) {
-                    assignment[n.index()] = None;
-                    spilled.push(n);
-                }
-            }
-        }
-        RoundOutcome { assignment, spilled }
+        outcome
     }
 }
 

@@ -10,9 +10,11 @@
 //! allocator, the decisions are static — made before any register is
 //! selected — which is exactly the weakness §4 discusses.
 
-use super::coalesce::{aggressive_coalesce, fold_spill_costs, propagate_merged};
+use super::coalesce::{coalesce_aggressively, expand_merged};
 use crate::node::NodeId;
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::select::{taken, RegFile};
+use crate::simplify::spill_candidate;
 use crate::RegisterAllocator;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
@@ -33,11 +35,7 @@ impl ClassStrategy for CallCostAllocator {
         let round = ctx.round as u32;
         let class = ctx.class;
         let k = ctx.k;
-        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        let mut costs = ctx.spill_costs.clone();
-        fold_spill_costs(&ctx.ifg, &mut costs);
+        let costs = coalesce_aggressively(ctx, tracer);
 
         // Benefit functions per representative (summed over members).
         let cost = ctx.cost_model(analyses);
@@ -104,45 +102,23 @@ impl ClassStrategy for CallCostAllocator {
                 stack.push(n);
                 continue;
             }
-            let cand = active
-                .iter()
-                .copied()
-                .filter(|&n| costs[n.index()] != u64::MAX)
-                .min_by(|&a, &b| {
-                    let lhs = costs[a.index()] as u128 * ctx.ifg.degree(b) as u128;
-                    let rhs = costs[b.index()] as u128 * ctx.ifg.degree(a) as u128;
-                    lhs.cmp(&rhs).then(a.index().cmp(&b.index()))
-                })
-                .expect("call-cost: only unspillable nodes remain");
+            let cand = spill_candidate(&ctx.ifg, k, &costs, active);
             ctx.ifg.remove(cand);
             chaitin_spills.push(cand);
         }
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
 
         let timer = PhaseTimer::start(Phase::Select, round, Some(class));
-        let mut assignment: Vec<Option<PhysReg>> = (0..nn)
-            .map(|i| {
-                let n = NodeId::new(i);
-                ctx.nodes.is_precolored(n).then(|| ctx.nodes.phys_reg(n))
-            })
-            .collect();
+        let regs = RegFile::new(target, class);
+        let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
         let mut spilled_reps: Vec<NodeId> = chaitin_spills;
 
         if spilled_reps.is_empty() {
             ctx.ifg.restore_all();
             for &n in stack.iter().rev() {
-                let mut used = vec![false; k];
-                for &x in ctx.ifg.neighbors_slice(n) {
-                    if let Some(r) = assignment[x.index()] {
-                        used[r.index()] = true;
-                    }
-                }
-                let vol = target
-                    .volatiles(ctx.class)
-                    .find(|r| !used[r.index()]);
-                let nonvol = target
-                    .nonvolatiles(ctx.class)
-                    .find(|r| !used[r.index()]);
+                let free = regs.free(taken(ctx.ifg.neighbors_slice(n), |x| assignment[x.index()]));
+                let vol = regs.pick(free & regs.vol, false);
+                let nonvol = regs.pick(free & !regs.vol, false);
                 let unspillable = costs[n.index()] == u64::MAX;
                 let choice = if force_volatile[n.index()] {
                     vol.or(nonvol)
@@ -181,22 +157,9 @@ impl ClassStrategy for CallCostAllocator {
             }
         }
 
-        propagate_merged(&ctx.ifg, &mut assignment);
-        let mut spilled = Vec::new();
-        for &s in &spilled_reps {
-            for i in 0..nn {
-                let n = NodeId::new(i);
-                if ctx.ifg.rep(n) == s && !ctx.nodes.is_precolored(n) {
-                    assignment[n.index()] = None;
-                    spilled.push(n);
-                }
-            }
-        }
+        let outcome = expand_merged(&ctx.ifg, &ctx.nodes, assignment, &spilled_reps);
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        RoundOutcome {
-            assignment,
-            spilled,
-        }
+        outcome
     }
 }
 

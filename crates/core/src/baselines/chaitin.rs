@@ -1,12 +1,12 @@
 //! Chaitin's allocator with aggressive coalescing — Figure 1(a) of the
 //! paper and the *base* algorithm of the Figure 9 ratios.
 
-use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
+use super::coalesce::{coalesce_aggressively, color_stack, expand_merged, simplify_timed};
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
-use crate::simplify::{simplify_in, SimplifyMode};
+use crate::simplify::SimplifyMode;
 use crate::RegisterAllocator;
-use pdgc_obs::{Phase, PhaseTimer, Tracer};
-use pdgc_target::{PhysReg, TargetDesc};
+use pdgc_obs::Tracer;
+use pdgc_target::TargetDesc;
 
 /// Chaitin-style coloring: renumber → build → **aggressive coalesce** →
 /// simplify with eager spill decisions → select in reverse simplification
@@ -22,63 +22,23 @@ impl ClassStrategy for ChaitinAllocator {
         target: &TargetDesc,
         tracer: &mut dyn Tracer,
     ) -> RoundOutcome {
-        let round = ctx.round as u32;
-        let class = ctx.class;
-        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        let mut costs = ctx.spill_costs.clone();
-        fold_spill_costs(&ctx.ifg, &mut costs);
-        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
-        let sr = simplify_in(
-            &mut ctx.ifg,
-            ctx.k,
-            &costs,
-            SimplifyMode::Chaitin,
-            &mut ctx.scratch.simplify,
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        if sr.must_spill() {
+        let costs = coalesce_aggressively(ctx, tracer);
+        let sr = simplify_timed(ctx, &costs, SimplifyMode::Chaitin, tracer);
+        let outcome = if sr.must_spill() {
             // Spill decisions are definite: split now, retry next round.
-            let assignment: Vec<Option<PhysReg>> = (0..ctx.nodes.num_nodes())
-                .map(|i| {
-                    let n = crate::node::NodeId::new(i);
-                    ctx.nodes.is_precolored(n).then(|| ctx.nodes.phys_reg(n))
-                })
-                .collect();
-            // A spilled representative spills all of its members.
-            let mut spilled = Vec::new();
-            for &s in &sr.chaitin_spills {
-                for i in 0..ctx.nodes.num_nodes() {
-                    let n = crate::node::NodeId::new(i);
-                    if ctx.ifg.rep(n) == s && !ctx.nodes.is_precolored(n) {
-                        spilled.push(n);
-                    }
-                }
-            }
-            sr.recycle(&mut ctx.scratch.simplify);
-            return RoundOutcome {
-                assignment,
-                spilled,
-            };
-        }
-        ctx.ifg.restore_all();
-        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
-        let (mut assignment, spilled) = color_stack(
-            &ctx.ifg, &ctx.nodes, &sr.stack, target, None,
-            true, // the §6.2 non-volatile-first heuristic
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+            let assignment = ctx.nodes.precolored().collect();
+            expand_merged(&ctx.ifg, &ctx.nodes, assignment, &sr.chaitin_spills)
+        } else {
+            ctx.ifg.restore_all();
+            let outcome = color_stack(ctx, &sr.stack, target, false, tracer);
+            assert!(
+                outcome.spilled.is_empty(),
+                "Chaitin select found no color after clean simplification"
+            );
+            outcome
+        };
         sr.recycle(&mut ctx.scratch.simplify);
-        assert!(
-            spilled.is_empty(),
-            "Chaitin select found no color after clean simplification"
-        );
-        propagate_merged(&ctx.ifg, &mut assignment);
-        RoundOutcome {
-            assignment,
-            spilled: Vec::new(),
-        }
+        outcome
     }
 }
 

@@ -1,43 +1,66 @@
-//! Shared coalescing machinery for the baseline allocators.
+//! The steps the Chaitin-family baselines share: coalescing (the merge
+//! direction, the cost fold and the conservative test), stack coloring,
+//! and mapping the representatives' outcome back onto every node. Each
+//! baseline keeps only the policy that sets it apart.
 
 use crate::build::CopyRel;
 use crate::ifg::InterferenceGraph;
 use crate::node::{NodeId, NodeMap};
+use crate::pipeline::{ClassCtx, RoundOutcome};
+use crate::select::{taken, RegFile};
+use crate::simplify::{simplify_in, SimplifyMode, SimplifyResult};
+use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
-/// Aggressive (Chaitin-style) coalescing: merges every copy-related pair
-/// that does not interfere, iterating to a fixpoint. Returns the number of
-/// merges performed.
-pub fn aggressive_coalesce(ifg: &mut InterferenceGraph, copies: &[CopyRel]) -> usize {
-    let mut merges = 0;
+/// Merges copy-related pairs to a fixpoint: each sweep merges, in copy
+/// order, every pair of distinct, non-interfering representatives that
+/// `admit` accepts.
+pub(crate) fn coalesce_copies(
+    ifg: &mut InterferenceGraph,
+    copies: &[CopyRel],
+    costs: &mut [u64],
+    admit: impl Fn(&InterferenceGraph, NodeId, NodeId) -> bool,
+) {
     loop {
-        let mut merged_this_pass = false;
+        let mut merged = false;
         for c in copies {
-            let a = ifg.rep(c.dst);
-            let b = ifg.rep(c.src);
-            if a == b || ifg.interferes(a, b) {
-                continue;
+            let (a, b) = (ifg.rep(c.dst), ifg.rep(c.src));
+            if a != b && !ifg.interferes(a, b) && admit(ifg, a, b) {
+                merge_pair(ifg, costs, a, b);
+                merged = true;
             }
-            // Precolored nodes absorb; two precolored nodes always
-            // interfere (distinct registers), so at most one is precolored.
-            if ifg.is_precolored(b) {
-                ifg.merge(b, a);
-            } else {
-                ifg.merge(a, b);
-            }
-            merges += 1;
-            merged_this_pass = true;
         }
-        if !merged_this_pass {
-            return merges;
+        if !merged {
+            return;
         }
     }
 }
 
-/// Briggs' conservative criterion: merging `a` and `b` is safe if the
-/// combined node would have fewer than `k` neighbors of significant degree.
-pub fn briggs_conservative_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
-    let (a, b) = (ifg.rep(a), ifg.rep(b));
+/// Merges the representatives `a` and `b`: a precolored node absorbs the
+/// other (two precolored nodes always interfere, so at most one is),
+/// otherwise `b` merges into `a`. The survivor's spill cost absorbs the
+/// other's, saturating, so an unspillable (`u64::MAX`) member poisons it.
+pub(crate) fn merge_pair(ifg: &mut InterferenceGraph, costs: &mut [u64], a: NodeId, b: NodeId) {
+    let (keep, gone) = if ifg.is_precolored(b) { (b, a) } else { (a, b) };
+    ifg.merge(keep, gone);
+    costs[keep.index()] = costs[keep.index()].saturating_add(costs[gone.index()]);
+}
+
+/// The conservative test for merging representatives `a` and `b`:
+/// George's criterion toward a precolored node, Briggs' otherwise.
+pub(crate) fn conservative_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
+    if ifg.is_precolored(a) {
+        george_ok(ifg, a, b, k)
+    } else if ifg.is_precolored(b) {
+        george_ok(ifg, b, a, k)
+    } else {
+        briggs_ok(ifg, a, b, k)
+    }
+}
+
+/// Briggs' criterion: merging `a` and `b` is safe if the combined node
+/// would have fewer than `k` neighbors of significant degree.
+fn briggs_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
     let mut combined = ifg.neighbors(a);
     for &x in ifg.neighbors_slice(b) {
         if !combined.contains(&x) {
@@ -59,120 +82,127 @@ pub fn briggs_conservative_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: 
     significant < k
 }
 
-/// George's criterion for merging `b` into `a` (useful when `a` is
-/// precolored): every neighbor of `b` either already interferes with `a`
-/// or has insignificant degree.
-pub fn george_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
-    let (a, b) = (ifg.rep(a), ifg.rep(b));
+/// George's criterion for merging `b` into the precolored `a`: every
+/// neighbor of `b` either already interferes with `a` or has
+/// insignificant degree.
+fn george_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
     ifg.neighbors_slice(b)
         .iter()
         .all(|&t| t == a || ifg.interferes(t, a) || ifg.degree(t) < k)
 }
 
-/// Folds the spill costs of merged nodes into their representatives
-/// (`u64::MAX` members poison the representative).
-pub fn fold_spill_costs(ifg: &InterferenceGraph, costs: &mut [u64]) {
-    for i in 0..costs.len() {
-        let n = NodeId::new(i);
-        if ifg.is_merged(n) {
-            let r = ifg.rep(n).index();
-            costs[r] = costs[r].saturating_add(costs[i]);
-            if costs[i] == u64::MAX {
-                costs[r] = u64::MAX;
-            }
-        }
-    }
+/// The aggressive baselines' coalesce phase, timed as a `Coalesce` span:
+/// merges every copy-related pair that does not interfere. Returns the
+/// spill costs folded onto the surviving representatives.
+pub(crate) fn coalesce_aggressively(ctx: &mut ClassCtx<'_>, tracer: &mut dyn Tracer) -> Vec<u64> {
+    let mut costs = ctx.spill_costs.clone();
+    let timer = PhaseTimer::start(Phase::Coalesce, ctx.round as u32, Some(ctx.class));
+    coalesce_copies(&mut ctx.ifg, &ctx.copies, &mut costs, |_, _, _| true);
+    timer.stop(&mut ctx.scratch.select.metrics, tracer);
+    costs
 }
 
-/// Chaitin/Briggs select: pops `stack` in reverse (last removed first) and
-/// gives each node a register distinct from its colored neighbors.
+/// Simplifies the coalesced graph under `mode`, timed as a `Simplify`
+/// span. Recycle the result into `ctx.scratch.simplify`.
+pub(crate) fn simplify_timed(
+    ctx: &mut ClassCtx<'_>,
+    costs: &[u64],
+    mode: SimplifyMode,
+    tracer: &mut dyn Tracer,
+) -> SimplifyResult {
+    let timer = PhaseTimer::start(Phase::Simplify, ctx.round as u32, Some(ctx.class));
+    let sr = simplify_in(&mut ctx.ifg, ctx.k, costs, mode, &mut ctx.scratch.simplify);
+    timer.stop(&mut ctx.scratch.select.metrics, tracer);
+    sr
+}
+
+/// Chaitin/Briggs select, timed as a `Select` span: pops `stack` in
+/// reverse (last removed first) and gives each node the lowest register
+/// its colored neighbors leave free, non-volatile first (§6.2). A node
+/// with no free register spills.
 ///
-/// `bias` enables Briggs' biased coloring: if a copy-related partner is
-/// already colored and its register is available, take it. When no bias
-/// applies, picks the first free non-volatile register if
-/// `nonvolatile_first`, the lowest index otherwise. Nodes with no free
-/// register are returned as spilled.
-pub fn color_stack(
-    ifg: &InterferenceGraph,
-    nodes: &NodeMap,
+/// `biased` enables Briggs' biased coloring: a copy partner's register,
+/// when free, is taken first.
+pub(crate) fn color_stack(
+    ctx: &mut ClassCtx<'_>,
     stack: &[NodeId],
     target: &TargetDesc,
-    bias: Option<&[CopyRel]>,
-    nonvolatile_first: bool,
-) -> (Vec<Option<PhysReg>>, Vec<NodeId>) {
-    let mut assignment: Vec<Option<PhysReg>> = (0..nodes.num_nodes())
-        .map(|i| {
-            let n = NodeId::new(i);
-            nodes.is_precolored(n).then(|| nodes.phys_reg(n))
-        })
-        .collect();
+    biased: bool,
+    tracer: &mut dyn Tracer,
+) -> RoundOutcome {
+    let timer = PhaseTimer::start(Phase::Select, ctx.round as u32, Some(ctx.class));
+    let (ifg, regs) = (&ctx.ifg, RegFile::new(target, ctx.class));
+    let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
     let mut spilled = Vec::new();
     for &n in stack.iter().rev() {
-        let mut used = vec![false; target.num_regs(nodes.class())];
-        for &x in ifg.neighbors_slice(n) {
-            if let Some(r) = assignment[x.index()] {
-                used[r.index()] = true;
-            }
-        }
-        let avail: Vec<PhysReg> = target
-            .regs(nodes.class())
-            .filter(|r| !used[r.index()])
-            .collect();
-        if avail.is_empty() {
-            spilled.push(n);
-            continue;
-        }
-        let mut choice = None;
-        if let Some(copies) = bias {
-            // Biased coloring: prefer a copy partner's register.
-            for c in copies {
+        let free = regs.free(taken(ifg.neighbors_slice(n), |x| assignment[x.index()]));
+        let partner_reg = || {
+            ctx.copies.iter().find_map(|c| {
                 let (x, y) = (ifg.rep(c.dst), ifg.rep(c.src));
-                let partner = if x == n {
-                    y
-                } else if y == n {
-                    x
-                } else {
-                    continue;
+                let partner = match (x == n, y == n) {
+                    (true, _) => y,
+                    (_, true) => x,
+                    _ => return None,
                 };
-                if let Some(r) = assignment[partner.index()] {
-                    if avail.contains(&r) {
-                        choice = Some(r);
-                        break;
-                    }
-                }
-            }
+                assignment[partner.index()].filter(|r| free >> r.index() & 1 == 1)
+            })
+        };
+        let reg = biased
+            .then(partner_reg)
+            .flatten()
+            .or_else(|| regs.pick(free, true));
+        match reg {
+            Some(r) => assignment[n.index()] = Some(r),
+            None => spilled.push(n),
         }
-        let reg = choice.unwrap_or_else(|| {
-            if nonvolatile_first {
-                avail
-                    .iter()
-                    .copied()
-                    .find(|&r| !target.is_volatile(r))
-                    .unwrap_or(avail[0])
-            } else {
-                avail[0]
-            }
-        });
-        assignment[n.index()] = Some(reg);
     }
-    (assignment, spilled)
+    let outcome = expand_merged(ifg, &ctx.nodes, assignment, &spilled);
+    timer.stop(&mut ctx.scratch.select.metrics, tracer);
+    outcome
 }
 
-/// Copies each merged node's representative assignment onto the member
-/// node so the pipeline can map member vregs.
-pub fn propagate_merged(ifg: &InterferenceGraph, assignment: &mut [Option<PhysReg>]) {
-    for i in 0..assignment.len() {
-        let n = NodeId::new(i);
-        if ifg.is_merged(n) && assignment[i].is_none() {
-            assignment[i] = assignment[ifg.rep(n).index()];
+/// Maps the representatives' outcome back onto every node: a merged node
+/// takes its representative's register, and each spilled representative
+/// spills its non-precolored members — representatives in the order
+/// given, each one's members in node order.
+pub(crate) fn expand_merged(
+    ifg: &InterferenceGraph,
+    nodes: &NodeMap,
+    mut assignment: Vec<Option<PhysReg>>,
+    spilled_reps: &[NodeId],
+) -> RoundOutcome {
+    let nn = nodes.num_nodes();
+    let mut rep_spilled = vec![false; nn];
+    for s in spilled_reps {
+        rep_spilled[s.index()] = true;
+    }
+    // `first[r]` and `next[n]` thread each spilled representative's
+    // members in node order (built back to front).
+    let (mut first, mut next) = (vec![None; nn], vec![None; nn]);
+    for n in nodes.live_range_nodes().rev() {
+        let r = ifg.rep(n).index();
+        if rep_spilled[r] {
+            assignment[n.index()] = None;
+            next[n.index()] = first[r].replace(n);
+        } else {
+            assignment[n.index()] = assignment[r];
         }
+    }
+    let spilled = spilled_reps
+        .iter()
+        .flat_map(|s| std::iter::successors(first[s.index()], |n| next[n.index()]))
+        .collect();
+    RoundOutcome {
+        assignment,
+        spilled,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdgc_ir::Block;
+    use pdgc_ir::{Block, Function, FunctionBuilder, RegClass};
+    use pdgc_obs::NoopTracer;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -188,14 +218,32 @@ mod tests {
         }
     }
 
+    fn aggressive(g: &mut InterferenceGraph, copies: &[CopyRel]) {
+        let mut costs = vec![0; g.num_nodes()];
+        coalesce_copies(g, copies, &mut costs, |_, _, _| true);
+    }
+
+    /// A function with `m` loads off one base pointer: on the
+    /// three-register figure7 target its int universe is nodes 0..3
+    /// (precolored), the base pointer (node 3) and the loads (4..4+m).
+    fn func_with(m: usize) -> Function {
+        let mut b = FunctionBuilder::new("t", vec![], None);
+        let base = b.iconst(0);
+        let vals: Vec<_> = (0..m).map(|i| b.load(base, 128 * (i as i32 + 1))).collect();
+        for v in vals {
+            b.store(v, base, 0);
+        }
+        b.ret(None);
+        b.finish()
+    }
+
     #[test]
     fn aggressive_merges_chains() {
         let mut g = InterferenceGraph::new(4, 0);
         g.add_edge(n(0), n(3));
-        let copies = vec![copy(1, 0), copy(2, 1)];
-        let merges = aggressive_coalesce(&mut g, &copies);
-        assert_eq!(merges, 2);
-        assert_eq!(g.rep(n(2)), g.rep(n(0)));
+        aggressive(&mut g, &[copy(1, 0), copy(2, 1)]);
+        assert_eq!(g.rep(n(0)), n(2));
+        assert_eq!(g.rep(n(1)), n(2));
         assert!(g.interferes(n(2), n(3)));
     }
 
@@ -203,15 +251,36 @@ mod tests {
     fn aggressive_respects_interference() {
         let mut g = InterferenceGraph::new(2, 0);
         g.add_edge(n(0), n(1));
-        assert_eq!(aggressive_coalesce(&mut g, &[copy(0, 1)]), 0);
+        aggressive(&mut g, &[copy(0, 1)]);
+        assert!(!g.is_merged(n(0)) && !g.is_merged(n(1)));
     }
 
     #[test]
     fn aggressive_absorbs_into_precolored() {
         let mut g = InterferenceGraph::new(3, 2);
-        let merges = aggressive_coalesce(&mut g, &[copy(2, 0)]);
-        assert_eq!(merges, 1);
+        aggressive(&mut g, &[copy(2, 0)]);
         assert_eq!(g.rep(n(2)), n(0));
+    }
+
+    #[test]
+    fn conservative_sweep_admits_only_safe_merges() {
+        // 2-3 and 3-4 are copy related; 3 interferes with 5, which
+        // interferes with 2 and 4 too. With K=1 no merge is safe.
+        let mut g = InterferenceGraph::new(6, 2);
+        for (a, b) in [(3, 5), (2, 5), (4, 5)] {
+            g.add_edge(n(a), n(b));
+        }
+        let copies = [copy(2, 3), copy(3, 4)];
+        let mut costs = vec![0; 6];
+        coalesce_copies(&mut g, &copies, &mut costs, |g, a, b| {
+            conservative_ok(g, a, b, 1)
+        });
+        assert!((2..5).all(|i| !g.is_merged(n(i))));
+        coalesce_copies(&mut g, &copies, &mut costs, |g, a, b| {
+            conservative_ok(g, a, b, 3)
+        });
+        assert_eq!(g.rep(n(3)), n(2));
+        assert_eq!(g.rep(n(4)), n(2));
     }
 
     #[test]
@@ -224,9 +293,9 @@ mod tests {
         }
         // With k=2 the combined node sees x at degree 3 (shared) >= 2:
         // one significant neighbor < k=2? 1 < 2 → ok.
-        assert!(briggs_conservative_ok(&g, n(0), n(1), 2));
+        assert!(conservative_ok(&g, n(0), n(1), 2));
         // With k=1, 1 significant neighbor is not < 1 → reject.
-        assert!(!briggs_conservative_ok(&g, n(0), n(1), 1));
+        assert!(!conservative_ok(&g, n(0), n(1), 1));
     }
 
     #[test]
@@ -236,11 +305,12 @@ mod tests {
         g.add_edge(n(2), n(3));
         g.add_edge(n(2), n(4));
         g.add_edge(n(4), n(0)); // 4 interferes with a=0
-        assert!(george_ok(&g, n(0), n(2), 2));
+        assert!(conservative_ok(&g, n(0), n(2), 2));
+        assert!(conservative_ok(&g, n(2), n(0), 2), "symmetric in its ends");
         // Raising 3's degree makes it significant while still not
         // interfering with a=0, so the criterion must reject.
         g.add_edge(n(3), n(4));
-        assert!(!george_ok(&g, n(0), n(2), 2));
+        assert!(!conservative_ok(&g, n(0), n(2), 2));
     }
 
     #[test]
@@ -248,45 +318,88 @@ mod tests {
         let mut g = InterferenceGraph::new(5, 1);
         g.add_edge(n(2), n(3));
         g.add_edge(n(3), n(4)); // 3: degree 2, significant for k=2
-        assert!(!george_ok(&g, n(0), n(2), 2));
+        assert!(!conservative_ok(&g, n(0), n(2), 2));
+    }
+
+    #[test]
+    fn merge_folds_each_cost_once() {
+        // Chained merges fold each member's cost into its survivor once:
+        // 1 into 0 (30), 3 into 2 (70), then 0 into 2 (100).
+        let mut g = InterferenceGraph::new(4, 0);
+        let mut costs = vec![10, 20, 30, 40];
+        merge_pair(&mut g, &mut costs, n(0), n(1));
+        merge_pair(&mut g, &mut costs, n(2), n(3));
+        assert_eq!((costs[0], costs[2]), (30, 70));
+        merge_pair(&mut g, &mut costs, n(2), n(0));
+        assert_eq!(costs[2], 100);
+        assert_eq!(g.rep(n(1)), n(2));
+    }
+
+    #[test]
+    fn merge_keeps_unspillable_poison() {
+        let mut g = InterferenceGraph::new(3, 1);
+        let mut costs = vec![0, 5, u64::MAX];
+        merge_pair(&mut g, &mut costs, n(1), n(2));
+        assert_eq!(costs[1], u64::MAX);
+        // A precolored end survives whichever side it is on.
+        merge_pair(&mut g, &mut costs, n(1), n(0));
+        assert_eq!(g.rep(n(1)), n(0));
     }
 
     #[test]
     fn color_stack_gives_distinct_neighbors_distinct_regs() {
-        use pdgc_ir::{FunctionBuilder, RegClass};
-        let mut b = FunctionBuilder::new("t", vec![], None);
-        let base = b.iconst(0);
-        let x = b.load(base, 128);
-        let y = b.load(base, 256);
-        b.store(x, base, 0);
-        b.store(y, base, 0);
-        b.ret(None);
-        let f = b.finish();
+        let f = func_with(3);
         let target = TargetDesc::figure7();
         let pinned = vec![None; f.num_vregs()];
-        let nm = NodeMap::build(&f, &target, pdgc_ir::RegClass::Int, &pinned);
-        let _ = RegClass::Int;
-        let mut g = InterferenceGraph::new(nm.num_nodes(), nm.num_phys());
-        g.add_edge(n(3), n(4));
-        g.add_edge(n(3), n(5));
-        g.add_edge(n(4), n(5));
-        let stack = vec![n(3), n(4), n(5)];
-        let (assignment, spilled) = color_stack(&g, &nm, &stack, &target, None, false);
-        assert!(spilled.is_empty());
-        let regs: Vec<_> = (3..6).map(|i| assignment[i].unwrap()).collect();
-        let mut d = regs.clone();
-        d.sort();
-        d.dedup();
-        assert_eq!(d.len(), 3);
+        let nodes = NodeMap::build(&f, &target, RegClass::Int, &pinned);
+        let mut ifg = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+        for (a, b) in [(4, 5), (4, 6), (5, 6)] {
+            ifg.add_edge(n(a), n(b));
+        }
+        let mut ctx = ClassCtx {
+            round: 1,
+            class: RegClass::Int,
+            func: &f,
+            spill_costs: vec![1; nodes.num_nodes()],
+            no_spill: vec![false; nodes.num_nodes()],
+            nodes,
+            ifg,
+            copies: Vec::new(),
+            k: 3,
+            scratch: Default::default(),
+        };
+        let out = color_stack(
+            &mut ctx,
+            &[n(4), n(5), n(6)],
+            &target,
+            false,
+            &mut NoopTracer,
+        );
+        assert!(out.spilled.is_empty());
+        let mut regs: Vec<_> = (4..7).map(|i| out.assignment[i].unwrap()).collect();
+        regs.sort();
+        regs.dedup();
+        assert_eq!(regs.len(), 3);
     }
 
     #[test]
-    fn fold_costs_accumulates() {
-        let mut g = InterferenceGraph::new(3, 0);
-        g.merge(n(0), n(1));
-        let mut costs = vec![10, 20, 30];
-        fold_spill_costs(&g, &mut costs);
-        assert_eq!(costs[0], 30);
-        assert_eq!(costs[2], 30);
+    fn expand_merged_orders_spills_by_representative_then_node() {
+        let f = func_with(6);
+        let target = TargetDesc::figure7();
+        let pinned = vec![None; f.num_vregs()];
+        let nodes = NodeMap::build(&f, &target, RegClass::Int, &pinned);
+        // Node 3 is the base pointer, 4..10 the loads: 7 and 4 merge into
+        // 5, 8 into 6, and 9 into 3.
+        let mut g = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+        for (keep, gone) in [(5, 7), (5, 4), (6, 8), (3, 9)] {
+            g.merge(n(keep), n(gone));
+        }
+        let mut assignment: Vec<_> = nodes.precolored().collect();
+        assignment[3] = Some(PhysReg::int(2));
+        let out = expand_merged(&g, &nodes, assignment, &[n(6), n(5)]);
+        assert_eq!(out.spilled, vec![n(6), n(8), n(4), n(5), n(7)]);
+        assert!((4..9).all(|i| out.assignment[i].is_none()));
+        assert_eq!(out.assignment[9], Some(PhysReg::int(2)));
+        assert_eq!(out.assignment[0], Some(PhysReg::int(0)));
     }
 }

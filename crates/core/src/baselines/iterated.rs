@@ -7,11 +7,10 @@
 //! potential spill is removed optimistically. Select uses biased coloring
 //! to recover some of the frozen moves.
 
-use super::coalesce::{
-    briggs_conservative_ok, color_stack, fold_spill_costs, george_ok, propagate_merged,
-};
+use super::coalesce::{color_stack, conservative_ok, merge_pair};
 use crate::node::NodeId;
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::simplify::spill_candidate;
 use crate::RegisterAllocator;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
@@ -33,7 +32,6 @@ impl ClassStrategy for IteratedAllocator {
         let k = ctx.k;
         let mut frozen = vec![false; ctx.nodes.num_nodes()];
         let mut stack: Vec<NodeId> = Vec::new();
-        let mut optimistic: Vec<NodeId> = Vec::new();
         let mut costs = ctx.spill_costs.clone();
 
         // A copy is live while both endpoints are unfrozen, distinct, and
@@ -77,27 +75,11 @@ impl ClassStrategy for IteratedAllocator {
                 continue;
             }
             // 2. Conservative coalesce.
-            let mut merged = false;
-            for &(a, b) in &copies {
-                let ok = if ctx.ifg.is_precolored(a) {
-                    george_ok(&ctx.ifg, a, b, k)
-                } else if ctx.ifg.is_precolored(b) {
-                    george_ok(&ctx.ifg, b, a, k)
-                } else {
-                    briggs_conservative_ok(&ctx.ifg, a, b, k)
-                };
-                if ok {
-                    if ctx.ifg.is_precolored(b) {
-                        ctx.ifg.merge(b, a);
-                    } else {
-                        ctx.ifg.merge(a, b);
-                    }
-                    fold_spill_costs(&ctx.ifg, &mut costs);
-                    merged = true;
-                    break;
-                }
-            }
-            if merged {
+            if let Some(&(a, b)) = copies
+                .iter()
+                .find(|&&(a, b)| conservative_ok(&ctx.ifg, a, b, k))
+            {
+                merge_pair(&mut ctx.ifg, &mut costs, a, b);
                 continue;
             }
             // 3. Freeze a low-degree move-related node.
@@ -109,45 +91,14 @@ impl ClassStrategy for IteratedAllocator {
                 continue;
             }
             // 4. Potential spill (optimistic removal).
-            let cand = active
-                .iter()
-                .copied()
-                .filter(|&n| costs[n.index()] != u64::MAX)
-                .min_by(|&a, &b| {
-                    let lhs = costs[a.index()] as u128 * ctx.ifg.degree(b) as u128;
-                    let rhs = costs[b.index()] as u128 * ctx.ifg.degree(a) as u128;
-                    lhs.cmp(&rhs).then(a.index().cmp(&b.index()))
-                })
-                .expect("iterated coalescing: only unspillable nodes remain");
+            let cand = spill_candidate(&ctx.ifg, k, &costs, active);
             ctx.ifg.remove(cand);
             stack.push(cand);
-            optimistic.push(cand);
         }
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
 
         ctx.ifg.restore_all();
-        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
-        let (mut assignment, spilled_reps) = color_stack(
-            &ctx.ifg,
-            &ctx.nodes,
-            &stack,
-            target,
-            Some(&ctx.copies),
-            true,
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        propagate_merged(&ctx.ifg, &mut assignment);
-        let mut spilled = Vec::new();
-        for &s in &spilled_reps {
-            for i in 0..ctx.nodes.num_nodes() {
-                let n = NodeId::new(i);
-                if ctx.ifg.rep(n) == s && !ctx.nodes.is_precolored(n) {
-                    assignment[n.index()] = None;
-                    spilled.push(n);
-                }
-            }
-        }
-        RoundOutcome { assignment, spilled }
+        color_stack(ctx, &stack, target, true, tracer)
     }
 }
 

@@ -20,7 +20,7 @@
 mod briggs;
 mod callcost;
 mod chaitin;
-mod coalesce;
+pub(crate) mod coalesce;
 mod iterated;
 mod optimistic;
 mod priority;
@@ -28,10 +28,6 @@ mod priority;
 pub use briggs::BriggsAllocator;
 pub use callcost::CallCostAllocator;
 pub use chaitin::ChaitinAllocator;
-pub use coalesce::{
-    aggressive_coalesce, briggs_conservative_ok, color_stack, fold_spill_costs, george_ok,
-    propagate_merged,
-};
 pub use iterated::IteratedAllocator;
 pub use optimistic::OptimisticAllocator;
 pub use priority::PriorityAllocator;

@@ -7,10 +7,11 @@
 //! and colors as many of them as possible (deferring stubborn ones, then
 //! spilling).
 
-use super::coalesce::{aggressive_coalesce, fold_spill_costs};
+use super::coalesce::{coalesce_aggressively, simplify_timed};
 use crate::node::NodeId;
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
-use crate::simplify::{simplify_in, SimplifyMode};
+use crate::select::{taken, RegFile};
+use crate::simplify::SimplifyMode;
 use crate::RegisterAllocator;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
@@ -27,55 +28,24 @@ impl ClassStrategy for OptimisticAllocator {
         target: &TargetDesc,
         tracer: &mut dyn Tracer,
     ) -> RoundOutcome {
-        let round = ctx.round as u32;
-        let class = ctx.class;
         // Keep the pre-coalescing graph: undoing needs primitive
         // interference.
         let pristine = ctx.ifg.clone();
-        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        let mut costs = ctx.spill_costs.clone();
-        fold_spill_costs(&ctx.ifg, &mut costs);
-        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
-        let sr = simplify_in(
-            &mut ctx.ifg,
-            ctx.k,
-            &costs,
-            SimplifyMode::Optimistic,
-            &mut ctx.scratch.simplify,
-        );
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        let costs = coalesce_aggressively(ctx, tracer);
+        let sr = simplify_timed(ctx, &costs, SimplifyMode::Optimistic, tracer);
         ctx.ifg.restore_all();
 
-        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
+        let timer = PhaseTimer::start(Phase::Select, ctx.round as u32, Some(ctx.class));
         let nn = ctx.nodes.num_nodes();
-        let mut assignment: Vec<Option<PhysReg>> = (0..nn)
-            .map(|i| {
-                let n = NodeId::new(i);
-                ctx.nodes.is_precolored(n).then(|| ctx.nodes.phys_reg(n))
-            })
-            .collect();
+        let regs = RegFile::new(target, ctx.class);
+        let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
         let mut spilled: Vec<NodeId> = Vec::new();
         let mut split: Vec<bool> = vec![false; nn]; // primitives colored separately
 
         for &n in sr.stack.iter().rev() {
             // Forbidden: colors of the merged node's neighbors.
-            let mut used = vec![false; ctx.k];
-            for &x in ctx.ifg.neighbors_slice(n) {
-                if let Some(r) = assignment[x.index()] {
-                    used[r.index()] = true;
-                }
-            }
-            let avail: Vec<PhysReg> = target
-                .regs(ctx.class)
-                .filter(|r| !used[r.index()])
-                .collect();
-            if let Some(&reg) = avail
-                .iter()
-                .find(|r| !target.is_volatile(**r))
-                .or_else(|| avail.first())
-            {
+            let used = taken(ctx.ifg.neighbors_slice(n), |x| assignment[x.index()]);
+            if let Some(reg) = regs.pick(regs.free(used), true) {
                 assignment[n.index()] = Some(reg);
                 continue;
             }
@@ -101,28 +71,18 @@ impl ClassStrategy for OptimisticAllocator {
                                  assignment: &mut Vec<Option<PhysReg>>,
                                  group_colors: &mut Vec<PhysReg>|
              -> bool {
-                let mut used = vec![false; ctx.k];
-                for &x in pristine.neighbors_slice(p) {
-                    // A neighbor's color: its own if split, else its
-                    // representative's.
-                    let c = assignment[x.index()]
-                        .or_else(|| assignment[ctx.ifg.rep(x).index()]);
-                    if let Some(r) = c {
-                        used[r.index()] = true;
-                    }
-                }
+                // A neighbor's color: its own if split, else its
+                // representative's.
+                let used = taken(pristine.neighbors_slice(p), |x| {
+                    assignment[x.index()].or_else(|| assignment[ctx.ifg.rep(x).index()])
+                });
                 // Prefer a color the group already uses (fewest distinct
                 // colors), then non-volatile-first.
                 let choice = group_colors
                     .iter()
                     .copied()
-                    .find(|r| !used[r.index()])
-                    .or_else(|| {
-                        target
-                            .regs(ctx.class)
-                            .find(|r| !used[r.index()] && !target.is_volatile(*r))
-                    })
-                    .or_else(|| target.regs(ctx.class).find(|r| !used[r.index()]));
+                    .find(|r| used >> r.index() & 1 == 0)
+                    .or_else(|| regs.pick(regs.free(used), true));
                 match choice {
                     Some(r) => {
                         assignment[p.index()] = Some(r);

@@ -14,9 +14,10 @@
 //! splitting). That preserves the §7 contrast the `extras` harness
 //! measures — the priority order's indifference to packing.
 
-use super::coalesce::{aggressive_coalesce, fold_spill_costs, propagate_merged};
+use super::coalesce::{coalesce_aggressively, expand_merged};
 use crate::node::NodeId;
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::select::{taken, RegFile};
 use crate::RegisterAllocator;
 use pdgc_ir::VReg;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
@@ -34,16 +35,10 @@ impl ClassStrategy for PriorityAllocator {
         target: &TargetDesc,
         tracer: &mut dyn Tracer,
     ) -> RoundOutcome {
-        let round = ctx.round as u32;
-        let class = ctx.class;
         // Copy coalescing as in the other baselines (priority-based
         // allocators in practice ran after copy propagation).
-        let timer = PhaseTimer::start(Phase::Coalesce, round, Some(class));
-        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
-        timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        let mut costs = ctx.spill_costs.clone();
-        fold_spill_costs(&ctx.ifg, &mut costs);
-        let timer = PhaseTimer::start(Phase::Select, round, Some(class));
+        let costs = coalesce_aggressively(ctx, tracer);
+        let timer = PhaseTimer::start(Phase::Select, ctx.round as u32, Some(ctx.class));
 
         // Live-range "area": the number of instruction points each node's
         // members are live across.
@@ -71,35 +66,18 @@ impl ClassStrategy for PriorityAllocator {
             // Scale to keep integer precision.
             (0, c.saturating_mul(1024) / area[n.index()].max(1))
         };
-        let mut order: Vec<NodeId> = ctx
-            .ifg
-            .active_live_ranges()
-            .into_iter()
-            .collect();
+        let mut order = ctx.ifg.active_live_ranges();
         order.sort_by_key(|&n| {
             let (tier, p) = priority(n);
             (std::cmp::Reverse(tier), std::cmp::Reverse(p), n.index())
         });
 
-        let mut assignment: Vec<Option<PhysReg>> = (0..nn)
-            .map(|i| {
-                let n = NodeId::new(i);
-                ctx.nodes.is_precolored(n).then(|| ctx.nodes.phys_reg(n))
-            })
-            .collect();
+        let regs = RegFile::new(target, ctx.class);
+        let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
         let mut spilled_reps = Vec::new();
         for &n in &order {
-            let mut used = vec![false; ctx.k];
-            for &x in ctx.ifg.neighbors_slice(n) {
-                if let Some(r) = assignment[x.index()] {
-                    used[r.index()] = true;
-                }
-            }
-            let choice = target
-                .nonvolatiles(ctx.class)
-                .find(|r| !used[r.index()])
-                .or_else(|| target.regs(ctx.class).find(|r| !used[r.index()]));
-            match choice {
+            let used = taken(ctx.ifg.neighbors_slice(n), |x| assignment[x.index()]);
+            match regs.pick(regs.free(used), true) {
                 Some(r) => assignment[n.index()] = Some(r),
                 None => {
                     assert!(
@@ -111,22 +89,9 @@ impl ClassStrategy for PriorityAllocator {
             }
         }
 
-        propagate_merged(&ctx.ifg, &mut assignment);
-        let mut spilled = Vec::new();
-        for &s in &spilled_reps {
-            for i in 0..nn {
-                let n = NodeId::new(i);
-                if ctx.ifg.rep(n) == s && !ctx.nodes.is_precolored(n) {
-                    assignment[n.index()] = None;
-                    spilled.push(n);
-                }
-            }
-        }
+        let outcome = expand_merged(&ctx.ifg, &ctx.nodes, assignment, &spilled_reps);
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
-        RoundOutcome {
-            assignment,
-            spilled,
-        }
+        outcome
     }
 }
 

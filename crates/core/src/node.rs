@@ -198,13 +198,20 @@ impl NodeMap {
     }
 
     /// Iterates over the live-range (non-precolored) nodes.
-    pub fn live_range_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn live_range_nodes(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         (self.num_phys..self.members.len()).map(NodeId::new)
     }
 
     /// Iterates over all nodes.
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.members.len()).map(NodeId::new)
+    }
+
+    /// The assignment every coloring starts from, in node order: each
+    /// precolored node's register, `None` for each live-range node.
+    pub(crate) fn precolored(&self) -> impl Iterator<Item = Option<PhysReg>> + '_ {
+        self.all_nodes()
+            .map(|n| self.is_precolored(n).then(|| self.phys_reg(n)))
     }
 }
 

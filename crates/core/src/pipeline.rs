@@ -665,25 +665,17 @@ mod tests {
             ctx: &mut ClassCtx<'_>,
             _analyses: &Analyses,
             target: &TargetDesc,
-            _tracer: &mut dyn Tracer,
+            tracer: &mut dyn Tracer,
         ) -> RoundOutcome {
-            use crate::baselines::aggressive_coalesce;
             use crate::simplify::{simplify, SimplifyMode};
-            let _ = aggressive_coalesce; // (not used: no coalescing)
             let sr = simplify(&mut ctx.ifg, ctx.k, &ctx.spill_costs, SimplifyMode::Optimistic);
             ctx.ifg.restore_all();
-            let (assignment, spilled) = crate::baselines::color_stack(
-                &ctx.ifg,
-                &ctx.nodes,
-                &sr.stack,
-                target,
-                None,
-                false,
-            );
-            for &s in &spilled {
+            let out =
+                crate::baselines::coalesce::color_stack(ctx, &sr.stack, target, false, tracer);
+            for &s in &out.spilled {
                 assert!(!ctx.no_spill[s.index()], "spilled a temp");
             }
-            RoundOutcome { assignment, spilled }
+            out
         }
     }
 
@@ -692,7 +684,6 @@ mod tests {
             "plain"
         }
     }
-    use Plain as Greedy;
 
     #[test]
     fn pipeline_allocates_simple_function() {
@@ -703,7 +694,7 @@ mod tests {
         b.ret(Some(x));
         let f = b.finish();
         let target = TargetDesc::ia64_like(pdgc_target::PressureModel::High);
-        let out = Greedy
+        let out = Plain
             .allocate(&f, &target, &mut AllocSession::default())
             .unwrap();
         assert_eq!(out.stats.rounds, 1);
@@ -725,7 +716,7 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::toy(3);
-        let out = Greedy
+        let out = Plain
             .allocate(&f, &target, &mut AllocSession::default())
             .unwrap();
         assert!(out.stats.rounds > 1);

@@ -28,6 +28,7 @@ use crate::ifg::InterferenceGraph;
 use crate::node::{NodeId, NodeMap};
 use crate::rpg::{PrefKind, PrefTarget, Preference, Rpg};
 use pdgc_arena::{NestedPool, VecPool};
+use pdgc_ir::RegClass;
 use pdgc_obs::{
     Considered, Counter, Decision, Event, MetricsRegistry, SpillReason, Tracer, ValueHist, Verdict,
 };
@@ -164,19 +165,9 @@ pub fn select_traced_in(
         }
     }
     let mut assignment = scratch.assignments.take();
-    assignment.extend((0..nodes.num_nodes()).map(|i| {
-        let n = NodeId::new(i);
-        nodes.is_precolored(n).then(|| nodes.phys_reg(n))
-    }));
+    assignment.extend(nodes.precolored());
     let class = nodes.class();
     let k = target.num_regs(class);
-    let (mut file, mut vol) = (0u64, 0u64);
-    for r in target.regs(class) {
-        file |= 1 << r.index();
-        if target.is_volatile(r) {
-            vol |= 1 << r.index();
-        }
-    }
     let (mut pair_first, mut pair_second) = ([0u64; 64], [0u64; 64]);
     if let Some(rule) = target.pair_rule(class) {
         for r in target.regs(class) {
@@ -205,8 +196,7 @@ pub fn select_traced_in(
         processed: scratch.bools.take_filled(nodes.num_nodes(), false),
         in_frontier: scratch.bools.take_filled(nodes.num_nodes(), false),
         rev_pref,
-        file,
-        vol,
+        regs: RegFile::new(target, class),
         pair_first,
         pair_second,
         k,
@@ -239,9 +229,8 @@ struct Selector<'a> {
     /// `rev_pref[m]`: nodes holding a preference that targets `m`'s
     /// representative.
     rev_pref: Vec<Vec<NodeId>>,
-    /// The class's register file, and its volatile registers.
-    file: u64,
-    vol: u64,
+    /// The class's register file.
+    regs: RegFile,
     /// `pair_first[p]`: the registers a paired load may write its first
     /// word to when `p` takes the second; `pair_second[p]`, the registers
     /// it may write the second word to when `p` takes the first.
@@ -316,6 +305,67 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
         mask &= mask.wrapping_sub(1);
         r
     })
+}
+
+/// One class's register file as masks over register indices. Select and
+/// every baseline pick registers through it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RegFile {
+    class: RegClass,
+    /// Every register of the class.
+    pub(crate) all: u64,
+    /// Its volatile (caller-saved) registers.
+    pub(crate) vol: u64,
+}
+
+impl RegFile {
+    /// The register file of `class` on `target`.
+    pub(crate) fn new(target: &TargetDesc, class: RegClass) -> Self {
+        let mut file = RegFile {
+            class,
+            all: 0,
+            vol: 0,
+        };
+        for r in target.regs(class) {
+            file.all |= 1 << r.index();
+            if target.is_volatile(r) {
+                file.vol |= 1 << r.index();
+            }
+        }
+        file
+    }
+
+    /// The registers of the file not in `taken`.
+    pub(crate) fn free(&self, taken: u64) -> u64 {
+        self.all & !taken
+    }
+
+    /// The §6.2 heuristic for preference-unaware picks: the non-volatile
+    /// registers of `cand` when `nonvolatile_first` and one remains, else
+    /// all of `cand`.
+    pub(crate) fn narrow(&self, cand: u64, nonvolatile_first: bool) -> u64 {
+        let nonvol = cand & !self.vol;
+        if nonvolatile_first && nonvol != 0 {
+            nonvol
+        } else {
+            cand
+        }
+    }
+
+    /// The lowest register of `cand` after [`narrow`](Self::narrow), or
+    /// `None` when `cand` is empty.
+    pub(crate) fn pick(&self, cand: u64, nonvolatile_first: bool) -> Option<PhysReg> {
+        let pick = self.narrow(cand, nonvolatile_first);
+        (pick != 0).then(|| PhysReg::new(self.class, pick.trailing_zeros() as u8))
+    }
+}
+
+/// The registers that `neighbors` hold, as `reg_of` reports them.
+pub(crate) fn taken(neighbors: &[NodeId], reg_of: impl Fn(NodeId) -> Option<PhysReg>) -> u64 {
+    neighbors
+        .iter()
+        .filter_map(|&x| reg_of(x))
+        .fold(0, |taken, r| taken | 1 << r.index())
 }
 
 impl Selector<'_> {
@@ -416,9 +466,9 @@ impl Selector<'_> {
     /// none while its partner is unallocated (deferred, 2.2).
     fn admits(&self, pref: &Preference) -> u64 {
         match pref.target {
-            PrefTarget::Volatile => self.vol,
-            PrefTarget::NonVolatile => self.file & !self.vol,
-            PrefTarget::Set(mask) => mask & self.file,
+            PrefTarget::Volatile => self.regs.vol,
+            PrefTarget::NonVolatile => self.regs.all & !self.regs.vol,
+            PrefTarget::Set(mask) => mask & self.regs.all,
             PrefTarget::Node(m) => {
                 // Resolve through coalesced representatives (pre-
                 // coalescing merges nodes before selection).
@@ -437,7 +487,7 @@ impl Selector<'_> {
 
     /// The strength of honoring `pref` with register `r`.
     fn strength_at(&self, pref: &Preference, r: usize) -> i64 {
-        if self.vol >> r & 1 == 1 {
+        if self.regs.vol >> r & 1 == 1 {
             pref.strength_vol
         } else {
             pref.strength_nonvol
@@ -447,8 +497,8 @@ impl Selector<'_> {
     /// The strongest honoring of `pref` by a register of `regs`, or `None`
     /// when `regs` is empty.
     fn strength_over(&self, pref: &Preference, regs: u64) -> Option<i64> {
-        let vol = (regs & self.vol != 0).then_some(pref.strength_vol);
-        let nonvol = (regs & !self.vol != 0).then_some(pref.strength_nonvol);
+        let vol = (regs & self.regs.vol != 0).then_some(pref.strength_vol);
+        let nonvol = (regs & !self.regs.vol != 0).then_some(pref.strength_nonvol);
         vol.max(nonvol)
     }
 
@@ -528,7 +578,7 @@ impl Selector<'_> {
     /// no assigned neighbor holds, in O(K).
     fn row_differential(&self, n: NodeId) -> i64 {
         let best = &self.best[n.index() * self.k..][..self.k];
-        let avail = self.file & !self.used[n.index()];
+        let avail = self.regs.free(self.used[n.index()]);
         if avail == 0 {
             return i64::MIN + 1; // will spill regardless of order
         }
@@ -582,13 +632,8 @@ impl Selector<'_> {
     /// currently available registers.
     #[cfg(debug_assertions)]
     fn differential(&self, n: NodeId) -> i64 {
-        let used = self
-            .ifg
-            .neighbors_slice(n)
-            .iter()
-            .filter_map(|x| self.assignment[x.index()])
-            .fold(0u64, |used, r| used | 1 << r.index());
-        let avail = self.file & !used;
+        let used = taken(self.ifg.neighbors_slice(n), |x| self.assignment[x.index()]);
+        let avail = self.regs.free(used);
         if avail == 0 {
             return i64::MIN + 1; // will spill regardless of order
         }
@@ -691,7 +736,7 @@ impl Selector<'_> {
     /// untraced select never allocates here.
     fn allocate(&mut self, n: NodeId, frontier: u32, differential: i64, tracer: &mut dyn Tracer) {
         let trace = tracer.enabled();
-        let avail = self.file & !self.used[n.index()];
+        let avail = self.regs.free(self.used[n.index()]);
         let navail = avail.count_ones();
         if avail == 0 {
             self.spill(n);
@@ -813,12 +858,7 @@ impl Selector<'_> {
 
         // Step 4.4: pick the lowest candidate, non-volatile first when
         // configured and one remains.
-        let nonvol = cand & !self.vol;
-        let pick = if self.config.nonvolatile_first && nonvol != 0 {
-            nonvol
-        } else {
-            cand
-        };
+        let pick = self.regs.narrow(cand, self.config.nonvolatile_first);
         let reg = PhysReg::new(self.nodes.class(), pick.trailing_zeros() as u8);
         self.assignment[n.index()] = Some(reg);
         self.metrics.bump(Counter::SelectAssigned);
@@ -848,7 +888,7 @@ impl Selector<'_> {
         let PrefTarget::Node(m) = pref.target else {
             return cand;
         };
-        let partner_free = self.file & !self.used[self.ifg.rep(m).index()];
+        let partner_free = self.regs.free(self.used[self.ifg.rep(m).index()]);
         match pref.kind {
             PrefKind::Coalesce => cand & partner_free,
             PrefKind::SequentialPlus | PrefKind::SequentialMinus => bits(cand)

@@ -38,12 +38,6 @@ impl SimplifyScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Capacity of the pooled worklist heap (diagnostic; used by the
-    /// take/restore regression tests).
-    pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
-    }
 }
 
 /// Which spill policy simplification follows.
@@ -163,20 +157,10 @@ pub fn simplify_in(
         }
         // Blocked: every active node is significant-degree. Scan for the
         // best spill candidate without materializing the active set.
-        let cand = (ifg.num_phys()..ifg.num_nodes())
+        let active = (ifg.num_phys()..ifg.num_nodes())
             .map(NodeId::new)
-            .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n))
-            .filter(|&n| spill_costs[n.index()] != u64::MAX)
-            .min_by(|&a, &b| {
-                // cost/degree ascending; compare cross-multiplied to stay
-                // in integers, falling back to id for determinism.
-                let lhs = spill_costs[a.index()] as u128 * ifg.degree(b) as u128;
-                let rhs = spill_costs[b.index()] as u128 * ifg.degree(a) as u128;
-                lhs.cmp(&rhs).then(a.index().cmp(&b.index()))
-            })
-            .unwrap_or_else(|| {
-                panic!("simplify: graph blocked with only unspillable nodes (K={k})")
-            });
+            .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n));
+        let cand = spill_candidate(ifg, k, spill_costs, active);
         pop_neighbors(ifg, cand, &mut *worklist);
         remaining -= 1;
         match mode {
@@ -188,6 +172,33 @@ pub fn simplify_in(
         }
     }
     result
+}
+
+/// The spill candidate of a blocked graph among `active`: the least
+/// `spill_costs[n] / degree(n)`, ties to the lower id; a `u64::MAX`
+/// (unspillable) node is never chosen.
+///
+/// # Panics
+///
+/// Panics if every node of `active` is unspillable: spill temporaries
+/// alone exceed the `k` registers, which no Chaitin-family allocator can
+/// handle.
+pub(crate) fn spill_candidate(
+    ifg: &InterferenceGraph,
+    k: usize,
+    spill_costs: &[u64],
+    active: impl IntoIterator<Item = NodeId>,
+) -> NodeId {
+    active
+        .into_iter()
+        .filter(|&n| spill_costs[n.index()] != u64::MAX)
+        .min_by(|&a, &b| {
+            // Cross-multiplied to stay in integers.
+            let lhs = spill_costs[a.index()] as u128 * ifg.degree(b) as u128;
+            let rhs = spill_costs[b.index()] as u128 * ifg.degree(a) as u128;
+            lhs.cmp(&rhs).then(a.index().cmp(&b.index()))
+        })
+        .unwrap_or_else(|| panic!("graph blocked with only unspillable nodes (K={k})"))
 }
 
 #[cfg(test)]

@@ -148,8 +148,9 @@ fn byte_dense_workload_differentially_verified() {
 
 /// A 64-register class whose every register is byte-capable, so the
 /// limited-usage preference covers the whole file (`low_regs(64)`).
-/// Generated suite functions at pressure near the cap reach register 63,
-/// the top bit of select's register masks; every allocation is
+/// Generated suite functions at pressure near the cap make every
+/// allocator reach register 63, the top bit of the register masks that
+/// select and the baselines' shared pick work on; every allocation is
 /// checker-proven and runs equivalently.
 #[test]
 fn full_64_register_byte_file_allocates_equivalently() {
@@ -167,25 +168,35 @@ fn full_64_register_byte_file_allocates_equivalently() {
         check: CheckMode::Always,
         ..AllocSession::default()
     };
-    let mut top_used = false;
-    for prof in specjvm_suite() {
-        let mut prof = prof.for_target(&target);
-        prof.num_funcs = 2;
-        prof.byte_density = 0.3;
-        prof.pressure = 62;
-        for func in &generate(&prof).funcs {
+    let funcs: Vec<Function> = specjvm_suite()
+        .into_iter()
+        .flat_map(|prof| {
+            let mut prof = prof.for_target(&target);
+            prof.num_funcs = 2;
+            prof.byte_density = 0.3;
+            prof.pressure = 62;
+            generate(&prof).funcs
+        })
+        .collect();
+    for alloc in all_allocators() {
+        let mut top_used = false;
+        for func in &funcs {
             let args = default_args(func);
             let reference = run_ir(func, &args, DEFAULT_FUEL).unwrap();
-            let out = PreferenceAllocator::full()
+            let out = alloc
                 .allocate(func, &target, &mut session)
-                .unwrap_or_else(|e| panic!("{}: {e}", func.name));
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", alloc.name(), func.name));
             top_used |= out.assignment.iter().flatten().any(|r| r.index() == 63);
             let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();
             check_equivalent(&reference, &mach)
-                .unwrap_or_else(|e| panic!("{} diverged: {e}", func.name));
+                .unwrap_or_else(|e| panic!("{} diverged on {}: {e}", alloc.name(), func.name));
         }
+        assert!(
+            top_used,
+            "{}: no allocation reached register 63",
+            alloc.name()
+        );
     }
-    assert!(top_used, "no allocation reached register 63");
 }
 
 #[test]
