@@ -142,6 +142,7 @@ impl ClassStrategy for PreferenceAllocator {
             &mut cls.simplify,
         );
         ctx.ifg.restore_all();
+        cls.simplify.flush_counters(&mut cls.select.metrics);
         timer.stop(&mut cls.select.metrics, tracer);
         let timer = PhaseTimer::start(Phase::Cpg, round, Some(class));
         let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);

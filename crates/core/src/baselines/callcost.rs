@@ -14,11 +14,11 @@ use super::coalesce::{coalesce_aggressively, expand_merged};
 use crate::node::NodeId;
 use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::select::{taken, RegFile};
-use crate::simplify::spill_candidate;
+use crate::simplify::{simplify_keyed_in, SimplifyMode};
 use crate::RegisterAllocator;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// The call-cost-directed allocator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,14 +34,19 @@ impl ClassStrategy for CallCostAllocator {
     ) -> RoundOutcome {
         let round = ctx.round as u32;
         let class = ctx.class;
-        let k = ctx.k;
         let costs = coalesce_aggressively(ctx, tracer);
+        // The benefits and the preference decision feed simplify and
+        // select; they are timed with simplify.
+        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
 
         // Benefit functions per representative (summed over members).
         let cost = ctx.cost_model(analyses);
         let nn = ctx.nodes.num_nodes();
         let mut benefit_vol = vec![0i64; nn];
         let mut benefit_nonvol = vec![0i64; nn];
+        // Every (call, representative) crossing, in node, member and site
+        // order.
+        let mut crossings = Vec::new();
         for n in ctx.nodes.live_range_nodes() {
             let r = ctx.ifg.rep(n);
             if ctx.nodes.is_precolored(r) {
@@ -50,33 +55,29 @@ impl ClassStrategy for CallCostAllocator {
             for &v in ctx.nodes.members(n) {
                 benefit_vol[r.index()] += cost.strength_volatile(v, &[]);
                 benefit_nonvol[r.index()] += cost.strength_nonvolatile(v, &[]);
+                let sites = analyses.crossings.sites(v);
+                crossings.extend(sites.iter().map(|&(b, i)| ((b.index(), i), r)));
             }
         }
 
         // Preference decision: per call, at most R live ranges may claim
         // non-volatile registers; the rest are annotated prefer-volatile.
+        // The stable sorts keep each call's representatives in the order
+        // they first cross it, which breaks benefit ties.
         let num_nonvol = target.nonvolatiles(ctx.class).count();
         let mut force_volatile = vec![false; nn];
-        let mut per_call: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
-        for n in ctx.nodes.live_range_nodes() {
-            let r = ctx.ifg.rep(n);
-            if ctx.nodes.is_precolored(r) {
-                continue;
-            }
-            for &v in ctx.nodes.members(n) {
-                for &(b, i) in analyses.crossings.sites(v) {
-                    let entry = per_call.entry((b.index(), i)).or_default();
-                    if !entry.contains(&r) {
-                        entry.push(r);
-                    }
+        let mut last_call = vec![usize::MAX; nn];
+        let mut reps = Vec::new();
+        crossings.sort_by_key(|&(call, _)| call);
+        for (call, crossing) in crossings.chunk_by(|x, y| x.0 == y.0).enumerate() {
+            reps.clear();
+            for &(_, r) in crossing {
+                if std::mem::replace(&mut last_call[r.index()], call) != call {
+                    reps.push(r);
                 }
             }
-        }
-        for (_, mut reps) in per_call {
-            reps.sort_by_key(|r| {
-                std::cmp::Reverse(benefit_nonvol[r.index()] - benefit_vol[r.index()])
-            });
-            for &r in reps.iter().skip(num_nonvol) {
+            reps.sort_by_key(|r| Reverse(benefit_nonvol[r.index()] - benefit_vol[r.index()]));
+            for r in reps.iter().skip(num_nonvol) {
                 force_volatile[r.index()] = true;
             }
         }
@@ -84,38 +85,28 @@ impl ClassStrategy for CallCostAllocator {
         // Benefit-driven simplification (Chaitin spill policy): among
         // low-degree nodes, push the lowest-priority first.
         let priority = |n: NodeId| benefit_vol[n.index()].max(benefit_nonvol[n.index()]);
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut chaitin_spills: Vec<NodeId> = Vec::new();
-        let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
-        loop {
-            let active = ctx.ifg.active_live_ranges();
-            if active.is_empty() {
-                break;
-            }
-            let low = active
-                .iter()
-                .copied()
-                .filter(|&n| ctx.ifg.degree(n) < k)
-                .min_by_key(|&n| (priority(n), n.index()));
-            if let Some(n) = low {
-                ctx.ifg.remove(n);
-                stack.push(n);
-                continue;
-            }
-            let cand = spill_candidate(&ctx.ifg, k, &costs, active);
-            ctx.ifg.remove(cand);
-            chaitin_spills.push(cand);
-        }
+        let mut sr = simplify_keyed_in(
+            &mut ctx.ifg,
+            ctx.k,
+            &costs,
+            SimplifyMode::Chaitin,
+            priority,
+            &mut ctx.scratch.simplify,
+        );
+        ctx.scratch
+            .simplify
+            .flush_counters(&mut ctx.scratch.select.metrics);
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
 
         let timer = PhaseTimer::start(Phase::Select, round, Some(class));
         let regs = RegFile::new(target, class);
         let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
-        let mut spilled_reps: Vec<NodeId> = chaitin_spills;
+        // Select adds its memory decisions to simplify's spills.
+        let spilled_reps = &mut sr.chaitin_spills;
 
         if spilled_reps.is_empty() {
             ctx.ifg.restore_all();
-            for &n in stack.iter().rev() {
+            for &n in sr.stack.iter().rev() {
                 let free = regs.free(taken(ctx.ifg.neighbors_slice(n), |x| assignment[x.index()]));
                 let vol = regs.pick(free & regs.vol, false);
                 let nonvol = regs.pick(free & !regs.vol, false);
@@ -157,8 +148,9 @@ impl ClassStrategy for CallCostAllocator {
             }
         }
 
-        let outcome = expand_merged(&ctx.ifg, &ctx.nodes, assignment, &spilled_reps);
+        let outcome = expand_merged(&ctx.ifg, &ctx.nodes, assignment, &sr.chaitin_spills);
         timer.stop(&mut ctx.scratch.select.metrics, tracer);
+        sr.recycle(&mut ctx.scratch.simplify);
         outcome
     }
 }

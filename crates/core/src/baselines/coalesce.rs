@@ -59,27 +59,23 @@ pub(crate) fn conservative_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: 
 }
 
 /// Briggs' criterion: merging `a` and `b` is safe if the combined node
-/// would have fewer than `k` neighbors of significant degree.
+/// would have fewer than `k` neighbors of significant degree. A neighbor
+/// of both loses one degree in the merge. Removed neighbors count at
+/// their frozen degree.
 fn briggs_ok(ifg: &InterferenceGraph, a: NodeId, b: NodeId, k: usize) -> bool {
-    let mut combined = ifg.neighbors(a);
-    for &x in ifg.neighbors_slice(b) {
-        if !combined.contains(&x) {
-            combined.push(x);
-        }
-    }
-    let both = |x: NodeId| ifg.interferes(x, a) && ifg.interferes(x, b);
-    let significant = combined
+    let shared = |x: NodeId| ifg.interferes(x, b) as usize;
+    let from_a = ifg
+        .neighbors_slice(a)
         .iter()
-        .filter(|&&x| {
-            let d = if both(x) {
-                ifg.degree(x).saturating_sub(1)
-            } else {
-                ifg.degree(x)
-            };
-            d >= k
-        })
-        .count();
-    significant < k
+        .map(|&x| ifg.degree(x).saturating_sub(shared(x)));
+    let from_b = ifg
+        .neighbors_slice(b)
+        .iter()
+        .filter(|&&x| !ifg.interferes(x, a));
+    let significant = from_a
+        .chain(from_b.map(|&x| ifg.degree(x)))
+        .filter(|&d| d >= k);
+    significant.take(k).count() < k
 }
 
 /// George's criterion for merging `b` into the precolored `a`: every
@@ -112,6 +108,9 @@ pub(crate) fn simplify_timed(
 ) -> SimplifyResult {
     let timer = PhaseTimer::start(Phase::Simplify, ctx.round as u32, Some(ctx.class));
     let sr = simplify_in(&mut ctx.ifg, ctx.k, costs, mode, &mut ctx.scratch.simplify);
+    ctx.scratch
+        .simplify
+        .flush_counters(&mut ctx.scratch.select.metrics);
     timer.stop(&mut ctx.scratch.select.metrics, tracer);
     sr
 }
@@ -121,8 +120,8 @@ pub(crate) fn simplify_timed(
 /// its colored neighbors leave free, non-volatile first (§6.2). A node
 /// with no free register spills.
 ///
-/// `biased` enables Briggs' biased coloring: a copy partner's register,
-/// when free, is taken first.
+/// `biased` enables Briggs' biased coloring: the register of the first
+/// copy partner, in copy order, that holds a free one is taken first.
 pub(crate) fn color_stack(
     ctx: &mut ClassCtx<'_>,
     stack: &[NodeId],
@@ -132,24 +131,15 @@ pub(crate) fn color_stack(
 ) -> RoundOutcome {
     let timer = PhaseTimer::start(Phase::Select, ctx.round as u32, Some(ctx.class));
     let (ifg, regs) = (&ctx.ifg, RegFile::new(target, ctx.class));
+    let partners = biased.then(|| CopyPartners::new(ifg, &ctx.copies));
     let mut assignment: Vec<Option<PhysReg>> = ctx.nodes.precolored().collect();
     let mut spilled = Vec::new();
     for &n in stack.iter().rev() {
         let free = regs.free(taken(ifg.neighbors_slice(n), |x| assignment[x.index()]));
-        let partner_reg = || {
-            ctx.copies.iter().find_map(|c| {
-                let (x, y) = (ifg.rep(c.dst), ifg.rep(c.src));
-                let partner = match (x == n, y == n) {
-                    (true, _) => y,
-                    (_, true) => x,
-                    _ => return None,
-                };
-                assignment[partner.index()].filter(|r| free >> r.index() & 1 == 1)
-            })
-        };
-        let reg = biased
-            .then(partner_reg)
-            .flatten()
+        let partner_reg = |p: &NodeId| assignment[p.index()].filter(|r| free >> r.index() & 1 == 1);
+        let reg = partners
+            .as_ref()
+            .and_then(|partners| partners.of(n).iter().find_map(partner_reg))
             .or_else(|| regs.pick(free, true));
         match reg {
             Some(r) => assignment[n.index()] = Some(r),
@@ -159,6 +149,47 @@ pub(crate) fn color_stack(
     let outcome = expand_merged(ifg, &ctx.nodes, assignment, &spilled);
     timer.stop(&mut ctx.scratch.select.metrics, tracer);
     outcome
+}
+
+/// Each representative's copy partners, in copy order: a copy between
+/// distinct representatives `x` and `y` lists `y` under `x` and `x` under
+/// `y`. Stored as one flat list with per-node offsets.
+pub(super) struct CopyPartners {
+    start: Vec<usize>,
+    partners: Vec<NodeId>,
+}
+
+impl CopyPartners {
+    pub(super) fn new(ifg: &InterferenceGraph, copies: &[CopyRel]) -> Self {
+        let ends = || {
+            copies
+                .iter()
+                .map(|c| (ifg.rep(c.dst), ifg.rep(c.src)))
+                .filter(|(x, y)| x != y)
+        };
+        let mut start = vec![0; ifg.num_nodes() + 1];
+        for (x, y) in ends() {
+            start[x.index() + 1] += 1;
+            start[y.index() + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut partners = vec![NodeId::new(0); start[ifg.num_nodes()]];
+        for (x, y) in ends() {
+            for (me, other) in [(x, y), (y, x)] {
+                partners[fill[me.index()]] = other;
+                fill[me.index()] += 1;
+            }
+        }
+        CopyPartners { start, partners }
+    }
+
+    /// The copy partners of representative `n`.
+    pub(super) fn of(&self, n: NodeId) -> &[NodeId] {
+        &self.partners[self.start[n.index()]..self.start[n.index() + 1]]
+    }
 }
 
 /// Maps the representatives' outcome back onto every node: a merged node

@@ -24,6 +24,8 @@ pub(crate) mod coalesce;
 mod iterated;
 mod optimistic;
 mod priority;
+#[cfg(test)]
+mod reference;
 
 pub use briggs::BriggsAllocator;
 pub use callcost::CallCostAllocator;

@@ -10,26 +10,31 @@
 //!   *optimistically* and pushed like any other node, deferring the spill
 //!   decision to the select phase.
 //!
-//! The low-degree scan is worklist-driven: a min-heap of candidate node
-//! ids is seeded with every initially low-degree node, and each removal
-//! pushes exactly the neighbors whose degree crosses below K. Because no
-//! edges are added during simplification, degrees only fall, so a node
-//! enters the heap at most once and the heap minimum is always the
-//! lowest-id low-degree active node — the same node the previous
-//! full-rescan implementation picked, preserving removal order (and
-//! therefore the pinned decision traces) bit for bit.
+//! Both picks come off heaps, never a scan of the graph:
+//!
+//! * the low-degree worklist is a min-heap of `(key, id)`, seeded with
+//!   every initially low-degree node; each removal pushes exactly the
+//!   neighbors whose degree crosses below K. No edge is added during
+//!   simplification, so degrees only fall, a node enters the heap at most
+//!   once, and the minimum is the low-degree active node of least key,
+//!   ties to the lower id. [`simplify_in`] keys every node alike (pure id
+//!   order); the call-cost baseline keys by priority;
+//! * the spill candidate comes off a `SpillHeap`, built at the first
+//!   block.
 
 use crate::ifg::InterferenceGraph;
 use crate::node::NodeId;
-use pdgc_arena::{Taken, VecPool};
-use std::cmp::Reverse;
+use pdgc_arena::VecPool;
+use pdgc_obs::{Counter, MetricsRegistry};
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Resettable scratch for [`simplify_in`]: the worklist heap plus pooled
-/// result vectors.
+/// Resettable scratch for [`simplify_in`]: the worklist heap, the spill
+/// heap, and pooled result vectors.
 #[derive(Debug, Default)]
 pub struct SimplifyScratch {
-    heap: BinaryHeap<Reverse<usize>>,
+    heap: BinaryHeap<Reverse<(i64, usize)>>,
+    pub(crate) spill: SpillHeap,
     nodes: VecPool<NodeId>,
 }
 
@@ -37,6 +42,15 @@ impl SimplifyScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Moves the spill-heap pops tallied since the last call into
+    /// `metrics`.
+    pub(crate) fn flush_counters(&mut self, metrics: &mut MetricsRegistry) {
+        metrics.add(
+            Counter::SimplifySpillPops,
+            std::mem::take(&mut self.spill.pops),
+        );
     }
 }
 
@@ -97,12 +111,9 @@ pub fn simplify(
     simplify_in(ifg, k, spill_costs, mode, &mut SimplifyScratch::default())
 }
 
-/// Like [`simplify`], drawing the worklist heap and result vectors from
-/// pooled scratch. Recycle the result with [`SimplifyResult::recycle`].
-///
-/// The heap is held through a [`Taken`] drop-guard: even the
-/// unspillable-blocked panic path restores its buffer to the scratch, so
-/// reuse never degrades to per-call allocation.
+/// Like [`simplify`], drawing the worklist heap, the spill heap and the
+/// result vectors from pooled scratch. Recycle the result with
+/// [`SimplifyResult::recycle`].
 pub fn simplify_in(
     ifg: &mut InterferenceGraph,
     k: usize,
@@ -110,95 +121,187 @@ pub fn simplify_in(
     mode: SimplifyMode,
     scratch: &mut SimplifyScratch,
 ) -> SimplifyResult {
+    simplify_keyed_in(ifg, k, spill_costs, mode, |_| 0, scratch)
+}
+
+/// [`simplify_in`] that removes, among the low-degree nodes, the one of
+/// least `(key(n), id)` first. `key` is read once per node, when it
+/// enters the worklist, so it must not change during the call.
+pub(crate) fn simplify_keyed_in(
+    ifg: &mut InterferenceGraph,
+    k: usize,
+    spill_costs: &[u64],
+    mode: SimplifyMode,
+    key: impl Fn(NodeId) -> i64,
+    scratch: &mut SimplifyScratch,
+) -> SimplifyResult {
     let mut result = SimplifyResult {
         stack: scratch.nodes.take(),
         optimistic: scratch.nodes.take(),
         chaitin_spills: scratch.nodes.take(),
     };
-    // Min-heap of low-degree candidates, by node id: popping the minimum
-    // reproduces the lowest-id-first removal order of a full rescan.
-    let mut worklist = Taken::new(&mut scratch.heap);
+    let (worklist, spill) = (&mut scratch.heap, &mut scratch.spill);
     worklist.clear();
+    spill.reset();
+    let entry = |n: NodeId| Reverse((key(n), n.index()));
     worklist.extend(
         (ifg.num_phys()..ifg.num_nodes())
             .map(NodeId::new)
             .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n) && ifg.degree(n) < k)
-            .map(|n| Reverse(n.index())),
+            .map(entry),
     );
     let mut remaining = (ifg.num_phys()..ifg.num_nodes())
         .map(NodeId::new)
         .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n))
         .count();
 
-    // Removes `n`, pushing neighbors whose degree just crossed below K.
-    let pop_neighbors =
-        |ifg: &mut InterferenceGraph, n: NodeId, worklist: &mut BinaryHeap<Reverse<usize>>| {
-            ifg.remove(n);
-            for &x in ifg.neighbors_slice(n) {
-                if !ifg.is_removed(x) && !ifg.is_precolored(x) && ifg.degree(x) + 1 == k {
-                    worklist.push(Reverse(x.index()));
-                }
-            }
-        };
-
     while remaining > 0 {
         // Drain the worklist, skipping stale entries defensively (the
         // threshold-crossing push discipline should never produce one).
-        if let Some(Reverse(i)) = worklist.pop() {
-            let n = NodeId::new(i);
-            if ifg.is_removed(n) {
-                continue;
+        let (n, blocked) = match worklist.pop() {
+            Some(Reverse((_, i))) if ifg.is_removed(NodeId::new(i)) => continue,
+            Some(Reverse((_, i))) => (NodeId::new(i), false),
+            // Blocked: every active node is significant-degree.
+            None => (spill.pop(ifg, k, spill_costs), true),
+        };
+        debug_assert!(
+            blocked || ifg.degree(n) < k,
+            "worklist entry regained degree"
+        );
+        ifg.remove(n);
+        for &x in ifg.neighbors_slice(n) {
+            if !ifg.is_removed(x) && !ifg.is_precolored(x) && ifg.degree(x) + 1 == k {
+                worklist.push(entry(x));
             }
-            debug_assert!(ifg.degree(n) < k, "worklist entry regained degree");
-            pop_neighbors(ifg, n, &mut *worklist);
-            result.stack.push(n);
-            remaining -= 1;
-            continue;
         }
-        // Blocked: every active node is significant-degree. Scan for the
-        // best spill candidate without materializing the active set.
-        let active = (ifg.num_phys()..ifg.num_nodes())
-            .map(NodeId::new)
-            .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n));
-        let cand = spill_candidate(ifg, k, spill_costs, active);
-        pop_neighbors(ifg, cand, &mut *worklist);
         remaining -= 1;
-        match mode {
-            SimplifyMode::Chaitin => result.chaitin_spills.push(cand),
-            SimplifyMode::Optimistic => {
-                result.stack.push(cand);
-                result.optimistic.push(cand);
+        match (blocked, mode) {
+            (false, _) => result.stack.push(n),
+            (true, SimplifyMode::Chaitin) => result.chaitin_spills.push(n),
+            (true, SimplifyMode::Optimistic) => {
+                result.stack.push(n);
+                result.optimistic.push(n);
             }
         }
     }
     result
 }
 
-/// The spill candidate of a blocked graph among `active`: the least
-/// `spill_costs[n] / degree(n)`, ties to the lower id; a `u64::MAX`
-/// (unspillable) node is never chosen.
+/// The spill candidate of a blocked graph: the active node of least
+/// `cost / degree`, ties to the lower id, never an unspillable
+/// (`u64::MAX`) one. Shared by simplify's blocked branch, `iterated`'s
+/// step 4 and the call-cost baseline's blocked branch.
 ///
-/// # Panics
+/// A lazily re-keyed min-heap. Each entry keeps the cost and degree its
+/// node had when pushed; entries compare by cost × degree cross-multiplied
+/// in `u128`, then by id. A popped entry whose node is gone (merged or
+/// removed) or whose cost has changed is dropped; one whose degree has
+/// changed is pushed back with the current degree. The pick is exact as
+/// long as every candidate holds an entry whose key does not exceed its
+/// true one:
 ///
-/// Panics if every node of `active` is unspillable: spill temporaries
-/// alone exceed the `k` registers, which no Chaitin-family allocator can
-/// handle.
-pub(crate) fn spill_candidate(
-    ifg: &InterferenceGraph,
-    k: usize,
-    spill_costs: &[u64],
-    active: impl IntoIterator<Item = NodeId>,
-) -> NodeId {
-    active
-        .into_iter()
-        .filter(|&n| spill_costs[n.index()] != u64::MAX)
-        .min_by(|&a, &b| {
-            // Cross-multiplied to stay in integers.
-            let lhs = spill_costs[a.index()] as u128 * ifg.degree(b) as u128;
-            let rhs = spill_costs[b.index()] as u128 * ifg.degree(a) as u128;
-            lhs.cmp(&rhs).then(a.index().cmp(&b.index()))
-        })
-        .unwrap_or_else(|| panic!("graph blocked with only unspillable nodes (K={k})"))
+/// * degrees only fall between merges, so a stale degree only lowers a key;
+/// * a merge survivor can gain degree and cost, so coalescing loops push a
+///   fresh entry for it ([`SpillHeap::push`]);
+/// * the heap is seeded at the first block, when every active node has
+///   degree at least K, and only nodes of degree at least K ever enter, so
+///   every degree it compares is at least 1.
+#[derive(Debug, Default)]
+pub(crate) struct SpillHeap {
+    heap: BinaryHeap<Reverse<SpillKey>>,
+    built: bool,
+    /// Entries popped, stale ones included, since the last
+    /// [`SimplifyScratch::flush_counters`].
+    pops: u64,
+}
+
+/// A spill-heap entry: a node with the cost and degree it was keyed at.
+#[derive(Clone, Copy, Debug)]
+struct SpillKey {
+    cost: u64,
+    degree: usize,
+    node: NodeId,
+}
+
+impl Ord for SpillKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let lhs = self.cost as u128 * other.degree as u128;
+        let rhs = other.cost as u128 * self.degree as u128;
+        lhs.cmp(&rhs)
+            .then(self.node.index().cmp(&other.node.index()))
+    }
+}
+
+impl PartialOrd for SpillKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SpillKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SpillKey {}
+
+impl SpillHeap {
+    /// Forgets every entry: the next [`pop`](Self::pop) seeds afresh.
+    pub(crate) fn reset(&mut self) {
+        self.heap.clear();
+        self.built = false;
+    }
+
+    /// Gives the live range `n` an entry at its current cost and degree,
+    /// if the heap is built, `n` is spillable and its degree is at least
+    /// `k`. A node below that degree leaves no entry: it cannot block
+    /// until it gains degree, which only a merge gives it.
+    pub(crate) fn push(&mut self, ifg: &InterferenceGraph, k: usize, costs: &[u64], n: NodeId) {
+        let (cost, degree) = (costs[n.index()], ifg.degree(n));
+        if self.built && cost != u64::MAX && degree >= k {
+            self.heap.push(Reverse(SpillKey {
+                cost,
+                degree,
+                node: n,
+            }));
+        }
+    }
+
+    /// Picks the spill candidate of a blocked graph, in which every
+    /// active live range has degree at least `k`. The caller removes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every active node is unspillable: spill temporaries
+    /// alone exceed the `k` registers, which no Chaitin-family allocator
+    /// can handle.
+    pub(crate) fn pop(&mut self, ifg: &InterferenceGraph, k: usize, costs: &[u64]) -> NodeId {
+        if !self.built {
+            self.built = true;
+            for n in (ifg.num_phys()..ifg.num_nodes()).map(NodeId::new) {
+                if !ifg.is_merged(n) && !ifg.is_removed(n) {
+                    self.push(ifg, k, costs, n);
+                }
+            }
+        }
+        loop {
+            let Some(Reverse(entry)) = self.heap.pop() else {
+                panic!("graph blocked with only unspillable nodes (K={k})");
+            };
+            self.pops += 1;
+            let n = entry.node;
+            if ifg.is_merged(n) || ifg.is_removed(n) || costs[n.index()] != entry.cost {
+                continue;
+            }
+            let degree = ifg.degree(n);
+            debug_assert!(degree >= k, "spill candidate {n} is not blocked");
+            if degree == entry.degree {
+                return n;
+            }
+            self.heap.push(Reverse(SpillKey { degree, ..entry }));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -88,12 +88,15 @@ pub fn insert_spill_code_fwd(
         Vec::new()
     };
     let mut avail_owner: Option<usize> = None;
-    // Temporaries that ended up serving extra sites. They no longer have
-    // the tiny single-site live range that justifies the unspillable mark,
-    // so they are dropped from `new_temps` below and stay spillable: if a
-    // later round is squeezed, it can split them back into per-use
-    // reloads instead of blocking the simplify stack.
-    let mut widened: Vec<VReg> = Vec::new();
+    // Per vreg: whether it is a temporary that ended up serving extra
+    // sites. Such a temporary no longer has the tiny single-site live
+    // range that justifies the unspillable mark, so it is dropped from
+    // `new_temps` below and stays spillable: if a later round is squeezed,
+    // it can split it back into per-use reloads instead of blocking the
+    // simplify stack. Grown on demand, as temporaries are numbered.
+    let mut widened: Vec<bool> = Vec::new();
+    // The spilled vregs the current instruction uses, in visit order.
+    let mut wanted: Vec<VReg> = Vec::new();
     let mut slot_of = vec![None; func.num_vregs()];
     let mut has_def = vec![false; func.num_vregs()];
     for b in func.block_ids() {
@@ -138,20 +141,21 @@ pub fn insert_spill_code_fwd(
         let mut new = Vec::with_capacity(old.len());
         for mut inst in old {
             // Reload before uses.
-            let mut wanted: Vec<VReg> = Vec::new();
+            wanted.clear();
             inst.visit_uses(|u| {
                 if slot_of[u.index()].is_some() && !wanted.contains(&u) {
                     wanted.push(u);
                 }
             });
-            for orig in wanted {
+            for &orig in &wanted {
                 if forwarding {
                     if let Some(t) = avail[orig.index()] {
                         // A live temporary already holds the slot's value.
                         outcome.forwarded += 1;
-                        if !widened.contains(&t) {
-                            widened.push(t);
+                        if widened.len() <= t.index() {
+                            widened.resize(t.index() + 1, false);
                         }
+                        widened[t.index()] = true;
                         let (o, t) = (orig, t);
                         inst.visit_uses_mut(|u| {
                             if *u == o {
@@ -215,7 +219,9 @@ pub fn insert_spill_code_fwd(
         }
     }
     if !widened.is_empty() {
-        outcome.new_temps.retain(|t| !widened.contains(t));
+        outcome
+            .new_temps
+            .retain(|t| widened.get(t.index()) != Some(&true));
     }
     outcome
 }

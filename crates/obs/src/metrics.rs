@@ -80,6 +80,10 @@ pub enum Counter {
     SelectSpilledNoRegister,
     /// Select verdicts: §5.4 active spill (strongest preference negative).
     SelectSpilledPreferMemory,
+    /// Entries simplify popped off its spill-candidate heap, stale ones
+    /// included (simplify's blocked branch, `iterated`'s step 4 and the
+    /// call-cost baseline's blocked branch).
+    SimplifySpillPops,
     /// Edges built into Coloring Precedence Graphs (sentinel edges
     /// excluded).
     CpgEdges,
@@ -159,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 54] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -177,6 +181,7 @@ impl Counter {
         Counter::SelectAssigned,
         Counter::SelectSpilledNoRegister,
         Counter::SelectSpilledPreferMemory,
+        Counter::SimplifySpillPops,
         Counter::CpgEdges,
         Counter::SelectFrontierScanned,
         Counter::SelectDiffRecomputes,
@@ -238,6 +243,7 @@ impl Counter {
             Counter::SelectAssigned => "select_assigned",
             Counter::SelectSpilledNoRegister => "select_spilled_no_register",
             Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
+            Counter::SimplifySpillPops => "simplify_spill_pops",
             Counter::CpgEdges => "cpg_edges",
             Counter::SelectFrontierScanned => "select_frontier_scanned",
             Counter::SelectDiffRecomputes => "select_diff_recomputes",

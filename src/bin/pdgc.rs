@@ -572,9 +572,11 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("spl_analyses_fallback", Gate::HigherIsWorse, 0),
     ("spl_regions", Gate::Exact, 0),
     ("spl_loop_regions", Gate::Exact, 0),
-    // Work done by the CPG build and select's frontier loop. Each is an
-    // exact function of the allocation, so any growth means a hot loop
-    // does more work for the same result.
+    // Work done by simplify's spill-candidate heap, the CPG build and
+    // select's frontier loop. Each is an exact function of the
+    // allocation, so any growth means a hot loop does more work for the
+    // same result.
+    ("simplify_spill_pops", Gate::HigherIsWorse, 0),
     ("cpg_edges", Gate::HigherIsWorse, 0),
     ("select_frontier_scanned", Gate::HigherIsWorse, 0),
     ("select_diff_recomputes", Gate::HigherIsWorse, 0),
