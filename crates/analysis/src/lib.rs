@@ -10,7 +10,8 @@
 //! * [`Liveness`] — iterative backward liveness with per-instruction
 //!   queries, plus live-across-call information for volatile/non-volatile
 //!   preferences;
-//! * [`DefUse`] — definition and use sites per virtual register;
+//! * [`InstRef`] — one instruction position, as the cost model and the
+//!   paired-load finder name sites;
 //! * [`Spl`] — series-parallel-loop shape recognition and the linear
 //!   runs that spill-code reload forwarding travels along;
 //! * [`BitSet`] — the dense bit set used throughout.
@@ -20,7 +21,6 @@
 
 mod bitset;
 mod cfg;
-mod defuse;
 mod dom;
 mod liveness;
 mod loops;
@@ -28,8 +28,18 @@ mod spl;
 
 pub use bitset::BitSet;
 pub use cfg::Cfg;
-pub use defuse::{DefUse, InstRef};
 pub use dom::Dominators;
 pub use liveness::{CallCrossing, Liveness, LivenessScratch};
 pub use loops::{Loops, DEFAULT_LOOP_FREQ_FACTOR};
 pub use spl::{Spl, SplScratch};
+
+use pdgc_ir::Block;
+
+/// A reference to one instruction position within a function.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct InstRef {
+    /// The containing block.
+    pub block: Block,
+    /// Index of the instruction within the block body.
+    pub index: usize,
+}

@@ -1,7 +1,7 @@
 //! Iterative backward liveness analysis.
 
 use crate::{BitSet, Cfg, Loops, SplScratch};
-use pdgc_arena::NestedPool;
+use pdgc_arena::{NestedPool, VecPool};
 use pdgc_ir::{Block, Function, Inst, VReg};
 
 /// Resettable scratch for [`Liveness::compute_in`] and
@@ -23,8 +23,9 @@ pub struct LivenessScratch {
     in_tmp: BitSet,
     walk_tmp: BitSet,
     crossings: NestedPool<(Block, usize)>,
-    /// Pool for [`crate::DefUse`]'s per-register site lists.
-    pub(crate) sites: NestedPool<crate::InstRef>,
+    /// Pool for the allocator's per-vreg cost table, summed in the same
+    /// analysis pass (`pdgc_core::cost::CostTable`).
+    pub costs: VecPool<u64>,
     /// Pools for [`crate::Spl`] detection.
     pub spl: SplScratch,
 }

@@ -37,12 +37,7 @@ fn bench_phases(c: &mut Criterion) {
 
     let ifg = build_ifg(&lowered.func, &analyses.liveness, &nodes);
     let costs: Vec<u64> = {
-        let cost = CostModel::new(
-            &lowered.func,
-            &analyses.defuse,
-            &analyses.loops,
-            &analyses.crossings,
-        );
+        let cost = CostModel::new(&lowered.func, &analyses.costs, &analyses.loops);
         (0..nodes.num_nodes())
             .map(|i| {
                 let n = NodeId::new(i);
@@ -63,12 +58,7 @@ fn bench_phases(c: &mut Criterion) {
     });
 
     c.bench_function("phase/build-rpg", |b| {
-        let cost = CostModel::new(
-            &lowered.func,
-            &analyses.defuse,
-            &analyses.loops,
-            &analyses.crossings,
-        );
+        let cost = CostModel::new(&lowered.func, &analyses.costs, &analyses.loops);
         let copies = collect_copies(&lowered.func, &analyses.loops, &nodes);
         b.iter(|| build_rpg(&lowered.func, &nodes, &cost, &copies, PreferenceSet::full(), &target))
     });

@@ -114,8 +114,10 @@ impl ClassStrategy for PreferenceAllocator {
         // No early return below: the class scratch taken here is always
         // moved back into `ctx` before the outcome is returned.
         let mut cls = std::mem::take(&mut ctx.scratch);
+        let timer = PhaseTimer::start(Phase::Rpg, round, Some(class));
         let cost = ctx.cost_model(analyses);
         let rpg = build_rpg(ctx.func, &ctx.nodes, &cost, &ctx.copies, self.prefs, target);
+        timer.stop(&mut cls.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         if self.pre_coalesce {
             // Conservative (never spill-causing) merges before simplify.

@@ -6,19 +6,33 @@
 //! source is exempted (copy-relatedness instead of interference). This is
 //! the construction needed to reproduce the paper's Figure 7 interference
 //! graph exactly.
+//!
+//! The walk works a machine word at a time. Each block keeps its live set
+//! twice: per vreg (to know what a definition kills) and as a node-indexed
+//! row of `u64` words, with a count of the live vregs behind each
+//! precolored node (several vregs can be pinned to one register). A
+//! definition ORs the row into its node's matrix row, leaving its own bit
+//! and — for a copy whose source is live and is the only live vreg behind
+//! its node — the source's bit as they were. One closing pass then makes
+//! the matrix symmetric and fills the adjacency lists (in ascending node
+//! order) and the degrees from it.
 
 use crate::ifg::{IfgScratch, InterferenceGraph};
 use crate::node::{NodeId, NodeMap};
 use pdgc_analysis::{BitSet, Liveness, Loops};
 use pdgc_arena::VecPool;
 use pdgc_ir::{Block, Function, Inst, VReg};
+use pdgc_obs::{Counter, MetricsRegistry};
 
 /// Resettable scratch for [`build_ifg_in`] and [`collect_copies_in`].
 #[derive(Debug, Default)]
 pub struct BuildScratch {
-    entry_live: Vec<NodeId>,
     walk: BitSet,
+    row: Vec<u64>,
+    pins: Vec<u32>,
     copies: VecPool<CopyRel>,
+    ifg_edges: u64,
+    row_words: u64,
 }
 
 impl BuildScratch {
@@ -31,6 +45,47 @@ impl BuildScratch {
     /// [`collect_copies_in`] to the pool.
     pub fn recycle_copies(&mut self, copies: Vec<CopyRel>) {
         self.copies.put(copies);
+    }
+
+    /// Moves the work the builds counted since the last flush —
+    /// [`Counter::BuildIfgEdges`] and [`Counter::BuildRowWords`] — into
+    /// `metrics`.
+    pub fn flush_counters(&mut self, metrics: &mut MetricsRegistry) {
+        metrics.add(Counter::BuildIfgEdges, std::mem::take(&mut self.ifg_edges));
+        metrics.add(Counter::BuildRowWords, std::mem::take(&mut self.row_words));
+    }
+}
+
+/// The walk's node-indexed live row: one bit per node with a live vreg,
+/// and, per precolored node, how many of its vregs are live.
+struct LiveRow<'a> {
+    row: &'a mut [u64],
+    pins: &'a mut [u32],
+}
+
+impl LiveRow<'_> {
+    fn enter(&mut self, n: NodeId) {
+        let i = n.index();
+        if let Some(count) = self.pins.get_mut(i) {
+            *count += 1;
+        }
+        self.row[i / 64] |= 1 << (i % 64);
+    }
+
+    fn leave(&mut self, n: NodeId) {
+        let i = n.index();
+        if let Some(count) = self.pins.get_mut(i) {
+            *count -= 1;
+            if *count > 0 {
+                return;
+            }
+        }
+        self.row[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Whether `n` has exactly one live vreg behind it.
+    fn single(&self, n: NodeId) -> bool {
+        self.pins.get(n.index()).is_none_or(|&count| count == 1)
     }
 }
 
@@ -74,40 +129,76 @@ pub fn build_ifg_in(
     scratch: &mut BuildScratch,
 ) -> InterferenceGraph {
     let mut g = InterferenceGraph::new_in(nodes.num_nodes(), nodes.num_phys(), ifg_scratch);
+    let stride = g.row_words();
+    let BuildScratch {
+        walk,
+        row,
+        pins,
+        ifg_edges,
+        row_words,
+        ..
+    } = scratch;
+    let mut live = LiveRow {
+        row: reset(row, stride),
+        pins: reset(pins, nodes.num_phys()),
+    };
 
     // Values live into the entry block are all defined "at entry"
     // (pre-lowering parameters): make them pairwise interfere.
-    let entry_live = &mut scratch.entry_live;
-    entry_live.clear();
-    entry_live.extend(
+    let entry_live = || {
         liveness
             .live_in(Block::ENTRY)
             .iter()
-            .filter_map(|v| nodes.node_of(VReg::new(v))),
-    );
-    for (i, &a) in entry_live.iter().enumerate() {
-        for &b in &entry_live[i + 1..] {
-            g.add_edge(a, b);
-        }
+            .filter_map(|v| nodes.node_of(VReg::new(v)))
+    };
+    entry_live().for_each(|n| live.enter(n));
+    for n in entry_live() {
+        g.or_row(n, live.row, None);
+        *row_words += stride as u64;
     }
 
     for b in func.block_ids() {
-        liveness.for_each_inst_backward_in(func, b, &mut scratch.walk, |_, inst, live_after| {
-            let Some(d) = inst.def() else { return };
-            let Some(nd) = nodes.node_of(d) else { return };
-            let copy_src = inst.as_copy().map(|(_, s)| s);
-            for v in live_after.iter() {
-                let v = VReg::new(v);
-                if v == d || copy_src == Some(v) {
-                    continue;
+        walk.copy_from(liveness.live_out(b));
+        live.row.fill(0);
+        live.pins.fill(0);
+        walk.iter()
+            .filter_map(|v| nodes.node_of(VReg::new(v)))
+            .for_each(|n| live.enter(n));
+        for inst in func.block(b).insts.iter().rev() {
+            if let Some(d) = inst.def() {
+                if let Some(nd) = nodes.node_of(d) {
+                    let exempt = inst
+                        .as_copy()
+                        .filter(|&(_, s)| walk.contains(s.index()))
+                        .and_then(|(_, s)| nodes.node_of(s))
+                        .filter(|&ns| live.single(ns));
+                    g.or_row(nd, live.row, exempt);
+                    *row_words += stride as u64;
                 }
-                if let Some(nv) = nodes.node_of(v) {
-                    g.add_edge(nd, nv);
+                if walk.remove(d.index()) {
+                    if let Some(nd) = nodes.node_of(d) {
+                        live.leave(nd);
+                    }
                 }
             }
-        });
+            inst.visit_uses(|u| {
+                if walk.insert(u.index()) {
+                    if let Some(nu) = nodes.node_of(u) {
+                        live.enter(nu);
+                    }
+                }
+            });
+        }
     }
+    *ifg_edges += g.close_rows() as u64;
     g
+}
+
+/// Clears `buf` to `len` zeros and returns it.
+fn reset<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    buf.clear();
+    buf.resize(len, T::default());
+    buf
 }
 
 /// Collects the copy-relatedness pairs of one class: every

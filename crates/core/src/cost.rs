@@ -17,8 +17,15 @@
 //! 3`, and `Callee_Save_Cost = 2`. `Ideal_Op_Cost` zeroes the cost of the
 //! instructions a preference would eliminate (the coalesced move, or the
 //! load folded into a paired load).
+//!
+//! The per-vreg sums — `Spill_Cost`, `Op_Cost` and the volatile
+//! `Call_Cost` — are a [`CostTable`], filled in one instruction pass per
+//! spill round during analysis. Every [`CostModel`] query reads it; only
+//! `Ideal_Op_Cost` looks at instructions again, and only at the few sites
+//! a preference zeroes.
 
-use pdgc_analysis::{CallCrossing, DefUse, InstRef, Loops};
+use pdgc_analysis::{CallCrossing, InstRef, Loops};
+use pdgc_arena::VecPool;
 use pdgc_ir::{Function, Inst, VReg};
 
 /// `Load_Cost` — cycles to reload a spilled value before a use.
@@ -31,33 +38,101 @@ pub const SAVE_RESTORE_COST: u64 = 3;
 /// non-volatile register.
 pub const CALLEE_SAVE_COST: u64 = 2;
 
+/// `Inst_Cost`: 2 for memory loads, undefined (0) for calls, 1 otherwise.
+fn inst_cost(inst: &Inst) -> u64 {
+    match inst {
+        Inst::Load { .. } | Inst::Load8 { .. } | Inst::Reload { .. } => 2,
+        Inst::Call { .. } => 0,
+        _ => 1,
+    }
+}
+
+/// Each vreg's Appendix cost terms, summed once per round.
+///
+/// Every operand occurrence counts: a use adds `Load_Cost·Freq` to
+/// `Spill_Cost` and a def `Store_Cost·Freq`, and either adds
+/// `Inst_Cost·Freq` to `Op_Cost`, so an instruction using `v` twice
+/// counts twice. The sums wrap on overflow, as a release build's `+` does;
+/// the crossing sum saturates ([`CallCrossing::weighted`]).
+#[derive(Clone, Debug, Default)]
+pub struct CostTable {
+    /// Three words per vreg: `Spill_Cost`, `Op_Cost`, and
+    /// `Save_Restore_Cost × Σ Freq(calls crossed)`.
+    terms: Vec<u64>,
+}
+
+impl CostTable {
+    /// Sums the terms of every vreg of `func` (φs must be lowered).
+    pub fn compute(func: &Function, loops: &Loops, crossings: &CallCrossing) -> Self {
+        Self::compute_in(func, loops, crossings, &mut VecPool::new())
+    }
+
+    /// Like [`CostTable::compute`], drawing the table from `pool`; return
+    /// it with [`CostTable::recycle`] when done.
+    pub fn compute_in(
+        func: &Function,
+        loops: &Loops,
+        crossings: &CallCrossing,
+        pool: &mut VecPool<u64>,
+    ) -> Self {
+        let n = func.num_vregs();
+        let mut terms = pool.take_filled(3 * n, 0);
+        for b in func.block_ids() {
+            let f = loops.freq(b);
+            let (load, store) = (LOAD_COST.wrapping_mul(f), STORE_COST.wrapping_mul(f));
+            for inst in &func.block(b).insts {
+                let op = inst_cost(inst).wrapping_mul(f);
+                let mut add = |v: VReg, spill: u64| {
+                    let t = &mut terms[3 * v.index()..3 * v.index() + 2];
+                    t[0] = t[0].wrapping_add(spill);
+                    t[1] = t[1].wrapping_add(op);
+                };
+                inst.visit_uses(|u| add(u, load));
+                if let Some(d) = inst.def() {
+                    add(d, store);
+                }
+            }
+        }
+        for v in 0..n {
+            terms[3 * v + 2] =
+                SAVE_RESTORE_COST.wrapping_mul(crossings.weighted(VReg::new(v), loops));
+        }
+        CostTable { terms }
+    }
+
+    /// Returns the table's storage to `pool`.
+    pub fn recycle(self, pool: &mut VecPool<u64>) {
+        pool.put(self.terms);
+    }
+
+    /// `Spill_Cost(V)`.
+    pub fn spill_cost(&self, v: VReg) -> u64 {
+        self.terms[3 * v.index()]
+    }
+
+    /// `Op_Cost(V)`.
+    pub fn op_cost(&self, v: VReg) -> u64 {
+        self.terms[3 * v.index() + 1]
+    }
+
+    /// `Call_Cost(V)` in a volatile register.
+    pub fn call_cost_volatile(&self, v: VReg) -> u64 {
+        self.terms[3 * v.index() + 2]
+    }
+}
+
 /// Evaluates the Appendix cost functions over one function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel<'a> {
     func: &'a Function,
-    defuse: &'a DefUse,
+    costs: &'a CostTable,
     loops: &'a Loops,
-    crossings: &'a CallCrossing,
 }
 
 impl<'a> CostModel<'a> {
-    /// Bundles the analyses the model reads.
-    pub fn new(
-        func: &'a Function,
-        defuse: &'a DefUse,
-        loops: &'a Loops,
-        crossings: &'a CallCrossing,
-    ) -> Self {
-        CostModel {
-            func,
-            defuse,
-            loops,
-            crossings,
-        }
-    }
-
-    fn inst_at(&self, r: InstRef) -> &Inst {
-        &self.func.block(r.block).insts[r.index]
+    /// Bundles the function, its cost table and its loop frequencies.
+    pub fn new(func: &'a Function, costs: &'a CostTable, loops: &'a Loops) -> Self {
+        CostModel { func, costs, loops }
     }
 
     /// `Freq_Fact` of the instruction's block.
@@ -69,48 +144,26 @@ impl<'a> CostModel<'a> {
         self.loops.freq(r.block)
     }
 
-    /// `Inst_Cost`: 2 for memory loads, undefined (0) for calls, 1
-    /// otherwise.
-    pub fn inst_cost(&self, r: InstRef) -> u64 {
-        match self.inst_at(r) {
-            Inst::Load { .. } | Inst::Load8 { .. } | Inst::Reload { .. } => 2,
-            Inst::Call { .. } => 0,
-            _ => 1,
-        }
-    }
-
     /// `Spill_Cost(V)`: reload before every use, store after every def.
     pub fn spill_cost(&self, v: VReg) -> u64 {
-        let loads: u64 = self
-            .defuse
-            .uses(v)
-            .iter()
-            .map(|&r| LOAD_COST * self.freq(r))
-            .sum();
-        let stores: u64 = self
-            .defuse
-            .defs(v)
-            .iter()
-            .map(|&r| STORE_COST * self.freq(r))
-            .sum();
-        loads + stores
+        self.costs.spill_cost(v)
     }
 
     /// `Op_Cost(V)`: the frequency-weighted cost of the instructions that
     /// touch `V`.
     pub fn op_cost(&self, v: VReg) -> u64 {
-        self.sites(v).map(|r| self.inst_cost(r) * self.freq(r)).sum()
+        self.costs.op_cost(v)
     }
 
     /// `Mem_Cost(V) = Spill_Cost(V) + Op_Cost(V)`.
     pub fn mem_cost(&self, v: VReg) -> u64 {
-        self.spill_cost(v) + self.op_cost(v)
+        self.spill_cost(v).wrapping_add(self.op_cost(v))
     }
 
     /// `Call_Cost(V)` when `V` lives in a volatile register: save+restore
     /// around every call it crosses.
     pub fn call_cost_volatile(&self, v: VReg) -> u64 {
-        SAVE_RESTORE_COST * self.crossings.weighted(v, self.loops)
+        self.costs.call_cost_volatile(v)
     }
 
     /// `Call_Cost(V)` when `V` lives in a non-volatile register.
@@ -120,30 +173,48 @@ impl<'a> CostModel<'a> {
 
     /// `Ideal_Op_Cost(V, P)`: like [`op_cost`](Self::op_cost) but the
     /// instructions in `zeroed` — those the preference `P` eliminates —
-    /// cost nothing.
+    /// cost nothing. Each distinct site in `zeroed` takes off every
+    /// occurrence of `V` there; a site that does not touch `V` takes off
+    /// nothing.
     pub fn ideal_op_cost(&self, v: VReg, zeroed: &[InstRef]) -> u64 {
-        self.sites(v)
-            .map(|r| {
-                if zeroed.contains(&r) {
-                    0
-                } else {
-                    self.inst_cost(r) * self.freq(r)
-                }
-            })
-            .sum()
+        let mut cost = self.op_cost(v);
+        for (i, &r) in zeroed.iter().enumerate() {
+            if zeroed[..i].contains(&r) {
+                continue;
+            }
+            let Some(inst) = self
+                .func
+                .blocks
+                .get(r.block.index())
+                .and_then(|b| b.insts.get(r.index))
+            else {
+                continue;
+            };
+            let mut occurrences = u64::from(inst.def() == Some(v));
+            inst.visit_uses(|u| occurrences += u64::from(u == v));
+            if occurrences > 0 {
+                let site = inst_cost(inst).wrapping_mul(self.freq(r));
+                cost = cost.wrapping_sub(occurrences.wrapping_mul(site));
+            }
+        }
+        cost
     }
 
     /// `Str(V, P)` for a preference that would be honored with a volatile
     /// register and eliminates the instructions in `zeroed`.
     pub fn strength_volatile(&self, v: VReg, zeroed: &[InstRef]) -> i64 {
-        self.mem_cost(v) as i64
-            - (self.call_cost_volatile(v) + self.ideal_op_cost(v, zeroed)) as i64
+        (self.mem_cost(v) as i64).wrapping_sub(
+            self.call_cost_volatile(v)
+                .wrapping_add(self.ideal_op_cost(v, zeroed)) as i64,
+        )
     }
 
     /// `Str(V, P)` for a preference honored with a non-volatile register.
     pub fn strength_nonvolatile(&self, v: VReg, zeroed: &[InstRef]) -> i64 {
-        self.mem_cost(v) as i64
-            - (self.call_cost_nonvolatile(v) + self.ideal_op_cost(v, zeroed)) as i64
+        (self.mem_cost(v) as i64).wrapping_sub(
+            self.call_cost_nonvolatile(v)
+                .wrapping_add(self.ideal_op_cost(v, zeroed)) as i64,
+        )
     }
 
     /// `Str(V, P)` with the `Call_Cost` term omitted — the strength used
@@ -151,15 +222,7 @@ impl<'a> CostModel<'a> {
     /// reflects nothing but the coalescing benefit (volatile and
     /// non-volatile registers look identical to it).
     pub fn strength_ignoring_volatility(&self, v: VReg, zeroed: &[InstRef]) -> i64 {
-        self.mem_cost(v) as i64 - self.ideal_op_cost(v, zeroed) as i64
-    }
-
-    fn sites(&self, v: VReg) -> impl Iterator<Item = InstRef> + '_ {
-        self.defuse
-            .uses(v)
-            .iter()
-            .chain(self.defuse.defs(v).iter())
-            .copied()
+        (self.mem_cost(v) as i64).wrapping_sub(self.ideal_op_cost(v, zeroed) as i64)
     }
 }
 
@@ -219,20 +282,34 @@ mod tests {
         (Ctx { func, cfg }, [v0, v1, v2, v3, v4])
     }
 
-    fn model(ctx: &Ctx) -> (DefUse, Loops, CallCrossing) {
+    fn model(ctx: &Ctx) -> (CostTable, Loops) {
         let dom = Dominators::compute(&ctx.cfg);
         let loops = Loops::compute(&ctx.cfg, &dom);
         let lv = Liveness::compute(&ctx.func, &ctx.cfg);
-        let du = DefUse::compute(&ctx.func);
         let cc = lv.call_crossings(&ctx.func);
-        (du, loops, cc)
+        (CostTable::compute(&ctx.func, &loops, &cc), loops)
+    }
+
+    /// The one instruction that defines `v`.
+    fn def_site(func: &Function, v: VReg) -> InstRef {
+        func.block_ids()
+            .flat_map(|b| {
+                func.block(b)
+                    .insts
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, inst)| inst.def() == Some(v))
+                    .map(move |(index, _)| InstRef { block: b, index })
+            })
+            .next()
+            .expect("v is defined")
     }
 
     #[test]
     fn figure7_v4_prefers_nonvolatile_strength_28() {
         let (ctx, regs) = figure7_ir();
-        let (du, loops, cc) = model(&ctx);
-        let m = CostModel::new(&ctx.func, &du, &loops, &cc);
+        let (table, loops) = model(&ctx);
+        let m = CostModel::new(&ctx.func, &table, &loops);
         let v4 = regs[4];
         assert_eq!(m.mem_cost(v4), 50);
         assert_eq!(m.strength_nonvolatile(v4, &[]), 28);
@@ -244,12 +321,12 @@ mod tests {
     #[test]
     fn figure7_v3_coalesce_strengths_40_38() {
         let (ctx, regs) = figure7_ir();
-        let (du, loops, cc) = model(&ctx);
-        let m = CostModel::new(&ctx.func, &du, &loops, &cc);
+        let (table, loops) = model(&ctx);
+        let m = CostModel::new(&ctx.func, &table, &loops);
         let v3 = regs[3];
         // The coalesce preference toward v0 zeroes only the move that
         // defines v3 (i3); the argument copy i5 still costs.
-        let def_site = du.defs(v3)[0];
+        let def_site = def_site(&ctx.func, v3);
         assert_eq!(m.mem_cost(v3), 50);
         assert_eq!(m.strength_volatile(v3, &[def_site]), 40);
         assert_eq!(m.strength_nonvolatile(v3, &[def_site]), 38);
@@ -258,12 +335,12 @@ mod tests {
     #[test]
     fn figure7_sequential_strengths_50_48() {
         let (ctx, regs) = figure7_ir();
-        let (du, loops, cc) = model(&ctx);
-        let m = CostModel::new(&ctx.func, &du, &loops, &cc);
+        let (table, loops) = model(&ctx);
+        let m = CostModel::new(&ctx.func, &table, &loops);
         for v in [regs[1], regs[2]] {
             // The sequential± preference zeroes the paired-load candidate
             // that defines the register.
-            let def_site = du.defs(v)[0];
+            let def_site = def_site(&ctx.func, v);
             assert_eq!(m.mem_cost(v), 60);
             assert_eq!(m.strength_volatile(v, &[def_site]), 50);
             assert_eq!(m.strength_nonvolatile(v, &[def_site]), 48);
@@ -273,8 +350,8 @@ mod tests {
     #[test]
     fn spill_cost_weights_by_frequency() {
         let (ctx, regs) = figure7_ir();
-        let (du, loops, cc) = model(&ctx);
-        let m = CostModel::new(&ctx.func, &du, &loops, &cc);
+        let (table, loops) = model(&ctx);
+        let m = CostModel::new(&ctx.func, &table, &loops);
         // v1: def by load in the loop (store-after-def 1×10), one use in
         // the loop (load-before-use 2×10).
         assert_eq!(m.spill_cost(regs[1]), 30);
@@ -291,8 +368,8 @@ mod tests {
         let func = b.finish();
         let cfg = Cfg::compute(&func);
         let ctx = Ctx { func, cfg };
-        let (du, loops, cc) = model(&ctx);
-        let m = CostModel::new(&ctx.func, &du, &loops, &cc);
+        let (table, loops) = model(&ctx);
+        let m = CostModel::new(&ctx.func, &table, &loops);
         // p's only use is the call, whose Inst_Cost is undefined (0).
         assert_eq!(m.op_cost(p), 0);
         assert_eq!(m.spill_cost(p), 2);

@@ -159,12 +159,7 @@ mod tests {
         let analyses = analyze(&lowered.func);
         let nodes = NodeMap::build(&lowered.func, &target, RegClass::Int, &lowered.pinned);
         let mut ifg = build_ifg(&lowered.func, &analyses.liveness, &nodes);
-        let cost = CostModel::new(
-            &lowered.func,
-            &analyses.defuse,
-            &analyses.loops,
-            &analyses.crossings,
-        );
+        let cost = CostModel::new(&lowered.func, &analyses.costs, &analyses.loops);
         let copies = collect_copies(&lowered.func, &analyses.loops, &nodes);
         let rpg = build_rpg(&lowered.func, &nodes, &cost, &copies, PreferenceSet::full(), &target);
         let costs = vec![1u64; nodes.num_nodes()];

@@ -4,7 +4,9 @@
 //! ranges), edges join nodes that are simultaneously live. The graph
 //! supports the three mutations the allocators need:
 //!
-//! * **edge insertion** during construction;
+//! * **edge insertion** during construction — row by row for the
+//!   pipeline's build ([`crate::build`]), edge by edge
+//!   ([`add_edge`](InterferenceGraph::add_edge)) for hand-built graphs;
 //! * **coalescing** — merging one node into another (aggressive and
 //!   conservative coalescers in [`crate::baselines`] use this);
 //! * **removal marks** with live degree tracking, driving simplification.
@@ -190,6 +192,70 @@ impl InterferenceGraph {
             self.degree[b.index()] += 1;
         }
         true
+    }
+
+    /// ORs `row`, a node-indexed bit row of [`Self::row_words`] words,
+    /// into `a`'s matrix row, leaving bit `a` and bit `keep` as they were.
+    ///
+    /// Construction only: the graph must be fresh (nothing merged or
+    /// removed), and the new bits reach the transpose, the adjacency lists
+    /// and the degrees when [`close_rows`](Self::close_rows) runs.
+    pub(crate) fn or_row(&mut self, a: NodeId, row: &[u64], keep: Option<NodeId>) {
+        let base = a.index() * self.stride;
+        let kept = keep.map(|k| (k.index(), self.bit(a.index(), k.index())));
+        for (dst, &src) in self.words[base..base + self.stride].iter_mut().zip(row) {
+            *dst |= src;
+        }
+        self.words[base + a.index() / 64] &= !(1 << (a.index() % 64));
+        if let Some((k, was)) = kept {
+            let mask = 1 << (k % 64);
+            let word = &mut self.words[base + k / 64];
+            *word = if was { *word | mask } else { *word & !mask };
+        }
+    }
+
+    /// Words per bit-matrix row.
+    pub(crate) fn row_words(&self) -> usize {
+        self.stride
+    }
+
+    /// Completes a graph whose edges were written one way by
+    /// [`or_row`](Self::or_row): sets the transpose of every matrix bit,
+    /// then refills every adjacency list from its row in ascending node
+    /// order and sets each degree to the list's length. Returns the number
+    /// of undirected edges.
+    pub(crate) fn close_rows(&mut self) -> usize {
+        debug_assert!(
+            !self.merged.iter().chain(&self.removed).any(|&f| f),
+            "closing the rows of a graph that was already coalesced or simplified"
+        );
+        let stride = self.stride;
+        for a in 0..self.num_nodes {
+            for w in 0..stride {
+                let mut bits = self.words[a * stride + w];
+                while bits != 0 {
+                    let b = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.words[b * stride + a / 64] |= 1 << (a % 64);
+                }
+            }
+        }
+        let mut ends = 0;
+        for (a, adj) in self.adj.iter_mut().enumerate() {
+            let row = &self.words[a * stride..(a + 1) * stride];
+            adj.clear();
+            adj.reserve(row.iter().map(|w| w.count_ones() as usize).sum());
+            for (w, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    adj.push(NodeId::new(w * 64 + bits.trailing_zeros() as usize));
+                    bits &= bits - 1;
+                }
+            }
+            self.degree[a] = adj.len();
+            ends += adj.len();
+        }
+        ends / 2
     }
 
     /// Whether the representatives of `a` and `b` interfere.

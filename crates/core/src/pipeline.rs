@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! lower ABI → loop {
-//!     analyze (CFG, liveness, loops, def-use, call crossings)
+//!     analyze (CFG, liveness, loops, call crossings, cost table)
 //!     for each register class:
 //!         build nodes + interference graph (+ copies)
 //!         strategy: coalesce/simplify/select however it likes
@@ -20,7 +20,7 @@
 //! phase span.
 
 use crate::build::{build_ifg_in, collect_copies_in, CopyRel};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, CostTable};
 use crate::ifg::InterferenceGraph;
 use crate::lower::{lower_abi, Lowered, LowerError};
 use crate::node::{NodeId, NodeMap};
@@ -29,7 +29,7 @@ use crate::scratch::{ClassScratch, PhaseScratch};
 use crate::select::SelectResult;
 use crate::spill::{insert_spill_code_fwd, SPL_FORWARD_MAX_ROUNDS};
 use crate::stats::AllocStats;
-use pdgc_analysis::{CallCrossing, Cfg, DefUse, Dominators, Liveness, LivenessScratch, Loops, Spl};
+use pdgc_analysis::{CallCrossing, Cfg, Dominators, Liveness, LivenessScratch, Loops, Spl};
 use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope};
 use pdgc_ir::{Function, RegClass, VReg};
 use pdgc_obs::{Counter, Event, NoopTracer, Phase, PhaseTimer, Tracer, ValueHist};
@@ -48,10 +48,10 @@ pub struct Analyses {
     pub liveness: Liveness,
     /// Loop nesting and frequencies.
     pub loops: Loops,
-    /// Def/use sites.
-    pub defuse: DefUse,
     /// Live-across-call records.
     pub crossings: CallCrossing,
+    /// Each vreg's Appendix cost terms.
+    pub costs: CostTable,
     /// SPL shape of the CFG and its linear runs. When the function is
     /// SPL-shaped ([`Spl::is_spl`]), the spill phase forwards reloads
     /// along the runs; otherwise every use reloads.
@@ -63,9 +63,9 @@ pub fn analyze(func: &Function) -> Analyses {
     analyze_in(func, &mut LivenessScratch::default())
 }
 
-/// Like [`analyze`], drawing the liveness sets, crossing records and SPL
-/// buffers from pooled scratch; return them with [`Analyses::recycle`]
-/// when done.
+/// Like [`analyze`], drawing the liveness sets, crossing records, cost
+/// table and SPL buffers from pooled scratch; return them with
+/// [`Analyses::recycle`] when done.
 ///
 /// Liveness is the iterative [`Liveness::compute_in`] and loop frequency
 /// the dominator-based [`Loops::compute`], whatever the CFG's shape.
@@ -74,25 +74,25 @@ pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
     let spl = Spl::compute_in(&cfg, &mut scratch.spl);
     let liveness = Liveness::compute_in(func, &cfg, scratch);
     let loops = Loops::compute(&cfg, &Dominators::compute(&cfg));
-    let defuse = DefUse::compute_in(func, scratch);
     let crossings = liveness.call_crossings_in(func, scratch);
+    let costs = CostTable::compute_in(func, &loops, &crossings, &mut scratch.costs);
     Analyses {
         cfg,
         liveness,
         loops,
-        defuse,
         crossings,
+        costs,
         spl,
     }
 }
 
 impl Analyses {
-    /// Returns the pooled liveness, crossing, def/use, and SPL storage to
+    /// Returns the pooled liveness, crossing, cost, and SPL storage to
     /// `scratch`.
     pub fn recycle(self, scratch: &mut LivenessScratch) {
         self.crossings.recycle(scratch);
         self.liveness.recycle(scratch);
-        self.defuse.recycle(scratch);
+        self.costs.recycle(&mut scratch.costs);
         self.spl.recycle(&mut scratch.spl);
     }
 }
@@ -127,7 +127,7 @@ pub struct ClassCtx<'a> {
 impl ClassCtx<'_> {
     /// The Appendix cost model over this round's analyses.
     pub fn cost_model<'b>(&'b self, analyses: &'b Analyses) -> CostModel<'b> {
-        CostModel::new(self.func, &analyses.defuse, &analyses.loops, &analyses.crossings)
+        CostModel::new(self.func, &analyses.costs, &analyses.loops)
     }
 }
 
@@ -261,13 +261,8 @@ pub fn class_ctx_for_round_in<'a>(
         &mut scratch.ifg,
         &mut scratch.build,
     );
+    scratch.build.flush_counters(&mut scratch.metrics);
     let copies = collect_copies_in(&lowered.func, &analyses.loops, &nodes, &mut scratch.build);
-    let cost = CostModel::new(
-        &lowered.func,
-        &analyses.defuse,
-        &analyses.loops,
-        &analyses.crossings,
-    );
     let mut spill_costs = scratch.costs.take_filled(nodes.num_nodes(), u64::MAX);
     let mut no_spill = scratch.flags.take_filled(nodes.num_nodes(), true);
     for n in nodes.live_range_nodes() {
@@ -277,7 +272,7 @@ pub fn class_ctx_for_round_in<'a>(
             if no_spill_vregs.get(v.index()).copied().unwrap_or(false) {
                 blocked = true;
             }
-            c = c.saturating_add(cost.spill_cost(v));
+            c = c.saturating_add(analyses.costs.spill_cost(v));
         }
         if !blocked {
             spill_costs[n.index()] = c;

@@ -21,6 +21,7 @@ use crate::node::{NodeId, NodeMap};
 use pdgc_analysis::InstRef;
 use pdgc_ir::{Function, Inst, VReg};
 use pdgc_target::TargetDesc;
+use std::collections::HashMap;
 
 /// The kind of preference an RPG edge expresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -267,8 +268,10 @@ pub fn build_rpg(
 
     if prefs.coalesce {
         // Group copies by unordered node pair so one edge zeroes all moves
-        // between the pair.
+        // between the pair. Groups keep the order of their first copy:
+        // the stable strength sort breaks ties by it.
         let mut groups: Vec<((NodeId, NodeId), Vec<InstRef>)> = Vec::new();
+        let mut group_of: HashMap<(NodeId, NodeId), usize> = HashMap::new();
         for c in copies {
             let key = if c.dst.index() <= c.src.index() {
                 (c.dst, c.src)
@@ -279,10 +282,11 @@ pub fn build_rpg(
                 block: c.block,
                 index: c.index,
             };
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, sites)) => sites.push(site),
-                None => groups.push((key, vec![site])),
-            }
+            let g = *group_of.entry(key).or_insert_with(|| {
+                groups.push((key, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(site);
         }
         for ((a, b), sites) in groups {
             for (me, partner) in [(a, b), (b, a)] {
@@ -343,8 +347,10 @@ pub fn build_rpg(
     if prefs.limited {
         if let Some(nbytes) = target.class(nodes.class()).byte_regs() {
             // Collect byte-load destinations with their total frequency-
-            // weighted extension saving (one cycle per dishonored load).
+            // weighted extension saving (one cycle per dishonored load),
+            // in the order of each node's first byte load.
             let mut savings: Vec<(NodeId, VReg, i64)> = Vec::new();
+            let mut saving_of = vec![usize::MAX; nodes.num_nodes()];
             for b in func.block_ids() {
                 for (i, inst) in func.block(b).insts.iter().enumerate() {
                     if let Inst::Load8 { dst, .. } = inst {
@@ -354,9 +360,12 @@ pub fn build_rpg(
                         }
                         let site = InstRef { block: b, index: i };
                         let save = cost.freq(site) as i64;
-                        match savings.iter_mut().find(|(m, _, _)| *m == n) {
+                        match savings.get_mut(saving_of[n.index()]) {
                             Some((_, _, acc)) => *acc += save,
-                            None => savings.push((n, *dst, save)),
+                            None => {
+                                saving_of[n.index()] = savings.len();
+                                savings.push((n, *dst, save));
+                            }
                         }
                     }
                 }
@@ -430,7 +439,8 @@ fn strengths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdgc_analysis::{Cfg, DefUse, Dominators, Liveness, Loops};
+    use crate::cost::CostTable;
+    use pdgc_analysis::{Cfg, Dominators, Liveness, Loops};
     use pdgc_ir::{FunctionBuilder, RegClass};
 
     /// A stride-8 paper-like target for the detection tests.
@@ -605,9 +615,9 @@ mod tests {
         let lv = Liveness::compute(&f, &cfg);
         let dom = Dominators::compute(&cfg);
         let loops = Loops::compute(&cfg, &dom);
-        let du = DefUse::compute(&f);
         let cc = lv.call_crossings(&f);
-        let cost = CostModel::new(&f, &du, &loops, &cc);
+        let table = CostTable::compute(&f, &loops, &cc);
+        let cost = CostModel::new(&f, &table, &loops);
         let pinned = vec![None; f.num_vregs()];
         let nodes = NodeMap::build(&f, &TargetDesc::toy(8), RegClass::Int, &pinned);
         let copies = crate::build::collect_copies(&f, &loops, &nodes);
@@ -661,9 +671,9 @@ mod tests {
         let lv = Liveness::compute(&f, &cfg);
         let dom = Dominators::compute(&cfg);
         let loops = Loops::compute(&cfg, &dom);
-        let du = DefUse::compute(&f);
         let cc = lv.call_crossings(&f);
-        let cost = CostModel::new(&f, &du, &loops, &cc);
+        let table = CostTable::compute(&f, &loops, &cc);
+        let cost = CostModel::new(&f, &table, &loops);
         let pinned = vec![None; f.num_vregs()];
         let nodes = NodeMap::build(&f, &TargetDesc::toy(8), RegClass::Int, &pinned);
         let copies = crate::build::collect_copies(&f, &loops, &nodes);

@@ -53,10 +53,12 @@ use std::time::Instant;
 pub enum Phase {
     /// ABI lowering (argument homing, call sequences).
     Lower,
-    /// CFG, liveness, loops, def-use, call crossings.
+    /// CFG, liveness, loops, call crossings, the per-vreg cost table.
     Analyze,
     /// Node universe + interference graph + copy collection.
     Build,
+    /// Register Preference Graph construction.
+    Rpg,
     /// Coalescing (aggressive, conservative, or pre-coalescing).
     Coalesce,
     /// Chaitin/Briggs graph simplification.
@@ -75,10 +77,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 11] = [
         Phase::Lower,
         Phase::Analyze,
         Phase::Build,
+        Phase::Rpg,
         Phase::Coalesce,
         Phase::Simplify,
         Phase::Cpg,
@@ -94,6 +97,7 @@ impl Phase {
             Phase::Lower => "lower",
             Phase::Analyze => "analyze",
             Phase::Build => "build",
+            Phase::Rpg => "rpg",
             Phase::Coalesce => "coalesce",
             Phase::Simplify => "simplify",
             Phase::Cpg => "cpg",
@@ -395,8 +399,8 @@ mod tests {
         assert_eq!(
             names,
             [
-                "lower", "analyze", "build", "coalesce", "simplify", "cpg", "select", "spill",
-                "rewrite", "check"
+                "lower", "analyze", "build", "rpg", "coalesce", "simplify", "cpg", "select",
+                "spill", "rewrite", "check"
             ]
         );
         for (i, p) in Phase::ALL.iter().enumerate() {

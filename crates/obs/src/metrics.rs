@@ -80,6 +80,12 @@ pub enum Counter {
     SelectSpilledNoRegister,
     /// Select verdicts: §5.4 active spill (strongest preference negative).
     SelectSpilledPreferMemory,
+    /// Undirected edges of every interference graph the build produced
+    /// (the precolored clique included).
+    BuildIfgEdges,
+    /// Words the build ORed into interference-matrix rows: one row's
+    /// worth per definition in the class, and per entry live-in.
+    BuildRowWords,
     /// Entries simplify popped off its spill-candidate heap, stale ones
     /// included (simplify's blocked branch, `iterated`'s step 4 and the
     /// call-cost baseline's blocked branch).
@@ -163,7 +169,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 54] = [
+    pub const ALL: [Counter; 56] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -181,6 +187,8 @@ impl Counter {
         Counter::SelectAssigned,
         Counter::SelectSpilledNoRegister,
         Counter::SelectSpilledPreferMemory,
+        Counter::BuildIfgEdges,
+        Counter::BuildRowWords,
         Counter::SimplifySpillPops,
         Counter::CpgEdges,
         Counter::SelectFrontierScanned,
@@ -243,6 +251,8 @@ impl Counter {
             Counter::SelectAssigned => "select_assigned",
             Counter::SelectSpilledNoRegister => "select_spilled_no_register",
             Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
+            Counter::BuildIfgEdges => "build_ifg_edges",
+            Counter::BuildRowWords => "build_row_words",
             Counter::SimplifySpillPops => "simplify_spill_pops",
             Counter::CpgEdges => "cpg_edges",
             Counter::SelectFrontierScanned => "select_frontier_scanned",

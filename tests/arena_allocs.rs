@@ -14,9 +14,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pdgc_analysis::{Cfg, Liveness};
+use pdgc_analysis::{Cfg, Dominators, Liveness, Loops};
 use pdgc_check::{check_allocation_in, CheckScope, CheckScratch};
 use pdgc_core::build::build_ifg_in;
+use pdgc_core::cost::CostTable;
 use pdgc_core::node::NodeMap;
 use pdgc_core::{AllocSession, PhaseScratch, PreferenceAllocator, RegisterAllocator};
 use pdgc_ir::{Function, RegClass};
@@ -64,20 +65,26 @@ fn bench_function() -> Function {
     w.funcs.swap_remove(0)
 }
 
-/// One liveness + node-map + interference-graph pass drawing every buffer
-/// from `scratch` and returning all of them to it.
+/// One liveness + call-crossing + cost-table + node-map +
+/// interference-graph pass drawing every buffer from `scratch` and
+/// returning all of them to it.
 fn analysis_pass(
     func: &Function,
     cfg: &Cfg,
+    loops: &Loops,
     target: &TargetDesc,
     pinned: &[Option<PhysReg>],
     scratch: &mut PhaseScratch,
 ) {
     let liveness = Liveness::compute_in(func, cfg, &mut scratch.liveness);
+    let crossings = liveness.call_crossings_in(func, &mut scratch.liveness);
+    let costs = CostTable::compute_in(func, loops, &crossings, &mut scratch.liveness.costs);
     let nodes = NodeMap::build_in(func, target, RegClass::Int, pinned, &mut scratch.node);
     let ifg = build_ifg_in(func, &liveness, &nodes, &mut scratch.ifg, &mut scratch.build);
     ifg.recycle(&mut scratch.ifg);
     nodes.recycle(&mut scratch.node);
+    costs.recycle(&mut scratch.liveness.costs);
+    crossings.recycle(&mut scratch.liveness);
     liveness.recycle(&mut scratch.liveness);
 }
 
@@ -86,21 +93,22 @@ fn warm_analysis_phases_make_zero_heap_allocations() {
     let func = bench_function();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let cfg = Cfg::compute(&func);
+    let loops = Loops::compute(&cfg, &Dominators::compute(&cfg));
     let pinned: Vec<Option<PhysReg>> = vec![None; func.num_vregs()];
     let mut scratch = PhaseScratch::new();
 
     // Warm-up: the pools grow to the function's high-water marks here.
-    analysis_pass(&func, &cfg, &target, &pinned, &mut scratch);
-    analysis_pass(&func, &cfg, &target, &pinned, &mut scratch);
+    analysis_pass(&func, &cfg, &loops, &target, &pinned, &mut scratch);
+    analysis_pass(&func, &cfg, &loops, &target, &pinned, &mut scratch);
 
     let (allocs, ()) = count_allocs(|| {
         for _ in 0..5 {
-            analysis_pass(&func, &cfg, &target, &pinned, &mut scratch);
+            analysis_pass(&func, &cfg, &loops, &target, &pinned, &mut scratch);
         }
     });
     assert_eq!(
         allocs, 0,
-        "warm liveness/node/IFG passes must not touch the heap"
+        "warm liveness/crossing/cost/node/IFG passes must not touch the heap"
     );
 }
 

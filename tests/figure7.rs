@@ -68,12 +68,7 @@ fn rpg_strengths_match_the_paper() {
     let target = TargetDesc::figure7();
     let lowered = lower_abi(&func, &target).unwrap();
     let analyses = analyze(&lowered.func);
-    let cost = CostModel::new(
-        &lowered.func,
-        &analyses.defuse,
-        &analyses.loops,
-        &analyses.crossings,
-    );
+    let cost = CostModel::new(&lowered.func, &analyses.costs, &analyses.loops);
     let nodes = NodeMap::build(&lowered.func, &target, RegClass::Int, &lowered.pinned);
     let copies = collect_copies(&lowered.func, &analyses.loops, &nodes);
     let rpg = build_rpg(&lowered.func, &nodes, &cost, &copies, PreferenceSet::full(), &target);

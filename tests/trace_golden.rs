@@ -97,10 +97,12 @@ fn figure7_phase_spans_cover_the_pipeline() {
             (Phase::Lower, 0, None),
             (Phase::Analyze, 1, None),
             (Phase::Build, 1, int),
+            (Phase::Rpg, 1, int),
             (Phase::Simplify, 1, int),
             (Phase::Cpg, 1, int),
             (Phase::Select, 1, int),
             (Phase::Build, 1, float),
+            (Phase::Rpg, 1, float),
             (Phase::Simplify, 1, float),
             (Phase::Cpg, 1, float),
             (Phase::Select, 1, float),
@@ -154,7 +156,7 @@ fn json_sink_emits_one_line_per_event() {
             .iter()
             .filter(|l| l.contains("\"type\":\"span\""))
             .count(),
-        11
+        13
     );
     assert!(lines.last().unwrap().contains("\"type\":\"finish\""));
 }
