@@ -180,6 +180,8 @@ pub struct ServeSession {
     /// Misses are proven before they are cached, whatever the request
     /// asked for: nothing unchecked ever enters the cache.
     session: AllocSession<'static>,
+    /// The builtin targets, built once for every request to resolve in.
+    targets: TargetRegistry,
 }
 
 fn error_response(msg: &str) -> String {
@@ -199,6 +201,7 @@ impl ServeSession {
                 check: CheckMode::Always,
                 ..AllocSession::default()
             },
+            targets: TargetRegistry::builtin(),
         }
     }
 
@@ -228,11 +231,12 @@ impl ServeSession {
             Some(m) => CheckMode::parse(m)
                 .ok_or_else(|| format!("bad check mode `{m}` (off, debug, always)"))?,
         };
+        // `parse_function` returns only functions that verify.
         let func = parse_function(ir).map_err(|e| format!("parsing `fn`: {e}"))?;
-        func.verify().map_err(|e| format!("verifying `fn`: {e}"))?;
         let alloc = allocator_by_name(alloc_name)
             .ok_or_else(|| format!("unknown allocator `{alloc_name}`"))?;
-        let target = TargetRegistry::builtin()
+        let target = self
+            .targets
             .resolve(target_name)
             .cloned()
             .map_err(|e| e.to_string())?;
@@ -506,22 +510,32 @@ mod tests {
     #[test]
     fn malformed_and_hostile_input_is_an_error_response() {
         let mut s = session();
-        for bad in [
-            "not json",
-            "{\"target\":\"ia64-24\"}",                       // missing fn
-            "{\"fn\":\"fn broken(\"}",                        // IR parse error
-            "{\"fn\":\"x\",\"allocator\":\"nope\"}",          // unknown allocator
-            "{\"fn\":\"x\",\"target\":\"nope\"}",             // unknown target
-            "{\"fn\":\"x\",\"check\":\"nope\"}",              // bad check mode
-            &format!("{{\"fn\":{} }}", "[".repeat(100_000)),  // deep nesting
+        // Valid IR, so these reach allocator and target resolution.
+        let bad_allocator = request_line(SMALL, "ia64-24", "nope", CheckMode::Always);
+        let bad_target = request_line(SMALL, "nope", "full", CheckMode::Always);
+        // Parses, but branches to a block that does not exist: the verify
+        // inside `parse_function` is the only one on the request path.
+        let jump_b7 = "fn f() {\nb0:\n    jump b7\n}";
+        let unverifiable = request_line(jump_b7, "ia64-24", "full", CheckMode::Always);
+        let deep = format!("{{\"fn\":{} }}", "[".repeat(100_000));
+        for (bad, names) in [
+            ("not json", "at byte 0"),
+            ("{\"target\":\"ia64-24\"}", "missing string field `fn`"),
+            ("{\"fn\":\"fn broken(\"}", "parsing `fn`"),
+            (&*bad_allocator, "unknown allocator `nope`"),
+            (&*bad_target, "unknown target `nope`"),
+            ("{\"fn\":\"x\",\"check\":\"nope\"}", "bad check mode `nope`"),
+            (&*deep, "nesting deeper"),
+            (&*unverifiable, "out-of-range"),
         ] {
             let out = s.handle_line(bad);
             assert!(!out.shutdown);
             let json = Json::parse(&out.response).unwrap();
             assert_eq!(field(&json, "ok").as_bool(), Some(false), "for input {bad:.60}");
-            assert!(json.get("error").is_some());
+            let error = field(&json, "error").as_str().unwrap();
+            assert!(error.contains(names), "`{error}` does not name `{names}`");
         }
-        assert_eq!(s.metrics().get(Counter::ServeErrors), 7);
+        assert_eq!(s.metrics().get(Counter::ServeErrors), 8);
         assert_eq!(s.metrics().get(Counter::CacheMisses), 0);
     }
 

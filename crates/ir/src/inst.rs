@@ -38,6 +38,12 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every operator; the parsers find one by its mnemonic.
+    pub const ALL: [BinOp; 13] = {
+        use BinOp::*;
+        [Add, Sub, Mul, Div, And, Or, Xor, Shl, Shr, FAdd, FSub, FMul, FDiv]
+    };
+
     /// Whether this operator works on the floating-point register class.
     pub fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
@@ -87,6 +93,12 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Every comparison; the parsers find one by its mnemonic.
+    pub const ALL: [CmpOp; 6] = {
+        use CmpOp::*;
+        [Eq, Ne, Lt, Le, Gt, Ge]
+    };
+
     /// The mnemonic used by the pretty-printer.
     pub fn mnemonic(self) -> &'static str {
         match self {

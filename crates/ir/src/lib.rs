@@ -29,6 +29,7 @@ mod builder;
 mod display;
 mod entities;
 mod function;
+pub mod grammar;
 mod ident;
 mod inst;
 mod parse;
@@ -38,8 +39,9 @@ mod verify;
 pub use builder::FunctionBuilder;
 pub use entities::{Block, RegClass, VReg};
 pub use function::{BlockData, CalleeId, FuncSig, Function};
+pub use grammar::ParseError;
 pub use ident::{validate_ident, IdentError};
 pub use inst::{BinOp, CmpOp, Inst};
-pub use parse::{parse_function, parse_functions, ParseError};
+pub use parse::{parse_function, parse_functions};
 pub use phi::{lower_phis, Phi};
 pub use verify::VerifyError;

@@ -34,49 +34,32 @@
 //! }
 //! ```
 //!
-//! Comments run from `//` or `;` to end of line (both forms, matching
-//! the machine-code printer's `;` headers). Negative offsets print as
-//! `[v0+-8]` and parse back. `NAME` and callee names are validated
-//! identifiers ([`validate_ident`](crate::validate_ident)), so every
-//! name that builds also re-parses.
+//! Everything but vreg syntax, `jump`, `ret`, φ, the `f64[…]` and
+//! ascription forms and class inference is the [`grammar`] the
+//! machine-code parser shares. Comments run from `//` or `;` to end of
+//! line. Negative offsets print as `[v0+-8]` and parse back. `NAME` and
+//! callee names are validated identifiers
+//! ([`validate_ident`](crate::validate_ident)), so every name that builds
+//! also re-parses.
 //!
 //! Register classes are inferred: parameters and ascriptions are
-//! explicit, loads/constants/operators are self-evident, `ret` adopts
-//! the signature's return class, and copies/φs propagate to a fixpoint
-//! (an unconstrained copy cycle defaults to `int`). The result is
-//! [`Function::verify`]-checked before being returned.
+//! explicit, loads/constants/operators are self-evident, and `ret` adopts
+//! the signature's return class. Each line writes its evidence into one
+//! table indexed by vreg; copies and φs then join vregs into webs in one
+//! union-find pass, and each web takes its evidence class (`int` if it has
+//! none). The result is [`Function::verify`]-checked before being
+//! returned.
 //!
 //! A `.pdgc` file may hold several functions back to back;
 //! [`parse_functions`] reads them all.
 
-use crate::{
-    validate_ident, BinOp, Block, BlockData, CmpOp, FuncSig, Function, Inst, Phi, RegClass, VReg,
+use crate::grammar::{
+    self, addr, bin, block, branch, call, class, constant, fail, frame_slot, header, label, Const,
+    Operand, ParseError, Rhs,
 };
-use std::collections::HashMap;
-use std::fmt;
-
-/// A parse failure, with a 1-based line number.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ParseError {
-    /// Line the error was found on (1-based; 0 = whole input).
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-macro_rules! perr {
-    ($line:expr, $($arg:tt)*) => {
-        return Err(ParseError { line: $line, message: format!($($arg)*) })
-    };
-}
+use crate::{BlockData, FuncSig, Function, Inst, Phi, RegClass, VReg};
+use std::iter::Enumerate;
+use std::str::Lines;
 
 /// Parses the textual form of one function.
 ///
@@ -87,9 +70,9 @@ macro_rules! perr {
 /// `ParseError` at line 0.
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     let mut p = Parser::new(text);
-    let func = p.parse_one()?;
+    let func = p.first()?;
     if let Some((ln, _)) = p.next_line() {
-        perr!(ln, "trailing content after closing brace");
+        return fail(ln, "trailing content after closing brace");
     }
     Ok(func)
 }
@@ -102,21 +85,35 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
 /// As [`parse_function`]; line numbers refer to the whole text.
 pub fn parse_functions(text: &str) -> Result<Vec<Function>, ParseError> {
     let mut p = Parser::new(text);
-    let mut funcs = vec![p.parse_one()?];
-    while !p.at_end() {
-        funcs.push(p.parse_one()?);
+    let mut funcs = vec![p.first()?];
+    while let Some(header) = p.next_line() {
+        funcs.push(p.parse_one(header)?);
     }
     Ok(funcs)
 }
 
+impl Operand for VReg {
+    fn parse(ln: usize, s: &str) -> Result<VReg, ParseError> {
+        let Some(n) = s.strip_prefix('v') else {
+            return fail(ln, format!("expected a virtual register, got `{s}`"));
+        };
+        let Ok(i) = n.parse::<u32>() else {
+            return fail(ln, format!("bad register `{s}`"));
+        };
+        Ok(VReg::new(i as usize))
+    }
+}
+
+/// The class evidence one line's syntax gives: its ascription, then the
+/// class its load, store or call spells.
+type Evidence = [Option<(VReg, RegClass)>; 2];
+
 struct Parser<'a> {
-    lines: Vec<(usize, &'a str)>,
-    pos: usize,
-    /// Highest vreg index referenced (per function).
-    max_vreg: usize,
-    /// Class constraints gathered while parsing (per function).
-    known: HashMap<usize, RegClass>,
-    /// Same-class constraints (copy/φ edges) for the fixpoint.
+    lines: Enumerate<Lines<'a>>,
+    /// Class evidence per vreg (per function); one entry past the highest
+    /// vreg written.
+    classes: Vec<Option<RegClass>>,
+    /// Same-class constraints (copy and φ edges), joined after parsing.
     same: Vec<(usize, usize)>,
     /// The current function's return class (evidence for `ret vN`).
     ret_class: Option<RegClass>,
@@ -124,45 +121,45 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, strip_comment(l).trim()))
-            .filter(|(_, l)| !l.is_empty())
-            .collect();
         Parser {
-            lines,
-            pos: 0,
-            max_vreg: 0,
-            known: HashMap::new(),
+            lines: text.lines().enumerate(),
+            classes: Vec::new(),
             same: Vec::new(),
             ret_class: None,
         }
     }
 
-    fn at_end(&self) -> bool {
-        self.pos >= self.lines.len()
-    }
-
+    /// The next line with anything but a comment on it, numbered from 1.
     fn next_line(&mut self) -> Option<(usize, &'a str)> {
-        let l = self.lines.get(self.pos).copied();
-        self.pos += 1;
-        l
+        self.lines
+            .by_ref()
+            .map(|(i, l)| (i + 1, grammar::strip_comment(l).trim()))
+            .find(|(_, l)| !l.is_empty())
     }
 
-    fn parse_one(&mut self) -> Result<Function, ParseError> {
-        self.max_vreg = 0;
-        self.known.clear();
+    /// Parses the text's first function; a text with none is an error.
+    fn first(&mut self) -> Result<Function, ParseError> {
+        match self.next_line() {
+            Some(header) => self.parse_one(header),
+            None => fail(0, "empty input"),
+        }
+    }
+
+    fn parse_one(&mut self, (ln, line): (usize, &str)) -> Result<Function, ParseError> {
+        // vreg 0 exists even in a function that names none.
+        self.classes.clear();
+        self.classes.push(None);
         self.same.clear();
-        let (ln, header) = self
-            .next_line()
-            .ok_or_else(|| ParseError {
-                line: 0,
-                message: "empty input".into(),
-            })?;
-        let (name, params, ret) = self.parse_header(ln, header)?;
+        let mut params = Vec::new();
+        let (name, ret) = header(ln, line, |part| {
+            let Some((v, c)) = part.split_once(':') else {
+                return fail(ln, format!("parameter `{part}` must be `vN: class`"));
+            };
+            params.push((VReg::parse(ln, v.trim())?, class(ln, c.trim())?));
+            Ok(())
+        })?;
         self.ret_class = ret;
-        for &(v, c) in params.iter() {
+        for &(v, c) in &params {
             self.note_class(ln, v, c)?;
         }
 
@@ -170,216 +167,157 @@ impl<'a> Parser<'a> {
         let mut callees: Vec<String> = Vec::new();
         loop {
             let Some((ln, line)) = self.next_line() else {
-                perr!(0, "missing closing brace");
+                return fail(0, "missing closing brace");
             };
             if line == "}" {
                 break;
             }
-            if let Some(label) = line.strip_suffix(':') {
-                let idx = parse_block(ln, label)?;
-                if idx.index() != blocks.len() {
-                    perr!(ln, "blocks must be declared in order; expected b{}", blocks.len());
-                }
+            if label(ln, line, blocks.len())? {
                 blocks.push(BlockData::default());
                 continue;
             }
-            let Some(block) = blocks.last_mut() else {
-                perr!(ln, "instruction before any block label");
+            let Some(current) = blocks.last_mut() else {
+                return fail(ln, "instruction before any block label");
             };
-            if let Some(term) = block.insts.last() {
-                if term.is_terminator() {
-                    perr!(ln, "instruction after terminator");
-                }
+            if current.insts.last().is_some_and(Inst::is_terminator) {
+                return fail(ln, "instruction after terminator");
             }
-            // Split borrows: parse into locals, then push.
-            let mut evidence: Vec<(usize, RegClass)> = Vec::new();
+            let mut evidence: Evidence = [None; 2];
             let parsed = parse_line(ln, line, &mut callees, &mut evidence)?;
-            for (v, c) in evidence {
+            for (v, c) in evidence.into_iter().flatten() {
                 self.note_class(ln, v, c)?;
             }
             match parsed {
                 Parsed::Inst(inst) => {
                     self.note_inst(ln, &inst)?;
-                    block.insts.push(inst);
+                    current.insts.push(inst);
                 }
                 Parsed::Phi(phi) => {
-                    if !block.insts.is_empty() {
-                        perr!(ln, "phi after a non-phi instruction");
+                    if !current.insts.is_empty() {
+                        return fail(ln, "phi after a non-phi instruction");
                     }
-                    self.note_phi(&phi);
-                    block.phis.push(phi);
+                    for &(_, v) in &phi.args {
+                        self.note_same(phi.dst, v);
+                    }
+                    current.phis.push(phi);
                 }
             }
         }
-        // Resolve classes to a fixpoint.
-        let mut classes = vec![None; self.max_vreg + 1];
-        for (&v, &c) in &self.known {
-            classes[v] = Some(c);
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b) in &self.same {
-                match (classes[a], classes[b]) {
-                    (Some(ca), Some(cb)) if ca != cb => {
-                        perr!(0, "v{a} and v{b} are constrained to different classes")
-                    }
-                    (Some(c), None) => {
-                        classes[b] = Some(c);
-                        changed = true;
-                    }
-                    (None, Some(c)) => {
-                        classes[a] = Some(c);
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let vreg_classes: Vec<RegClass> =
-            classes.into_iter().map(|c| c.unwrap_or(RegClass::Int)).collect();
-
         let func = Function {
-            name,
+            name: name.to_string(),
             sig: FuncSig {
                 params: params.iter().map(|&(_, c)| c).collect(),
                 ret,
             },
-            param_vregs: params.iter().map(|&(v, _)| VReg::new(v)).collect(),
+            param_vregs: params.iter().map(|&(v, _)| v).collect(),
             blocks,
-            vreg_classes,
+            vreg_classes: join_webs(std::mem::take(&mut self.classes), &self.same)?,
             callees,
         };
-        func.verify().map_err(|e| ParseError {
-            line: 0,
-            message: e.to_string(),
-        })?;
+        if let Err(e) = func.verify() {
+            return fail(0, e.to_string());
+        }
         Ok(func)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn parse_header(
-        &mut self,
-        ln: usize,
-        line: &str,
-    ) -> Result<(String, Vec<(usize, RegClass)>, Option<RegClass>), ParseError> {
-        let Some(rest) = line.strip_prefix("fn ") else {
-            perr!(ln, "expected `fn NAME(...)`");
-        };
-        let Some(open) = rest.find('(') else {
-            perr!(ln, "expected `(` in function header");
-        };
-        let name = rest[..open].trim().to_string();
-        if let Err(e) = validate_ident(&name) {
-            perr!(ln, "function name: {e}");
+    fn touch(&mut self, v: VReg) {
+        if v.index() >= self.classes.len() {
+            self.classes.resize(v.index() + 1, None);
         }
-        let Some(close) = rest.find(')') else {
-            perr!(ln, "expected `)` in function header");
-        };
-        let mut params = Vec::new();
-        let plist = &rest[open + 1..close];
-        if !plist.trim().is_empty() {
-            for part in plist.split(',') {
-                let Some((v, c)) = part.split_once(':') else {
-                    perr!(ln, "parameter `{part}` must be `vN: class`");
-                };
-                let v = parse_vreg(ln, v.trim())?;
-                self.touch(v);
-                params.push((v, parse_class(ln, c.trim())?));
-            }
-        }
-        let tail = rest[close + 1..].trim();
-        let ret = if let Some(r) = tail.strip_prefix("->") {
-            let r = r.trim().trim_end_matches('{').trim();
-            Some(parse_class(ln, r)?)
-        } else if tail == "{" {
-            None
-        } else {
-            perr!(ln, "expected `{{` or `-> class {{` after parameters");
-        };
-        Ok((name, params, ret))
     }
 
-    fn touch(&mut self, v: usize) {
-        self.max_vreg = self.max_vreg.max(v);
-    }
-
-    fn note_class(&mut self, ln: usize, v: usize, c: RegClass) -> Result<(), ParseError> {
+    fn note_class(&mut self, ln: usize, v: VReg, c: RegClass) -> Result<(), ParseError> {
         self.touch(v);
-        if let Some(&prev) = self.known.get(&v) {
-            if prev != c {
-                perr!(ln, "v{v} used as both {prev} and {c}");
-            }
+        match self.classes[v.index()].replace(c) {
+            Some(prev) if prev != c => fail(ln, format!("{v} used as both {prev} and {c}")),
+            _ => Ok(()),
         }
-        self.known.insert(v, c);
-        Ok(())
     }
 
-    fn note_same(&mut self, a: usize, b: usize) {
+    fn note_same(&mut self, a: VReg, b: VReg) {
         self.touch(a);
         self.touch(b);
-        self.same.push((a, b));
+        self.same.push((a.index(), b.index()));
     }
 
-    /// Records class evidence from one instruction.
+    fn note_all(&mut self, ln: usize, vs: &[VReg], c: RegClass) -> Result<(), ParseError> {
+        vs.iter().try_for_each(|&v| self.note_class(ln, v, c))
+    }
+
+    /// Records the class evidence an instruction's operation gives.
     fn note_inst(&mut self, ln: usize, inst: &Inst) -> Result<(), ParseError> {
-        // Touch everything first so max_vreg is right.
         if let Some(d) = inst.def() {
-            self.touch(d.index());
+            self.touch(d);
         }
-        inst.visit_uses(|u| self.max_vreg = self.max_vreg.max(u.index()));
-        match inst {
-            Inst::Copy { dst, src } => self.note_same(dst.index(), src.index()),
-            Inst::Iconst { dst, .. } => self.note_class(ln, dst.index(), RegClass::Int)?,
-            Inst::Fconst { dst, .. } => self.note_class(ln, dst.index(), RegClass::Float)?,
-            Inst::Load { base, .. } | Inst::Store { base, .. } => {
-                // dst/src class was recorded by the caller (syntax marker).
-                self.note_class(ln, base.index(), RegClass::Int)?;
+        inst.visit_uses(|u| self.touch(u));
+        let (int, float) = (RegClass::Int, RegClass::Float);
+        match *inst {
+            Inst::Copy { dst, src } => {
+                self.note_same(dst, src);
+                Ok(())
             }
-            Inst::Load8 { dst, base, .. } => {
-                self.note_class(ln, dst.index(), RegClass::Int)?;
-                self.note_class(ln, base.index(), RegClass::Int)?;
-            }
+            Inst::Iconst { dst, .. } => self.note_all(ln, &[dst], int),
+            Inst::Fconst { dst, .. } => self.note_all(ln, &[dst], float),
+            // A load's or store's value class came from its syntax.
+            Inst::Load { base, .. } | Inst::Store { base, .. } => self.note_all(ln, &[base], int),
+            Inst::Load8 { dst, base, .. } => self.note_all(ln, &[dst, base], int),
             Inst::Bin { op, dst, lhs, rhs } => {
-                let c = if op.is_float() {
-                    RegClass::Float
-                } else {
-                    RegClass::Int
-                };
-                for v in [dst, lhs, rhs] {
-                    self.note_class(ln, v.index(), c)?;
-                }
+                let c = if op.is_float() { float } else { int };
+                self.note_all(ln, &[dst, lhs, rhs], c)
             }
-            Inst::BinImm { dst, lhs, .. } => {
-                self.note_class(ln, dst.index(), RegClass::Int)?;
-                self.note_class(ln, lhs.index(), RegClass::Int)?;
-            }
-            Inst::Branch { lhs, rhs, .. } => {
-                self.note_class(ln, lhs.index(), RegClass::Int)?;
-                self.note_class(ln, rhs.index(), RegClass::Int)?;
-            }
-            Inst::BranchImm { lhs, .. } => self.note_class(ln, lhs.index(), RegClass::Int)?,
-            Inst::Ret { value: Some(v) } => {
-                // The returned value adopts the signature's return class.
-                if let Some(c) = self.ret_class {
-                    self.note_class(ln, v.index(), c)?;
-                }
-            }
+            Inst::BinImm { dst, lhs, .. } => self.note_all(ln, &[dst, lhs], int),
+            Inst::Branch { lhs, rhs, .. } => self.note_all(ln, &[lhs, rhs], int),
+            Inst::BranchImm { lhs, .. } => self.note_all(ln, &[lhs], int),
+            // The returned value adopts the signature's return class.
+            Inst::Ret { value: Some(v) } => match self.ret_class {
+                Some(c) => self.note_all(ln, &[v], c),
+                None => Ok(()),
+            },
             Inst::Call { .. }
             | Inst::Jump { .. }
             | Inst::Ret { value: None }
             | Inst::Reload { .. }
-            | Inst::Spill { .. } => {}
+            | Inst::Spill { .. } => Ok(()),
         }
-        Ok(())
     }
+}
 
-    fn note_phi(&mut self, phi: &Phi) {
-        self.touch(phi.dst.index());
-        for &(_, v) in &phi.args {
-            self.note_same(phi.dst.index(), v.index());
+/// Joins the vregs that copy and φ edges connect into webs, in one
+/// union-find pass, and gives every vreg its web's evidence class, or
+/// `int` (the default class) when the web has none. A web with evidence
+/// for both classes is an error. The forest holds only the vregs the edges
+/// name, numbered densely, so its size follows the input's, not the
+/// largest vreg number.
+fn join_webs(
+    mut classes: Vec<Option<RegClass>>,
+    same: &[(usize, usize)],
+) -> Result<Vec<RegClass>, ParseError> {
+    let mut vregs: Vec<usize> = same.iter().flat_map(|&(a, b)| [a, b]).collect();
+    vregs.sort_unstable();
+    vregs.dedup();
+    let id = |v| vregs.binary_search(&v).expect("every endpoint is listed");
+    let mut parent: Vec<usize> = (0..vregs.len()).collect();
+    let find = |parent: &mut Vec<usize>, mut i: usize| {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
         }
+        i
+    };
+    for &(a, b) in same {
+        let (ra, rb) = (find(&mut parent, id(a)), find(&mut parent, id(b)));
+        let (ca, cb) = (classes[vregs[ra]], classes[vregs[rb]]);
+        if ca.is_some() && cb.is_some() && ca != cb {
+            let message = format!("v{a} and v{b} are constrained to different classes");
+            return fail(0, message);
+        }
+        classes[vregs[ra]] = ca.or(cb);
+        parent[rb] = ra;
     }
+    for i in 0..vregs.len() {
+        classes[vregs[i]] = classes[vregs[find(&mut parent, i)]];
+    }
+    Ok(classes.into_iter().map(Option::unwrap_or_default).collect())
 }
 
 enum Parsed {
@@ -387,364 +325,158 @@ enum Parsed {
     Phi(Phi),
 }
 
-/// Strips a trailing comment: both `//` (the IR form) and `;` (the
-/// machine-code form) start one.
-fn strip_comment(line: &str) -> &str {
-    let end = match (line.find("//"), line.find(';')) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => return line,
+/// Parses `[b+o]` (an int access) or `f64[b+o]` (a float one).
+fn typed_addr(ln: usize, s: &str) -> Result<(VReg, i32, RegClass), ParseError> {
+    let (s, c) = match s.strip_prefix("f64") {
+        Some(s) => (s, RegClass::Float),
+        None => (s, RegClass::Int),
     };
-    &line[..end]
-}
-
-fn parse_vreg(ln: usize, s: &str) -> Result<usize, ParseError> {
-    let Some(n) = s.strip_prefix('v') else {
-        perr!(ln, "expected a virtual register, got `{s}`");
-    };
-    n.parse()
-        .map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad register `{s}`"),
-        })
-}
-
-fn vreg(ln: usize, s: &str) -> Result<VReg, ParseError> {
-    Ok(VReg::new(parse_vreg(ln, s)?))
-}
-
-fn parse_block(ln: usize, s: &str) -> Result<Block, ParseError> {
-    let Some(n) = s.strip_prefix('b') else {
-        perr!(ln, "expected a block label, got `{s}`");
-    };
-    let i: usize = n.parse().map_err(|_| ParseError {
-        line: ln,
-        message: format!("bad block `{s}`"),
-    })?;
-    Ok(Block::new(i))
-}
-
-fn parse_class(ln: usize, s: &str) -> Result<RegClass, ParseError> {
-    match s {
-        "int" => Ok(RegClass::Int),
-        "float" => Ok(RegClass::Float),
-        other => perr!(ln, "unknown register class `{other}`"),
-    }
-}
-
-fn parse_imm(ln: usize, s: &str) -> Result<i64, ParseError> {
-    let s = s.strip_prefix('#').unwrap_or(s);
-    s.parse().map_err(|_| ParseError {
-        line: ln,
-        message: format!("bad immediate `{s}`"),
-    })
-}
-
-/// Parses a `[base+off]` or `f64[base+off]` or `frame[slot]` address.
-fn parse_addr(ln: usize, s: &str) -> Result<(VReg, i32), ParseError> {
-    let inner = s
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected `[base+offset]`, got `{s}`"),
-        })?;
-    // base+off or base+-off (negative offsets print as "+-5").
-    let (b, o) = inner.split_once('+').ok_or_else(|| ParseError {
-        line: ln,
-        message: format!("expected `base+offset` in `{s}`"),
-    })?;
-    let off: i32 = o.parse().map_err(|_| ParseError {
-        line: ln,
-        message: format!("bad offset `{o}`"),
-    })?;
-    Ok((vreg(ln, b.trim())?, off))
-}
-
-fn parse_cmp(ln: usize, s: &str) -> Result<CmpOp, ParseError> {
-    match s {
-        "eq" => Ok(CmpOp::Eq),
-        "ne" => Ok(CmpOp::Ne),
-        "lt" => Ok(CmpOp::Lt),
-        "le" => Ok(CmpOp::Le),
-        "gt" => Ok(CmpOp::Gt),
-        "ge" => Ok(CmpOp::Ge),
-        other => perr!(ln, "unknown comparison `{other}`"),
-    }
-}
-
-fn parse_binop(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        "fadd" => BinOp::FAdd,
-        "fsub" => BinOp::FSub,
-        "fmul" => BinOp::FMul,
-        "fdiv" => BinOp::FDiv,
-        _ => return None,
-    })
-}
-
-fn intern(callees: &mut Vec<String>, name: &str) -> crate::CalleeId {
-    if let Some(i) = callees.iter().position(|c| c == name) {
-        crate::CalleeId::new(i)
-    } else {
-        callees.push(name.to_string());
-        crate::CalleeId::new(callees.len() - 1)
-    }
-}
-
-/// Parses a call tail: `NAME(arg, ...)`.
-fn parse_call(
-    ln: usize,
-    s: &str,
-    callees: &mut Vec<String>,
-    ret: Option<VReg>,
-) -> Result<Inst, ParseError> {
-    let Some(open) = s.find('(') else {
-        perr!(ln, "expected `(` in call");
-    };
-    let Some(close) = s.rfind(')') else {
-        perr!(ln, "expected `)` in call");
-    };
-    let name = s[..open].trim();
-    if let Err(e) = validate_ident(name) {
-        perr!(ln, "callee name: {e}");
-    }
-    let mut args = Vec::new();
-    let alist = &s[open + 1..close];
-    if !alist.trim().is_empty() {
-        for a in alist.split(',') {
-            args.push(vreg(ln, a.trim())?);
-        }
-    }
-    Ok(Inst::Call {
-        callee: intern(callees, name),
-        args,
-        ret,
-    })
+    let (base, offset) = addr(ln, s)?;
+    Ok((base, offset, c))
 }
 
 fn parse_line(
     ln: usize,
     line: &str,
     callees: &mut Vec<String>,
-    evidence: &mut Vec<(usize, RegClass)>,
+    evidence: &mut Evidence,
 ) -> Result<Parsed, ParseError> {
+    let inst = |i| Ok(Parsed::Inst(i));
     // Control flow.
     if let Some(t) = line.strip_prefix("jump ") {
-        return Ok(Parsed::Inst(Inst::Jump {
-            target: parse_block(ln, t.trim())?,
-        }));
+        return inst(Inst::Jump {
+            target: block(ln, t.trim())?,
+        });
     }
     if line == "ret" {
-        return Ok(Parsed::Inst(Inst::Ret { value: None }));
+        return inst(Inst::Ret { value: None });
     }
     if let Some(v) = line.strip_prefix("ret ") {
-        return Ok(Parsed::Inst(Inst::Ret {
-            value: Some(vreg(ln, v.trim())?),
-        }));
+        return inst(Inst::Ret {
+            value: Some(VReg::parse(ln, v.trim())?),
+        });
     }
     if let Some(rest) = line.strip_prefix("if ") {
-        // `OP lhs, rhs goto bX else bY` (rhs may be #imm)
-        let Some((cond, targets)) = rest.split_once(" goto ") else {
-            perr!(ln, "expected `goto` in branch");
-        };
-        let Some((then_s, else_s)) = targets.split_once(" else ") else {
-            perr!(ln, "expected `else` in branch");
-        };
-        let mut it = cond.splitn(2, ' ');
-        let op = parse_cmp(ln, it.next().unwrap_or(""))?;
-        let operands = it.next().unwrap_or("");
-        let Some((lhs_s, rhs_s)) = operands.split_once(',') else {
-            perr!(ln, "expected two branch operands");
-        };
-        let lhs = vreg(ln, lhs_s.trim())?;
-        let rhs_s = rhs_s.trim();
-        let then_dst = parse_block(ln, then_s.trim())?;
-        let else_dst = parse_block(ln, else_s.trim())?;
-        return Ok(Parsed::Inst(if let Some(imm) = rhs_s.strip_prefix('#') {
-            Inst::BranchImm {
+        let (op, lhs, rhs, then_dst, else_dst) = branch(ln, rest)?;
+        return inst(match rhs {
+            Rhs::Reg(rhs) => Inst::Branch {
                 op,
                 lhs,
-                imm: parse_imm(ln, imm)?,
+                rhs,
                 then_dst,
                 else_dst,
-            }
-        } else {
-            Inst::Branch {
+            },
+            Rhs::Imm(imm) => Inst::BranchImm {
                 op,
                 lhs,
-                rhs: vreg(ln, rhs_s)?,
+                imm,
                 then_dst,
                 else_dst,
-            }
-        }));
+            },
+        });
     }
     // Void call.
     if let Some(c) = line.strip_prefix("call ") {
-        return Ok(Parsed::Inst(parse_call(ln, c, callees, None)?));
+        let (callee, args) = call(ln, c, callees)?;
+        return inst(Inst::Call {
+            callee,
+            args,
+            ret: None,
+        });
     }
     // Stores: `[b+o] = v`, `f64[b+o] = v`, `frame[s] = v`.
     if line.starts_with('[') || line.starts_with("f64[") || line.starts_with("frame[") {
         let Some((addr_s, src_s)) = line.split_once('=') else {
-            perr!(ln, "expected `=` in store");
+            return fail(ln, "expected `=` in store");
         };
         let (addr_s, src_s) = (addr_s.trim(), src_s.trim());
-        if let Some(slot_s) = addr_s.strip_prefix("frame[") {
-            let slot: u32 = slot_s
-                .strip_suffix(']')
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| ParseError {
-                    line: ln,
-                    message: format!("bad frame slot in `{addr_s}`"),
-                })?;
-            return Ok(Parsed::Inst(Inst::Spill {
-                src: vreg(ln, src_s)?,
+        if let Some(slot) = frame_slot(ln, addr_s)? {
+            return inst(Inst::Spill {
+                src: VReg::parse(ln, src_s)?,
                 slot,
-            }));
+            });
         }
-        let is_float = addr_s.starts_with("f64");
-        let bare = addr_s.strip_prefix("f64").unwrap_or(addr_s);
-        let (base, offset) = parse_addr(ln, bare)?;
-        let src = vreg(ln, src_s)?;
-        evidence.push((
-            src.index(),
-            if is_float { RegClass::Float } else { RegClass::Int },
-        ));
-        return Ok(Parsed::Inst(Inst::Store { src, base, offset }));
+        let (base, offset, c) = typed_addr(ln, addr_s)?;
+        let src = VReg::parse(ln, src_s)?;
+        evidence[1] = Some((src, c));
+        return inst(Inst::Store { src, base, offset });
     }
 
     // Everything else defines a register: `vN[: class] = RHS`.
     let Some((lhs_s, rhs_s)) = line.split_once('=') else {
-        perr!(ln, "unrecognized instruction `{line}`");
+        return fail(ln, format!("unrecognized instruction `{line}`"));
     };
     let (lhs_s, rhs) = (lhs_s.trim(), rhs_s.trim());
     let (dst_s, ascription) = match lhs_s.split_once(':') {
-        Some((d, c)) => (d.trim(), Some(parse_class(ln, c.trim())?)),
+        Some((d, c)) => (d.trim(), Some(class(ln, c.trim())?)),
         None => (lhs_s, None),
     };
-    let dst = vreg(ln, dst_s)?;
-    if let Some(c) = ascription {
-        evidence.push((dst.index(), c));
-    }
+    let dst = VReg::parse(ln, dst_s)?;
+    evidence[0] = ascription.map(|c| (dst, c));
 
     // φ.
     if rhs == "phi" {
         // Printed by (invalid) empty φs; `Function::verify` rejects them
         // at build time, and the parser mirrors that with a specific
         // diagnostic rather than the generic unrecognized-RHS error.
-        perr!(ln, "phi has no arguments");
+        return fail(ln, "phi has no arguments");
     }
     if let Some(p) = rhs.strip_prefix("phi ") {
         let mut args = Vec::new();
         for part in p.split("],") {
             let part = part.trim().trim_start_matches('[').trim_end_matches(']');
             let Some((b, v)) = part.split_once(':') else {
-                perr!(ln, "phi arg `{part}` must be `[bN: vM]`");
+                return fail(ln, format!("phi arg `{part}` must be `[bN: vM]`"));
             };
-            args.push((parse_block(ln, b.trim())?, vreg(ln, v.trim())?));
+            args.push((block(ln, b.trim())?, VReg::parse(ln, v.trim())?));
         }
         return Ok(Parsed::Phi(Phi { dst, args }));
     }
     // Call with result: the ascription decides the class (default int).
     if let Some(c) = rhs.strip_prefix("call ") {
-        let inst = parse_call(ln, c, callees, Some(dst))?;
-        evidence.push((dst.index(), ascription.unwrap_or(RegClass::Int)));
-        return Ok(Parsed::Inst(inst));
+        let (callee, args) = call(ln, c, callees)?;
+        evidence[1] = Some((dst, ascription.unwrap_or(RegClass::Int)));
+        return inst(Inst::Call {
+            callee,
+            args,
+            ret: Some(dst),
+        });
     }
-    // Reload.
-    if let Some(slot_s) = rhs.strip_prefix("frame[") {
-        let slot: u32 = slot_s
-            .strip_suffix(']')
-            .and_then(|x| x.parse().ok())
-            .ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("bad frame slot in `{rhs}`"),
-            })?;
-        return Ok(Parsed::Inst(Inst::Reload { dst, slot }));
+    if let Some(slot) = frame_slot(ln, rhs)? {
+        return inst(Inst::Reload { dst, slot });
     }
-    // Byte load.
     if let Some(a) = rhs.strip_prefix("byte ") {
-        let (base, offset) = parse_addr(ln, a.trim())?;
-        return Ok(Parsed::Inst(Inst::Load8 { dst, base, offset }));
+        let (base, offset) = addr(ln, a.trim())?;
+        return inst(Inst::Load8 { dst, base, offset });
     }
-    // Float load.
-    if let Some(a) = rhs.strip_prefix("f64[") {
-        let (base, offset) = parse_addr(ln, &format!("[{a}"))?;
-        evidence.push((dst.index(), RegClass::Float));
-        return Ok(Parsed::Inst(Inst::Load { dst, base, offset }));
+    if rhs.starts_with('[') || rhs.starts_with("f64[") {
+        let (base, offset, c) = typed_addr(ln, rhs)?;
+        evidence[1] = Some((dst, c));
+        return inst(Inst::Load { dst, base, offset });
     }
-    // Int load.
-    if rhs.starts_with('[') {
-        let (base, offset) = parse_addr(ln, rhs)?;
-        evidence.push((dst.index(), RegClass::Int));
-        return Ok(Parsed::Inst(Inst::Load { dst, base, offset }));
+    if let Some((op, lhs, rhs)) = bin(ln, rhs)? {
+        return inst(match rhs {
+            Rhs::Reg(rhs) => Inst::Bin { op, dst, lhs, rhs },
+            Rhs::Imm(imm) => Inst::BinImm { op, dst, lhs, imm },
+        });
     }
-    // Binary op: `OP lhs, rhs` with rhs possibly `#imm`.
-    let mut it = rhs.splitn(2, ' ');
-    let head = it.next().unwrap_or("");
-    if let Some(op) = parse_binop(head) {
-        let operands = it.next().unwrap_or("");
-        let Some((a, b)) = operands.split_once(',') else {
-            perr!(ln, "expected two operands for `{head}`");
-        };
-        let lhs = vreg(ln, a.trim())?;
-        let b = b.trim();
-        return Ok(Parsed::Inst(if let Some(imm) = b.strip_prefix('#') {
-            Inst::BinImm {
-                op,
-                dst,
-                lhs,
-                imm: parse_imm(ln, imm)?,
-            }
-        } else {
-            Inst::Bin {
-                op,
-                dst,
-                lhs,
-                rhs: vreg(ln, b)?,
-            }
-        }));
-    }
-    // Float constant: `1.5f` (also `inff`, `NaNf`, `-0f`, `1e300f`).
-    if let Some(f) = rhs.strip_suffix('f') {
-        if let Ok(v) = f.parse::<f64>() {
-            return Ok(Parsed::Inst(Inst::Fconst { dst, value: v }));
-        }
-        // Anything numeric-looking with the `f` suffix was a float
-        // constant attempt; report it as such instead of falling
-        // through to the generic unrecognized-RHS error.
-        if f.starts_with(|c: char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.')) {
-            perr!(ln, "bad float constant `{rhs}`");
-        }
-    }
-    // Integer constant.
-    if let Ok(v) = rhs.parse::<i64>() {
-        return Ok(Parsed::Inst(Inst::Iconst { dst, value: v }));
-    }
-    // Copy.
-    if rhs.starts_with('v') && !rhs.contains(' ') {
-        return Ok(Parsed::Inst(Inst::Copy {
+    match constant(ln, rhs)? {
+        Some(Const::Int(value)) => inst(Inst::Iconst { dst, value }),
+        Some(Const::Float(value)) => inst(Inst::Fconst { dst, value }),
+        // Copy.
+        None if rhs.starts_with('v') && !rhs.contains(' ') => inst(Inst::Copy {
             dst,
-            src: vreg(ln, rhs)?,
-        }));
+            src: VReg::parse(ln, rhs)?,
+        }),
+        None => fail(ln, format!("unrecognized right-hand side `{rhs}`")),
     }
-    perr!(ln, "unrecognized right-hand side `{rhs}`")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FunctionBuilder;
+    use crate::{BinOp, CmpOp, FunctionBuilder};
+    use proptest::prelude::*;
 
     fn roundtrip(f: &Function) {
         let text = f.to_string();
@@ -979,5 +711,66 @@ b0:
 }";
         let f = parse_function(text).unwrap();
         assert_eq!(f.class_of(VReg::new(1)), RegClass::Float);
+    }
+
+    /// The class inference this parser ran before it joined webs with
+    /// union-find, kept as the specification: re-walk every copy and φ edge
+    /// until nothing changes. `None` when a web holds both classes.
+    fn fixpoint_sweep(
+        mut classes: Vec<Option<RegClass>>,
+        same: &[(usize, usize)],
+    ) -> Option<Vec<Option<RegClass>>> {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(a, b) in same {
+                match (classes[a], classes[b]) {
+                    (Some(ca), Some(cb)) if ca != cb => return None,
+                    (Some(c), None) => {
+                        classes[b] = Some(c);
+                        changed = true;
+                    }
+                    (None, Some(c)) => {
+                        classes[a] = Some(c);
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Some(classes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn union_find_matches_the_fixpoint_sweep(
+            evidence in proptest::collection::vec(0usize..5, 1..24),
+            edges in proptest::collection::vec((0usize..24, 0usize..24), 0..32),
+        ) {
+            let class = [None, None, None, Some(RegClass::Int), Some(RegClass::Float)];
+            let classes: Vec<_> = evidence.iter().map(|&e| class[e]).collect();
+            let n = classes.len();
+            let same: Vec<_> = edges.iter().map(|&(a, b)| (a % n, b % n)).collect();
+            let sweep = fixpoint_sweep(classes.clone(), &same)
+                .map(|c| c.into_iter().map(|c| c.unwrap_or(RegClass::Int)).collect());
+            prop_assert_eq!(join_webs(classes, &same).ok(), sweep);
+        }
+    }
+
+    #[test]
+    fn a_long_copy_chain_with_evidence_at_its_far_end_parses() {
+        // Each copy's edge comes after the one it copies from, and the only
+        // evidence is the last vreg's return class: the sweep above needs
+        // one pass per link here, union-find one pass in all.
+        const LINKS: usize = 20_000;
+        let mut text = String::from("fn chain() -> float {\nb0:\n    v0 = frame[0]\n");
+        for i in 1..=LINKS {
+            text.push_str(&format!("    v{i} = v{}\n", i - 1));
+        }
+        text.push_str(&format!("    ret v{LINKS}\n}}"));
+        let f = parse_function(&text).unwrap();
+        assert_eq!(f.vreg_classes, vec![RegClass::Float; LINKS + 1]);
     }
 }

@@ -60,7 +60,7 @@ pub use builder::{ClassSpec, TargetBuilder, MAX_REGS};
 pub use desc::{ClassDesc, TargetDesc};
 pub use error::TargetError;
 pub use mach::{MInst, MachFunction};
-pub use mparse::{parse_mach_function, MachParseError};
+pub use mparse::parse_mach_function;
 pub use pressure::{PairRule, PairedLoadRule, PressureModel};
 pub use reg::PhysReg;
 pub use registry::TargetRegistry;

@@ -33,59 +33,46 @@
 //! ```
 //!
 //! Registers are written `rN` (integer class) and `fN` (float class), so
-//! the form is self-classifying and no inference is needed. The
-//! `; frame:` and `; saves:` header lines are parsed as structure when
-//! they appear before the first block label; everywhere else both `;`
-//! and `//` start a comment (matching the IR parser). Callee names are
-//! interned in order of appearance, which makes
-//! `parse_mach_function(&m.to_string())` print back byte-identically
-//! and re-parse to a structurally equal function.
+//! the form is self-classifying and no inference is needed. Everything
+//! but register syntax, `goto`, the `; frame:` and `; saves:` header
+//! lines, `pair` loads and the branch-range check is the grammar the IR
+//! parser shares ([`pdgc_ir::grammar`]). The header lines are parsed as
+//! structure when they appear before the first block label; everywhere
+//! else both `;` and `//` start a comment. Callee names are interned in
+//! order of appearance, which makes `parse_mach_function(&m.to_string())`
+//! print back byte-identically and re-parse to a structurally equal
+//! function.
 
 use crate::{MInst, MachFunction, PhysReg};
-use pdgc_ir::{validate_ident, BinOp, Block, CalleeId, CmpOp, FuncSig, RegClass};
-use std::fmt;
+use pdgc_ir::grammar::{
+    addr, bin, block, branch, call, class, constant, fail, frame_slot, header, label,
+    strip_comment, Const, Operand, Rhs,
+};
+use pdgc_ir::{FuncSig, ParseError, RegClass};
 
-/// A machine-code parse failure, with a 1-based line number.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MachParseError {
-    /// Line the error was found on (1-based; 0 = whole input).
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl fmt::Display for MachParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "mach parse error at line {}: {}", self.line, self.message)
+impl Operand for PhysReg {
+    fn parse(ln: usize, s: &str) -> Result<PhysReg, ParseError> {
+        let (class, digits) = if let Some(d) = s.strip_prefix('r') {
+            (RegClass::Int, d)
+        } else if let Some(d) = s.strip_prefix('f') {
+            (RegClass::Float, d)
+        } else {
+            return fail(ln, format!("expected a register (`rN` or `fN`), got `{s}`"));
+        };
+        let Ok(idx) = digits.parse() else {
+            return fail(ln, format!("bad register `{s}`"));
+        };
+        Ok(PhysReg::new(class, idx))
     }
-}
-
-impl std::error::Error for MachParseError {}
-
-macro_rules! merr {
-    ($line:expr, $($arg:tt)*) => {
-        return Err(MachParseError { line: $line, message: format!($($arg)*) })
-    };
-}
-
-/// Strips a trailing comment (both `;` and `//` forms).
-fn strip_comment(line: &str) -> &str {
-    let end = match (line.find("//"), line.find(';')) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => return line,
-    };
-    &line[..end]
 }
 
 /// Parses the textual form of one allocated function.
 ///
 /// # Errors
 ///
-/// Returns a [`MachParseError`] on malformed syntax or out-of-range
-/// block references.
-pub fn parse_mach_function(text: &str) -> Result<MachFunction, MachParseError> {
+/// Returns a [`ParseError`] on malformed syntax or out-of-range block
+/// references.
+pub fn parse_mach_function(text: &str) -> Result<MachFunction, ParseError> {
     let mut mach = MachFunction {
         name: String::new(),
         sig: FuncSig::default(),
@@ -104,7 +91,10 @@ pub fn parse_mach_function(text: &str) -> Result<MachFunction, MachParseError> {
         let trimmed = raw.trim();
         if let Some(end) = closed_at {
             if !strip_comment(trimmed).trim().is_empty() {
-                merr!(ln, "trailing content after closing brace (line {end})");
+                return fail(
+                    ln,
+                    format!("trailing content after closing brace (line {end})"),
+                );
             }
             continue;
         }
@@ -114,25 +104,23 @@ pub fn parse_mach_function(text: &str) -> Result<MachFunction, MachParseError> {
         if saw_header && !in_block {
             if let Some(rest) = trimmed.strip_prefix("; frame:") {
                 if saw_frame {
-                    merr!(ln, "duplicate `; frame:` header");
+                    return fail(ln, "duplicate `; frame:` header");
                 }
                 saw_frame = true;
                 let n = rest.trim().strip_suffix("slots").map(str::trim);
-                mach.num_slots = n
-                    .and_then(|x| x.parse().ok())
-                    .ok_or_else(|| MachParseError {
-                        line: ln,
-                        message: format!("expected `; frame: N slots`, got `{trimmed}`"),
-                    })?;
+                let Some(n) = n.and_then(|x| x.parse().ok()) else {
+                    return fail(ln, format!("expected `; frame: N slots`, got `{trimmed}`"));
+                };
+                mach.num_slots = n;
                 continue;
             }
             if let Some(rest) = trimmed.strip_prefix("; saves:") {
                 if saw_saves {
-                    merr!(ln, "duplicate `; saves:` header");
+                    return fail(ln, "duplicate `; saves:` header");
                 }
                 saw_saves = true;
                 for r in rest.split_whitespace() {
-                    mach.used_nonvolatiles.push(parse_reg(ln, r)?);
+                    mach.used_nonvolatiles.push(PhysReg::parse(ln, r)?);
                 }
                 continue;
             }
@@ -142,9 +130,13 @@ pub fn parse_mach_function(text: &str) -> Result<MachFunction, MachParseError> {
             continue;
         }
         if !saw_header {
-            let (name, sig) = parse_header(ln, line)?;
-            mach.name = name;
-            mach.sig = sig;
+            let mut params = Vec::new();
+            let (name, ret) = header(ln, line, |part| {
+                params.push(class(ln, part.trim())?);
+                Ok(())
+            })?;
+            mach.name = name.to_string();
+            mach.sig = FuncSig { params, ret };
             saw_header = true;
             continue;
         }
@@ -152,310 +144,120 @@ pub fn parse_mach_function(text: &str) -> Result<MachFunction, MachParseError> {
             closed_at = Some(ln);
             continue;
         }
-        if let Some(label) = line.strip_suffix(':') {
-            let idx = parse_block(ln, label)?;
-            if idx.index() != mach.blocks.len() {
-                merr!(ln, "blocks must be declared in order; expected b{}", mach.blocks.len());
-            }
+        if label(ln, line, mach.blocks.len())? {
             mach.blocks.push(Vec::new());
             in_block = true;
             continue;
         }
         if !in_block {
-            merr!(ln, "instruction before any block label");
+            return fail(ln, "instruction before any block label");
         }
         let inst = parse_line(ln, line, &mut mach.callees)?;
         mach.blocks.last_mut().unwrap().push(inst);
     }
 
     if !saw_header {
-        merr!(0, "empty input");
+        return fail(0, "empty input");
     }
     if closed_at.is_none() {
-        merr!(0, "missing closing brace");
+        return fail(0, "missing closing brace");
     }
     if mach.blocks.is_empty() {
-        merr!(0, "function has no blocks");
+        return fail(0, "function has no blocks");
     }
     // Post-pass: every block reference must be in range.
     for (b, insts) in mach.blocks.iter().enumerate() {
         for inst in insts {
-            let targets = match inst {
-                MInst::Jump { target } => vec![*target],
+            let targets = match *inst {
+                MInst::Jump { target } => [target, target],
                 MInst::Branch {
                     then_dst, else_dst, ..
                 }
                 | MInst::BranchImm {
                     then_dst, else_dst, ..
-                } => vec![*then_dst, *else_dst],
-                _ => Vec::new(),
+                } => [then_dst, else_dst],
+                _ => continue,
             };
-            for t in targets {
-                if t.index() >= mach.blocks.len() {
-                    merr!(0, "block b{b} branches to out-of-range {t}");
-                }
+            if let Some(t) = targets.into_iter().find(|t| t.index() >= mach.blocks.len()) {
+                return fail(0, format!("block b{b} branches to out-of-range {t}"));
             }
         }
     }
     Ok(mach)
 }
 
-fn parse_header(ln: usize, line: &str) -> Result<(String, FuncSig), MachParseError> {
-    let Some(rest) = line.strip_prefix("fn ") else {
-        merr!(ln, "expected `fn NAME(...)`");
-    };
-    let Some(open) = rest.find('(') else {
-        merr!(ln, "expected `(` in function header");
-    };
-    let name = rest[..open].trim().to_string();
-    if let Err(e) = validate_ident(&name) {
-        merr!(ln, "function name: {e}");
-    }
-    let Some(close) = rest.find(')') else {
-        merr!(ln, "expected `)` in function header");
-    };
-    let mut params = Vec::new();
-    let plist = &rest[open + 1..close];
-    if !plist.trim().is_empty() {
-        for part in plist.split(',') {
-            params.push(parse_class(ln, part.trim())?);
-        }
-    }
-    let tail = rest[close + 1..].trim();
-    let ret = if let Some(r) = tail.strip_prefix("->") {
-        let r = r.trim().trim_end_matches('{').trim();
-        Some(parse_class(ln, r)?)
-    } else if tail == "{" {
-        None
-    } else {
-        merr!(ln, "expected `{{` or `-> class {{` after parameters");
-    };
-    Ok((name, FuncSig { params, ret }))
-}
-
-fn parse_class(ln: usize, s: &str) -> Result<RegClass, MachParseError> {
-    match s {
-        "int" => Ok(RegClass::Int),
-        "float" => Ok(RegClass::Float),
-        other => merr!(ln, "unknown register class `{other}`"),
-    }
-}
-
-fn parse_reg(ln: usize, s: &str) -> Result<PhysReg, MachParseError> {
-    let (class, digits) = if let Some(d) = s.strip_prefix('r') {
-        (RegClass::Int, d)
-    } else if let Some(d) = s.strip_prefix('f') {
-        (RegClass::Float, d)
-    } else {
-        merr!(ln, "expected a register (`rN` or `fN`), got `{s}`");
-    };
-    let idx: u8 = digits.parse().map_err(|_| MachParseError {
-        line: ln,
-        message: format!("bad register `{s}`"),
-    })?;
-    Ok(PhysReg::new(class, idx))
-}
-
-fn parse_block(ln: usize, s: &str) -> Result<Block, MachParseError> {
-    let Some(n) = s.strip_prefix('b') else {
-        merr!(ln, "expected a block label, got `{s}`");
-    };
-    let i: usize = n.parse().map_err(|_| MachParseError {
-        line: ln,
-        message: format!("bad block `{s}`"),
-    })?;
-    Ok(Block::new(i))
-}
-
-fn parse_imm(ln: usize, s: &str) -> Result<i64, MachParseError> {
-    let s = s.strip_prefix('#').unwrap_or(s);
-    s.parse().map_err(|_| MachParseError {
-        line: ln,
-        message: format!("bad immediate `{s}`"),
-    })
-}
-
-/// Parses a `[base+offset]` address (negative offsets spell `+-8`).
-fn parse_addr(ln: usize, s: &str) -> Result<(PhysReg, i32), MachParseError> {
-    let inner = s
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| MachParseError {
-            line: ln,
-            message: format!("expected `[base+offset]`, got `{s}`"),
-        })?;
-    let (b, o) = inner.split_once('+').ok_or_else(|| MachParseError {
-        line: ln,
-        message: format!("expected `base+offset` in `{s}`"),
-    })?;
-    let off: i32 = o.parse().map_err(|_| MachParseError {
-        line: ln,
-        message: format!("bad offset `{o}`"),
-    })?;
-    Ok((parse_reg(ln, b.trim())?, off))
-}
-
-fn parse_cmp(ln: usize, s: &str) -> Result<CmpOp, MachParseError> {
-    match s {
-        "eq" => Ok(CmpOp::Eq),
-        "ne" => Ok(CmpOp::Ne),
-        "lt" => Ok(CmpOp::Lt),
-        "le" => Ok(CmpOp::Le),
-        "gt" => Ok(CmpOp::Gt),
-        "ge" => Ok(CmpOp::Ge),
-        other => merr!(ln, "unknown comparison `{other}`"),
-    }
-}
-
-fn parse_binop(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        "fadd" => BinOp::FAdd,
-        "fsub" => BinOp::FSub,
-        "fmul" => BinOp::FMul,
-        "fdiv" => BinOp::FDiv,
-        _ => return None,
-    })
-}
-
-fn intern(callees: &mut Vec<String>, name: &str) -> CalleeId {
-    if let Some(i) = callees.iter().position(|c| c == name) {
-        CalleeId::new(i)
-    } else {
-        callees.push(name.to_string());
-        CalleeId::new(callees.len() - 1)
-    }
-}
-
-/// Parses a call tail: `NAME(reg, ...)`.
-fn parse_call(
-    ln: usize,
-    s: &str,
-    callees: &mut Vec<String>,
-    ret_reg: Option<PhysReg>,
-) -> Result<MInst, MachParseError> {
-    let Some(open) = s.find('(') else {
-        merr!(ln, "expected `(` in call");
-    };
-    let Some(close) = s.rfind(')') else {
-        merr!(ln, "expected `)` in call");
-    };
-    let name = s[..open].trim();
-    if let Err(e) = validate_ident(name) {
-        merr!(ln, "callee name: {e}");
-    }
-    let mut arg_regs = Vec::new();
-    let alist = &s[open + 1..close];
-    if !alist.trim().is_empty() {
-        for a in alist.split(',') {
-            arg_regs.push(parse_reg(ln, a.trim())?);
-        }
-    }
-    Ok(MInst::Call {
-        callee: intern(callees, name),
-        arg_regs,
-        ret_reg,
-    })
-}
-
-fn parse_line(ln: usize, line: &str, callees: &mut Vec<String>) -> Result<MInst, MachParseError> {
+fn parse_line(ln: usize, line: &str, callees: &mut Vec<String>) -> Result<MInst, ParseError> {
     // Control flow.
     if let Some(t) = line.strip_prefix("goto ") {
         return Ok(MInst::Jump {
-            target: parse_block(ln, t.trim())?,
+            target: block(ln, t.trim())?,
         });
     }
     if line == "ret" {
         return Ok(MInst::Ret);
     }
     if let Some(rest) = line.strip_prefix("if ") {
-        let Some((cond, targets)) = rest.split_once(" goto ") else {
-            merr!(ln, "expected `goto` in branch");
-        };
-        let Some((then_s, else_s)) = targets.split_once(" else ") else {
-            merr!(ln, "expected `else` in branch");
-        };
-        let mut it = cond.splitn(2, ' ');
-        let op = parse_cmp(ln, it.next().unwrap_or(""))?;
-        let operands = it.next().unwrap_or("");
-        let Some((lhs_s, rhs_s)) = operands.split_once(',') else {
-            merr!(ln, "expected two branch operands");
-        };
-        let lhs = parse_reg(ln, lhs_s.trim())?;
-        let rhs_s = rhs_s.trim();
-        let then_dst = parse_block(ln, then_s.trim())?;
-        let else_dst = parse_block(ln, else_s.trim())?;
-        return Ok(if let Some(imm) = rhs_s.strip_prefix('#') {
-            MInst::BranchImm {
+        let (op, lhs, rhs, then_dst, else_dst) = branch(ln, rest)?;
+        return Ok(match rhs {
+            Rhs::Reg(rhs) => MInst::Branch {
                 op,
                 lhs,
-                imm: parse_imm(ln, imm)?,
+                rhs,
                 then_dst,
                 else_dst,
-            }
-        } else {
-            MInst::Branch {
+            },
+            Rhs::Imm(imm) => MInst::BranchImm {
                 op,
                 lhs,
-                rhs: parse_reg(ln, rhs_s)?,
+                imm,
                 then_dst,
                 else_dst,
-            }
+            },
         });
     }
     // Void call.
     if let Some(c) = line.strip_prefix("call ") {
-        return parse_call(ln, c, callees, None);
+        let (callee, arg_regs) = call(ln, c, callees)?;
+        return Ok(MInst::Call {
+            callee,
+            arg_regs,
+            ret_reg: None,
+        });
     }
     // Stores: `[base+off] = reg`, `frame[slot] = reg`.
     if line.starts_with('[') || line.starts_with("frame[") {
         let Some((addr_s, src_s)) = line.split_once('=') else {
-            merr!(ln, "expected `=` in store");
+            return fail(ln, "expected `=` in store");
         };
-        let (addr_s, src_s) = (addr_s.trim(), src_s.trim());
-        let src = parse_reg(ln, src_s)?;
-        if let Some(slot_s) = addr_s.strip_prefix("frame[") {
-            let slot: u32 = slot_s
-                .strip_suffix(']')
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| MachParseError {
-                    line: ln,
-                    message: format!("bad frame slot in `{addr_s}`"),
-                })?;
+        let addr_s = addr_s.trim();
+        let src = PhysReg::parse(ln, src_s.trim())?;
+        if let Some(slot) = frame_slot(ln, addr_s)? {
             return Ok(MInst::SpillStore { src, slot });
         }
-        let (base, offset) = parse_addr(ln, addr_s)?;
+        let (base, offset) = addr(ln, addr_s)?;
         return Ok(MInst::Store { src, base, offset });
     }
 
     // Everything else defines registers: `REG[, REG] = RHS`.
     let Some((lhs_s, rhs_s)) = line.split_once('=') else {
-        merr!(ln, "unrecognized instruction `{line}`");
+        return fail(ln, format!("unrecognized instruction `{line}`"));
     };
     let (lhs_s, rhs) = (lhs_s.trim(), rhs_s.trim());
 
     // Paired load: `r1, r2 = pair [r0+0], [r0+8]`.
     if let Some((d1, d2)) = lhs_s.split_once(',') {
         let Some(addrs) = rhs.strip_prefix("pair ") else {
-            merr!(ln, "two destinations require a `pair` load");
+            return fail(ln, "two destinations require a `pair` load");
         };
-        let dst1 = parse_reg(ln, d1.trim())?;
-        let dst2 = parse_reg(ln, d2.trim())?;
-        let Some((a1, a2)) = addrs.split_once("], ") else {
-            merr!(ln, "expected two addresses in `pair`");
+        let dst1 = PhysReg::parse(ln, d1.trim())?;
+        let dst2 = PhysReg::parse(ln, d2.trim())?;
+        let Some(mid) = addrs.find("], ") else {
+            return fail(ln, "expected two addresses in `pair`");
         };
-        let (base, offset) = parse_addr(ln, &format!("{}]", a1.trim()))?;
-        let (base2, offset2) = parse_addr(ln, a2.trim())?;
+        let (base, offset) = addr(ln, addrs[..=mid].trim())?;
+        let (base2, offset2) = addr::<PhysReg>(ln, addrs[mid + 3..].trim())?;
         if base2 != base {
-            merr!(ln, "paired load reads from two different bases");
+            return fail(ln, "paired load reads from two different bases");
         }
         return Ok(MInst::LoadPair {
             dst1,
@@ -466,85 +268,51 @@ fn parse_line(ln: usize, line: &str, callees: &mut Vec<String>) -> Result<MInst,
         });
     }
 
-    let dst = parse_reg(ln, lhs_s)?;
+    let dst = PhysReg::parse(ln, lhs_s)?;
     // Call with result.
     if let Some(c) = rhs.strip_prefix("call ") {
-        return parse_call(ln, c, callees, Some(dst));
+        let (callee, arg_regs) = call(ln, c, callees)?;
+        return Ok(MInst::Call {
+            callee,
+            arg_regs,
+            ret_reg: Some(dst),
+        });
     }
-    // Spill reload.
-    if let Some(slot_s) = rhs.strip_prefix("frame[") {
-        let slot: u32 = slot_s
-            .strip_suffix(']')
-            .and_then(|x| x.parse().ok())
-            .ok_or_else(|| MachParseError {
-                line: ln,
-                message: format!("bad frame slot in `{rhs}`"),
-            })?;
+    if let Some(slot) = frame_slot(ln, rhs)? {
         return Ok(MInst::SpillLoad { dst, slot });
     }
-    // Byte load.
     if let Some(a) = rhs.strip_prefix("byte ") {
-        let (base, offset) = parse_addr(ln, a.trim())?;
+        let (base, offset) = addr(ln, a.trim())?;
         return Ok(MInst::Load8 { dst, base, offset });
     }
-    // Word load.
     if rhs.starts_with('[') {
-        let (base, offset) = parse_addr(ln, rhs)?;
+        let (base, offset) = addr(ln, rhs)?;
         return Ok(MInst::Load { dst, base, offset });
     }
-    // Binary op.
-    let mut it = rhs.splitn(2, ' ');
-    let head = it.next().unwrap_or("");
-    if let Some(op) = parse_binop(head) {
-        let operands = it.next().unwrap_or("");
-        let Some((a, b)) = operands.split_once(',') else {
-            merr!(ln, "expected two operands for `{head}`");
-        };
-        let lhs = parse_reg(ln, a.trim())?;
-        let b = b.trim();
-        return Ok(if let Some(imm) = b.strip_prefix('#') {
-            MInst::BinImm {
-                op,
-                dst,
-                lhs,
-                imm: parse_imm(ln, imm)?,
-            }
-        } else {
-            MInst::Bin {
-                op,
-                dst,
-                lhs,
-                rhs: parse_reg(ln, b)?,
-            }
+    if let Some((op, lhs, rhs)) = bin(ln, rhs)? {
+        return Ok(match rhs {
+            Rhs::Reg(rhs) => MInst::Bin { op, dst, lhs, rhs },
+            Rhs::Imm(imm) => MInst::BinImm { op, dst, lhs, imm },
         });
     }
-    // Float constant: `1.5f` (also `inff`, `NaNf`, `-0f`). Register
-    // names (`f3`) never end in `f`, so the suffix is unambiguous.
-    if let Some(f) = rhs.strip_suffix('f') {
-        if let Ok(v) = f.parse::<f64>() {
-            return Ok(MInst::Fconst { dst, value: v });
+    match constant(ln, rhs)? {
+        Some(Const::Int(value)) => Ok(MInst::Iconst { dst, value }),
+        Some(Const::Float(value)) => Ok(MInst::Fconst { dst, value }),
+        // Copy.
+        None if (rhs.starts_with('r') || rhs.starts_with('f')) && !rhs.contains(' ') => {
+            Ok(MInst::Copy {
+                dst,
+                src: PhysReg::parse(ln, rhs)?,
+            })
         }
-        if f.starts_with(|c: char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.')) {
-            merr!(ln, "bad float constant `{rhs}`");
-        }
+        None => fail(ln, format!("unrecognized right-hand side `{rhs}`")),
     }
-    // Integer constant.
-    if let Ok(v) = rhs.parse::<i64>() {
-        return Ok(MInst::Iconst { dst, value: v });
-    }
-    // Copy.
-    if (rhs.starts_with('r') || rhs.starts_with('f')) && !rhs.contains(' ') {
-        return Ok(MInst::Copy {
-            dst,
-            src: parse_reg(ln, rhs)?,
-        });
-    }
-    merr!(ln, "unrecognized right-hand side `{rhs}`")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdgc_ir::{BinOp, Block, CalleeId, CmpOp};
 
     fn roundtrip(m: &MachFunction) {
         let text = m.to_string();

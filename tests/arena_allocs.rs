@@ -226,3 +226,33 @@ fn warm_checker_is_allocation_light() {
         "a warm check made {allocs} heap allocations — the checker's pooling regressed"
     );
 }
+
+/// Heap allocations made by parsing the 66 seed-0 suite functions from
+/// their printed text, counted in the test profile before the two text
+/// parsers shared one grammar of leaves. The IR parser runs on every
+/// `pdgc serve` request, so it may not allocate more than that.
+const SUITE_PARSE_ALLOC_BUDGET: u64 = 15_472;
+
+#[test]
+fn parsing_the_suite_stays_within_its_allocation_budget() {
+    let target = pdgc_target::TargetRegistry::builtin()
+        .resolve("ia64-24")
+        .expect("ia64-24 is a builtin target")
+        .clone();
+    let texts: Vec<String> = pdgc_workloads::specjvm_suite()
+        .iter()
+        .flat_map(|p| pdgc_workloads::generate(&p.for_target(&target)).funcs)
+        .map(|f| f.to_string())
+        .collect();
+    assert_eq!(texts.len(), 66);
+    let (allocs, ()) = count_allocs(|| {
+        for text in &texts {
+            drop(pdgc_ir::parse_function(text).expect("a printed suite function parses"));
+        }
+    });
+    assert!(
+        allocs <= SUITE_PARSE_ALLOC_BUDGET,
+        "parsing the suite made {allocs} heap allocations, over the budget of \
+         {SUITE_PARSE_ALLOC_BUDGET}"
+    );
+}
