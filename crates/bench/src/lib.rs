@@ -189,8 +189,14 @@ pub fn write_metrics(
 /// fingerprint of the complete post-rewrite output, used by the batch
 /// driver to certify that two runs produced identical code.
 pub fn fingerprint_mach(mach: &pdgc_target::MachFunction) -> u64 {
+    fnv1a(&mach.to_string())
+}
+
+/// FNV-1a 64 of `text`: [`fingerprint_mach`] over text already printed,
+/// and the hash behind serve's cache keys.
+pub fn fnv1a(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in mach.to_string().bytes() {
+    for b in text.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }

@@ -31,18 +31,43 @@
 //! configurable sampling rate. Hit, miss, insertion, eviction, and
 //! re-check counts ride the always-on metrics registry next to the
 //! allocator's own scorecard.
+//!
+//! In front of the canonical cache sits an index from the **exact request
+//! line** to the entry it resolved to. Within a session a line's parse
+//! depends only on its bytes and on defaults fixed at
+//! [`ServeSession::new`], so a line seen before skips the JSON and IR
+//! parse and the canonical re-print and goes straight to its entry's hit
+//! path: the same hit count, re-check cadence and response bytes. The
+//! index compares whole lines, never a hash alone. Each entry keeps one
+//! line, the latest spelling that resolved to it, and loses it when the
+//! entry is evicted or dropped, so the index never holds more lines than
+//! the cache holds entries. What every response for an entry repeats —
+//! the key hash, fingerprint, scorecard and escaped machine code — is
+//! rendered once, at insert; a hit concatenates it around its `cached` and
+//! `checked` flags.
+//!
+//! # A request that panics
+//!
+//! A request that panics is answered with
+//! `{"ok":false,"error":"internal error: …"}` and counted in
+//! `serve_errors` and `serve_panics`; the session serves the next line.
+//! The cache and the line index change only after a request succeeds, and
+//! the allocation session, whose pools the panic may have left
+//! half-updated, is replaced.
 
-use crate::{fingerprint_mach, stats_json};
+use crate::{fnv1a, stats_json};
 use pdgc_core::pipeline::check_output_metered;
 use pdgc_core::{
     AllocOutput, AllocSession, CheckMode, CheckScope, PreferenceAllocator, RegisterAllocator,
 };
 use pdgc_ir::{parse_function, parse_functions, Function};
-use pdgc_obs::json::{Json, JsonObject};
+use pdgc_obs::json::{escape, Json, JsonObject};
 use pdgc_obs::{Counter, MetricsRegistry, NoopTracer};
 use pdgc_target::{TargetDesc, TargetRegistry};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 /// Every name [`allocator_by_name`] resolves, as `pdgc --help` lists them.
 pub const ALLOCATOR_NAMES: [&str; 9] = [
@@ -93,12 +118,7 @@ pub fn cache_key(func: &Function, target: &str, allocator: &str, check: CheckMod
 
 /// FNV-1a 64 of a cache key, the compact form responses carry.
 pub fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(key)
 }
 
 /// Session configuration, normally filled from `pdgc serve` flags.
@@ -133,15 +153,107 @@ impl Default for ServeConfig {
 }
 
 /// One cached allocation: the full output (kept so sampled hit re-checks
-/// can re-prove it), its rendered response pieces, and an LRU stamp.
+/// can re-prove it), the response parts every answer repeats, the
+/// strings that find it, and an LRU stamp.
 #[derive(Debug)]
 struct CacheEntry {
     out: AllocOutput,
     target: TargetDesc,
-    mach_text: String,
-    stats: String,
-    fingerprint: u64,
+    /// The canonical key, shared with [`Cache::by_key`].
+    key: Rc<str>,
+    /// The latest request line that resolved to this entry, shared with
+    /// [`Cache::by_line`].
+    line: Rc<str>,
+    /// The response up to the `cached` flag: `{"ok":true,"key":"…","cached":`.
+    head: String,
+    /// The response after the `checked` flag: fingerprint, scorecard and
+    /// machine code, closed.
+    tail: String,
     last_used: u64,
+}
+
+impl CacheEntry {
+    /// The success response for this entry.
+    fn response(&self, cached: bool, checked: bool) -> String {
+        let flag = |b: bool| if b { "true" } else { "false" };
+        [
+            &*self.head,
+            flag(cached),
+            ",\"checked\":",
+            flag(checked),
+            &self.tail,
+        ]
+        .concat()
+    }
+}
+
+/// The content-addressed cache and its request-line index. Entries sit in
+/// slots; `by_key` finds one by canonical key and `by_line` by the exact
+/// request line that last resolved to it, each without hashing the other
+/// string. Both maps keep the default SipHash hasher: their keys come from
+/// clients.
+#[derive(Default)]
+struct Cache {
+    slots: Vec<Option<CacheEntry>>,
+    /// Slots a removal emptied, refilled before the slots grow.
+    vacant: Vec<usize>,
+    by_key: HashMap<Rc<str>, usize>,
+    by_line: HashMap<Rc<str>, usize>,
+}
+
+impl Cache {
+    fn len(&self) -> usize {
+        self.by_key.len()
+    }
+
+    fn get(&self, slot: usize) -> Option<&CacheEntry> {
+        self.slots.get(slot)?.as_ref()
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut CacheEntry> {
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    /// The least-recently-used entry's slot. No two entries share a stamp,
+    /// so the choice does not depend on slot order.
+    fn lru(&self) -> Option<usize> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, e)| Some((e.as_ref()?.last_used, slot)))
+            .min()
+            .map(|(_, slot)| slot)
+    }
+
+    fn insert(&mut self, entry: CacheEntry) {
+        let slot = self.vacant.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.by_key.insert(Rc::clone(&entry.key), slot);
+        self.by_line.insert(Rc::clone(&entry.line), slot);
+        self.slots[slot] = Some(entry);
+    }
+
+    /// Takes the entry out of `slot`, with its key and its line.
+    fn remove(&mut self, slot: usize) -> Option<CacheEntry> {
+        let entry = self.slots.get_mut(slot)?.take()?;
+        self.by_key.remove(&entry.key);
+        self.by_line.remove(&entry.line);
+        self.vacant.push(slot);
+        Some(entry)
+    }
+
+    /// Makes `line` the line of the entry in `slot`, in place of its
+    /// previous one. An empty slot takes no line.
+    fn set_line(&mut self, slot: usize, line: &str) {
+        let Some(entry) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        self.by_line.remove(&entry.line);
+        entry.line = Rc::from(line);
+        self.by_line.insert(Rc::clone(&entry.line), slot);
+    }
 }
 
 /// A parsed, validated allocation request, ready to key and run.
@@ -167,11 +279,20 @@ pub struct ServeOutcome {
     pub shutdown: bool,
 }
 
+impl ServeOutcome {
+    fn reply(response: String) -> Self {
+        ServeOutcome {
+            response,
+            shutdown: false,
+        }
+    }
+}
+
 /// A serve session: the cache, its counters, and the allocation session
 /// every miss runs in.
 pub struct ServeSession {
     config: ServeConfig,
-    cache: HashMap<String, CacheEntry>,
+    cache: Cache,
     /// Monotonic request stamp driving LRU eviction.
     tick: u64,
     /// Total hits, driving the sampled re-check cadence.
@@ -188,19 +309,24 @@ fn error_response(msg: &str) -> String {
     JsonObject::new().bool("ok", false).str("error", msg).finish()
 }
 
+/// The allocation session every miss runs in: checked before insertion.
+fn checked_session() -> AllocSession<'static> {
+    AllocSession {
+        check: CheckMode::Always,
+        ..AllocSession::default()
+    }
+}
+
 impl ServeSession {
     /// Creates an empty session.
     pub fn new(config: ServeConfig) -> Self {
         ServeSession {
             config,
-            cache: HashMap::new(),
+            cache: Cache::default(),
             tick: 0,
             hits: 0,
             metrics: MetricsRegistry::default(),
-            session: AllocSession {
-                check: CheckMode::Always,
-                ..AllocSession::default()
-            },
+            session: checked_session(),
             targets: TargetRegistry::builtin(),
         }
     }
@@ -249,32 +375,16 @@ impl ServeSession {
         }))
     }
 
-    /// Renders the success response for a cache entry.
-    fn hit_or_insert_response(key: &str, cached: bool, checked: bool, e: &CacheEntry) -> String {
-        JsonObject::new()
-            .bool("ok", true)
-            .str("key", &format!("{:016x}", key_hash(key)))
-            .bool("cached", cached)
-            .bool("checked", checked)
-            .str("fingerprint", &format!("{:016x}", e.fingerprint))
-            .raw("stats", &e.stats)
-            .str("mach", &e.mach_text)
-            .finish()
-    }
-
-    /// Serves `key` from the cache, re-proving the entry when the
-    /// sampling cadence says so. Returns `None` on a miss.
-    fn try_hit(&mut self, key: &str) -> Option<String> {
-        if !self.cache.contains_key(key) {
-            return None;
-        }
+    /// Serves the entry in `slot`, re-proving it when the sampling cadence
+    /// says so. Returns `None` when the slot is empty.
+    fn try_hit(&mut self, slot: usize) -> Option<String> {
+        let entry = self.cache.get(slot)?;
         self.metrics.bump(Counter::CacheHits);
         self.hits += 1;
         let rate = self.config.sample_rate;
-        let recheck = rate > 0 && self.hits % rate == 0;
+        let recheck = rate > 0 && self.hits.is_multiple_of(rate);
         if recheck {
             self.metrics.bump(Counter::CacheHitChecks);
-            let entry = self.cache.get(key).expect("checked above");
             let scratch = &mut self.session.scratch;
             let verdict = check_output_metered(
                 &entry.out,
@@ -288,45 +398,50 @@ impl ServeSession {
             if let Err(e) = verdict {
                 // A cached allocation failing re-validation means the
                 // entry (or the checker) is corrupt; drop it and report.
-                let dead = self.cache.remove(key).expect("checked above");
-                dead.out.recycle(scratch);
+                if let Some(dead) = self.cache.remove(slot) {
+                    dead.out.recycle(scratch);
+                }
                 self.metrics.bump(Counter::ServeErrors);
                 return Some(error_response(&format!(
                     "cached allocation failed re-validation (entry dropped): {e}"
                 )));
             }
         }
-        let tick = self.tick;
-        let entry = self.cache.get_mut(key).expect("checked above");
-        entry.last_used = tick;
-        Some(Self::hit_or_insert_response(key, true, recheck, entry))
+        let entry = self.cache.get_mut(slot)?;
+        entry.last_used = self.tick;
+        Some(entry.response(true, recheck))
     }
 
-    /// Inserts a freshly proven allocation, evicting the least-recently-
-    /// used entry when the cache is at capacity.
-    fn insert(&mut self, key: String, out: AllocOutput, target: TargetDesc) -> String {
-        if self.config.cache_cap > 0 && self.cache.len() >= self.config.cache_cap {
-            if let Some(victim) = self
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                let dead = self.cache.remove(&victim).expect("key from iteration");
-                dead.out.recycle(&mut self.session.scratch);
-                self.metrics.bump(Counter::CacheEvictions);
-            }
-        }
+    /// Caches a freshly proven allocation under `key` with `line` as its
+    /// line, evicting the least-recently-used entry when the cache is at
+    /// capacity, and returns the miss response.
+    fn insert(&mut self, key: String, line: &str, out: AllocOutput, target: TargetDesc) -> String {
+        let mach = out.mach.to_string();
         let entry = CacheEntry {
-            mach_text: out.mach.to_string(),
-            stats: stats_json(&out.stats),
-            fingerprint: fingerprint_mach(&out.mach),
+            head: format!(
+                "{{\"ok\":true,\"key\":\"{:016x}\",\"cached\":",
+                key_hash(&key)
+            ),
+            tail: format!(
+                ",\"fingerprint\":\"{:016x}\",\"stats\":{},\"mach\":\"{}\"}}",
+                fnv1a(&mach),
+                stats_json(&out.stats),
+                escape(&mach),
+            ),
+            key: Rc::from(key),
+            line: Rc::from(line),
             last_used: self.tick,
             out,
             target,
         };
-        let response = Self::hit_or_insert_response(&key, false, true, &entry);
-        self.cache.insert(key, entry);
+        let response = entry.response(false, true);
+        if self.config.cache_cap > 0 && self.cache.len() >= self.config.cache_cap {
+            if let Some(dead) = self.cache.lru().and_then(|slot| self.cache.remove(slot)) {
+                dead.out.recycle(&mut self.session.scratch);
+                self.metrics.bump(Counter::CacheEvictions);
+            }
+        }
+        self.cache.insert(entry);
         self.metrics.bump(Counter::CacheInsertions);
         response
     }
@@ -335,6 +450,39 @@ impl ServeSession {
     pub fn handle_line(&mut self, line: &str) -> ServeOutcome {
         self.tick += 1;
         self.metrics.bump(Counter::ServeRequests);
+        self.guarded(|s| s.answer(line))
+    }
+
+    /// Runs one request's work, answering a panic in it with an
+    /// `internal error` response instead of ending the session.
+    fn guarded(&mut self, work: impl FnOnce(&mut Self) -> ServeOutcome) -> ServeOutcome {
+        // Unwind safety: a request changes the cache and the line index
+        // only after its allocation, check and response have succeeded,
+        // so a panic leaves both as they were. The allocation session's
+        // pools may be half-updated, so it is replaced below.
+        let payload = match catch_unwind(AssertUnwindSafe(|| work(self))) {
+            Ok(outcome) => return outcome,
+            Err(payload) => payload,
+        };
+        self.session = checked_session();
+        self.metrics.bump(Counter::ServeErrors);
+        self.metrics.bump(Counter::ServePanics);
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a panic with no message");
+        ServeOutcome::reply(error_response(&format!("internal error: {what}")))
+    }
+
+    /// Answers one line: through the line index when the session has
+    /// answered it before, else through the parser and the canonical key.
+    fn answer(&mut self, line: &str) -> ServeOutcome {
+        if let Some(&slot) = self.cache.by_line.get(line) {
+            if let Some(response) = self.try_hit(slot) {
+                return ServeOutcome::reply(response);
+            }
+        }
         let req = match self.parse_line(line) {
             Ok(Parsed::Shutdown) => {
                 return ServeOutcome {
@@ -348,34 +496,27 @@ impl ServeSession {
             Ok(Parsed::Alloc(req)) => req,
             Err(e) => {
                 self.metrics.bump(Counter::ServeErrors);
-                return ServeOutcome {
-                    response: error_response(&e),
-                    shutdown: false,
-                };
+                return ServeOutcome::reply(error_response(&e));
             }
         };
-        if let Some(response) = self.try_hit(&req.key) {
-            return ServeOutcome {
-                response,
-                shutdown: false,
-            };
+        if let Some(&slot) = self.cache.by_key.get(req.key.as_str()) {
+            if let Some(response) = self.try_hit(slot) {
+                self.cache.set_line(slot, line);
+                return ServeOutcome::reply(response);
+            }
         }
         self.metrics.bump(Counter::CacheMisses);
         let out = req
             .alloc
             .allocate(&req.func, &req.target, &mut self.session);
         self.session.scratch.metrics.drain_into(&mut self.metrics);
-        let response = match out {
-            Ok(out) => self.insert(req.key, out, req.target),
+        ServeOutcome::reply(match out {
+            Ok(out) => self.insert(req.key, line, out, req.target),
             Err(e) => {
                 self.metrics.bump(Counter::ServeErrors);
                 error_response(&e.to_string())
             }
-        };
-        ServeOutcome {
-            response,
-            shutdown: false,
-        }
+        })
     }
 
     /// Runs a session over a reader/writer pair, streaming: each line is
@@ -587,6 +728,170 @@ mod tests {
         assert_eq!(field(&h1, "checked").as_bool(), Some(false));
         assert_eq!(field(&h2, "checked").as_bool(), Some(true));
         assert_eq!(s.metrics().get(Counter::CacheHitChecks), 1);
+    }
+
+    #[test]
+    fn a_line_hit_and_a_canonical_hit_render_the_same_bytes() {
+        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let respelled = line.replacen("{\"fn\":", "{ \"fn\":", 1);
+        // Rate 1 re-checks the hit and rate 0 never does: both flags.
+        for sample_rate in [0, 1] {
+            let config = ServeConfig {
+                sample_rate,
+                ..ServeConfig::default()
+            };
+            let mut by_line = ServeSession::new(config.clone());
+            let mut by_key = ServeSession::new(config);
+            let miss = by_line.handle_line(&line).response;
+            assert_eq!(miss, by_key.handle_line(&line).response);
+            let hit = by_line.handle_line(&line).response;
+            assert!(hit.contains("\"cached\":true"), "{hit:.80}");
+            assert_eq!(hit, by_key.handle_line(&respelled).response);
+        }
+    }
+
+    #[test]
+    fn a_respelled_request_hits_through_the_key_and_becomes_the_line() {
+        let mut s = session();
+        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let spaced = line.replacen("{\"fn\":", "{ \"fn\":", 1);
+        let reordered = JsonObject::new()
+            .str("check", "always")
+            .str("allocator", "full")
+            .str("target", "ia64-24")
+            .str("fn", SMALL)
+            .finish();
+        s.handle_line(&line);
+        for spelling in [&spaced, &reordered, &line] {
+            let r = Json::parse(&s.handle_line(spelling).response).unwrap();
+            assert_eq!(field(&r, "cached").as_bool(), Some(true), "{spelling}");
+            assert_eq!(s.cache.by_line.len(), 1);
+            assert!(s.cache.by_line.contains_key(spelling.as_str()));
+        }
+        assert_eq!(s.metrics().get(Counter::CacheHits), 3);
+        assert_eq!(s.metrics().get(Counter::CacheMisses), 1);
+    }
+
+    #[test]
+    fn eviction_and_a_failed_recheck_take_the_line_out_of_the_index() {
+        let a = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let b = request_line(OTHER, "ia64-24", "full", CheckMode::Always);
+
+        let mut s = ServeSession::new(ServeConfig {
+            cache_cap: 1,
+            ..ServeConfig::default()
+        });
+        s.handle_line(&a);
+        s.handle_line(&b); // evicts a
+        assert!(!s.cache.by_line.contains_key(a.as_str()));
+        assert_eq!(s.cache.by_line.len(), 1);
+        let again = Json::parse(&s.handle_line(&a).response).unwrap();
+        assert_eq!(field(&again, "cached").as_bool(), Some(false));
+
+        let mut s = ServeSession::new(ServeConfig {
+            sample_rate: 1,
+            ..ServeConfig::default()
+        });
+        s.handle_line(&a);
+        let slot = s.cache.by_line[a.as_str()];
+        let entry = s.cache.get_mut(slot).unwrap();
+        entry.out.mach.blocks[0].clear();
+        let dropped = Json::parse(&s.handle_line(&a).response).unwrap();
+        assert_eq!(field(&dropped, "ok").as_bool(), Some(false));
+        let error = field(&dropped, "error").as_str().unwrap();
+        assert!(error.contains("failed re-validation"), "{error}");
+        assert_eq!(s.cache_len(), 0);
+        assert!(s.cache.by_line.is_empty());
+        let again = Json::parse(&s.handle_line(&a).response).unwrap();
+        assert_eq!(field(&again, "cached").as_bool(), Some(false));
+        assert_eq!(s.metrics().get(Counter::CacheMisses), 2);
+    }
+
+    #[test]
+    fn ten_thousand_spellings_leave_the_index_no_larger_than_the_cache() {
+        let mut s = session();
+        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let body = line
+            .strip_prefix("{\"fn\":")
+            .unwrap()
+            .strip_suffix('}')
+            .unwrap();
+        // One to four decimal digits of `n`, spelled as spaces around the
+        // `fn` member: 10,000 distinct lines, one request.
+        for n in 0..10_000 {
+            let pad = |digit: u32| " ".repeat(n / 10usize.pow(digit) % 10);
+            let spelling = format!("{{{}\"fn\"{}:{}{body}{}}}", pad(0), pad(1), pad(2), pad(3));
+            let r = Json::parse(&s.handle_line(&spelling).response).unwrap();
+            assert_eq!(field(&r, "ok").as_bool(), Some(true), "{spelling}");
+            assert!(s.cache.by_line.len() <= s.cache_len());
+        }
+        assert_eq!(s.cache_len(), 1);
+        assert_eq!(s.metrics().get(Counter::CacheHits), 9_999);
+    }
+
+    #[test]
+    fn rejected_lines_never_enter_the_index() {
+        let mut s = session();
+        let unknown_allocator = request_line(SMALL, "ia64-24", "nope", CheckMode::Always);
+        for bad in ["not json", "{\"fn\":\"fn broken(\"}", &unknown_allocator] {
+            for _ in 0..2 {
+                let r = Json::parse(&s.handle_line(bad).response).unwrap();
+                assert_eq!(field(&r, "ok").as_bool(), Some(false), "{bad}");
+            }
+        }
+        assert!(s.cache.by_line.is_empty());
+        assert_eq!(s.metrics().get(Counter::ServeErrors), 6);
+    }
+
+    #[test]
+    fn the_fingerprint_hashes_the_cached_machine_code_on_every_serving_target() {
+        // figure7 cannot allocate the generated suite.
+        for target in TargetRegistry::builtin()
+            .iter()
+            .filter(|t| t.name != "figure7")
+        {
+            let profile = pdgc_workloads::specjvm_suite()[0].for_target(target);
+            let func = pdgc_workloads::generate(&profile).funcs.swap_remove(0);
+            let line = request_line(&func.to_string(), &target.name, "full", CheckMode::Always);
+            let mut s = session();
+            let r = Json::parse(&s.handle_line(&line).response).unwrap();
+            let entry = s.cache.get(s.cache.by_line[line.as_str()]).unwrap();
+            assert_eq!(
+                field(&r, "fingerprint").as_str(),
+                Some(format!("{:016x}", crate::fingerprint_mach(&entry.out.mach)).as_str()),
+                "{}",
+                target.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_is_an_error_response_and_the_session_serves_on() {
+        let mut s = session();
+        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        s.handle_line(&line);
+        assert!(s.session.scratch.costs.pooled() > 0);
+        let out = s.guarded(|_| panic!("boom"));
+        // The allocation session the panic may have left half-updated is
+        // replaced: its pools start empty.
+        assert_eq!(s.session.scratch.costs.pooled(), 0);
+        assert!(!out.shutdown);
+        let r = Json::parse(&out.response).unwrap();
+        assert_eq!(field(&r, "ok").as_bool(), Some(false));
+        assert_eq!(field(&r, "error").as_str(), Some("internal error: boom"));
+        assert_eq!(s.metrics().get(Counter::ServePanics), 1);
+        assert_eq!(s.metrics().get(Counter::ServeErrors), 1);
+        // The cache survived, and a miss allocates in the fresh session.
+        let hit = Json::parse(&s.handle_line(&line).response).unwrap();
+        assert_eq!(field(&hit, "cached").as_bool(), Some(true));
+        let other = request_line(OTHER, "ia64-24", "full", CheckMode::Always);
+        let miss = Json::parse(&s.handle_line(&other).response).unwrap();
+        assert_eq!(field(&miss, "ok").as_bool(), Some(true));
+        assert_eq!(s.metrics().get(Counter::ServePanics), 1);
+        // A formatted message travels too.
+        let out = s.guarded(|_| panic!("blocked (K={})", 3));
+        assert!(out.response.contains("internal error: blocked (K=3)"));
+        assert_eq!(s.metrics().get(Counter::ServePanics), 2);
     }
 
     #[test]

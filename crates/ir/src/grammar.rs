@@ -102,7 +102,6 @@ pub fn class(ln: usize, s: &str) -> Result<RegClass, ParseError> {
 }
 
 fn imm(ln: usize, s: &str) -> Result<i64, ParseError> {
-    let s = s.strip_prefix('#').unwrap_or(s);
     let Ok(v) = s.parse() else {
         return fail(ln, format!("bad immediate `{s}`"));
     };

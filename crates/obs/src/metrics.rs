@@ -144,6 +144,9 @@ pub enum Counter {
     ServeRequests,
     /// Requests answered with an error response (parse/validation/allocation).
     ServeErrors,
+    /// Requests whose handling panicked, answered with an `internal error`
+    /// response (each is also a serve error).
+    ServePanics,
     /// Allocation-cache lookups answered from the cache.
     CacheHits,
     /// Allocation-cache lookups that had to allocate.
@@ -169,7 +172,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 56] = [
+    pub const ALL: [Counter; 57] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -216,6 +219,7 @@ impl Counter {
         Counter::CheckViolations,
         Counter::ServeRequests,
         Counter::ServeErrors,
+        Counter::ServePanics,
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInsertions,
@@ -280,6 +284,7 @@ impl Counter {
             Counter::CheckViolations => "check_violations",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeErrors => "serve_errors",
+            Counter::ServePanics => "serve_panics",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
             Counter::CacheInsertions => "cache_insertions",

@@ -633,12 +633,13 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     }
     let m = session.metrics();
     eprintln!(
-        "serve: {} requests, {} hits ({} re-checked), {} misses, {} errors, {} evictions, {} entries cached",
+        "serve: {} requests, {} hits ({} re-checked), {} misses, {} errors ({} panics), {} evictions, {} entries cached",
         m.get(Counter::ServeRequests),
         m.get(Counter::CacheHits),
         m.get(Counter::CacheHitChecks),
         m.get(Counter::CacheMisses),
         m.get(Counter::ServeErrors),
+        m.get(Counter::ServePanics),
         m.get(Counter::CacheEvictions),
         session.cache_len(),
     );

@@ -256,3 +256,44 @@ fn parsing_the_suite_stays_within_its_allocation_budget() {
          {SUITE_PARSE_ALLOC_BUDGET}"
     );
 }
+
+/// Heap allocations `pdgc serve` may make answering a request line it has
+/// answered before (no sampled re-check), counted per line over 20 seed-0
+/// suite functions in the test profile. The line goes through the session's
+/// line index to its entry, whose response parts were rendered at insert:
+/// the one allocation is the response string. Parsing the line, re-keying
+/// the function and rendering the response afresh cost 246.
+const SERVE_REPEATED_LINE_ALLOC_BUDGET: u64 = 1;
+
+#[test]
+fn answering_a_repeated_serve_line_stays_within_its_allocation_budget() {
+    use pdgc_bench::serve::{request_line, ServeConfig, ServeSession};
+    use pdgc_core::CheckMode;
+    let target = pdgc_target::TargetRegistry::builtin()
+        .resolve("ia64-24")
+        .expect("ia64-24 is a builtin target")
+        .clone();
+    let lines: Vec<String> = pdgc_workloads::specjvm_suite()
+        .iter()
+        .flat_map(|p| pdgc_workloads::generate(&p.for_target(&target)).funcs)
+        .take(20)
+        .map(|f| request_line(&f.to_string(), "ia64-24", "full", CheckMode::Always))
+        .collect();
+    let mut session = ServeSession::new(ServeConfig {
+        sample_rate: 0,
+        ..ServeConfig::default()
+    });
+    for line in &lines {
+        let miss = session.handle_line(line).response;
+        assert!(miss.contains("\"cached\":false"), "{miss:.200}");
+    }
+    for line in &lines {
+        let (allocs, hit) = count_allocs(|| session.handle_line(line).response);
+        assert!(hit.contains("\"cached\":true"), "{hit:.200}");
+        assert!(
+            allocs <= SERVE_REPEATED_LINE_ALLOC_BUDGET,
+            "answering a repeated line made {allocs} heap allocations, over the budget of \
+             {SERVE_REPEATED_LINE_ALLOC_BUDGET}"
+        );
+    }
+}

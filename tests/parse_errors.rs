@@ -41,6 +41,7 @@ const IR_LINES: &[(&str, &str)] = &[
     ("v1: double = 5", "unknown register class `double`"),
     // Immediates.
     ("v1 = add v0, #x", "bad immediate `x`"),
+    ("v1 = add v0, ##5", "bad immediate `#5`"),
     ("if eq v0, #zz goto b0 else b0", "bad immediate `zz`"),
     // Addresses: offset, `[`, `]`, `+`, in every form that takes one.
     ("v1 = [v0+zz]", "bad offset `zz`"),
@@ -86,6 +87,7 @@ const MACH_LINES: &[(&str, &str)] = &[
     ("goto c1", "expected a block label, got `c1`"),
     ("goto bx", "bad block `bx`"),
     ("r1 = add r0, #x", "bad immediate `x`"),
+    ("r1 = add r0, ##5", "bad immediate `#5`"),
     ("if eq r0, #zz goto b0 else b0", "bad immediate `zz`"),
     ("r1 = [r0+zz]", "bad offset `zz`"),
     ("[r0+zz] = r1", "bad offset `zz`"),
