@@ -1,4 +1,4 @@
-//! Bump arena and resettable scratch pools.
+//! Resettable scratch pools.
 //!
 //! The batch driver runs one allocation pipeline per worker thread. Without
 //! buffer reuse every phase re-allocates its working set per function, and
@@ -6,148 +6,19 @@
 //! `--jobs 2` ran *slower* than serial. The types here let each worker own
 //! its scratch once and reset it between functions:
 //!
-//! * [`Bump`] — an index-range bump arena over a single backing `Vec`. One
-//!   allocation serves many logical arrays (e.g. every row of an
-//!   interference bit-matrix); `reset` reclaims everything while keeping
-//!   the capacity.
 //! * [`VecPool`] — a recycling pool of `Vec<T>` buffers. `take` hands out a
 //!   cleared buffer (retaining its previous capacity), `put` returns it.
 //! * [`NestedPool`] — the same idea for jagged `Vec<Vec<T>>` structures,
 //!   keeping *inner* capacities alive across reuse.
-//! * [`Taken`] — a drop-guard for the `mem::take`-a-field scratch pattern:
-//!   the taken value is restored into its slot even on early return, `?`,
-//!   or unwind, so reuse never silently degrades to per-call allocation.
-//!
-//! Everything here is safe Rust: the arena hands out index ranges, not
-//! pointers, so the usual lifetime puzzles of bump allocators do not arise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::mem;
-use std::ops::{Deref, DerefMut};
-
-/// A contiguous range handle into a [`Bump`] arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BumpRange {
-    start: usize,
-    len: usize,
-}
-
-impl BumpRange {
-    /// Number of elements in the range.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// An index-range bump arena over a single backing vector.
-///
-/// `alloc_zeroed` extends the high-water mark and returns a [`BumpRange`];
-/// the elements are guaranteed to be `T::default()`. `reset` rewinds the
-/// mark to zero without releasing the backing storage, so steady-state use
-/// performs no heap allocation once the arena has grown to the largest
-/// working set it has seen.
-#[derive(Debug, Clone)]
-pub struct Bump<T> {
-    storage: Vec<T>,
-    mark: usize,
-}
-
-impl<T> Default for Bump<T> {
-    fn default() -> Self {
-        Bump {
-            storage: Vec::new(),
-            mark: 0,
-        }
-    }
-}
-
-impl<T: Clone + Default> Bump<T> {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Bump {
-            storage: Vec::new(),
-            mark: 0,
-        }
-    }
-
-    /// Allocates `len` default-valued elements and returns their range.
-    pub fn alloc_zeroed(&mut self, len: usize) -> BumpRange {
-        let start = self.mark;
-        let end = start + len;
-        if self.storage.len() < end {
-            self.storage.resize(end, T::default());
-        } else {
-            // Recycled region: scrub leftovers from the previous generation.
-            self.storage[start..end].fill(T::default());
-        }
-        self.mark = end;
-        BumpRange { start, len }
-    }
-
-    /// The elements of a previously allocated range.
-    pub fn get(&self, r: BumpRange) -> &[T] {
-        &self.storage[r.start..r.start + r.len]
-    }
-
-    /// Mutable access to a previously allocated range.
-    pub fn get_mut(&mut self, r: BumpRange) -> &mut [T] {
-        &mut self.storage[r.start..r.start + r.len]
-    }
-
-    /// Rewinds the arena, keeping the backing capacity.
-    pub fn reset(&mut self) {
-        self.mark = 0;
-    }
-
-    /// Elements currently allocated.
-    pub fn len(&self) -> usize {
-        self.mark
-    }
-
-    /// Whether nothing is currently allocated.
-    pub fn is_empty(&self) -> bool {
-        self.mark == 0
-    }
-
-    /// Capacity of the backing storage (diagnostic).
-    pub fn capacity(&self) -> usize {
-        self.storage.capacity()
-    }
-
-    /// Moves the backing storage out as a plain `Vec` sized to the current
-    /// mark, leaving the arena empty. Pair with [`Bump::adopt`] to lend the
-    /// arena's storage to a structure that needs owned data.
-    pub fn take_storage(&mut self) -> Vec<T> {
-        let mut v = mem::take(&mut self.storage);
-        v.truncate(self.mark);
-        self.mark = 0;
-        v
-    }
-
-    /// Re-adopts storage previously taken with [`Bump::take_storage`]
-    /// (or any compatible buffer), resetting the mark.
-    pub fn adopt(&mut self, v: Vec<T>) {
-        if v.capacity() > self.storage.capacity() {
-            self.storage = v;
-        }
-        self.storage.clear();
-        self.mark = 0;
-    }
-}
 
 /// A recycling pool of `Vec<T>` buffers.
 ///
 /// `take` returns a cleared buffer reusing the capacity of the most
 /// recently returned one; `put` gives a buffer back. Dropping buffers
-/// instead of returning them is safe but degrades reuse, which is exactly
-/// what [`Taken`] exists to prevent.
+/// instead of returning them is safe but degrades reuse.
 #[derive(Debug, Clone)]
 pub struct VecPool<T> {
     free: Vec<Vec<T>>,
@@ -257,81 +128,9 @@ impl<T> NestedPool<T> {
     }
 }
 
-/// Drop-guard for the take-a-field scratch pattern.
-///
-/// `Taken::new(&mut slot)` moves the value out of `slot` (leaving
-/// `T::default()`), dereferences to the value while held, and moves it
-/// back into the slot on drop — including early returns, `?`, and panics.
-/// This pins the invariant the scratch audit cares about: a taken buffer
-/// is never silently dropped on an error path.
-#[derive(Debug)]
-pub struct Taken<'a, T: Default> {
-    slot: &'a mut T,
-    value: T,
-}
-
-impl<'a, T: Default> Taken<'a, T> {
-    /// Takes the value out of `slot`, to be restored on drop.
-    pub fn new(slot: &'a mut T) -> Self {
-        let value = mem::take(slot);
-        Taken { slot, value }
-    }
-}
-
-impl<T: Default> Deref for Taken<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T: Default> DerefMut for Taken<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
-impl<T: Default> Drop for Taken<'_, T> {
-    fn drop(&mut self) {
-        *self.slot = mem::take(&mut self.value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bump_alloc_and_reset_reuses_storage() {
-        let mut a: Bump<u64> = Bump::new();
-        let r1 = a.alloc_zeroed(4);
-        a.get_mut(r1)[2] = 7;
-        let r2 = a.alloc_zeroed(3);
-        assert_eq!(a.get(r1), &[0, 0, 7, 0]);
-        assert_eq!(a.get(r2), &[0, 0, 0]);
-        assert_eq!(a.len(), 7);
-
-        let cap = a.capacity();
-        a.reset();
-        assert!(a.is_empty());
-        let r3 = a.alloc_zeroed(5);
-        // Recycled region must be scrubbed and capacity retained.
-        assert_eq!(a.get(r3), &[0; 5]);
-        assert_eq!(a.capacity(), cap);
-    }
-
-    #[test]
-    fn bump_take_and_adopt_round_trip() {
-        let mut a: Bump<u32> = Bump::new();
-        let r = a.alloc_zeroed(3);
-        a.get_mut(r)[0] = 9;
-        let v = a.take_storage();
-        assert_eq!(v, vec![9, 0, 0]);
-        assert!(a.is_empty());
-        a.adopt(v);
-        let r2 = a.alloc_zeroed(2);
-        assert_eq!(a.get(r2), &[0, 0]);
-    }
 
     #[test]
     fn vec_pool_retains_capacity() {
@@ -364,46 +163,5 @@ mod tests {
         assert!(j2.iter().all(|v| v.is_empty()));
         let total_cap: usize = j2.iter().map(|v| v.capacity()).sum();
         assert!(total_cap >= cap1.min(50));
-    }
-
-    #[test]
-    fn taken_restores_on_normal_drop() {
-        let mut slot = vec![1, 2, 3];
-        {
-            let mut t = Taken::new(&mut slot);
-            t.push(4);
-            assert_eq!(&*t, &[1, 2, 3, 4]);
-        }
-        assert_eq!(slot, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn taken_restores_on_early_return() {
-        fn early(slot: &mut Vec<u32>, bail: bool) -> Result<(), ()> {
-            let mut t = Taken::new(slot);
-            t.push(1);
-            if bail {
-                return Err(()); // guard restores here
-            }
-            t.push(2);
-            Ok(())
-        }
-        let mut slot = Vec::with_capacity(64);
-        assert!(early(&mut slot, true).is_err());
-        assert_eq!(slot, vec![1]);
-        assert!(slot.capacity() >= 64, "capacity lost on early return");
-    }
-
-    #[test]
-    fn taken_restores_on_unwind() {
-        let mut slot: Vec<u32> = Vec::with_capacity(32);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut t = Taken::new(&mut slot);
-            t.push(5);
-            panic!("boom");
-        }));
-        assert!(result.is_err());
-        assert_eq!(slot, vec![5]);
-        assert!(slot.capacity() >= 32, "capacity lost across unwind");
     }
 }

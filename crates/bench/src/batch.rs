@@ -12,20 +12,20 @@
 //!
 //! # Per-worker scratch
 //!
-//! Each worker owns one [`AllocSession`], and with it one [`PhaseScratch`],
-//! for its whole lifetime; every allocation on that worker runs in it, so
-//! the arena-backed pools (liveness bitsets, IFG adjacency, worklists, select
-//! caches, checker state) are allocated once per worker and reset between
-//! functions instead of hitting the global allocator per function — that
-//! allocator contention is what made `--jobs 2` *slower* than serial
-//! before. Because a session reuses capacity but never state, results
-//! stay bit-identical to a fresh session's.
+//! Each worker owns one [`AllocSession`], and with it one
+//! [`PhaseScratch`](pdgc_core::PhaseScratch), for its whole lifetime;
+//! every allocation on that worker runs in it, so the arena-backed pools
+//! (liveness bitsets, IFG adjacency, worklists, select caches, checker
+//! state) are allocated once per worker and reset between functions
+//! instead of hitting the global allocator per function — that allocator
+//! contention is what made `--jobs 2` *slower* than serial before.
+//! Because a session reuses capacity but never state, results stay
+//! bit-identical to a fresh session's.
 //!
-//! Under batch, the symbolic checker runs in [`CheckScope::Rewritten`]:
-//! structural correspondence, calling-convention, pair, and frame rules
-//! are still proven for every instruction, while the expensive converged
-//! value replay is restricted to blocks the rewriter actually changed.
-//! Single-function entry points keep the full-replay default.
+//! Every job count runs the same worker loop; `jobs == 1` is one worker.
+//! A function that fails to allocate, or that the symbolic checker
+//! rejects, fails the whole run with its typed [`AllocError`]: the first
+//! failure in task order, whatever the job count.
 //!
 //! # Tracing
 //!
@@ -34,7 +34,7 @@
 //! from each function's always-on metrics, merged on the calling thread.
 
 use crate::fingerprint_mach;
-use pdgc_core::{AllocSession, AllocStats, CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
+use pdgc_core::{AllocError, AllocSession, AllocStats, CheckMode, RegisterAllocator};
 use pdgc_obs::MetricsRegistry;
 use pdgc_target::TargetDesc;
 use pdgc_workloads::Workload;
@@ -104,100 +104,84 @@ impl BatchResult {
 
 /// Allocates every function of `workloads` with `alloc` across `jobs`
 /// worker threads, running the symbolic checker on every allocation as
-/// `check` says. `jobs` is clamped to at least 1; `jobs == 1` runs on the
-/// calling thread with no pool.
+/// `check` says. `jobs` is clamped to at least 1.
+///
+/// # Errors
+///
+/// The first [`AllocError`] in task order when any function fails to
+/// allocate or the checker rejects one (with the full violation list).
 ///
 /// # Panics
 ///
-/// Panics if any allocation fails (the shipped workloads all allocate),
-/// the checker rejects one (with the full violation list), or a worker
-/// thread panics.
+/// Panics if a worker thread panics.
 pub fn run_batch(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
     target: &TargetDesc,
     jobs: usize,
     check: CheckMode,
-) -> BatchResult {
+) -> Result<BatchResult, AllocError> {
     let jobs = jobs.max(1);
-    let tasks: Vec<(usize, &Workload, &pdgc_ir::Function)> = workloads
+    let tasks: Vec<(&Workload, &pdgc_ir::Function)> = workloads
         .iter()
         .flat_map(|w| w.funcs.iter().map(move |f| (w, f)))
-        .enumerate()
-        .map(|(i, (w, f))| (i, w, f))
         .collect();
 
     let cursor = AtomicUsize::new(0);
     // Slot per task, keyed by task index. Workers fill their claimed slots;
     // the index *is* the order — no sort happens after the pool joins, so
     // any claim/merge bug surfaces as an unfilled slot, not a reordering.
-    let collected: Mutex<Vec<Option<BatchFuncResult>>> =
-        Mutex::new((0..tasks.len()).map(|_| None).collect());
+    type Slot = Option<Result<BatchFuncResult, AllocError>>;
+    let collected: Mutex<Vec<Slot>> = Mutex::new((0..tasks.len()).map(|_| None).collect());
 
-    // One session per worker, warm after the first function.
-    let new_session = || AllocSession {
-        scratch: PhaseScratch::new(),
-        check,
-        scope: CheckScope::Rewritten,
-        tracer: None,
-    };
-    let run_one =
-        |i: usize, workload: &Workload, func: &pdgc_ir::Function, session: &mut AllocSession| {
-            let out = alloc
-                .allocate(func, target, session)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
-            let fingerprint = fingerprint_mach(&out.mach);
-            let stats = out.stats;
-            // The result is consumed here (stats + fingerprint); hand its
-            // buffers back so the next function on this worker reuses them.
-            out.recycle(&mut session.scratch);
-            BatchFuncResult {
-                index: i,
-                workload: workload.name.clone(),
-                func: func.name.clone(),
-                stats,
-                fingerprint,
-                // Drain the always-on registry so each function's metrics
-                // travel with its slot; the worker's scratch starts the
-                // next function empty.
-                metrics: std::mem::take(&mut session.scratch.metrics),
-            }
+    // One worker: a session of its own, warm after its first function,
+    // claiming tasks until none are left.
+    let worker = || {
+        let mut session = AllocSession {
+            check,
+            ..AllocSession::default()
         };
-    let place = |slots: &mut Vec<Option<BatchFuncResult>>, r: BatchFuncResult| {
-        let slot = r.index;
-        debug_assert!(slots[slot].is_none(), "task {slot} claimed twice");
-        slots[slot] = Some(r);
+        let mut done = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(workload, func)) = tasks.get(index) else {
+                break;
+            };
+            let out = alloc.allocate(func, target, &mut session);
+            // Drain the always-on registry so each function's metrics
+            // travel with its slot; the worker's scratch starts the next
+            // function empty.
+            let metrics = std::mem::take(&mut session.scratch.metrics);
+            let result = out.map(|out| {
+                let fingerprint = fingerprint_mach(&out.mach);
+                let stats = out.stats;
+                // The result is consumed here (stats + fingerprint); hand
+                // its buffers back so the next function reuses them.
+                out.recycle(&mut session.scratch);
+                BatchFuncResult {
+                    index,
+                    workload: workload.name.clone(),
+                    func: func.name.clone(),
+                    stats,
+                    fingerprint,
+                    metrics,
+                }
+            });
+            done.push((index, result));
+        }
+        let mut slots = collected.lock().expect("unpoisoned");
+        for (index, result) in done {
+            debug_assert!(slots[index].is_none(), "task {index} claimed twice");
+            slots[index] = Some(result);
+        }
     };
 
     let start = Instant::now();
-    if jobs == 1 {
-        let mut session = new_session();
-        let mut slots = collected.lock().expect("unpoisoned");
-        for &(i, w, f) in &tasks {
-            let r = run_one(i, w, f, &mut session);
-            place(&mut slots, r);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(worker);
         }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut session = new_session();
-                    let mut local: Vec<BatchFuncResult> = Vec::new();
-                    loop {
-                        let t = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, w, f)) = tasks.get(t) else {
-                            break;
-                        };
-                        local.push(run_one(i, w, f, &mut session));
-                    }
-                    let mut slots = collected.lock().expect("unpoisoned");
-                    for r in local {
-                        place(&mut slots, r);
-                    }
-                });
-            }
-        });
-    }
+    });
     let elapsed = start.elapsed();
 
     let slots = collected.into_inner().expect("unpoisoned");
@@ -205,13 +189,13 @@ pub fn run_batch(
     let mut metrics = MetricsRegistry::default();
     let mut funcs = Vec::with_capacity(slots.len());
     for (i, r) in slots.into_iter().enumerate() {
-        let r = r.unwrap_or_else(|| panic!("task {i} was never claimed"));
+        let r = r.unwrap_or_else(|| panic!("task {i} was never claimed"))?;
         debug_assert_eq!(r.index, i);
         stats.accumulate(&r.stats);
         metrics.merge(&r.metrics);
         funcs.push(r);
     }
-    BatchResult {
+    Ok(BatchResult {
         allocator: alloc.name(),
         target: target.name.clone(),
         jobs,
@@ -219,7 +203,7 @@ pub fn run_batch(
         funcs,
         stats,
         metrics,
-    }
+    })
 }
 
 /// A serial run and a parallel run of the same batch, for throughput
@@ -309,11 +293,15 @@ impl BatchComparison {
 /// (keeping the best wall clock per job count), with the symbolic checker
 /// run on every allocation as `check` says, and pairs the results.
 ///
+/// # Errors
+///
+/// The [`run_batch`] error of the first run that fails.
+///
 /// # Panics
 ///
-/// Panics if any allocation fails or the checker rejects one, or if
-/// repeats of the *same* job count disagree — that would mean allocation
-/// is not a pure function of its input, which the whole driver depends on.
+/// Panics if repeats of the *same* job count disagree — that would mean
+/// allocation is not a pure function of its input, which the whole driver
+/// depends on.
 pub fn compare_jobs(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
@@ -321,17 +309,17 @@ pub fn compare_jobs(
     jobs: usize,
     repeat: usize,
     check: CheckMode,
-) -> BatchComparison {
+) -> Result<BatchComparison, AllocError> {
     let repeat = repeat.max(1);
-    let (serial, serial_repeats) = best_of(alloc, workloads, target, 1, repeat, check);
-    let (parallel, parallel_repeats) = best_of(alloc, workloads, target, jobs, repeat, check);
-    BatchComparison {
+    let (serial, serial_repeats) = best_of(alloc, workloads, target, 1, repeat, check)?;
+    let (parallel, parallel_repeats) = best_of(alloc, workloads, target, jobs, repeat, check)?;
+    Ok(BatchComparison {
         serial,
         parallel,
         repeat,
         serial_repeats,
         parallel_repeats,
-    }
+    })
 }
 
 /// Runs the batch `repeat` times at one job count, asserting all repeats
@@ -345,11 +333,11 @@ fn best_of(
     jobs: usize,
     repeat: usize,
     check: CheckMode,
-) -> (BatchResult, Vec<Duration>) {
+) -> Result<(BatchResult, Vec<Duration>), AllocError> {
     let mut best: Option<BatchResult> = None;
     let mut repeats = Vec::with_capacity(repeat);
     for _ in 0..repeat {
-        let r = run_batch(alloc, workloads, target, jobs, check);
+        let r = run_batch(alloc, workloads, target, jobs, check)?;
         repeats.push(r.elapsed);
         match &mut best {
             Some(prev) => {
@@ -364,13 +352,14 @@ fn best_of(
             None => best = Some(r),
         }
     }
-    (best.expect("repeat >= 1"), repeats)
+    Ok((best.expect("repeat >= 1"), repeats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdgc_core::PreferenceAllocator;
+    use pdgc_ir::{BinOp, FunctionBuilder, RegClass};
     use pdgc_target::PressureModel;
 
     fn small_workloads() -> Vec<Workload> {
@@ -385,8 +374,8 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
-        let parallel = run_batch(&alloc, &workloads, &target, 3, CheckMode::Off);
+        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off).unwrap();
+        let parallel = run_batch(&alloc, &workloads, &target, 3, CheckMode::Off).unwrap();
         assert_eq!(serial.funcs.len(), 4);
         assert!(serial.same_allocations(&parallel));
         assert_eq!(serial.stats, parallel.stats);
@@ -407,7 +396,7 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::High);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Always);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Always).unwrap();
         assert_eq!(r.funcs.len(), 4);
     }
 
@@ -416,9 +405,48 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Off);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Off).unwrap();
         for (i, f) in r.funcs.iter().enumerate() {
             assert_eq!(f.index, i);
         }
+    }
+
+    /// `f(a0, …) = a0 + …` over `args` int parameters.
+    fn sum_of(name: &str, args: usize) -> pdgc_ir::Function {
+        let mut b = FunctionBuilder::new(name, vec![RegClass::Int; args], Some(RegClass::Int));
+        let mut acc = b.param(0);
+        for i in 1..args {
+            let p = b.param(i);
+            acc = b.bin(BinOp::Add, acc, p);
+        }
+        b.ret(Some(acc));
+        b.finish()
+    }
+
+    #[test]
+    fn a_failed_allocation_is_the_same_error_at_every_job_count() {
+        // figure7 passes arguments in two registers: the one-argument
+        // function allocates, the three- and four-argument ones fail to
+        // lower, and the first of them in task order is the error.
+        let target = TargetDesc::figure7();
+        let workloads = vec![Workload {
+            name: "args".into(),
+            funcs: vec![sum_of("one", 1), sum_of("three", 3), sum_of("four", 4)],
+        }];
+        let alloc = PreferenceAllocator::full();
+        let errors: Vec<String> = [1, 3]
+            .into_iter()
+            .map(|jobs| {
+                run_batch(&alloc, &workloads, &target, jobs, CheckMode::Always)
+                    .unwrap_err()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+        assert!(
+            errors[0].contains("lowering three: 3 int arguments"),
+            "{}",
+            errors[0]
+        );
     }
 }

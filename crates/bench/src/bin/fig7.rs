@@ -38,8 +38,7 @@ fn check_arg() -> pdgc_core::CheckMode {
             return pdgc_core::CheckMode::Always;
         }
         if let Some(v) = a.strip_prefix("--check=") {
-            return pdgc_core::CheckMode::parse(v)
-                .unwrap_or_else(|| panic!("bad --check mode `{v}` (off, debug, always)"));
+            return pdgc_core::CheckMode::parse(v).unwrap_or_else(|e| panic!("{e}"));
         }
     }
     pdgc_core::CheckMode::Off

@@ -354,8 +354,7 @@ impl ServeSession {
         let alloc_name = json["allocator"].as_str().unwrap_or(&self.config.allocator);
         let check = match json["check"].as_str() {
             None => self.config.check,
-            Some(m) => CheckMode::parse(m)
-                .ok_or_else(|| format!("bad check mode `{m}` (off, debug, always)"))?,
+            Some(m) => CheckMode::parse(m)?,
         };
         // `parse_function` returns only functions that verify.
         let func = parse_function(ir).map_err(|e| format!("parsing `fn`: {e}"))?;

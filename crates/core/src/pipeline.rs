@@ -316,12 +316,12 @@ pub fn recycle_class_ctx(ctx: ClassCtx<'_>, scratch: &mut PhaseScratch) {
 /// always-on metrics registry inside it), the checker settings, and the
 /// tracer. These are the only settable inputs to an allocation.
 ///
-/// The default session checks nothing, would check with the full scope,
-/// and traces nothing. Pooling reuses capacity but never state, so a
-/// function allocates bit-identically whether its session is fresh, warm,
-/// or shared across thousands of functions. Batch drivers keep one
-/// session per worker thread; after the pools warm up the steady state
-/// performs (near) zero heap allocation per function.
+/// The default session checks nothing and traces nothing. Pooling reuses
+/// capacity but never state, so a function allocates bit-identically
+/// whether its session is fresh, warm, or shared across thousands of
+/// functions. Batch drivers keep one session per worker thread; after the
+/// pools warm up the steady state performs (near) zero heap allocation
+/// per function.
 #[derive(Default)]
 pub struct AllocSession<'t> {
     /// Pooled phase storage, and the metrics every allocation records.
@@ -329,9 +329,6 @@ pub struct AllocSession<'t> {
     /// Whether the symbolic checker (`pdgc-check`) proves each allocation
     /// before it is returned.
     pub check: CheckMode,
-    /// What the checker replays: [`CheckScope::Full`] for single
-    /// functions, [`CheckScope::Rewritten`] for batch drivers.
-    pub scope: CheckScope,
     /// Receives phase spans and decision events; `None` traces nothing.
     /// Tracing never changes the allocation.
     pub tracer: Option<&'t mut dyn Tracer>,
@@ -352,7 +349,14 @@ pub(crate) fn run<S: ClassStrategy + ?Sized>(
     };
     let scratch = &mut session.scratch;
     let out = pipeline(func, target, strategy, tracer, scratch)?;
-    check_output_metered(&out, target, tracer, session.check, session.scope, scratch)?;
+    check_output_metered(
+        &out,
+        target,
+        tracer,
+        session.check,
+        CheckScope::Full,
+        scratch,
+    )?;
     Ok(out)
 }
 
@@ -587,8 +591,13 @@ fn record_scorecard(m: &mut pdgc_obs::MetricsRegistry, stats: &AllocStats) {
 
 /// Runs the symbolic checker over a finished allocation when `mode` says
 /// so, drawing its storage from `scratch` and recording the run in the
-/// always-on metrics: check latency, runs by scope, the proof's coverage
+/// always-on metrics: check latency, runs, the proof's coverage
 /// (blocks/instructions/pairs), and violation counts on rejection.
+///
+/// The [`CheckScope`] argument is not read: the checker has one scope. It
+/// stays because the benchmark's traced replica
+/// (`perfbench/src/bin/trace/replica.rs`) passes it, and goes when that
+/// replica is retired.
 ///
 /// Emits a [`Phase::Check`] span and, on rejection, an
 /// [`Event::CheckFailed`] carrying every violation, so `--trace`
@@ -602,7 +611,7 @@ pub fn check_output_metered(
     target: &TargetDesc,
     tracer: &mut dyn Tracer,
     mode: CheckMode,
-    scope: CheckScope,
+    _scope: CheckScope,
     scratch: &mut PhaseScratch,
 ) -> Result<(), AllocError> {
     if !mode.should_check() {
@@ -614,16 +623,11 @@ pub fn check_output_metered(
         &out.assignment,
         &out.mach,
         target,
-        scope,
         &mut scratch.check,
     );
     let m = &mut scratch.metrics;
     timer.stop(m, tracer);
     m.bump(Counter::CheckRuns);
-    m.bump(match scope {
-        CheckScope::Full => Counter::CheckScopeFull,
-        CheckScope::Rewritten => Counter::CheckScopeRewritten,
-    });
     match result {
         Ok(report) => {
             m.add(Counter::CheckBlocksProven, report.blocks as u64);

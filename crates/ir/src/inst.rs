@@ -464,23 +464,6 @@ impl Inst {
             other => panic!("successors() on non-terminator {other:?}"),
         }
     }
-
-    /// Rewrites branch/jump targets through `map`.
-    pub fn map_targets(&mut self, mut map: impl FnMut(Block) -> Block) {
-        match self {
-            Inst::Jump { target } => *target = map(*target),
-            Inst::Branch {
-                then_dst, else_dst, ..
-            }
-            | Inst::BranchImm {
-                then_dst, else_dst, ..
-            } => {
-                *then_dst = map(*then_dst);
-                *else_dst = map(*else_dst);
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

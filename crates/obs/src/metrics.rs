@@ -126,10 +126,6 @@ pub enum Counter {
     PrefPrefersSkipped,
     /// Symbolic-checker invocations.
     CheckRuns,
-    /// Checker runs at `CheckScope::Full`.
-    CheckScopeFull,
-    /// Checker runs at `CheckScope::Rewritten`.
-    CheckScopeRewritten,
     /// Reachable blocks the checker proved.
     CheckBlocksProven,
     /// IR instructions the checker matched.
@@ -172,7 +168,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 57] = [
+    pub const ALL: [Counter; 55] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -210,8 +206,6 @@ impl Counter {
         Counter::PrefPrefersDeferred,
         Counter::PrefPrefersSkipped,
         Counter::CheckRuns,
-        Counter::CheckScopeFull,
-        Counter::CheckScopeRewritten,
         Counter::CheckBlocksProven,
         Counter::CheckIrInsts,
         Counter::CheckMachInsts,
@@ -275,8 +269,6 @@ impl Counter {
             Counter::PrefPrefersDeferred => "pref_prefers_deferred",
             Counter::PrefPrefersSkipped => "pref_prefers_skipped",
             Counter::CheckRuns => "check_runs",
-            Counter::CheckScopeFull => "check_scope_full",
-            Counter::CheckScopeRewritten => "check_scope_rewritten",
             Counter::CheckBlocksProven => "check_blocks_proven",
             Counter::CheckIrInsts => "check_ir_insts",
             Counter::CheckMachInsts => "check_mach_insts",

@@ -48,8 +48,9 @@ fn decision_json(d: &Decision) -> String {
     }
 }
 
-/// Serializes one event to a single-line JSON object.
-pub fn event_json(event: &Event, include_graphs: bool) -> Option<String> {
+/// Serializes one event to a single-line JSON object; `None` for graph
+/// dumps, which belong in a [`DotDirSink`].
+pub fn event_json(event: &Event) -> Option<String> {
     Some(match event {
         Event::RoundStart { round } => JsonObject::new()
             .str("type", "round")
@@ -77,23 +78,7 @@ pub fn event_json(event: &Event, include_graphs: bool) -> Option<String> {
             .raw("vregs", &json::int_array(vregs))
             .u64("slots", *slots as u64)
             .finish(),
-        Event::GraphDump {
-            round,
-            class,
-            kind,
-            dot,
-        } => {
-            if !include_graphs {
-                return None;
-            }
-            JsonObject::new()
-                .str("type", "graph")
-                .u64("round", *round as u64)
-                .str("class", class_str(*class))
-                .str("kind", kind.as_str())
-                .str("dot", dot)
-                .finish()
-        }
+        Event::GraphDump { .. } => return None,
         Event::CheckFailed { func, violations } => JsonObject::new()
             .str("type", "check-failed")
             .str("func", func)
@@ -123,26 +108,17 @@ pub fn event_json(event: &Event, include_graphs: bool) -> Option<String> {
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
     writer: W,
-    include_graphs: bool,
     io_errors: usize,
 }
 
 impl<W: Write> JsonLinesSink<W> {
-    /// A sink writing to `writer`. Graph dumps are omitted by default
-    /// (they belong in a [`DotDirSink`]); enable with
-    /// [`Self::with_graphs`].
+    /// A sink writing to `writer`. Graph dumps are omitted (they belong in
+    /// a [`DotDirSink`]).
     pub fn new(writer: W) -> Self {
         JsonLinesSink {
             writer,
-            include_graphs: false,
             io_errors: 0,
         }
-    }
-
-    /// Also embeds DOT graph dumps as `{"type":"graph",...}` lines.
-    pub fn with_graphs(mut self) -> Self {
-        self.include_graphs = true;
-        self
     }
 
     /// Write errors swallowed so far (tracing never aborts allocation).
@@ -162,12 +138,8 @@ impl<W: Write> Tracer for JsonLinesSink<W> {
         true
     }
 
-    fn wants_graphs(&self) -> bool {
-        self.include_graphs
-    }
-
     fn record(&mut self, event: &Event) {
-        if let Some(line) = event_json(event, self.include_graphs) {
+        if let Some(line) = event_json(event) {
             if writeln!(self.writer, "{line}").is_err() {
                 self.io_errors += 1;
             }
@@ -240,7 +212,6 @@ impl Tracer for DotDirSink {
 pub struct RecordingTracer {
     events: Vec<Event>,
     enabled: bool,
-    wants_graphs: bool,
 }
 
 impl Default for RecordingTracer {
@@ -248,7 +219,6 @@ impl Default for RecordingTracer {
         RecordingTracer {
             events: Vec::new(),
             enabled: true,
-            wants_graphs: false,
         }
     }
 }
@@ -257,11 +227,6 @@ impl RecordingTracer {
     /// Toggles event emission.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Toggles graph-dump emission.
-    pub fn set_wants_graphs(&mut self, on: bool) {
-        self.wants_graphs = on;
     }
 
     /// The recorded events, in order.
@@ -289,10 +254,6 @@ impl RecordingTracer {
 impl Tracer for RecordingTracer {
     fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    fn wants_graphs(&self) -> bool {
-        self.wants_graphs
     }
 
     fn record(&mut self, event: &Event) {
@@ -394,19 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_omits_graphs_by_default() {
-        let dump = Event::GraphDump {
+    fn json_lines_omits_graphs() {
+        let mut sink = JsonLinesSink::new(Vec::new());
+        assert!(!sink.wants_graphs());
+        sink.record(&Event::GraphDump {
             round: 1,
             class: RegClass::Int,
             kind: GraphKind::Ifg,
             dot: "graph {}".into(),
-        };
-        let mut sink = JsonLinesSink::new(Vec::new());
-        sink.record(&dump);
+        });
         assert!(sink.into_inner().is_empty());
-        let mut sink = JsonLinesSink::new(Vec::new()).with_graphs();
-        sink.record(&dump);
-        assert!(String::from_utf8(sink.into_inner()).unwrap().contains("\"kind\":\"ifg\""));
     }
 
     #[test]
@@ -416,7 +374,7 @@ mod tests {
             reason: SpillReason::PreferMemory,
             cost: 12,
         };
-        let line = event_json(&Event::Decision(d), false).unwrap();
+        let line = event_json(&Event::Decision(d)).unwrap();
         assert!(line.contains("\"verdict\":\"spilled\""));
         assert!(line.contains("\"reason\":\"prefer-memory\""));
         assert!(line.contains("\"cost\":12"));

@@ -24,7 +24,8 @@ USAGE:
     pdgc allocate <FILE> [--allocator NAME] [--target NAME] [--check[=MODE]] [TRACING]
     pdgc run <FILE> [--allocator NAME] [--target NAME] [--args N,N,...] [--check[=MODE]] [TRACING]
     pdgc demo [--check[=MODE]] [TRACING]
-    pdgc bench batch [--jobs N] [--allocator NAME] [--target NAME] [--check[=MODE]]
+    pdgc bench batch [--jobs N] [--repeat N] [--min-speedup X] [--allocator NAME]
+                     [--target NAME] [--check[=MODE]]
     pdgc corpus <DIR> [--allocator NAME] [--target NAME] [--check[=MODE]]
                       [--baseline FILE] [--write-baseline]
     pdgc report --baseline FILE --current FILE
@@ -54,8 +55,8 @@ CHECKING:
                         on every allocation: it re-derives liveness, abstractly
                         interprets the machine code, and proves every use reads
                         the right value. MODE is `always` (default for a bare
-                        --check), `debug` (debug builds only), or `off`.
-                        A violation fails the command and prints the full list.
+                        --check) or `off`. A violation fails the command and
+                        prints the full list.
 
 TRACING:
     --trace PATH        write a JSON-Lines allocation trace (phase spans,
@@ -69,6 +70,10 @@ BENCH:
     available parallelism), verifies the allocations are bit-identical,
     prints throughput, and writes results/bench_batch.json and
     results/metrics.json (the always-on counter/histogram snapshot).
+    --repeat N runs each job count N times and keeps the best wall clock;
+    --min-speedup X fails the command when the --jobs N run is not X times
+    as fast as the --jobs 1 run. A function that fails to allocate fails
+    the command with its error.
 
 CORPUS:
     `corpus` runs every function in the `.pdgc` files under DIR through
@@ -133,6 +138,8 @@ struct Options {
     trace: Option<String>,
     dump_graphs: Option<String>,
     jobs: Option<usize>,
+    repeat: Option<usize>,
+    min_speedup: Option<f64>,
     check: CheckMode,
     baseline: Option<String>,
     write_baseline: bool,
@@ -176,6 +183,8 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
         trace: None,
         dump_graphs: None,
         jobs: None,
+        repeat: None,
+        min_speedup: None,
         check: CheckMode::Off,
         baseline: None,
         write_baseline: false,
@@ -225,11 +234,18 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
                 let v = value()?;
                 o.jobs = Some(v.parse().map_err(|_| format!("bad job count `{v}`"))?);
             }
-            "--check" => {
+            "--repeat" => {
                 let v = value()?;
-                o.check = CheckMode::parse(&v)
-                    .ok_or_else(|| format!("bad check mode `{v}` (off, debug, always)"))?;
+                o.repeat = Some(v.parse().map_err(|_| format!("bad repeat count `{v}`"))?);
             }
+            "--min-speedup" => {
+                let v = value()?;
+                o.min_speedup = Some(
+                    v.parse()
+                        .map_err(|_| format!("bad minimum speedup `{v}`"))?,
+                );
+            }
+            "--check" => o.check = CheckMode::parse(&value()?)?,
             "--baseline" => o.baseline = Some(value()?),
             "--socket" => o.socket = Some(value()?),
             "--cache-cap" => {
@@ -370,13 +386,15 @@ fn cmd_bench_batch(o: &Options) -> Result<(), String> {
         .iter()
         .map(|p| pdgc_workloads::generate(&p.for_target(&target)))
         .collect();
+    let repeat = o.repeat.unwrap_or(1).max(1);
     let total: usize = workloads.iter().map(|w| w.funcs.len()).sum();
     println!(
-        "batch: {total} functions, allocator {}, target {}, jobs 1 vs {jobs}",
+        "batch: {total} functions x {repeat} repeat(s), allocator {}, target {}, jobs 1 vs {jobs}",
         o.allocator, target.name
     );
     let cmp =
-        pdgc_bench::batch::compare_jobs(alloc.as_ref(), &workloads, &target, jobs, 1, o.check);
+        pdgc_bench::batch::compare_jobs(alloc.as_ref(), &workloads, &target, jobs, repeat, o.check)
+            .map_err(|e| e.to_string())?;
     if o.check.should_check() {
         println!("symbolic check: every allocation of both runs proven ({} mode)", o.check);
     }
@@ -407,6 +425,15 @@ fn cmd_bench_batch(o: &Options) -> Result<(), String> {
     }
     println!("allocations identical across job counts: yes");
     println!("metrics identical across job counts: yes");
+    if let Some(min) = o.min_speedup {
+        let got = cmp.speedup();
+        if got < min {
+            return Err(format!(
+                "jobs={jobs} speedup {got:.2}x is below the required {min:.2}x"
+            ));
+        }
+        println!("speedup gate: {got:.2}x >= {min:.2}x");
+    }
     Ok(())
 }
 
@@ -734,18 +761,24 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
 }
 
 /// [`parse_options`] for every subcommand but `bench batch`, the only one
-/// that reads `--jobs`: elsewhere the flag is an error, not ignored.
-fn parse_options_without_jobs(argv: &[String]) -> Result<Options, String> {
+/// that reads `--jobs`, `--repeat` and `--min-speedup`: elsewhere each is
+/// an error, not ignored.
+fn parse_options_outside_batch(argv: &[String]) -> Result<Options, String> {
     let o = parse_options(argv)?;
-    if o.jobs.is_some() {
-        return Err("--jobs is only taken by `pdgc bench batch`".into());
+    let batch_only = [
+        ("--jobs", o.jobs.is_some()),
+        ("--repeat", o.repeat.is_some()),
+        ("--min-speedup", o.min_speedup.is_some()),
+    ];
+    if let Some((flag, _)) = batch_only.iter().find(|(_, given)| *given) {
+        return Err(format!("{flag} is only taken by `pdgc bench batch`"));
     }
     Ok(o)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options_without_jobs;
+    let opts = parse_options_outside_batch;
     let result = match argv.first().map(String::as_str) {
         Some("allocate") => opts(&argv[1..]).and_then(|o| cmd_allocate(&o)),
         Some("run") => opts(&argv[1..]).and_then(|o| cmd_run(&o)),

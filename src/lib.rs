@@ -76,8 +76,8 @@ pub mod prelude {
     };
     pub use pdgc_check::{check_allocation, CheckError, CheckMode, CheckReport, Violation};
     pub use pdgc_core::{
-        AllocError, AllocOutput, AllocSession, AllocStats, CheckScope, PhaseScratch,
-        PreferenceAllocator, PreferenceSet, RegisterAllocator,
+        AllocError, AllocOutput, AllocSession, AllocStats, PhaseScratch, PreferenceAllocator,
+        PreferenceSet, RegisterAllocator,
     };
     pub use pdgc_ir::{BinOp, Block, CmpOp, Function, FunctionBuilder, RegClass, VReg};
     pub use pdgc_obs::{

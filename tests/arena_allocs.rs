@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pdgc_analysis::{Cfg, Dominators, Liveness, Loops};
-use pdgc_check::{check_allocation_in, CheckScope, CheckScratch};
+use pdgc_check::{check_allocation_in, CheckScratch};
 use pdgc_core::build::build_ifg_in;
 use pdgc_core::cost::CostTable;
 use pdgc_core::node::NodeMap;
@@ -199,15 +199,8 @@ fn warm_checker_is_allocation_light() {
         .allocate(&func, &target, &mut AllocSession::default())
         .expect("allocation succeeds");
     let check = |scratch: &mut CheckScratch| {
-        check_allocation_in(
-            &out.lowered,
-            &out.assignment,
-            &out.mach,
-            &target,
-            CheckScope::Full,
-            scratch,
-        )
-        .expect("the allocation is provable")
+        check_allocation_in(&out.lowered, &out.assignment, &out.mach, &target, scratch)
+            .expect("the allocation is provable")
     };
 
     // Warm-up: the checker's states and buffers grow to this function's

@@ -18,8 +18,8 @@ fn jobs4_is_bit_identical_to_jobs1_on_full_allocator() {
     let workloads = suite();
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Always);
-    let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off);
+    let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Always).unwrap();
+    let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off).unwrap();
 
     assert_eq!(serial.funcs.len(), parallel.funcs.len());
     assert!(serial.funcs.len() >= 60, "suite unexpectedly small");
@@ -51,7 +51,7 @@ fn jobs8_oversubscribed_stress_is_bit_identical_and_repeatable() {
     }
     let target = TargetDesc::ia64_like(PressureModel::Middle);
     let alloc = PreferenceAllocator::full();
-    let cmp = compare_jobs(&alloc, &workloads, &target, 8, 2, CheckMode::Off);
+    let cmp = compare_jobs(&alloc, &workloads, &target, 8, 2, CheckMode::Off).unwrap();
     assert_eq!(cmp.parallel.jobs, 8);
     assert!(
         cmp.identical(),
@@ -74,8 +74,8 @@ fn jobs4_is_bit_identical_to_jobs1_across_pressure_models() {
     let alloc = PreferenceAllocator::full();
     for pressure in [PressureModel::High, PressureModel::Low] {
         let target = TargetDesc::ia64_like(pressure);
-        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
-        let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off);
+        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off).unwrap();
+        let parallel = run_batch(&alloc, &workloads, &target, 4, CheckMode::Off).unwrap();
         assert!(
             serial.same_allocations(&parallel),
             "divergence under {pressure:?}"

@@ -4,7 +4,7 @@
 //!
 //! On random programs (the generator of `tests/check_properties.rs`),
 //! every allocator × every builtin target, each allocation is checked by
-//! both under both scopes — as allocated, and after each of the six
+//! both — as allocated, and after each of the six
 //! corruptions `tests/check_negative.rs` applies by hand, here at a
 //! generated position. Both checkers must return the same `Result`: the
 //! same `CheckReport`, or the same violations in the same order. The new
@@ -261,40 +261,30 @@ fn corrupt(case: &Case, what: Corruption, pos: usize, target: &TargetDesc) -> Op
     Some(c)
 }
 
-/// Both checkers, both scopes, on `case`.
+/// Both checkers on `case`, the reference at the full scope.
 fn compare(
     case: &Case,
     target: &TargetDesc,
     scratch: &mut CheckScratch,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    for scope in [CheckScope::Full, CheckScope::Rewritten] {
-        let new = check_allocation_in(
-            &case.func,
-            &case.assignment,
-            &case.mach,
-            target,
-            scope,
-            scratch,
-        );
-        let reference = reference_checker::check_allocation_in(
-            &case.func,
-            &case.assignment,
-            &case.mach,
-            target,
-            scope,
-            &mut reference_checker::CheckScratch::default(),
-        );
-        prop_assert_eq!(
-            new,
-            reference,
-            "{} on {} ({}), scope {:?}",
-            what,
-            case.func.name,
-            target.name,
-            scope
-        );
-    }
+    let new = check_allocation_in(&case.func, &case.assignment, &case.mach, target, scratch);
+    let reference = reference_checker::check_allocation_in(
+        &case.func,
+        &case.assignment,
+        &case.mach,
+        target,
+        CheckScope::Full,
+        &mut reference_checker::CheckScratch::default(),
+    );
+    prop_assert_eq!(
+        new,
+        reference,
+        "{} on {} ({})",
+        what,
+        case.func.name,
+        target.name
+    );
     Ok(())
 }
 

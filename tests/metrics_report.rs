@@ -177,14 +177,22 @@ fn a_spill_carrying_input_runs_equivalent_through_the_cli() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Only `bench batch` takes `--jobs`; every other subcommand rejects it
-/// by name instead of silently ignoring it.
+/// Only `bench batch` takes `--jobs`, `--repeat` and `--min-speedup`;
+/// every other subcommand rejects each by name instead of silently
+/// ignoring it.
 #[test]
 fn jobs_is_rejected_outside_bench_batch() {
-    for args in [
-        &["serve", "--jobs", "2"][..],
-        &["serve", "--jobs=2"][..],
-        &["demo", "--jobs", "2"][..],
+    for (flag, args) in [
+        ("--jobs", &["serve", "--jobs", "2"][..]),
+        ("--jobs", &["serve", "--jobs=2"][..]),
+        ("--jobs", &["demo", "--jobs", "2"][..]),
+        ("--repeat", &["serve", "--repeat", "2"][..]),
+        ("--repeat", &["demo", "--repeat=2"][..]),
+        ("--min-speedup", &["serve", "--min-speedup", "1.5"][..]),
+        (
+            "--min-speedup",
+            &["corpus", "corpus", "--min-speedup=1.5"][..],
+        ),
     ] {
         let out = Command::new(PDGC)
             .args(args)
@@ -194,8 +202,31 @@ fn jobs_is_rejected_outside_bench_batch() {
         assert!(!out.status.success(), "pdgc {args:?} was accepted");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("--jobs") && err.contains("only taken by `pdgc bench batch`"),
+            err.contains(&format!("{flag} is only taken by `pdgc bench batch`")),
             "pdgc {args:?}: unexpected error: {err}"
         );
     }
+}
+
+/// A function that cannot be allocated fails `pdgc bench batch` with an
+/// error line naming it and exit code 1, not a panic: on figure7's two
+/// argument registers, the suite's first function (three int arguments)
+/// does not lower.
+#[test]
+fn batch_reports_a_failed_allocation_instead_of_panicking() {
+    let dir = std::env::temp_dir().join(format!("pdgc-report-{}-batch", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(PDGC)
+        .args(["bench", "batch", "--target", "figure7", "--jobs", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("run pdgc bench batch");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("error: ") && l.contains("compress_0")),
+        "no error line naming compress_0 in: {err}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -104,7 +104,7 @@ proptest! {
         }
     }
 
-    /// Rewritten machine code round-trips exactly, cycling through
+    /// The rewriter's machine code round-trips exactly, cycling through
     /// every shipped allocator under the symbolic checker (figure7's
     /// three-register file cannot allocate generated workloads and is
     /// exempt, as in `tests/target_matrix.rs`).

@@ -280,7 +280,6 @@ fn check_body(
                 .map(|&b| mach.blocks[b.index()].len())
                 .sum(),
             paired_loads,
-            scope,
         })
     } else {
         fail(violations)
@@ -498,7 +497,7 @@ impl Checker<'_> {
         // Structure pass: the correspondence walk, from a throwaway state.
         // It also records, per block, whether the rewriter deviated from
         // the direct instruction-for-instruction mapping; under
-        // `CheckScope::Rewritten` only those blocks are value-replayed.
+        // the narrow scope (since removed) only those blocks were replayed.
         let mut deviated = scratch.deviated.take_filled(self.func.num_blocks(), false);
         let mut structural = Vec::new();
         for &b in &rpo {

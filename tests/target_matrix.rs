@@ -76,7 +76,8 @@ fn check_differential(target: &TargetDesc) {
 fn check_batch_determinism(target: &TargetDesc) {
     let alloc = PreferenceAllocator::full();
     let workloads = workloads_for(target);
-    let cmp = pdgc_bench::batch::compare_jobs(&alloc, &workloads, target, 3, 1, CheckMode::Always);
+    let cmp = pdgc_bench::batch::compare_jobs(&alloc, &workloads, target, 3, 1, CheckMode::Always)
+        .unwrap();
     assert!(
         cmp.identical(),
         "parallel batch allocation diverged from serial on {}",

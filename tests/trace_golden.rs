@@ -70,7 +70,7 @@ fn figure7_decision_sequence_is_stable() {
         .events()
         .iter()
         .filter(|e| matches!(e, Event::Decision(_)))
-        .map(|e| event_json(e, false).unwrap())
+        .map(|e| event_json(e).unwrap())
         .collect();
     assert_eq!(got.len(), GOLDEN_DECISIONS.len(), "decision count changed");
     for (i, (got, want)) in got.iter().zip(GOLDEN_DECISIONS).enumerate() {
