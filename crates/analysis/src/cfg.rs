@@ -1,14 +1,38 @@
 //! Control-flow graph utilities: predecessor/successor maps and orders.
 
+use pdgc_arena::RowTable;
 use pdgc_ir::{Block, Function};
 
 /// Precomputed CFG structure for a function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Cfg {
-    succs: Vec<Vec<Block>>,
-    preds: Vec<Vec<Block>>,
+    succs: RowTable<Block>,
+    preds: RowTable<Block>,
     rpo: Vec<Block>,
     rpo_index: Vec<usize>,
+}
+
+/// Resettable scratch for the per-round control-flow analyses:
+/// [`Cfg::compute_in`], [`Dominators::compute_in`](crate::Dominators::compute_in)
+/// and [`Loops::compute_in`](crate::Loops::compute_in).
+///
+/// Holds the tables of a recycled [`Cfg`], `Dominators` and `Loops`, and
+/// the walks' work buffers, so recomputing them for a stream of functions
+/// makes no steady-state heap allocation.
+#[derive(Debug, Default)]
+pub struct CfgScratch {
+    cfg: Cfg,
+    // A recycled `Dominators`' and `Loops`' tables.
+    pub(crate) idom: Vec<Option<Block>>,
+    pub(crate) depth: Vec<u32>,
+    pub(crate) headers: Vec<Block>,
+    // Per-block marks: the CFG walk's visited set, then each loop's body.
+    pub(crate) marks: Vec<bool>,
+    // The loop-body walk's stack and the back edges it starts from.
+    pub(crate) blocks: Vec<Block>,
+    pub(crate) back_edges: Vec<(Block, Block)>,
+    // The CFG walk's depth-first stack.
+    dfs: Vec<(Block, usize)>,
 }
 
 impl Cfg {
@@ -19,23 +43,37 @@ impl Cfg {
     /// postorder (their `rpo_number` is `usize::MAX`) but still appear in
     /// the predecessor/successor maps.
     pub fn compute(func: &Function) -> Self {
+        Self::compute_in(func, &mut CfgScratch::default())
+    }
+
+    /// Like [`compute`](Self::compute), drawing every table from `scratch`;
+    /// return them with [`recycle`](Self::recycle) when done.
+    pub fn compute_in(func: &Function, scratch: &mut CfgScratch) -> Self {
         let n = func.num_blocks();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
+        let mut cfg = std::mem::take(&mut scratch.cfg);
+        cfg.succs.reset(n);
         for b in func.block_ids() {
-            for s in func.block(b).successors() {
-                succs[b.index()].push(s);
-                preds[s.index()].push(b);
-            }
+            cfg.succs
+                .fill_row(b.index(), func.block(b).terminator().successor_iter());
         }
+        // Each block's predecessors in ascending block order, as the
+        // successor walk meets them.
+        let succs = &cfg.succs;
+        cfg.preds.fill_counted(n, || {
+            (0..n).flat_map(move |b| succs.row(b).iter().map(move |s| (s.index(), Block::new(b))))
+        });
         // Iterative postorder DFS.
-        let mut post: Vec<Block> = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut stack: Vec<(Block, usize)> = vec![(Block::ENTRY, 0)];
+        let post = &mut cfg.rpo;
+        post.clear();
+        let visited = &mut scratch.marks;
+        visited.clear();
+        visited.resize(n, false);
+        let stack = &mut scratch.dfs;
+        stack.clear();
+        stack.push((Block::ENTRY, 0));
         visited[Block::ENTRY.index()] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b.index()].len() {
-                let s = succs[b.index()][*i];
+            if let Some(&s) = cfg.succs.row(b.index()).get(*i) {
                 *i += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
@@ -47,26 +85,27 @@ impl Cfg {
             }
         }
         post.reverse();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, b) in post.iter().enumerate() {
-            rpo_index[b.index()] = i;
+        cfg.rpo_index.clear();
+        cfg.rpo_index.resize(n, usize::MAX);
+        for (i, b) in cfg.rpo.iter().enumerate() {
+            cfg.rpo_index[b.index()] = i;
         }
-        Cfg {
-            succs,
-            preds,
-            rpo: post,
-            rpo_index,
-        }
+        cfg
+    }
+
+    /// Returns this CFG's tables to `scratch`.
+    pub fn recycle(self, scratch: &mut CfgScratch) {
+        scratch.cfg = self;
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: Block) -> &[Block] {
-        &self.succs[b.index()]
+        self.succs.row(b.index())
     }
 
     /// Predecessors of `b`.
     pub fn preds(&self, b: Block) -> &[Block] {
-        &self.preds[b.index()]
+        self.preds.row(b.index())
     }
 
     /// Blocks in reverse postorder (reachable blocks only).
@@ -86,7 +125,7 @@ impl Cfg {
 
     /// Number of blocks in the underlying function.
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succs.num_rows()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Dominator-tree computation (Cooper–Harvey–Kennedy).
 
-use crate::Cfg;
+use crate::{Cfg, CfgScratch};
 use pdgc_ir::Block;
 
 /// The immediate-dominator tree of a CFG.
@@ -15,8 +15,16 @@ impl Dominators {
     /// Computes dominators with the Cooper–Harvey–Kennedy iterative
     /// algorithm over reverse postorder.
     pub fn compute(cfg: &Cfg) -> Self {
+        Self::compute_in(cfg, &mut CfgScratch::default())
+    }
+
+    /// Like [`compute`](Self::compute), drawing the tree from `scratch`;
+    /// return it with [`recycle`](Self::recycle) when done.
+    pub fn compute_in(cfg: &Cfg, scratch: &mut CfgScratch) -> Self {
         let n = cfg.num_blocks();
-        let mut idom: Vec<Option<Block>> = vec![None; n];
+        let mut idom = std::mem::take(&mut scratch.idom);
+        idom.clear();
+        idom.resize(n, None);
         idom[Block::ENTRY.index()] = Some(Block::ENTRY);
         let rpo = cfg.reverse_postorder();
         let mut changed = true;
@@ -40,6 +48,11 @@ impl Dominators {
             }
         }
         Dominators { idom }
+    }
+
+    /// Returns the tree's storage to `scratch`.
+    pub fn recycle(self, scratch: &mut CfgScratch) {
+        scratch.idom = self.idom;
     }
 
     /// The immediate dominator of `b` (`None` for the entry and for

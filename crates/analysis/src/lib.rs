@@ -27,7 +27,7 @@ mod loops;
 mod spl;
 
 pub use bitset::BitSet;
-pub use cfg::Cfg;
+pub use cfg::{Cfg, CfgScratch};
 pub use dom::Dominators;
 pub use liveness::{CallCrossing, Liveness, LivenessScratch};
 pub use loops::{Loops, DEFAULT_LOOP_FREQ_FACTOR};

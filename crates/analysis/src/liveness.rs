@@ -1,7 +1,7 @@
 //! Iterative backward liveness analysis.
 
-use crate::{BitSet, Cfg, Loops, SplScratch};
-use pdgc_arena::{NestedPool, VecPool};
+use crate::{BitSet, Cfg, CfgScratch, Loops, SplScratch};
+use pdgc_arena::{RowTable, VecPool};
 use pdgc_ir::{Block, Function, Inst, VReg};
 
 /// Resettable scratch for [`Liveness::compute_in`] and
@@ -12,7 +12,8 @@ use pdgc_ir::{Block, Function, Inst, VReg};
 /// for a stream of functions performs no steady-state heap allocation once
 /// the scratch has grown to the largest function seen. Recycle a finished
 /// [`Liveness`] with [`Liveness::recycle`] to keep its sets in the pool.
-/// Also carries the [`SplScratch`] pools for SPL shape detection, so one
+/// Also carries the [`CfgScratch`] pools for the CFG, dominator and loop
+/// analyses and the [`SplScratch`] pools for SPL shape detection, so one
 /// scratch covers the whole analysis phase.
 #[derive(Debug, Default)]
 pub struct LivenessScratch {
@@ -22,12 +23,18 @@ pub struct LivenessScratch {
     out_tmp: BitSet,
     in_tmp: BitSet,
     walk_tmp: BitSet,
-    crossings: NestedPool<(Block, usize)>,
+    crossings: RowTable<(Block, usize)>,
+    /// The walk's call sites, each with the end of its run in `crossers`.
+    calls: Vec<((Block, usize), usize)>,
+    /// The vregs live across each call of `calls`, call after call.
+    crossers: Vec<u32>,
     /// Pool for the allocator's per-vreg cost table, summed in the same
     /// analysis pass (`pdgc_core::cost::CostTable`).
     pub costs: VecPool<u64>,
     /// Pools for [`crate::Spl`] detection.
     pub spl: SplScratch,
+    /// Pools for [`Cfg`], [`crate::Dominators`] and [`Loops`].
+    pub cfg: CfgScratch,
 }
 
 impl LivenessScratch {
@@ -202,20 +209,39 @@ impl Liveness {
     /// Scratch-backed variant of [`Liveness::call_crossings`]; recycle the
     /// result with [`CallCrossing::recycle`].
     pub fn call_crossings_in(&self, func: &Function, scratch: &mut LivenessScratch) -> CallCrossing {
-        let mut crossings = scratch.crossings.take(self.num_vregs);
-        let live = &mut scratch.walk_tmp;
+        let LivenessScratch {
+            walk_tmp: live,
+            calls,
+            crossers,
+            ..
+        } = &mut *scratch;
+        calls.clear();
+        crossers.clear();
         for b in func.block_ids() {
             self.for_each_inst_backward_in(func, b, live, |i, inst, live_after| {
                 if inst.is_call() {
-                    let def = inst.def();
-                    for v in live_after.iter() {
-                        if def.map(|d| d.index()) != Some(v) {
-                            crossings[v].push((b, i));
-                        }
-                    }
+                    let def = inst.def().map(|d| d.index());
+                    crossers.extend(
+                        live_after
+                            .iter()
+                            .filter(|&v| Some(v) != def)
+                            .map(|v| v as u32),
+                    );
+                    calls.push(((b, i), crossers.len()));
                 }
             });
         }
+        let mut crossings = std::mem::take(&mut scratch.crossings);
+        let (calls, crossers) = (&scratch.calls, &scratch.crossers);
+        crossings.fill_counted(self.num_vregs, || {
+            let mut end = 0;
+            calls.iter().flat_map(move |&(site, next)| {
+                let start = std::mem::replace(&mut end, next);
+                crossers[start..next]
+                    .iter()
+                    .map(move |&v| (v as usize, site))
+            })
+        });
         CallCrossing { crossings }
     }
 
@@ -271,18 +297,20 @@ fn fill_gen_kill(func: &Function, gen: &mut [BitSet], kill: &mut [BitSet]) {
 /// `Call_Cost` term of the Appendix.
 #[derive(Clone, Debug)]
 pub struct CallCrossing {
-    crossings: Vec<Vec<(Block, usize)>>,
+    /// Row `v`: the sites `v` crosses, in walk order (blocks ascending,
+    /// each walked backward).
+    crossings: RowTable<(Block, usize)>,
 }
 
 impl CallCrossing {
     /// The call sites `v` is live across.
     pub fn sites(&self, v: VReg) -> &[(Block, usize)] {
-        &self.crossings[v.index()]
+        self.crossings.row(v.index())
     }
 
     /// Whether `v` is live across any call.
     pub fn crosses_any(&self, v: VReg) -> bool {
-        !self.crossings[v.index()].is_empty()
+        !self.sites(v).is_empty()
     }
 
     /// The frequency-weighted number of calls `v` is live across
@@ -292,14 +320,14 @@ impl CallCrossing {
     /// `u64::MAX`; it saturates rather than wrapping (or panicking in
     /// debug builds, as a plain `.sum()` would).
     pub fn weighted(&self, v: VReg, loops: &Loops) -> u64 {
-        self.crossings[v.index()]
+        self.sites(v)
             .iter()
             .fold(0u64, |acc, &(b, _)| acc.saturating_add(loops.freq(b)))
     }
 
     /// Returns the per-register site storage to `scratch` for reuse.
     pub fn recycle(self, scratch: &mut LivenessScratch) {
-        scratch.crossings.put(self.crossings);
+        scratch.crossings = self.crossings;
     }
 }
 

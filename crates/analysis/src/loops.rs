@@ -6,7 +6,7 @@
 //! exactly `Freq_Fact = 10` inside the single loop). [`Loops`] reproduces
 //! that estimate from natural-loop structure.
 
-use crate::{Cfg, Dominators};
+use crate::{Cfg, CfgScratch, Dominators};
 use pdgc_ir::Block;
 
 /// The per-nesting-level frequency multiplier from the paper's Appendix.
@@ -30,37 +30,53 @@ impl Loops {
 
     /// As [`compute`](Self::compute) with a custom per-level factor.
     pub fn compute_with_factor(cfg: &Cfg, dom: &Dominators, freq_factor: u64) -> Self {
+        Self::compute_in(cfg, dom, freq_factor, &mut CfgScratch::default())
+    }
+
+    /// As [`compute_with_factor`](Self::compute_with_factor), drawing every
+    /// buffer from `scratch`; return the result's tables with
+    /// [`recycle`](Self::recycle) when done.
+    pub fn compute_in(
+        cfg: &Cfg,
+        dom: &Dominators,
+        freq_factor: u64,
+        scratch: &mut CfgScratch,
+    ) -> Self {
         let n = cfg.num_blocks();
-        let mut depth = vec![0u32; n];
+        let mut depth = std::mem::take(&mut scratch.depth);
+        depth.clear();
+        depth.resize(n, 0);
         // All back edges t -> h (h dominates t), grouped by header below.
         // A header with several latches (e.g. a loop with a `continue`) is
         // ONE natural loop — the union of the per-latch bodies — not a
         // nest, so depth increments once per header, not once per edge.
-        let mut is_header = vec![false; n];
-        let mut back_edges: Vec<(Block, Block)> = Vec::new();
+        let back_edges = &mut scratch.back_edges;
+        back_edges.clear();
         for b in (0..n).map(Block::new) {
             if !cfg.is_reachable(b) {
                 continue;
             }
             for &s in cfg.succs(b) {
                 if dom.dominates(s, b) {
-                    is_header[s.index()] = true;
                     back_edges.push((s, b));
                 }
             }
         }
         back_edges.sort_unstable_by_key(|&(h, t)| (h.index(), t.index()));
-        let headers: Vec<Block> = (0..n)
-            .map(Block::new)
-            .filter(|h| is_header[h.index()])
-            .collect();
-        let mut in_loop = vec![false; n];
-        let mut stack = Vec::new();
+        // The headers, ascending: the sorted edges' distinct heads.
+        let mut headers = std::mem::take(&mut scratch.headers);
+        headers.clear();
+        headers.extend(back_edges.iter().map(|&(h, _)| h));
+        headers.dedup();
+        let in_loop = &mut scratch.marks;
+        let stack = &mut scratch.blocks;
+        stack.clear();
         let mut edge = 0;
         for &h in &headers {
             // The natural loop of h: h plus every block that reaches one
             // of h's latches without passing through h.
-            in_loop.iter_mut().for_each(|x| *x = false);
+            in_loop.clear();
+            in_loop.resize(n, false);
             in_loop[h.index()] = true;
             while edge < back_edges.len() && back_edges[edge].0 == h {
                 let t = back_edges[edge].1;
@@ -89,6 +105,12 @@ impl Loops {
             headers,
             freq_factor,
         }
+    }
+
+    /// Returns the depth and header tables to `scratch`.
+    pub fn recycle(self, scratch: &mut CfgScratch) {
+        scratch.depth = self.depth;
+        scratch.headers = self.headers;
     }
 
     /// The loop-nesting depth of `b` (0 = not in a loop).

@@ -33,7 +33,7 @@
 //! inputs at once. See `DESIGN.md` §6f for the abstract domain.
 
 use pdgc_analysis::{BitSet, Cfg, Liveness, LivenessScratch};
-use pdgc_arena::{NestedPool, VecPool};
+use pdgc_arena::{RowTable, VecPool};
 use pdgc_ir::{BinOp, Block, Function, Inst, RegClass, VReg};
 use pdgc_target::{MInst, MachFunction, PhysReg, TargetDesc};
 use std::fmt;
@@ -99,7 +99,9 @@ pub enum CheckScope {
 #[derive(Debug, Default)]
 pub struct CheckScratch {
     liveness: LivenessScratch,
-    live_after: NestedPool<VReg>,
+    /// The block being replayed: row `i` holds the vregs live after its
+    /// instruction `i`.
+    live_after: RowTable<VReg>,
     walk: BitSet,
     /// The rule pass's referenced vregs.
     referenced: BitSet,
@@ -365,12 +367,13 @@ pub fn check_allocation_in(
         }
     }
 
-    let cfg = Cfg::compute(func);
+    let cfg = Cfg::compute_in(func, &mut scratch.liveness.cfg);
     let liveness = Liveness::compute_in(func, &cfg, &mut scratch.liveness);
     let result = check_body(
         func, assignment, mach, target, &cfg, &liveness, scratch, violations,
     );
     liveness.recycle(&mut scratch.liveness);
+    cfg.recycle(&mut scratch.liveness.cfg);
     result
 }
 
@@ -948,7 +951,7 @@ impl Checker<'_> {
                 b,
                 &mut st,
                 Pass::Structure,
-                &[],
+                &RowTable::new(),
                 &mut structural,
                 &mut scratch.bufs,
             );
@@ -985,7 +988,7 @@ impl Checker<'_> {
                 b,
                 &mut st,
                 Pass::Fixpoint,
-                &[],
+                &RowTable::new(),
                 &mut Vec::new(),
                 &mut scratch.bufs,
             )
@@ -1037,20 +1040,20 @@ impl Checker<'_> {
             if !self.in_state(b, &outs, &entry_seed, &mut st, &mut scratch.bufs.slots) {
                 continue;
             }
-            let mut live_after = scratch.live_after.take(self.func.block(b).insts.len());
+            let live_after = &mut scratch.live_after;
+            live_after.reset(self.func.block(b).insts.len());
             self.liveness
                 .for_each_inst_backward_in(self.func, b, &mut scratch.walk, |i, _, la| {
-                    live_after[i].extend(la.iter().map(VReg::new));
+                    live_after.fill_row(i, la.iter().map(VReg::new));
                 });
             let _ = self.transfer(
                 b,
                 &mut st,
                 Pass::Final,
-                &live_after,
+                &scratch.live_after,
                 violations,
                 &mut scratch.bufs,
             );
-            scratch.live_after.put(live_after);
         }
         scratch.states.extend(outs.drain(..).flatten());
         scratch.states.extend([st, entry_seed]);
@@ -1095,7 +1098,7 @@ impl Checker<'_> {
         b: Block,
         st: &mut State,
         pass: Pass,
-        live_after: &[Vec<VReg>],
+        live_after: &RowTable<VReg>,
         violations: &mut Vec<Violation>,
         bufs: &mut Buffers,
     ) -> Result<(), ()> {
@@ -1515,7 +1518,7 @@ impl Checker<'_> {
             if record {
                 if let Some(d) = inst.def() {
                     let rd = self.reg(d);
-                    for &v in &live_after[i] {
+                    for &v in live_after.row(i) {
                         if v != d && self.reg(v) == rd && st.is_defined(v) && !st.holds(rd, v) {
                             violations.push(Violation::Interference {
                                 a: d,

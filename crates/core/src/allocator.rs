@@ -3,7 +3,7 @@
 use crate::baselines::coalesce::{coalesce_copies, conservative_ok};
 use crate::cpg::Cpg;
 use crate::pipeline::{AllocSession, Analyses, ClassCtx, ClassStrategy, RoundOutcome};
-use crate::rpg::build_rpg;
+use crate::rpg::build_rpg_in;
 use crate::select::{select_traced_in, SelectConfig};
 use crate::simplify::{simplify_in, SimplifyMode};
 use pdgc_ir::Function;
@@ -116,8 +116,19 @@ impl ClassStrategy for PreferenceAllocator {
         let mut cls = std::mem::take(&mut ctx.scratch);
         let timer = PhaseTimer::start(Phase::Rpg, round, Some(class));
         let cost = ctx.cost_model(analyses);
-        let rpg = build_rpg(ctx.func, &ctx.nodes, &cost, &ctx.copies, self.prefs, target);
+        let rpg = build_rpg_in(
+            ctx.func,
+            &ctx.nodes,
+            &cost,
+            &ctx.copies,
+            self.prefs,
+            target,
+            &mut cls.rpg,
+        );
         timer.stop(&mut cls.select.metrics, tracer);
+        cls.select
+            .metrics
+            .add(Counter::RpgPrefs, rpg.num_edges() as u64);
         let mut costs = ctx.spill_costs.clone();
         if self.pre_coalesce {
             // Conservative (never spill-causing) merges before simplify.
@@ -182,6 +193,7 @@ impl ClassStrategy for PreferenceAllocator {
         );
         timer.stop(&mut cls.select.metrics, tracer);
         cpg.recycle(&mut cls.cpg);
+        rpg.recycle(&mut cls.rpg);
         let mut assignment = res.assignment;
         let mut spilled = res.spilled;
         if self.pre_coalesce {

@@ -14,8 +14,8 @@
 //! definition ORs the row into its node's matrix row, leaving its own bit
 //! and — for a copy whose source is live and is the only live vreg behind
 //! its node — the source's bit as they were. One closing pass then makes
-//! the matrix symmetric and fills the adjacency lists (in ascending node
-//! order) and the degrees from it.
+//! the matrix symmetric and fills the adjacency table row by row (each
+//! row in ascending node order) and the degrees from it.
 
 use crate::ifg::{IfgScratch, InterferenceGraph};
 use crate::node::{NodeId, NodeMap};
@@ -33,6 +33,8 @@ pub struct BuildScratch {
     copies: VecPool<CopyRel>,
     ifg_edges: u64,
     row_words: u64,
+    nodes: u64,
+    matrix_words: u64,
 }
 
 impl BuildScratch {
@@ -48,11 +50,17 @@ impl BuildScratch {
     }
 
     /// Moves the work the builds counted since the last flush —
-    /// [`Counter::BuildIfgEdges`] and [`Counter::BuildRowWords`] — into
+    /// [`Counter::BuildIfgEdges`], [`Counter::BuildRowWords`],
+    /// [`Counter::BuildNodes`] and [`Counter::BuildMatrixWords`] — into
     /// `metrics`.
     pub fn flush_counters(&mut self, metrics: &mut MetricsRegistry) {
         metrics.add(Counter::BuildIfgEdges, std::mem::take(&mut self.ifg_edges));
         metrics.add(Counter::BuildRowWords, std::mem::take(&mut self.row_words));
+        metrics.add(Counter::BuildNodes, std::mem::take(&mut self.nodes));
+        metrics.add(
+            Counter::BuildMatrixWords,
+            std::mem::take(&mut self.matrix_words),
+        );
     }
 }
 
@@ -136,8 +144,12 @@ pub fn build_ifg_in(
         pins,
         ifg_edges,
         row_words,
+        nodes: num_nodes,
+        matrix_words,
         ..
     } = scratch;
+    *num_nodes += nodes.num_nodes() as u64;
+    *matrix_words += (nodes.num_nodes() * stride) as u64;
     let mut live = LiveRow {
         row: reset(row, stride),
         pins: reset(pins, nodes.num_phys()),

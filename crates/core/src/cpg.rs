@@ -22,16 +22,17 @@
 
 use crate::ifg::InterferenceGraph;
 use crate::node::NodeId;
-use pdgc_arena::{NestedPool, VecPool};
+use pdgc_arena::{RowTable, VecPool};
 
-/// Reusable storage for [`Cpg::build_in`]: the DAG's own vectors plus the
-/// construction temporaries (working-graph flags and degrees). One scratch
-/// serves any number of sequential builds; recycle each [`Cpg`] with
-/// [`Cpg::recycle`] when done so the next build is allocation-free.
+/// Reusable storage for [`Cpg::build_in`]: the DAG's own vectors and
+/// successor table plus the construction temporaries (working-graph flags
+/// and degrees). One scratch serves any number of sequential builds;
+/// recycle each [`Cpg`] with [`Cpg::recycle`] when done so the next build
+/// is allocation-free.
 #[derive(Debug, Default)]
 pub struct CpgScratch {
     flags: VecPool<bool>,
-    adj: NestedPool<NodeId>,
+    succs: RowTable<NodeId>,
     counts: VecPool<usize>,
 }
 
@@ -47,12 +48,14 @@ impl CpgScratch {
 /// An edge `u → v` means `u` must be selected (colored) before `v`.
 /// `from_top(n)` marks edges from the `top` sentinel; `to_bottom(n)` marks
 /// edges to the `bottom` sentinel. Select reads only successor lists and
-/// predecessor counts, so predecessors are stored as a count.
+/// predecessor counts, so predecessors are stored as a count. The
+/// successor lists are the rows of one [`RowTable`], each in the order the
+/// build's replay produced its edges.
 #[derive(Clone, Debug)]
 pub struct Cpg {
     k: usize,
     present: Vec<bool>,
-    succs: Vec<Vec<NodeId>>,
+    succs: RowTable<NodeId>,
     pred_count: Vec<usize>,
     from_top: Vec<bool>,
     to_bottom: Vec<bool>,
@@ -94,7 +97,7 @@ impl Cpg {
         let mut cpg = Cpg {
             k,
             present: scratch.flags.take_filled(n, false),
-            succs: scratch.adj.take(n),
+            succs: std::mem::take(&mut scratch.succs),
             pred_count: scratch.counts.take_filled(n, 0),
             from_top: scratch.flags.take_filled(n, false),
             to_bottom: scratch.flags.take_filled(n, false),
@@ -132,7 +135,12 @@ impl Cpg {
 
         // Steps 5–9: replay removals. Every edge points *into* the node
         // being popped, from a working-graph neighbor that is not yet
-        // ready: its removal was enabled by `popped`'s.
+        // ready: its removal was enabled by `popped`'s. So a node ready from
+        // the start has no successors, and another's are among the
+        // working-graph neighbors it has now: its row has room for its
+        // degree and fills in place, in replay order.
+        let room = (0..n).map(|i| if ready[i] { 0 } else { degree[i] });
+        cpg.succs.reset_with_room(room, NodeId::new(0));
         for &popped in stack {
             removed[popped.index()] = true;
             cpg.present[popped.index()] = true;
@@ -142,7 +150,7 @@ impl Cpg {
                 }
                 cpg.present[x.index()] = true;
                 if !ready[x.index()] {
-                    cpg.succs[x.index()].push(popped);
+                    cpg.succs.push(x.index(), popped);
                     cpg.pred_count[popped.index()] += 1;
                 }
                 // Step 8: removal may make the neighbor low-degree.
@@ -165,28 +173,30 @@ impl Cpg {
     /// (Figure 7(e)); select does not need it, so only the graph dumps and
     /// the Figure 7 walkthrough compute it. Unpooled, O(nodes × edges).
     pub fn transitive_reduction(&self) -> Cpg {
-        let n = self.succs.len();
+        let n = self.succs.num_rows();
         let mut red = self.clone();
         // `longer[x]`: x is reachable from the current `u` by a path of at
         // least two edges.
         let mut longer = vec![false; n];
         let mut stack = Vec::new();
+        red.succs.reset(n);
         for u in 0..n {
             longer.fill(false);
-            for &w in &self.succs[u] {
-                stack.extend_from_slice(&self.succs[w.index()]);
+            for &w in self.succs.row(u) {
+                stack.extend_from_slice(self.succs.row(w.index()));
             }
             while let Some(x) = stack.pop() {
                 if !longer[x.index()] {
                     longer[x.index()] = true;
-                    stack.extend_from_slice(&self.succs[x.index()]);
+                    stack.extend_from_slice(self.succs.row(x.index()));
                 }
             }
-            red.succs[u].retain(|v| !longer[v.index()]);
+            let kept = self.succs.row(u).iter().filter(|v| !longer[v.index()]);
+            red.succs.fill_row(u, kept.copied());
         }
         red.pred_count.fill(0);
         for u in 0..n {
-            for &v in &red.succs[u] {
+            for &v in red.succs.row(u) {
                 red.pred_count[v.index()] += 1;
             }
         }
@@ -198,7 +208,7 @@ impl Cpg {
         scratch.flags.put(self.present);
         scratch.flags.put(self.from_top);
         scratch.flags.put(self.to_bottom);
-        scratch.adj.put(self.succs);
+        scratch.succs = self.succs;
         scratch.counts.put(self.pred_count);
     }
 
@@ -207,11 +217,11 @@ impl Cpg {
         if from == to {
             return true;
         }
-        let mut seen = vec![false; self.succs.len()];
+        let mut seen = vec![false; self.succs.num_rows()];
         let mut stack = vec![from];
         seen[from.index()] = true;
         while let Some(x) = stack.pop() {
-            for &y in &self.succs[x.index()] {
+            for &y in self.succs.row(x.index()) {
                 if y == to {
                     return true;
                 }
@@ -245,7 +255,7 @@ impl Cpg {
 
     /// Successors of `n` (excluding `bottom`).
     pub fn succs(&self, n: NodeId) -> &[NodeId] {
-        &self.succs[n.index()]
+        self.succs.row(n.index())
     }
 
     /// The number of predecessors of `n` (excluding `top`).
@@ -271,7 +281,7 @@ impl Cpg {
 
     /// Whether the explicit edge `u → v` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.succs[u.index()].contains(&v)
+        self.succs(u).contains(&v)
     }
 
     /// The initial ready frontier: the successors of `top`.
@@ -281,7 +291,7 @@ impl Cpg {
 
     /// Checks acyclicity (used by property tests).
     pub fn is_acyclic(&self) -> bool {
-        let n = self.succs.len();
+        let n = self.succs.num_rows();
         let mut indeg = vec![0usize; n];
         for u in self.nodes() {
             for &v in self.succs(u) {

@@ -13,12 +13,16 @@
 //!
 //! # Adjacency representation
 //!
-//! The per-node adjacency lists are kept **canonical** at all times: for an
-//! unmerged node `n`, `adj[n]` holds exactly the distinct current
+//! The adjacency lists live in one [`RowTable`]: a row per node, every row
+//! in one flat array. They are kept **canonical** at all times: for an
+//! unmerged node `n`, row `n` holds exactly the distinct current
 //! representatives adjacent to `n` — no duplicates, no stale merged
-//! entries. [`add_edge`](InterferenceGraph::add_edge) inserts
-//! canonically and [`merge`](InterferenceGraph::merge) rewrites the
-//! neighbors' lists in place, so
+//! entries. The build ([`crate::build`]) fills each row from its matrix
+//! row in ascending node order;
+//! [`add_edge`](InterferenceGraph::add_edge) appends canonically and
+//! [`merge`](InterferenceGraph::merge) rewrites the neighbors' rows in
+//! place, appending to the surviving node's row (a full row moves to the
+//! end of the array). So
 //! [`neighbors_slice`](InterferenceGraph::neighbors_slice) and
 //! [`live_neighbors_iter`](InterferenceGraph::live_neighbors_iter) are
 //! allocation-free: the select and simplify hot paths iterate adjacency
@@ -35,19 +39,19 @@
 //! degree-accounting property test in `tests/properties.rs`.
 
 use crate::node::NodeId;
-use pdgc_arena::{NestedPool, VecPool};
+use pdgc_arena::{RowTable, VecPool};
 
 /// Resettable scratch pools for [`InterferenceGraph::new_in`].
 ///
 /// The bit matrix is the single largest per-function allocation in the
-/// pipeline (`n²` bits); the adjacency lists are the most numerous. Both
-/// come out of these pools and go back via
-/// [`InterferenceGraph::recycle`], so a worker colors a stream of
-/// functions with a steady-state allocation count of zero here.
+/// pipeline (`n²` bits); the adjacency table is the next. Both come out of
+/// this scratch and go back via [`InterferenceGraph::recycle`], so a
+/// worker colors a stream of functions with a steady-state allocation
+/// count of zero here.
 #[derive(Debug, Default)]
 pub struct IfgScratch {
     words: VecPool<u64>,
-    adj: NestedPool<NodeId>,
+    adj: RowTable<NodeId>,
     alias: VecPool<NodeId>,
     flags: VecPool<bool>,
     degree: VecPool<usize>,
@@ -79,7 +83,8 @@ pub struct InterferenceGraph {
     stride: usize,
     /// `num_nodes * stride` words; bit `b` of row `a` means `a` ↔ `b`.
     words: Vec<u64>,
-    adj: Vec<Vec<NodeId>>,
+    /// Row `n`: the canonical adjacency list of `n`.
+    adj: RowTable<NodeId>,
     alias: Vec<NodeId>,
     merged: Vec<bool>,
     removed: Vec<bool>,
@@ -98,6 +103,8 @@ impl InterferenceGraph {
     /// done to keep its buffers pooled.
     pub fn new_in(n: usize, num_phys: usize, scratch: &mut IfgScratch) -> Self {
         let stride = n.div_ceil(64);
+        let mut adj = std::mem::take(&mut scratch.adj);
+        adj.reset(n);
         let mut alias = scratch.alias.take();
         alias.extend((0..n).map(NodeId::new));
         let mut g = InterferenceGraph {
@@ -105,16 +112,19 @@ impl InterferenceGraph {
             num_nodes: n,
             stride,
             words: scratch.words.take_filled(n * stride, 0),
-            adj: scratch.adj.take(n),
+            adj,
             alias,
             merged: scratch.flags.take_filled(n, false),
             removed: scratch.flags.take_filled(n, false),
             degree: scratch.degree.take_filled(n, 0),
         };
+        // The precolored clique, each row ascending, as adding its edges
+        // in (a, b) order would leave it.
         for a in 0..num_phys {
-            for b in (a + 1)..num_phys {
-                g.add_edge(NodeId::new(a), NodeId::new(b));
-            }
+            let others = (0..num_phys).filter(|&b| b != a);
+            others.clone().for_each(|b| g.set_bit(a, b));
+            g.adj.fill_row(a, others.map(NodeId::new));
+            g.degree[a] = num_phys.saturating_sub(1);
         }
         g
     }
@@ -122,7 +132,7 @@ impl InterferenceGraph {
     /// Returns this graph's storage to `scratch` for reuse.
     pub fn recycle(self, scratch: &mut IfgScratch) {
         scratch.words.put(self.words);
-        scratch.adj.put(self.adj);
+        scratch.adj = self.adj;
         scratch.alias.put(self.alias);
         scratch.flags.put(self.merged);
         scratch.flags.put(self.removed);
@@ -182,8 +192,8 @@ impl InterferenceGraph {
         }
         self.set_bit(a.index(), b.index());
         self.set_bit(b.index(), a.index());
-        self.adj[a.index()].push(b);
-        self.adj[b.index()].push(a);
+        self.adj.push(a.index(), b);
+        self.adj.push(b.index(), a);
         // Degrees are maintained for live nodes only; a removed endpoint
         // neither counts toward the other's degree nor has its own frozen
         // degree touched.
@@ -221,9 +231,9 @@ impl InterferenceGraph {
 
     /// Completes a graph whose edges were written one way by
     /// [`or_row`](Self::or_row): sets the transpose of every matrix bit,
-    /// then refills every adjacency list from its row in ascending node
-    /// order and sets each degree to the list's length. Returns the number
-    /// of undirected edges.
+    /// then refills the adjacency table row by row, each row in ascending
+    /// node order, and sets each degree to its row's length. Returns the
+    /// number of undirected edges.
     pub(crate) fn close_rows(&mut self) -> usize {
         debug_assert!(
             !self.merged.iter().chain(&self.removed).any(|&f| f),
@@ -241,19 +251,12 @@ impl InterferenceGraph {
             }
         }
         let mut ends = 0;
-        for (a, adj) in self.adj.iter_mut().enumerate() {
+        self.adj.reset(self.num_nodes);
+        for a in 0..self.num_nodes {
             let row = &self.words[a * stride..(a + 1) * stride];
-            adj.clear();
-            adj.reserve(row.iter().map(|w| w.count_ones() as usize).sum());
-            for (w, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    adj.push(NodeId::new(w * 64 + bits.trailing_zeros() as usize));
-                    bits &= bits - 1;
-                }
-            }
-            self.degree[a] = adj.len();
-            ends += adj.len();
+            self.adj.fill_row(a, set_bits(row).map(NodeId::new));
+            self.degree[a] = self.adj.row(a).len();
+            ends += self.degree[a];
         }
         ends / 2
     }
@@ -276,7 +279,7 @@ impl InterferenceGraph {
     /// Allocation-free; the canonical adjacency invariant guarantees the
     /// slice has no duplicates and no merged entries.
     pub fn neighbors_slice(&self, n: NodeId) -> &[NodeId] {
-        &self.adj[self.rep(n).index()]
+        self.adj.row(self.rep(n).index())
     }
 
     /// Iterates the non-removed neighbors of `n`'s representative without
@@ -322,14 +325,13 @@ impl InterferenceGraph {
         assert!(!self.interferes(a, b), "merging interfering nodes");
         assert!(!self.is_precolored(b), "merging a precolored node away");
         assert!(!self.removed[a.index()] && !self.removed[b.index()]);
-        // Audit note (mem::take scratch pattern): taking `b`'s list is
-        // intentional — a merged node's adjacency must stay empty so the
-        // canonical-adjacency invariant holds. No fallible path runs before
-        // the buffer is restored (cleared) below, and restoring it keeps
-        // its capacity alive for pooled reuse instead of dropping it.
-        let mut b_adj = std::mem::take(&mut self.adj[b.index()]);
-        for &x in &b_adj {
-            let pos = self.adj[x.index()]
+        // `b`'s row is read by index: pushes into `a`'s row may move that
+        // row (and grow the array), but never touch `b`'s slot.
+        for j in 0..self.adj.row(b.index()).len() {
+            let x = self.adj.row(b.index())[j];
+            let pos = self
+                .adj
+                .row(x.index())
                 .iter()
                 .position(|&y| y == b)
                 .expect("canonical adjacency is symmetric");
@@ -337,7 +339,7 @@ impl InterferenceGraph {
                 // `x` was adjacent to both: drop the `b` entry; `x` has one
                 // fewer distinct neighbor (if `x` is live — a removed
                 // node's degree stays frozen).
-                self.adj[x.index()].remove(pos);
+                self.adj.remove(x.index(), pos);
                 if !self.removed[x.index()] {
                     self.degree[x.index()] -= 1;
                 }
@@ -345,17 +347,17 @@ impl InterferenceGraph {
                 // `x` was adjacent to `b` alone: splice `a` into `b`'s
                 // slot. `x`'s distinct-neighbor count is unchanged; `a`
                 // gains a neighbor (counted only if `x` is live).
-                self.adj[x.index()][pos] = a;
+                self.adj.row_mut(x.index())[pos] = a;
                 self.set_bit(a.index(), x.index());
                 self.set_bit(x.index(), a.index());
-                self.adj[a.index()].push(x);
+                self.adj.push(a.index(), x);
                 if !self.removed[x.index()] {
                     self.degree[a.index()] += 1;
                 }
             }
         }
-        b_adj.clear();
-        self.adj[b.index()] = b_adj;
+        // A merged node's row stays empty: the canonical invariant.
+        self.adj.clear_row(b.index());
         self.merged[b.index()] = true;
         self.alias[b.index()] = a;
     }
@@ -371,8 +373,7 @@ impl InterferenceGraph {
         assert!(!self.is_precolored(n), "removing precolored {n}");
         assert!(!self.removed[n.index()], "removing {n} twice");
         self.removed[n.index()] = true;
-        for j in 0..self.adj[n.index()].len() {
-            let x = self.adj[n.index()][j];
+        for &x in self.adj.row(n.index()) {
             if !self.removed[x.index()] {
                 self.degree[x.index()] -= 1;
             }
@@ -395,7 +396,7 @@ impl InterferenceGraph {
             if self.merged[i] {
                 continue;
             }
-            self.degree[i] = self.adj[i].len();
+            self.degree[i] = self.adj.row(i).len();
         }
     }
 
@@ -406,6 +407,22 @@ impl InterferenceGraph {
             .filter(|&n| !self.merged[n.index()] && !self.removed[n.index()])
             .collect()
     }
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let mut rest = words.iter();
+    let (mut base, mut next_base, mut bits) = (0, 0, 0u64);
+    std::iter::from_fn(move || {
+        while bits == 0 {
+            bits = *rest.next()?;
+            base = next_base;
+            next_base += 64;
+        }
+        let b = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(base + b)
+    })
 }
 
 #[cfg(test)]
@@ -541,17 +558,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_merged_adjacency_capacity() {
+    fn merge_empties_the_merged_row_and_moves_a_full_one() {
+        // 0 and 1 have exact rows after the build-style fill; merging 1
+        // into 0 pushes 1's neighbors onto 0's full row, which moves.
         let mut g = InterferenceGraph::new(6, 0);
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(1), n(3));
-        g.add_edge(n(1), n(4));
+        g.or_row(n(0), &[1 << 5], None);
+        g.or_row(n(1), &[(1 << 2) | (1 << 3) | (1 << 4)], None);
+        g.close_rows();
+        assert_eq!(g.neighbors_slice(n(0)), &[n(5)]);
         g.merge(n(0), n(1));
-        // The merged node's list is empty (canonical invariant) but its
-        // allocation must survive for pooled reuse.
-        assert!(g.neighbors_slice(n(1)).is_empty() || g.rep(n(1)) == n(0));
-        assert!(g.adj[1].is_empty());
-        assert!(g.adj[1].capacity() >= 3, "merge dropped the taken buffer");
+        // The merged row is empty (canonical invariant).
+        assert!(g.adj.row(1).is_empty());
+        // The moved row kept its entry and gained 1's, in splice order.
+        assert_eq!(g.neighbors_slice(n(0)), &[n(5), n(2), n(3), n(4)]);
+        assert_eq!(g.neighbors_slice(n(1)), g.neighbors_slice(n(0)));
+        // The neighbors' rows were rewritten in place.
+        for x in [2, 3, 4] {
+            assert_eq!(g.neighbors_slice(n(x)), &[n(0)]);
+        }
+        assert_eq!(g.degree(n(0)), 4);
     }
 
     #[test]

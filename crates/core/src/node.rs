@@ -10,7 +10,7 @@
 //! Pinned virtual registers of the same physical register share a single
 //! precolored node, exactly as Chaitin's "physical register nodes".
 
-use pdgc_arena::{NestedPool, VecPool};
+use pdgc_arena::{RowTable, VecPool};
 use pdgc_ir::{Function, RegClass, VReg};
 use pdgc_target::{PhysReg, TargetDesc};
 use std::fmt;
@@ -19,7 +19,7 @@ use std::fmt;
 #[derive(Debug, Default)]
 pub struct NodeScratch {
     vreg_node: VecPool<Option<NodeId>>,
-    members: NestedPool<VReg>,
+    members: RowTable<VReg>,
     referenced: VecPool<bool>,
 }
 
@@ -65,8 +65,9 @@ pub struct NodeMap {
     num_phys: usize,
     /// vreg index -> node (None when the vreg is of another class or dead).
     vreg_node: Vec<Option<NodeId>>,
-    /// node -> the vregs it represents (several for precolored nodes).
-    members: Vec<Vec<VReg>>,
+    /// Row `n`: the vregs node `n` represents, ascending (several for
+    /// precolored nodes).
+    members: RowTable<VReg>,
 }
 
 impl NodeMap {
@@ -97,7 +98,7 @@ impl NodeMap {
     ) -> Self {
         let num_phys = target.num_regs(class);
         let mut vreg_node = scratch.vreg_node.take_filled(func.num_vregs(), None);
-        let mut members: Vec<Vec<VReg>> = scratch.members.take(num_phys);
+        let mut members = std::mem::take(&mut scratch.members);
 
         // Mark referenced vregs (parameters count as referenced).
         let mut referenced = scratch.referenced.take_filled(func.num_vregs(), false);
@@ -113,27 +114,30 @@ impl NodeMap {
             }
         }
 
+        let mut num_nodes = num_phys;
         for i in 0..func.num_vregs() {
             let v = VReg::new(i);
             if func.class_of(v) != class || !referenced[i] {
                 continue;
             }
-            match pinned[i] {
+            vreg_node[i] = Some(match pinned[i] {
                 Some(reg) => {
                     debug_assert_eq!(reg.class(), class);
-                    let node = NodeId::new(reg.index());
-                    vreg_node[i] = Some(node);
-                    members[reg.index()].push(v);
+                    NodeId::new(reg.index())
                 }
                 None => {
-                    let node = NodeId::new(members.len());
-                    vreg_node[i] = Some(node);
-                    let mut m = scratch.members.take_inner();
-                    m.push(v);
-                    members.push(m);
+                    num_nodes += 1;
+                    NodeId::new(num_nodes - 1)
                 }
-            }
+            });
         }
+        // In vreg order, so every node's members come out ascending.
+        members.fill_counted(num_nodes, || {
+            vreg_node
+                .iter()
+                .enumerate()
+                .filter_map(|(i, n)| n.map(|n| (n.index(), VReg::new(i))))
+        });
         scratch.referenced.put(referenced);
 
         NodeMap {
@@ -147,7 +151,7 @@ impl NodeMap {
     /// Returns this map's storage to `scratch` for reuse.
     pub fn recycle(self, scratch: &mut NodeScratch) {
         scratch.vreg_node.put(self.vreg_node);
-        scratch.members.put(self.members);
+        scratch.members = self.members;
     }
 
     /// The register class of this universe.
@@ -157,7 +161,7 @@ impl NodeMap {
 
     /// Total number of nodes (precolored + live ranges).
     pub fn num_nodes(&self) -> usize {
-        self.members.len()
+        self.members.num_rows()
     }
 
     /// Number of precolored nodes (= registers in the class).
@@ -194,17 +198,17 @@ impl NodeMap {
     /// The vregs represented by a node (one for live-range nodes; all
     /// same-register pinned vregs for precolored nodes).
     pub fn members(&self, n: NodeId) -> &[VReg] {
-        &self.members[n.index()]
+        self.members.row(n.index())
     }
 
     /// Iterates over the live-range (non-precolored) nodes.
     pub fn live_range_nodes(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        (self.num_phys..self.members.len()).map(NodeId::new)
+        (self.num_phys..self.num_nodes()).map(NodeId::new)
     }
 
     /// Iterates over all nodes.
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.members.len()).map(NodeId::new)
+        (0..self.num_nodes()).map(NodeId::new)
     }
 
     /// The assignment every coloring starts from, in node order: each

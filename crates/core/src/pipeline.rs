@@ -29,7 +29,9 @@ use crate::scratch::{ClassScratch, PhaseScratch};
 use crate::select::SelectResult;
 use crate::spill::{insert_spill_code_fwd, SPL_FORWARD_MAX_ROUNDS};
 use crate::stats::AllocStats;
-use pdgc_analysis::{CallCrossing, Cfg, Dominators, Liveness, LivenessScratch, Loops, Spl};
+use pdgc_analysis::{
+    CallCrossing, Cfg, Dominators, Liveness, LivenessScratch, Loops, Spl, DEFAULT_LOOP_FREQ_FACTOR,
+};
 use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope};
 use pdgc_ir::{Function, RegClass, VReg};
 use pdgc_obs::{Counter, Event, NoopTracer, Phase, PhaseTimer, Tracer, ValueHist};
@@ -70,10 +72,12 @@ pub fn analyze(func: &Function) -> Analyses {
 /// Liveness is the iterative [`Liveness::compute_in`] and loop frequency
 /// the dominator-based [`Loops::compute`], whatever the CFG's shape.
 pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
-    let cfg = Cfg::compute(func);
+    let cfg = Cfg::compute_in(func, &mut scratch.cfg);
     let spl = Spl::compute_in(&cfg, &mut scratch.spl);
     let liveness = Liveness::compute_in(func, &cfg, scratch);
-    let loops = Loops::compute(&cfg, &Dominators::compute(&cfg));
+    let dom = Dominators::compute_in(&cfg, &mut scratch.cfg);
+    let loops = Loops::compute_in(&cfg, &dom, DEFAULT_LOOP_FREQ_FACTOR, &mut scratch.cfg);
+    dom.recycle(&mut scratch.cfg);
     let crossings = liveness.call_crossings_in(func, scratch);
     let costs = CostTable::compute_in(func, &loops, &crossings, &mut scratch.costs);
     Analyses {
@@ -87,13 +91,15 @@ pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
 }
 
 impl Analyses {
-    /// Returns the pooled liveness, crossing, cost, and SPL storage to
-    /// `scratch`.
+    /// Returns the pooled CFG, loop, liveness, crossing, cost, and SPL
+    /// storage to `scratch`.
     pub fn recycle(self, scratch: &mut LivenessScratch) {
         self.crossings.recycle(scratch);
         self.liveness.recycle(scratch);
         self.costs.recycle(&mut scratch.costs);
         self.spl.recycle(&mut scratch.spl);
+        self.loops.recycle(&mut scratch.cfg);
+        self.cfg.recycle(&mut scratch.cfg);
     }
 }
 

@@ -49,7 +49,7 @@ pub fn rewrite_in(
     };
 
     // Live-across sets per call site for caller-save insertion.
-    let cfg = Cfg::compute(func);
+    let cfg = Cfg::compute_in(func, &mut scratch.liveness.cfg);
     let liveness = Liveness::compute_in(func, &cfg, &mut scratch.liveness);
     let mut across: HashMap<(usize, usize), Vec<PhysReg>> = HashMap::new();
     for b in func.block_ids() {
@@ -224,20 +224,21 @@ pub fn rewrite_in(
     let mut written: Vec<PhysReg> = Vec::new();
     for blk in &blocks {
         for inst in blk {
-            // `defs()` rather than a hand-maintained variant list: a
+            // `for_each_def` rather than a hand-maintained variant list: a
             // missed writer here (Load8 was one, caught by pdgc-check)
             // silently corrupts a caller's non-volatile register.
-            for r in inst.defs() {
+            inst.for_each_def(|r| {
                 if !target.is_volatile(r) && !written.contains(&r) {
                     written.push(r);
                 }
-            }
+            });
         }
     }
     written.sort();
     stats.nonvolatiles_used += written.len();
     stats.frame_slots += next_slot;
     liveness.recycle(&mut scratch.liveness);
+    cfg.recycle(&mut scratch.liveness.cfg);
 
     MachFunction {
         name: func.name.clone(),

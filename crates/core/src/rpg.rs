@@ -19,9 +19,9 @@ use crate::build::CopyRel;
 use crate::cost::CostModel;
 use crate::node::{NodeId, NodeMap};
 use pdgc_analysis::InstRef;
+use pdgc_arena::RowTable;
 use pdgc_ir::{Function, Inst, VReg};
 use pdgc_target::TargetDesc;
-use std::collections::HashMap;
 
 /// The kind of preference an RPG edge expresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,40 +95,74 @@ impl Preference {
 }
 
 /// The Register Preference Graph: per-node outgoing preference edges.
+///
+/// The edges are the rows of one [`RowTable`], a row per node. The build
+/// records every edge in the order it finds them — coalesce groups in
+/// first-copy order, paired loads, byte loads, volatility — lays the rows
+/// out from that record in one counting pass, and sorts each row by
+/// strength, stably, so ties keep that order.
 #[derive(Clone, Debug, Default)]
 pub struct Rpg {
-    prefs: Vec<Vec<Preference>>,
+    prefs: RowTable<Preference>,
 }
 
 impl Rpg {
     /// An RPG over `num_nodes` nodes with no edges.
     pub fn new(num_nodes: usize) -> Self {
-        Rpg {
-            prefs: vec![Vec::new(); num_nodes],
-        }
+        let mut prefs = RowTable::new();
+        prefs.reset(num_nodes);
+        Rpg { prefs }
     }
 
     /// Adds a preference edge out of `node`.
     pub fn add(&mut self, node: NodeId, pref: Preference) {
-        self.prefs[node.index()].push(pref);
+        self.prefs.push(node.index(), pref);
     }
 
     /// The preferences of `node`, strongest first.
     pub fn prefs(&self, node: NodeId) -> &[Preference] {
-        &self.prefs[node.index()]
+        self.prefs.row(node.index())
     }
 
     /// Total number of edges (for diagnostics).
     pub fn num_edges(&self) -> usize {
-        self.prefs.iter().map(|p| p.len()).sum()
+        self.prefs.num_entries()
     }
 
     /// Sorts every node's preferences by descending best strength.
     pub fn sort_by_strength(&mut self) {
-        for p in &mut self.prefs {
-            p.sort_by_key(|pref| std::cmp::Reverse(pref.best_strength()));
+        for i in 0..self.prefs.num_rows() {
+            self.prefs
+                .row_mut(i)
+                .sort_by_key(|pref| std::cmp::Reverse(pref.best_strength()));
         }
     }
+
+    /// Returns this graph's table to `scratch` for the next build.
+    pub fn recycle(self, scratch: &mut RpgScratch) {
+        scratch.prefs = self.prefs;
+    }
+}
+
+/// Reusable storage for [`build_rpg_in`]: the preference table and the
+/// build's temporaries. One scratch serves any number of sequential
+/// builds; recycle each [`Rpg`] with [`Rpg::recycle`].
+#[derive(Debug, Default)]
+pub struct RpgScratch {
+    prefs: RowTable<Preference>,
+    /// Every edge with its source node, in the order the build found it.
+    found: Vec<(NodeId, Preference)>,
+    /// Each copy's unordered node pair and index; sorted, equal pairs
+    /// form a group.
+    keyed: Vec<(NodeId, NodeId, u32)>,
+    /// The copy sites of every group, group after group.
+    sites: Vec<InstRef>,
+    /// Per group: its first copy's index and its run of `sites`.
+    groups: Vec<(u32, u32, u32)>,
+    pairs: Vec<LoadPairCandidate>,
+    used: Vec<bool>,
+    savings: Vec<(NodeId, VReg, i64)>,
+    saving_of: Vec<usize>,
 }
 
 /// Which preference kinds to record — the paper's §6 configurations:
@@ -191,11 +225,19 @@ pub struct LoadPairCandidate {
 /// The stride and the first word's alignment come from the target's
 /// per-class [`PairRule`](pdgc_target::PairRule); a class without a pair
 /// rule contributes no candidates.
-pub fn find_load_pairs(func: &Function, target: &TargetDesc) -> Vec<LoadPairCandidate> {
-    let mut out = Vec::new();
+///
+/// The candidates are appended to `out`; `used` marks a block's paired
+/// loads, one block at a time.
+fn find_load_pairs_in(
+    func: &Function,
+    target: &TargetDesc,
+    used: &mut Vec<bool>,
+    out: &mut Vec<LoadPairCandidate>,
+) {
     for b in func.block_ids() {
         let insts = &func.block(b).insts;
-        let mut used = vec![false; insts.len()];
+        used.clear();
+        used.resize(insts.len(), false);
         for i in 0..insts.len() {
             if used[i] {
                 continue;
@@ -248,7 +290,6 @@ pub fn find_load_pairs(func: &Function, target: &TargetDesc) -> Vec<LoadPairCand
             }
         }
     }
-    out
 }
 
 /// Builds the RPG for one class.
@@ -264,38 +305,71 @@ pub fn build_rpg(
     prefs: PreferenceSet,
     target: &TargetDesc,
 ) -> Rpg {
-    let mut rpg = Rpg::new(nodes.num_nodes());
+    build_rpg_in(
+        func,
+        nodes,
+        cost,
+        copies,
+        prefs,
+        target,
+        &mut RpgScratch::default(),
+    )
+}
+
+/// Like [`build_rpg`], drawing the graph's table and every temporary from
+/// pooled scratch. Return the graph with [`Rpg::recycle`] when done.
+pub fn build_rpg_in(
+    func: &Function,
+    nodes: &NodeMap,
+    cost: &CostModel<'_>,
+    copies: &[CopyRel],
+    prefs: PreferenceSet,
+    target: &TargetDesc,
+    scratch: &mut RpgScratch,
+) -> Rpg {
+    let mut found = std::mem::take(&mut scratch.found);
+    found.clear();
 
     if prefs.coalesce {
         // Group copies by unordered node pair so one edge zeroes all moves
         // between the pair. Groups keep the order of their first copy:
         // the stable strength sort breaks ties by it.
-        let mut groups: Vec<((NodeId, NodeId), Vec<InstRef>)> = Vec::new();
-        let mut group_of: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        for c in copies {
-            let key = if c.dst.index() <= c.src.index() {
-                (c.dst, c.src)
-            } else {
-                (c.src, c.dst)
-            };
-            let site = InstRef {
-                block: c.block,
-                index: c.index,
-            };
-            let g = *group_of.entry(key).or_insert_with(|| {
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(site);
+        let RpgScratch {
+            keyed,
+            sites,
+            groups,
+            ..
+        } = &mut *scratch;
+        keyed.clear();
+        keyed.extend(copies.iter().enumerate().map(|(i, c)| {
+            let (a, b) = pair_key(c);
+            (a, b, u32::try_from(i).expect("copy count fits u32"))
+        }));
+        keyed.sort_unstable();
+        sites.clear();
+        groups.clear();
+        for run in keyed.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let start = sites.len() as u32;
+            sites.extend(run.iter().map(|&(_, _, i)| {
+                let c = &copies[i as usize];
+                InstRef {
+                    block: c.block,
+                    index: c.index,
+                }
+            }));
+            groups.push((run[0].2, start, sites.len() as u32));
         }
-        for ((a, b), sites) in groups {
+        groups.sort_unstable_by_key(|&(first, _, _)| first);
+        for &(first, start, end) in groups.iter() {
+            let (a, b) = pair_key(&copies[first as usize]);
+            let sites = &sites[start as usize..end as usize];
             for (me, partner) in [(a, b), (b, a)] {
                 if nodes.is_precolored(me) {
                     continue;
                 }
                 let v = nodes.members(me)[0];
-                let (sv, snv) = strengths(cost, v, &sites, prefs);
-                rpg.add(
+                let (sv, snv) = strengths(cost, v, sites, prefs);
+                found.push((
                     me,
                     Preference {
                         kind: PrefKind::Coalesce,
@@ -303,13 +377,15 @@ pub fn build_rpg(
                         strength_vol: sv,
                         strength_nonvol: snv,
                     },
-                );
+                ));
             }
         }
     }
 
     if prefs.sequential {
-        for pair in find_load_pairs(func, target) {
+        scratch.pairs.clear();
+        find_load_pairs_in(func, target, &mut scratch.used, &mut scratch.pairs);
+        for pair in &scratch.pairs {
             let (Some(n1), Some(n2)) = (nodes.node_of(pair.dst1), nodes.node_of(pair.dst2))
             else {
                 continue;
@@ -317,12 +393,8 @@ pub fn build_rpg(
             if nodes.is_precolored(n1) || nodes.is_precolored(n2) || n1 == n2 {
                 continue;
             }
-            // Only pair within this universe's class.
-            if nodes.node_of(pair.dst1).is_none() {
-                continue;
-            }
             let (sv1, snv1) = strengths(cost, pair.dst1, &[pair.first], prefs);
-            rpg.add(
+            found.push((
                 n1,
                 Preference {
                     kind: PrefKind::SequentialPlus,
@@ -330,9 +402,9 @@ pub fn build_rpg(
                     strength_vol: sv1,
                     strength_nonvol: snv1,
                 },
-            );
+            ));
             let (sv2, snv2) = strengths(cost, pair.dst2, &[pair.second], prefs);
-            rpg.add(
+            found.push((
                 n2,
                 Preference {
                     kind: PrefKind::SequentialMinus,
@@ -340,7 +412,7 @@ pub fn build_rpg(
                     strength_vol: sv2,
                     strength_nonvol: snv2,
                 },
-            );
+            ));
         }
     }
 
@@ -349,8 +421,12 @@ pub fn build_rpg(
             // Collect byte-load destinations with their total frequency-
             // weighted extension saving (one cycle per dishonored load),
             // in the order of each node's first byte load.
-            let mut savings: Vec<(NodeId, VReg, i64)> = Vec::new();
-            let mut saving_of = vec![usize::MAX; nodes.num_nodes()];
+            let RpgScratch {
+                savings, saving_of, ..
+            } = &mut *scratch;
+            savings.clear();
+            saving_of.clear();
+            saving_of.resize(nodes.num_nodes(), usize::MAX);
             for b in func.block_ids() {
                 for (i, inst) in func.block(b).insts.iter().enumerate() {
                     if let Inst::Load8 { dst, .. } = inst {
@@ -370,9 +446,9 @@ pub fn build_rpg(
                     }
                 }
             }
-            for (n, v, save) in savings {
+            for &(n, v, save) in savings.iter() {
                 let (sv, snv) = strengths(cost, v, &[], prefs);
-                rpg.add(
+                found.push((
                     n,
                     Preference {
                         kind: PrefKind::Prefers,
@@ -380,7 +456,7 @@ pub fn build_rpg(
                         strength_vol: sv.saturating_add(save),
                         strength_nonvol: snv.saturating_add(save),
                     },
-                );
+                ));
             }
         }
     }
@@ -390,7 +466,7 @@ pub fn build_rpg(
             let v = nodes.members(n)[0];
             let sv = cost.strength_volatile(v, &[]);
             let snv = cost.strength_nonvolatile(v, &[]);
-            rpg.add(
+            found.push((
                 n,
                 Preference {
                     kind: PrefKind::Prefers,
@@ -398,8 +474,8 @@ pub fn build_rpg(
                     strength_vol: sv,
                     strength_nonvol: i64::MIN,
                 },
-            );
-            rpg.add(
+            ));
+            found.push((
                 n,
                 Preference {
                     kind: PrefKind::Prefers,
@@ -407,12 +483,27 @@ pub fn build_rpg(
                     strength_vol: i64::MIN,
                     strength_nonvol: snv,
                 },
-            );
+            ));
         }
     }
 
+    let mut table = std::mem::take(&mut scratch.prefs);
+    table.fill_counted(nodes.num_nodes(), || {
+        found.iter().map(|&(n, pref)| (n.index(), pref))
+    });
+    scratch.found = found;
+    let mut rpg = Rpg { prefs: table };
     rpg.sort_by_strength();
     rpg
+}
+
+/// A copy's endpoints as an unordered pair, lower node first.
+fn pair_key(c: &CopyRel) -> (NodeId, NodeId) {
+    if c.dst <= c.src {
+        (c.dst, c.src)
+    } else {
+        (c.src, c.dst)
+    }
 }
 
 /// The (volatile, non-volatile) strength pair for a preference on `v`
@@ -467,6 +558,13 @@ mod tests {
         assert_eq!(PrefTarget::low_regs(4), PrefTarget::Set(0b1111));
         assert_eq!(PrefTarget::low_regs(63), PrefTarget::Set(u64::MAX >> 1));
         assert_eq!(PrefTarget::low_regs(64), PrefTarget::Set(u64::MAX));
+    }
+
+    /// The candidates [`find_load_pairs_in`] finds, from fresh buffers.
+    fn find_load_pairs(func: &Function, target: &TargetDesc) -> Vec<LoadPairCandidate> {
+        let mut out = Vec::new();
+        find_load_pairs_in(func, target, &mut Vec::new(), &mut out);
+        out
     }
 
     #[test]

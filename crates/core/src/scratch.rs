@@ -1,8 +1,9 @@
 //! Per-worker phase scratch.
 //!
 //! One [`PhaseScratch`] aggregates every pooled buffer the pipeline needs —
-//! liveness sets, the IFG bit matrix and adjacency pools, node-universe
-//! storage, simplify/select working sets, and the checker's internals. A
+//! liveness sets, the IFG bit matrix and adjacency table, node-universe
+//! storage, RPG/simplify/CPG/select working sets, and the checker's
+//! internals. A
 //! batch worker keeps one per thread inside its [`crate::AllocSession`],
 //! allocates every function it processes through that session, and after
 //! the first few functions warm the pools up the steady state performs
@@ -20,6 +21,7 @@ use crate::build::BuildScratch;
 use crate::cpg::CpgScratch;
 use crate::ifg::IfgScratch;
 use crate::node::NodeScratch;
+use crate::rpg::RpgScratch;
 use crate::select::SelectScratch;
 use crate::simplify::SimplifyScratch;
 use pdgc_analysis::LivenessScratch;
@@ -29,14 +31,16 @@ use pdgc_ir::VReg;
 use pdgc_obs::MetricsRegistry;
 use pdgc_target::{MInst, PhysReg};
 
-/// Scratch for one class-strategy invocation: the simplify and select
-/// phases' working sets.
+/// Scratch for one class-strategy invocation: the RPG, simplify, CPG and
+/// select phases' working sets.
 ///
 /// Lives inside [`crate::pipeline::ClassCtx`]; a scratch-aware strategy
 /// `std::mem::take`s it at the top of `allocate_class` and moves it back
 /// before returning, so the pooled buffers survive into the next class.
 #[derive(Debug, Default)]
 pub struct ClassScratch {
+    /// RPG preference table and construction temporaries.
+    pub rpg: RpgScratch,
     /// Simplify worklist heap and stack/spill-list pools.
     pub simplify: SimplifyScratch,
     /// CPG storage and construction temporaries.
@@ -57,7 +61,7 @@ impl ClassScratch {
 pub struct PhaseScratch {
     /// Liveness bit-set and call-crossing pools.
     pub liveness: LivenessScratch,
-    /// Interference-graph bit matrix and adjacency pools.
+    /// Interference-graph bit matrix and adjacency table.
     pub ifg: IfgScratch,
     /// Node-universe (vreg→node, members) pools.
     pub node: NodeScratch,

@@ -27,7 +27,7 @@ use crate::cpg::Cpg;
 use crate::ifg::InterferenceGraph;
 use crate::node::{NodeId, NodeMap};
 use crate::rpg::{PrefKind, PrefTarget, Preference, Rpg};
-use pdgc_arena::{NestedPool, VecPool};
+use pdgc_arena::{RowTable, VecPool};
 use pdgc_ir::RegClass;
 use pdgc_obs::{
     Considered, Counter, Decision, Event, MetricsRegistry, SpillReason, Tracer, ValueHist, Verdict,
@@ -45,7 +45,9 @@ type FrontierKey = (i64, Reverse<NodeId>);
 /// frontier heap, and the per-select working vectors.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
-    rev_pref: NestedPool<NodeId>,
+    rev_pref: RowTable<NodeId>,
+    /// The reverse index's `(target, holder)` pairs, in holder order.
+    rev_found: Vec<(NodeId, NodeId)>,
     assignments: VecPool<Option<PhysReg>>,
     bools: VecPool<bool>,
     diffs: VecPool<i64>,
@@ -150,20 +152,27 @@ pub fn select_traced_in(
     tracer: &mut dyn Tracer,
     scratch: &mut SelectScratch,
 ) -> SelectResult {
-    // Reverse preference index: rev_pref[m] holds, once each, the CPG
-    // nodes with a preference targeting (the representative of) m.
-    // Assigning m makes exactly those nodes' differentials stale.
-    let mut rev_pref = scratch.rev_pref.take(nodes.num_nodes());
+    // Reverse preference index: row m holds, once each, the CPG nodes
+    // with a preference targeting (the representative of) m, in node
+    // order. Assigning m makes exactly those nodes' differentials stale.
+    let found = &mut scratch.rev_found;
+    found.clear();
     for holder in cpg.nodes() {
+        let first = found.len();
         for pref in rpg.prefs(holder) {
             if let PrefTarget::Node(m) = pref.target {
-                let holders = &mut rev_pref[ifg.rep(m).index()];
-                if holders.last() != Some(&holder) {
-                    holders.push(holder);
+                let m = ifg.rep(m);
+                if !found[first..].iter().any(|&(target, _)| target == m) {
+                    found.push((m, holder));
                 }
             }
         }
     }
+    let mut rev_pref = std::mem::take(&mut scratch.rev_pref);
+    let found = &scratch.rev_found;
+    rev_pref.fill_counted(nodes.num_nodes(), || {
+        found.iter().map(|&(m, holder)| (m.index(), holder))
+    });
     let mut assignment = scratch.assignments.take();
     assignment.extend(nodes.precolored());
     let class = nodes.class();
@@ -226,9 +235,9 @@ struct Selector<'a> {
     processed: Vec<bool>,
     /// Released by its CPG predecessors and not yet picked.
     in_frontier: Vec<bool>,
-    /// `rev_pref[m]`: nodes holding a preference that targets `m`'s
+    /// Row `m`: nodes holding a preference that targets `m`'s
     /// representative.
-    rev_pref: Vec<Vec<NodeId>>,
+    rev_pref: RowTable<NodeId>,
     /// The class's register file.
     regs: RegFile,
     /// `pair_first[p]`: the registers a paired load may write its first
@@ -424,7 +433,7 @@ impl Selector<'_> {
         // Park every internal buffer back in the scratch before returning:
         // the next select call reuses all of them.
         scratch.counts.put(pred_remaining);
-        scratch.rev_pref.put(self.rev_pref);
+        scratch.rev_pref = std::mem::take(&mut self.rev_pref);
         scratch.bools.put(self.spilled);
         scratch.bools.put(self.processed);
         scratch.bools.put(self.in_frontier);
@@ -605,8 +614,8 @@ impl Selector<'_> {
             self.diff_dirty[x.index()] = true;
         }
         let rpg = self.rpg;
-        for i in 0..self.rev_pref[n.index()].len() {
-            let holder = self.rev_pref[n.index()][i];
+        for i in 0..self.rev_pref.row(n.index()).len() {
+            let holder = self.rev_pref.row(n.index())[i];
             self.diff_dirty[holder.index()] = true;
             if self.processed[holder.index()] {
                 continue;
@@ -621,8 +630,8 @@ impl Selector<'_> {
         for &x in ifg.neighbors_slice(n) {
             self.rekey(x);
         }
-        for i in 0..self.rev_pref[n.index()].len() {
-            self.rekey(self.rev_pref[n.index()][i]);
+        for i in 0..self.rev_pref.row(n.index()).len() {
+            self.rekey(self.rev_pref.row(n.index())[i]);
         }
     }
 

@@ -446,23 +446,27 @@ impl Inst {
     ///
     /// Panics if the instruction is not a terminator.
     pub fn successors(&self) -> Vec<Block> {
-        match self {
-            Inst::Jump { target } => vec![*target],
+        self.successor_iter().collect()
+    }
+
+    /// As [`successors`](Self::successors), without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instruction is not a terminator.
+    pub fn successor_iter(&self) -> impl Iterator<Item = Block> {
+        let pair = match self {
+            Inst::Jump { target } => [Some(*target), None],
             Inst::Branch {
                 then_dst, else_dst, ..
             }
             | Inst::BranchImm {
                 then_dst, else_dst, ..
-            } => {
-                if then_dst == else_dst {
-                    vec![*then_dst]
-                } else {
-                    vec![*then_dst, *else_dst]
-                }
-            }
-            Inst::Ret { .. } => Vec::new(),
+            } => [Some(*then_dst), (then_dst != else_dst).then_some(*else_dst)],
+            Inst::Ret { .. } => [None, None],
             other => panic!("successors() on non-terminator {other:?}"),
-        }
+        };
+        pair.into_iter().flatten()
     }
 }
 

@@ -86,6 +86,13 @@ pub enum Counter {
     /// Words the build ORed into interference-matrix rows: one row's
     /// worth per definition in the class, and per entry live-in.
     BuildRowWords,
+    /// Nodes of every class universe the build produced (precolored
+    /// included), summed over every build.
+    BuildNodes,
+    /// Bit-matrix words every build zeroed: nodes × row words per graph.
+    BuildMatrixWords,
+    /// Preferences of every Register Preference Graph built.
+    RpgPrefs,
     /// Entries simplify popped off its spill-candidate heap, stale ones
     /// included (simplify's blocked branch, `iterated`'s step 4 and the
     /// call-cost baseline's blocked branch).
@@ -168,7 +175,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 55] = [
+    pub const ALL: [Counter; 58] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -188,6 +195,9 @@ impl Counter {
         Counter::SelectSpilledPreferMemory,
         Counter::BuildIfgEdges,
         Counter::BuildRowWords,
+        Counter::BuildNodes,
+        Counter::BuildMatrixWords,
+        Counter::RpgPrefs,
         Counter::SimplifySpillPops,
         Counter::CpgEdges,
         Counter::SelectFrontierScanned,
@@ -251,6 +261,9 @@ impl Counter {
             Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
             Counter::BuildIfgEdges => "build_ifg_edges",
             Counter::BuildRowWords => "build_row_words",
+            Counter::BuildNodes => "build_nodes",
+            Counter::BuildMatrixWords => "build_matrix_words",
+            Counter::RpgPrefs => "rpg_prefs",
             Counter::SimplifySpillPops => "simplify_spill_pops",
             Counter::CpgEdges => "cpg_edges",
             Counter::SelectFrontierScanned => "select_frontier_scanned",

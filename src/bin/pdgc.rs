@@ -599,12 +599,15 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("spl_analyses_fallback", Gate::HigherIsWorse, 0),
     ("spl_regions", Gate::Exact, 0),
     ("spl_loop_regions", Gate::Exact, 0),
-    // Work done by the interference-graph build, simplify's
+    // Work done by the interference-graph build, the RPG build, simplify's
     // spill-candidate heap, the CPG build and select's frontier loop.
     // Each is an exact function of the allocation, so any growth means a
     // hot loop does more work for the same result.
     ("build_ifg_edges", Gate::HigherIsWorse, 0),
     ("build_row_words", Gate::HigherIsWorse, 0),
+    ("build_nodes", Gate::HigherIsWorse, 0),
+    ("build_matrix_words", Gate::HigherIsWorse, 0),
+    ("rpg_prefs", Gate::HigherIsWorse, 0),
     ("simplify_spill_pops", Gate::HigherIsWorse, 0),
     ("cpg_edges", Gate::HigherIsWorse, 0),
     ("select_frontier_scanned", Gate::HigherIsWorse, 0),

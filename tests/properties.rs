@@ -457,3 +457,268 @@ proptest! {
         }
     }
 }
+
+/// The interference graph's adjacency as it was kept before the flat row
+/// table: one `Vec` per node, mutated by `add_edge`, `merge`, `remove` and
+/// `restore_all` exactly as those were written then. The row-table graph
+/// must match it entry for entry, in order, after every operation: simplify,
+/// the CPG build and select break ties by that order.
+#[derive(Clone, Debug)]
+struct VecIfg {
+    adj: Vec<Vec<NodeId>>,
+    bits: Vec<Vec<bool>>,
+    alias: Vec<NodeId>,
+    merged: Vec<bool>,
+    removed: Vec<bool>,
+    degree: Vec<usize>,
+}
+
+impl VecIfg {
+    /// The model of `g`, which nothing has merged or removed yet.
+    fn of(g: &InterferenceGraph) -> Self {
+        let n = g.num_nodes();
+        let adj: Vec<Vec<NodeId>> = (0..n)
+            .map(|i| g.neighbors_slice(NodeId::new(i)).to_vec())
+            .collect();
+        let mut bits = vec![vec![false; n]; n];
+        for (a, row) in adj.iter().enumerate() {
+            for b in row {
+                bits[a][b.index()] = true;
+            }
+        }
+        VecIfg {
+            degree: adj.iter().map(Vec::len).collect(),
+            adj,
+            bits,
+            alias: (0..n).map(NodeId::new).collect(),
+            merged: vec![false; n],
+            removed: vec![false; n],
+        }
+    }
+
+    fn rep(&self, n: NodeId) -> NodeId {
+        let mut cur = n;
+        while self.merged[cur.index()] {
+            cur = self.alias[cur.index()];
+        }
+        cur
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        let (a, b) = (self.rep(a), self.rep(b));
+        if a == b || self.bits[a.index()][b.index()] {
+            return false;
+        }
+        self.bits[a.index()][b.index()] = true;
+        self.bits[b.index()][a.index()] = true;
+        self.adj[a.index()].push(b);
+        self.adj[b.index()].push(a);
+        if !self.removed[a.index()] && !self.removed[b.index()] {
+            self.degree[a.index()] += 1;
+            self.degree[b.index()] += 1;
+        }
+        true
+    }
+
+    /// Merges `b` into `a`; returns how many entries it appended to `a`'s
+    /// list.
+    fn merge(&mut self, a: NodeId, b: NodeId) -> usize {
+        let (a, b) = (self.rep(a), self.rep(b));
+        let b_adj = std::mem::take(&mut self.adj[b.index()]);
+        let mut appended = 0;
+        for &x in &b_adj {
+            let pos = self.adj[x.index()].iter().position(|&y| y == b).unwrap();
+            if self.bits[a.index()][x.index()] {
+                self.adj[x.index()].remove(pos);
+                if !self.removed[x.index()] {
+                    self.degree[x.index()] -= 1;
+                }
+            } else {
+                self.adj[x.index()][pos] = a;
+                self.bits[a.index()][x.index()] = true;
+                self.bits[x.index()][a.index()] = true;
+                self.adj[a.index()].push(x);
+                appended += 1;
+                if !self.removed[x.index()] {
+                    self.degree[a.index()] += 1;
+                }
+            }
+        }
+        self.merged[b.index()] = true;
+        self.alias[b.index()] = a;
+        appended
+    }
+
+    fn remove(&mut self, n: NodeId) {
+        let n = self.rep(n);
+        self.removed[n.index()] = true;
+        for &x in &self.adj[n.index()] {
+            if !self.removed[x.index()] {
+                self.degree[x.index()] -= 1;
+            }
+        }
+    }
+
+    fn restore_all(&mut self) {
+        self.removed.iter_mut().for_each(|r| *r = false);
+        for i in 0..self.adj.len() {
+            if !self.merged[i] {
+                self.degree[i] = self.adj[i].len();
+            }
+        }
+    }
+}
+
+/// Every node's representative, neighbor order, degree and removal mark
+/// agree between the graph and its model.
+fn same_as_model(g: &InterferenceGraph, m: &VecIfg, step: usize) -> TestCaseResult {
+    for i in 0..g.num_nodes() {
+        let x = NodeId::new(i);
+        let r = m.rep(x);
+        prop_assert_eq!(g.rep(x), r, "rep of {} after step {}", x, step);
+        prop_assert_eq!(
+            g.neighbors_slice(x),
+            &m.adj[r.index()][..],
+            "neighbors of {} after step {}",
+            x,
+            step
+        );
+        prop_assert_eq!(
+            g.degree(x),
+            m.degree[r.index()],
+            "degree of {} after step {}",
+            x,
+            step
+        );
+        prop_assert_eq!(
+            g.is_removed(x),
+            m.removed[x.index()],
+            "{} removed after step {}",
+            x,
+            step
+        );
+    }
+    Ok(())
+}
+
+/// Applies one `(kind, x, y)` operation to the graph and its model —
+/// `add_edge`, `merge`, `remove` or `restore_all`, skipping a merge or
+/// removal the graph would refuse — and checks they still agree. Returns
+/// the entries a merge appended to the surviving node's row.
+fn apply_to_both(
+    g: &mut InterferenceGraph,
+    m: &mut VecIfg,
+    (kind, x, y): (usize, usize, usize),
+    step: usize,
+) -> Result<usize, TestCaseError> {
+    let n = g.num_nodes();
+    let (a, b) = (NodeId::new(x % n), NodeId::new(y % n));
+    let mut appended = 0;
+    match kind {
+        0..=2 => prop_assert_eq!(g.add_edge(a, b), m.add_edge(a, b)),
+        3..=5 => {
+            let (ra, rb) = (g.rep(a), g.rep(b));
+            if ra != rb
+                && !g.interferes(ra, rb)
+                && !g.is_precolored(rb)
+                && !g.is_removed(ra)
+                && !g.is_removed(rb)
+            {
+                g.merge(ra, rb);
+                appended = m.merge(ra, rb);
+            }
+        }
+        6 => {
+            let r = g.rep(a);
+            if !g.is_precolored(r) && !g.is_removed(r) {
+                g.remove(r);
+                m.remove(r);
+            }
+        }
+        _ => {
+            g.restore_all();
+            m.restore_all();
+        }
+    }
+    same_as_model(g, m, step)?;
+    Ok(appended)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Hand-built graphs: every row starts empty. The fixed prefix gives
+    /// the last node six neighbors while the others' rows grow between its
+    /// pushes, so its row outgrows its slot and moves.
+    #[test]
+    fn row_table_ifg_matches_the_vec_model_on_hand_built_graphs(
+        n in 10usize..24,
+        num_phys in 0usize..4,
+        ops in proptest::collection::vec((0usize..8, 0usize..24, 0usize..24), 1..120),
+    ) {
+        let mut g = InterferenceGraph::new(n, num_phys);
+        let mut m = VecIfg::of(&g);
+        same_as_model(&g, &m, 0)?;
+        let last = n - 1;
+        for b in num_phys..num_phys + 6 {
+            apply_to_both(&mut g, &mut m, (0, last, b), b)?;
+        }
+        prop_assert_eq!(g.neighbors_slice(NodeId::new(last)).len(), 6);
+        for (step, op) in ops.into_iter().enumerate() {
+            apply_to_both(&mut g, &mut m, op, step + 7)?;
+        }
+    }
+
+    /// Graphs `build_ifg` returns, then mutated as the coalescers do.
+    /// The build lays every row out in a slot exactly its size, so the
+    /// first merge — chosen to append to the surviving row — outgrows it.
+    #[test]
+    fn row_table_ifg_matches_the_vec_model_on_built_graphs(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0usize..8, 0usize..200, 0usize..200), 1..120),
+    ) {
+        let prof = WorkloadProfile {
+            name: "rows".into(),
+            seed,
+            num_funcs: 1,
+            ops_per_func: 40,
+            loop_depth: 1,
+            call_density: 0.2,
+            float_ratio: 0.2,
+            paired_density: 0.2,
+            byte_density: 0.1,
+            pressure: 8,
+            diamond_density: 0.3,
+            pair_stride: 8,
+            pair_align: 1,
+        };
+        let func = generate(&prof).funcs.swap_remove(0);
+        let target = TargetDesc::ia64_like(PressureModel::High);
+        let lowered = pdgc::core::lower::lower_abi(&func, &target).unwrap();
+        let analyses = pdgc::core::pipeline::analyze(&lowered.func);
+        let nodes = pdgc::core::node::NodeMap::build(
+            &lowered.func,
+            &target,
+            RegClass::Int,
+            &lowered.pinned,
+        );
+        let mut g = pdgc::core::build::build_ifg(&lowered.func, &analyses.liveness, &nodes);
+        let mut m = VecIfg::of(&g);
+        same_as_model(&g, &m, 0)?;
+        let n = g.num_nodes();
+        let splice = nodes.live_range_nodes().flat_map(|a| {
+            nodes.live_range_nodes().map(move |b| (a, b))
+        }).find(|&(a, b)| {
+            a != b
+                && !g.interferes(a, b)
+                && g.neighbors_slice(b).iter().any(|&x| !g.interferes(a, x) && x != a)
+        });
+        prop_assume!(splice.is_some());
+        let (a, b) = splice.unwrap();
+        let first = (3, a.index(), b.index());
+        prop_assert!(apply_to_both(&mut g, &mut m, first, 1)? > 0);
+        for (step, (kind, x, y)) in ops.into_iter().enumerate() {
+            apply_to_both(&mut g, &mut m, (kind, x % n, y % n), step + 2)?;
+        }
+    }
+}
