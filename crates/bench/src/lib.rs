@@ -1,5 +1,6 @@
 //! Benchmark harness shared by the figure-regeneration binaries
-//! (`fig7`, `fig9`, `fig10`, `fig11`) and the Criterion benches.
+//! (`fig7`, `fig9`, `fig10`, `fig11`, `extras`), the batch driver, the
+//! corpus runner and the allocation daemon.
 //!
 //! The quantities mirror the paper's §6:
 //!

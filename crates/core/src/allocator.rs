@@ -178,7 +178,7 @@ impl ClassStrategy for PreferenceAllocator {
             nonvolatile_first: !self.prefs.volatility,
         };
         let timer = PhaseTimer::start(Phase::Select, round, Some(class));
-        let res = select_traced_in(
+        let mut res = select_traced_in(
             &ctx.ifg,
             &ctx.nodes,
             &rpg,
@@ -194,14 +194,12 @@ impl ClassStrategy for PreferenceAllocator {
         timer.stop(&mut cls.select.metrics, tracer);
         cpg.recycle(&mut cls.cpg);
         rpg.recycle(&mut cls.rpg);
-        let mut assignment = res.assignment;
-        let mut spilled = res.spilled;
         if self.pre_coalesce {
             // Merged nodes share their representative's fate. They spill
             // after every representative, in node order: that order
             // numbers the frame slots.
             let mut rep_spilled = vec![false; ctx.nodes.num_nodes()];
-            for s in &spilled {
+            for s in &res.spilled {
                 rep_spilled[s.index()] = true;
             }
             for n in ctx
@@ -211,14 +209,14 @@ impl ClassStrategy for PreferenceAllocator {
             {
                 let r = ctx.ifg.rep(n);
                 if rep_spilled[r.index()] {
-                    spilled.push(n);
+                    res.spilled.push(n);
                 } else {
-                    assignment[n.index()] = assignment[r.index()];
+                    res.assignment[n.index()] = res.assignment[r.index()];
                 }
             }
         }
         ctx.scratch = cls;
-        RoundOutcome { assignment, spilled }
+        res
     }
 }
 

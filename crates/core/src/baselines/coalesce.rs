@@ -9,6 +9,7 @@ use crate::node::{NodeId, NodeMap};
 use crate::pipeline::{ClassCtx, RoundOutcome};
 use crate::select::{taken, RegFile};
 use crate::simplify::{simplify_in, SimplifyMode, SimplifyResult};
+use pdgc_arena::RowTable;
 use pdgc_obs::{Phase, PhaseTimer, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
@@ -153,42 +154,27 @@ pub(crate) fn color_stack(
 
 /// Each representative's copy partners, in copy order: a copy between
 /// distinct representatives `x` and `y` lists `y` under `x` and `x` under
-/// `y`. Stored as one flat list with per-node offsets.
+/// `y`. One row per node.
 pub(super) struct CopyPartners {
-    start: Vec<usize>,
-    partners: Vec<NodeId>,
+    partners: RowTable<NodeId>,
 }
 
 impl CopyPartners {
     pub(super) fn new(ifg: &InterferenceGraph, copies: &[CopyRel]) -> Self {
-        let ends = || {
+        let mut partners = RowTable::new();
+        partners.fill_counted(ifg.num_nodes(), || {
             copies
                 .iter()
                 .map(|c| (ifg.rep(c.dst), ifg.rep(c.src)))
                 .filter(|(x, y)| x != y)
-        };
-        let mut start = vec![0; ifg.num_nodes() + 1];
-        for (x, y) in ends() {
-            start[x.index() + 1] += 1;
-            start[y.index() + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut fill = start.clone();
-        let mut partners = vec![NodeId::new(0); start[ifg.num_nodes()]];
-        for (x, y) in ends() {
-            for (me, other) in [(x, y), (y, x)] {
-                partners[fill[me.index()]] = other;
-                fill[me.index()] += 1;
-            }
-        }
-        CopyPartners { start, partners }
+                .flat_map(|(x, y)| [(x.index(), y), (y.index(), x)])
+        });
+        CopyPartners { partners }
     }
 
     /// The copy partners of representative `n`.
     pub(super) fn of(&self, n: NodeId) -> &[NodeId] {
-        &self.partners[self.start[n.index()]..self.start[n.index() + 1]]
+        self.partners.row(n.index())
     }
 }
 
@@ -202,26 +188,25 @@ pub(crate) fn expand_merged(
     mut assignment: Vec<Option<PhysReg>>,
     spilled_reps: &[NodeId],
 ) -> RoundOutcome {
-    let nn = nodes.num_nodes();
-    let mut rep_spilled = vec![false; nn];
+    let mut rep_spilled = vec![false; nodes.num_nodes()];
     for s in spilled_reps {
         rep_spilled[s.index()] = true;
     }
-    // `first[r]` and `next[n]` thread each spilled representative's
-    // members in node order (built back to front).
-    let (mut first, mut next) = (vec![None; nn], vec![None; nn]);
-    for n in nodes.live_range_nodes().rev() {
+    for n in nodes.live_range_nodes() {
         let r = ifg.rep(n).index();
-        if rep_spilled[r] {
-            assignment[n.index()] = None;
-            next[n.index()] = first[r].replace(n);
-        } else {
-            assignment[n.index()] = assignment[r];
-        }
+        assignment[n.index()] = if rep_spilled[r] { None } else { assignment[r] };
     }
+    // Row `r`: the members of spilled representative `r`, in node order.
+    let mut members = RowTable::new();
+    members.fill_counted(nodes.num_nodes(), || {
+        nodes.live_range_nodes().filter_map(|n| {
+            let r = ifg.rep(n).index();
+            rep_spilled[r].then_some((r, n))
+        })
+    });
     let spilled = spilled_reps
         .iter()
-        .flat_map(|s| std::iter::successors(first[s.index()], |n| next[n.index()]))
+        .flat_map(|s| members.row(s.index()).iter().copied())
         .collect();
     RoundOutcome {
         assignment,

@@ -23,7 +23,7 @@ use crate::build::{build_ifg_in, collect_copies_in, CopyRel};
 use crate::cost::{CostModel, CostTable};
 use crate::ifg::InterferenceGraph;
 use crate::lower::{lower_abi, Lowered, LowerError};
-use crate::node::{NodeId, NodeMap};
+use crate::node::NodeMap;
 use crate::rewrite::rewrite_in;
 use crate::scratch::{ClassScratch, PhaseScratch};
 use crate::select::SelectResult;
@@ -137,14 +137,10 @@ impl ClassCtx<'_> {
     }
 }
 
-/// One class round's outcome: an assignment per node, plus spill decisions.
-#[derive(Clone, Debug)]
-pub struct RoundOutcome {
-    /// Register per node (`None` for spilled / untouched).
-    pub assignment: Vec<Option<PhysReg>>,
-    /// Nodes to spill (the pipeline splits their member vregs).
-    pub spilled: Vec<NodeId>,
-}
+/// One class round's outcome: an assignment per node, plus the nodes to
+/// spill (the pipeline splits their member vregs). Every strategy returns
+/// the shape select produces.
+pub type RoundOutcome = SelectResult;
 
 /// A register-allocation strategy for one class, one round.
 pub trait ClassStrategy {
@@ -454,11 +450,7 @@ fn pipeline<S: ClassStrategy + ?Sized>(
                 }
             }
             recycle_class_ctx(ctx, scratch);
-            SelectResult {
-                assignment: outcome.assignment,
-                spilled: outcome.spilled,
-            }
-            .recycle(&mut scratch.class.select);
+            outcome.recycle(&mut scratch.class.select);
             // The strategy recorded its per-class metrics (coalesce/
             // simplify/select latency, screening outcomes) into the class
             // scratch it took; hoist them into the worker registry.

@@ -16,10 +16,9 @@
 
 use crate::scratch::PhaseScratch;
 use crate::stats::AllocStats;
-use pdgc_analysis::{Cfg, Liveness};
-use pdgc_ir::{Function, Inst, VReg};
-use pdgc_target::{MInst, MachFunction, PhysReg, TargetDesc};
-use std::collections::HashMap;
+use pdgc_analysis::{BitSet, Cfg, Liveness};
+use pdgc_ir::{Function, Inst, RegClass, VReg};
+use pdgc_target::{MInst, MachFunction, PhysReg, TargetDesc, MAX_REGS};
 
 /// Applies `assignment` (one register per live virtual register) to the
 /// lowered, spill-free function and produces machine code, drawing its
@@ -48,33 +47,10 @@ pub fn rewrite_in(
             .unwrap_or_else(|| panic!("rewrite: {v} in {} has no register", func.name))
     };
 
-    // Live-across sets per call site for caller-save insertion.
     let cfg = Cfg::compute_in(func, &mut scratch.liveness.cfg);
     let liveness = Liveness::compute_in(func, &cfg, &mut scratch.liveness);
-    let mut across: HashMap<(usize, usize), Vec<PhysReg>> = HashMap::new();
-    for b in func.block_ids() {
-        liveness.for_each_inst_backward(func, b, |i, inst, live_after| {
-            if !inst.is_call() {
-                return;
-            }
-            let def = inst.def();
-            let mut regs: Vec<PhysReg> = live_after
-                .iter()
-                .map(VReg::new)
-                .filter(|&v| Some(v) != def)
-                .map(reg_of)
-                .filter(|&r| target.is_volatile(r))
-                .collect();
-            regs.sort();
-            regs.dedup();
-            if !regs.is_empty() {
-                across.insert((b.index(), i), regs);
-            }
-        });
-    }
+    let RewriteScratch { live, saves } = &mut scratch.rewrite;
 
-    let mut save_slot: HashMap<PhysReg, u32> = HashMap::new();
-    let mut next_slot = spill_slots;
     stats.copies_before += func.num_copies();
     for blk in &func.blocks {
         for inst in &blk.insts {
@@ -84,10 +60,37 @@ pub fn rewrite_in(
         }
     }
 
+    // Caller-save shadow slots, one per register, numbered in first use.
+    let mut save_slot = [[None::<u32>; MAX_REGS]; RegClass::ALL.len()];
+    let mut next_slot = spill_slots;
+    let mut slot_of = |r: PhysReg| {
+        *save_slot[r.class().index()][r.index()].get_or_insert_with(|| {
+            next_slot += 1;
+            next_slot - 1
+        })
+    };
+
     let mut blocks: Vec<Vec<MInst>> = scratch.mach_blocks.take(func.num_blocks());
     for b in func.block_ids() {
+        // The volatile registers live across each call of the block, last
+        // call first, as one mask per class.
+        saves.clear();
+        liveness.for_each_inst_backward_in(func, b, live, |_, inst, live_after| {
+            if !inst.is_call() {
+                return;
+            }
+            let def = inst.def();
+            let mut across = [0u64; RegClass::ALL.len()];
+            for v in live_after.iter().map(VReg::new).filter(|&v| Some(v) != def) {
+                let r = reg_of(v);
+                if target.is_volatile(r) {
+                    across[r.class().index()] |= 1 << r.index();
+                }
+            }
+            saves.push(across);
+        });
         let out = &mut blocks[b.index()];
-        for (i, inst) in func.block(b).insts.iter().enumerate() {
+        for inst in &func.block(b).insts {
             match inst {
                 Inst::Copy { dst, src } => {
                     let (d, s) = (reg_of(*dst), reg_of(*src));
@@ -148,29 +151,24 @@ pub fn rewrite_in(
                     imm: *imm,
                 }),
                 Inst::Call { callee, args, ret } => {
-                    let saves = across
-                        .get(&(b.index(), i))
-                        .cloned()
-                        .unwrap_or_default();
-                    for &r in &saves {
-                        let slot = *save_slot.entry(r).or_insert_with(|| {
-                            let s = next_slot;
-                            next_slot += 1;
-                            s
-                        });
+                    let across = saves.pop().unwrap_or_default();
+                    for r in regs_in(across) {
                         stats.caller_save_insts += 1;
-                        out.push(MInst::SpillStore { src: r, slot });
+                        out.push(MInst::SpillStore {
+                            src: r,
+                            slot: slot_of(r),
+                        });
                     }
                     out.push(MInst::Call {
                         callee: *callee,
                         arg_regs: args.iter().map(|&a| reg_of(a)).collect(),
                         ret_reg: ret.map(reg_of),
                     });
-                    for &r in &saves {
+                    for r in regs_in(across) {
                         stats.caller_save_insts += 1;
                         out.push(MInst::SpillLoad {
                             dst: r,
-                            slot: save_slot[&r],
+                            slot: slot_of(r),
                         });
                     }
                 }
@@ -248,6 +246,31 @@ pub fn rewrite_in(
         used_nonvolatiles: written,
         callees: func.callees.clone(),
     }
+}
+
+/// Reusable storage for [`rewrite_in`]'s caller-save query.
+#[derive(Debug, Default)]
+pub struct RewriteScratch {
+    /// The running live set of a block's backward walk.
+    live: BitSet,
+    /// One block's calls, last first: the volatile registers live across
+    /// each, one mask per class.
+    saves: Vec<[u64; RegClass::ALL.len()]>,
+}
+
+/// The registers set in per-class masks, in [`PhysReg`] order: class,
+/// then index.
+fn regs_in(masks: [u64; RegClass::ALL.len()]) -> impl Iterator<Item = PhysReg> {
+    RegClass::ALL.into_iter().flat_map(move |class| {
+        let mut mask = masks[class.index()];
+        std::iter::from_fn(move || {
+            let i = mask.trailing_zeros() as u8;
+            (mask != 0).then(|| {
+                mask &= mask - 1;
+                PhysReg::new(class, i)
+            })
+        })
+    })
 }
 
 /// Fuses `Load r1, [b+o]; ...; Load r2, [b+o±stride]` into a `LoadPair`

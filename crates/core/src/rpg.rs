@@ -20,7 +20,7 @@ use crate::cost::CostModel;
 use crate::node::{NodeId, NodeMap};
 use pdgc_analysis::InstRef;
 use pdgc_arena::RowTable;
-use pdgc_ir::{Function, Inst, VReg};
+use pdgc_ir::{Function, Inst, RegClass, VReg};
 use pdgc_target::TargetDesc;
 
 /// The kind of preference an RPG edge expresses.
@@ -218,9 +218,11 @@ pub struct LoadPairCandidate {
     pub dst2: VReg,
 }
 
-/// Finds paired-load candidates: two loads in one block from `base+o` and
-/// `base+o+stride`, with no intervening redefinition of the base or first
-/// destination, store, or call. Each load joins at most one candidate.
+/// Finds `class`'s paired-load candidates: two loads in one block from
+/// `base+o` and `base+o+stride`, with no intervening redefinition of the
+/// base or first destination, store, or call. Each load joins at most one
+/// candidate; a load already claimed by a pair is still scanned past, and
+/// still stops the scan if it redefines the base or first destination.
 ///
 /// The stride and the first word's alignment come from the target's
 /// per-class [`PairRule`](pdgc_target::PairRule); a class without a pair
@@ -231,9 +233,13 @@ pub struct LoadPairCandidate {
 fn find_load_pairs_in(
     func: &Function,
     target: &TargetDesc,
+    class: RegClass,
     used: &mut Vec<bool>,
     out: &mut Vec<LoadPairCandidate>,
 ) {
+    let Some(rule) = target.pair_rule(class) else {
+        return;
+    };
     for b in func.block_ids() {
         let insts = &func.block(b).insts;
         used.clear();
@@ -245,25 +251,20 @@ fn find_load_pairs_in(
             let Inst::Load { dst, base, offset } = insts[i] else {
                 continue;
             };
-            let Some(rule) = target.pair_rule(func.class_of(dst)) else {
-                continue;
-            };
-            if !rule.aligned(offset) {
+            if func.class_of(dst) != class || !rule.aligned(offset) {
                 continue;
             }
             'scan: for (j, cand) in insts.iter().enumerate().skip(i + 1) {
-                if used[j] {
-                    continue;
-                }
                 match cand {
                     Inst::Load {
                         dst: dst2,
                         base: base2,
                         offset: offset2,
-                    } if *base2 == base
+                    } if !used[j]
+                        && *base2 == base
                         && *offset2 == offset + rule.stride()
                         && *dst2 != dst
-                        && func.class_of(*dst2) == func.class_of(dst) =>
+                        && func.class_of(*dst2) == class =>
                     {
                         used[i] = true;
                         used[j] = true;
@@ -275,7 +276,8 @@ fn find_load_pairs_in(
                         });
                         break 'scan;
                     }
-                    // A different load is fine to scan past.
+                    // A different load, or one already paired, is fine to
+                    // scan past.
                     Inst::Load { .. } => {}
                     Inst::Store { .. } | Inst::Call { .. } | Inst::Spill { .. } => break 'scan,
                     _ => {}
@@ -384,12 +386,18 @@ pub fn build_rpg_in(
 
     if prefs.sequential {
         scratch.pairs.clear();
-        find_load_pairs_in(func, target, &mut scratch.used, &mut scratch.pairs);
+        find_load_pairs_in(
+            func,
+            target,
+            nodes.class(),
+            &mut scratch.used,
+            &mut scratch.pairs,
+        );
+        // Each load defines its destination, so both are referenced
+        // vregs of the class and have nodes.
+        let node = |v: VReg| nodes.node_of(v).expect("a loaded vreg has a node");
         for pair in &scratch.pairs {
-            let (Some(n1), Some(n2)) = (nodes.node_of(pair.dst1), nodes.node_of(pair.dst2))
-            else {
-                continue;
-            };
+            let (n1, n2) = (node(pair.dst1), node(pair.dst2));
             if nodes.is_precolored(n1) || nodes.is_precolored(n2) || n1 == n2 {
                 continue;
             }
@@ -560,10 +568,13 @@ mod tests {
         assert_eq!(PrefTarget::low_regs(64), PrefTarget::Set(u64::MAX));
     }
 
-    /// The candidates [`find_load_pairs_in`] finds, from fresh buffers.
+    /// The candidates [`find_load_pairs_in`] finds in each class, class
+    /// after class, from fresh buffers.
     fn find_load_pairs(func: &Function, target: &TargetDesc) -> Vec<LoadPairCandidate> {
         let mut out = Vec::new();
-        find_load_pairs_in(func, target, &mut Vec::new(), &mut out);
+        for class in RegClass::ALL {
+            find_load_pairs_in(func, target, class, &mut Vec::new(), &mut out);
+        }
         out
     }
 
@@ -684,6 +695,35 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         assert!(find_load_pairs(&f, &t8()).is_empty());
+    }
+
+    /// A load an earlier pair claimed still ends the scan when it
+    /// redefines the base or the first destination: a later load of the
+    /// next word reads a new base, or follows an overwritten first word.
+    #[test]
+    fn a_claimed_load_that_redefines_still_stops_the_scan() {
+        for redefine_base in [true, false] {
+            let mut b = FunctionBuilder::new("f", vec![RegClass::Int, RegClass::Int], None);
+            let (q, p) = (b.param(0), b.param(1));
+            let x = b.load(q, 0);
+            let a = b.load(p, 0);
+            // Pairs with `x`'s load, claiming it before `a`'s scan reaches it.
+            let redefined = if redefine_base { p } else { a };
+            b.emit(Inst::Load {
+                dst: redefined,
+                base: q,
+                offset: 8,
+            });
+            let c = b.load(p, 8);
+            for (i, v) in [x, a, c].into_iter().enumerate() {
+                b.store(v, q, 64 + 8 * i as i32);
+            }
+            b.ret(None);
+            let f = b.finish();
+            let pairs = find_load_pairs(&f, &t8());
+            assert_eq!(pairs.len(), 1, "redefine_base {redefine_base}: {pairs:?}");
+            assert_eq!((pairs[0].dst1, pairs[0].dst2), (x, redefined));
+        }
     }
 
     #[test]

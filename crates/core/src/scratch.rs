@@ -21,6 +21,7 @@ use crate::build::BuildScratch;
 use crate::cpg::CpgScratch;
 use crate::ifg::IfgScratch;
 use crate::node::NodeScratch;
+use crate::rewrite::RewriteScratch;
 use crate::rpg::RpgScratch;
 use crate::select::SelectScratch;
 use crate::simplify::SimplifyScratch;
@@ -69,6 +70,8 @@ pub struct PhaseScratch {
     pub build: BuildScratch,
     /// Per-class simplify/select scratch.
     pub class: ClassScratch,
+    /// The rewriter's caller-save query: its live set and per-call masks.
+    pub rewrite: RewriteScratch,
     /// Post-allocation checker scratch.
     pub check: CheckScratch,
     /// Pool for per-node spill-cost vectors.

@@ -103,7 +103,8 @@ impl Default for SelectConfig {
     }
 }
 
-/// The outcome of selection for one class.
+/// The outcome of selection for one class, and of every class strategy's
+/// round ([`crate::pipeline::RoundOutcome`]).
 #[derive(Clone, Debug)]
 pub struct SelectResult {
     /// Register per node (precolored nodes prefilled; `None` = spilled or

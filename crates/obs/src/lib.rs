@@ -37,6 +37,71 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Declares a metric enum from one list. Each entry is a variant's doc
+/// comment, the variant and its stable snake_case name, and in a `gated`
+/// list optionally the variant's [`metrics::Gate`]. The list generates the
+/// enum (with the attributes the declaration gives, discriminants in list
+/// order), `ALL`, `COUNT`, `index()`, the name method and, when `gated`,
+/// `gate()`.
+macro_rules! metric_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $Enum:ident named $name_fn:ident, gated {
+            $( $(#[$vmeta:meta])* $Variant:ident = $name:literal $(, $gate:expr)?; )*
+        }
+    ) => {
+        metric_enum! {
+            $(#[$meta])*
+            pub enum $Enum named $name_fn {
+                $( $(#[$vmeta])* $Variant = $name; )*
+            }
+        }
+
+        impl $Enum {
+            /// How `pdgc report` gates this metric, if it is gated.
+            pub fn gate(self) -> Option<$crate::metrics::Gate> {
+                match self {
+                    $( $Enum::$Variant => metric_enum!(@gate $($gate)?), )*
+                }
+            }
+        }
+    };
+    (@gate) => { None };
+    (@gate $gate:expr) => { Some($gate) };
+    (
+        $(#[$meta:meta])*
+        pub enum $Enum:ident named $name_fn:ident {
+            $( $(#[$vmeta:meta])* $Variant:ident = $name:literal; )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $Enum {
+            $( $(#[$vmeta])* $Variant, )*
+        }
+
+        impl $Enum {
+            /// Every variant, in array order.
+            pub const ALL: [$Enum; $Enum::COUNT] = [$( $Enum::$Variant ),*];
+
+            /// Number of variants.
+            pub const COUNT: usize = [$( $name ),*].len();
+
+            /// Stable snake_case name, the key snapshots, traces and JSON
+            /// records use.
+            pub fn $name_fn(self) -> &'static str {
+                match self {
+                    $( $Enum::$Variant => $name, )*
+                }
+            }
+
+            /// Dense index (position in `ALL`).
+            pub fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
 pub mod json;
 pub mod metrics;
 mod sinks;
@@ -48,69 +113,32 @@ use pdgc_ir::RegClass;
 use pdgc_target::PhysReg;
 use std::time::Instant;
 
-/// A pipeline phase, in execution order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Phase {
-    /// ABI lowering (argument homing, call sequences).
-    Lower,
-    /// CFG, liveness, loops, call crossings, the per-vreg cost table.
-    Analyze,
-    /// Node universe + interference graph + copy collection.
-    Build,
-    /// Register Preference Graph construction.
-    Rpg,
-    /// Coalescing (aggressive, conservative, or pre-coalescing).
-    Coalesce,
-    /// Chaitin/Briggs graph simplification.
-    Simplify,
-    /// Coloring Precedence Graph construction from the simplify stack.
-    Cpg,
-    /// Register selection (preference-directed or stack coloring).
-    Select,
-    /// Spill-code insertion between rounds.
-    Spill,
-    /// Post-allocation rewrite (copy elimination, caller saves, pairing).
-    Rewrite,
-    /// Post-allocation symbolic checking (`pdgc-check`).
-    Check,
-}
-
-impl Phase {
-    /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 11] = [
-        Phase::Lower,
-        Phase::Analyze,
-        Phase::Build,
-        Phase::Rpg,
-        Phase::Coalesce,
-        Phase::Simplify,
-        Phase::Cpg,
-        Phase::Select,
-        Phase::Spill,
-        Phase::Rewrite,
-        Phase::Check,
-    ];
-
-    /// Stable lower-case name used in traces and JSON records.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Lower => "lower",
-            Phase::Analyze => "analyze",
-            Phase::Build => "build",
-            Phase::Rpg => "rpg",
-            Phase::Coalesce => "coalesce",
-            Phase::Simplify => "simplify",
-            Phase::Cpg => "cpg",
-            Phase::Select => "select",
-            Phase::Spill => "spill",
-            Phase::Rewrite => "rewrite",
-            Phase::Check => "check",
-        }
-    }
-
-    /// Dense index (position in [`Phase::ALL`]).
-    pub fn index(self) -> usize {
-        self as usize
+metric_enum! {
+    /// A pipeline phase, in execution order.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub enum Phase named as_str {
+        /// ABI lowering (argument homing, call sequences).
+        Lower = "lower";
+        /// CFG, liveness, loops, call crossings, the per-vreg cost table.
+        Analyze = "analyze";
+        /// Node universe + interference graph + copy collection.
+        Build = "build";
+        /// Register Preference Graph construction.
+        Rpg = "rpg";
+        /// Coalescing (aggressive, conservative, or pre-coalescing).
+        Coalesce = "coalesce";
+        /// Chaitin/Briggs graph simplification.
+        Simplify = "simplify";
+        /// Coloring Precedence Graph construction from the simplify stack.
+        Cpg = "cpg";
+        /// Register selection (preference-directed or stack coloring).
+        Select = "select";
+        /// Spill-code insertion between rounds.
+        Spill = "spill";
+        /// Post-allocation rewrite (copy elimination, caller saves, pairing).
+        Rewrite = "rewrite";
+        /// Post-allocation symbolic checking (`pdgc-check`).
+        Check = "check";
     }
 }
 

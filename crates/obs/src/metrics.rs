@@ -31,321 +31,216 @@
 use crate::json::JsonObject;
 use crate::Phase;
 
-/// Number of pipeline phases ([`Phase::ALL`]).
-const N_PHASES: usize = Phase::ALL.len();
-
 /// Log₂ buckets per histogram.
 pub const HIST_BUCKETS: usize = 64;
 
-/// A named monotonic counter.
-///
-/// The discriminant is the index into the registry's counter array; the
-/// stable snake_case name ([`Counter::name`]) is what snapshots and the
-/// `pdgc report` gate key on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Counter {
-    /// Functions pushed through the pipeline to completion.
-    FuncsAllocated,
-    /// Sum of per-function round counts.
-    RoundsTotal,
-    /// Copies present before allocation (post ABI/φ lowering).
-    CopiesBefore,
-    /// Copies removed by coalescing.
-    MovesEliminated,
-    /// Copies remaining in machine code.
-    CopiesRemaining,
-    /// Reloads inserted by spilling.
-    SpillLoads,
-    /// Stores inserted by spilling.
-    SpillStores,
-    /// Total spill instructions.
-    SpillInstructions,
-    /// Caller-side save/restore instructions around calls.
-    CallerSaveInsts,
-    /// Distinct non-volatile registers used (prologue/epilogue cost).
-    NonvolatilesUsed,
-    /// Loads whose fusion window contained an address partner (a fusion
-    /// *opportunity*, whether or not register constraints allowed it).
-    PairedLoadCandidates,
-    /// Paired loads actually fused by the rewriter.
-    PairedLoadsFused,
-    /// Zero-extensions inserted after byte loads.
-    ZeroExtensions,
-    /// Frame slots used.
-    FrameSlots,
-    /// Select verdicts: node received a register.
-    SelectAssigned,
-    /// Select verdicts: spilled because no register was available.
-    SelectSpilledNoRegister,
-    /// Select verdicts: §5.4 active spill (strongest preference negative).
-    SelectSpilledPreferMemory,
-    /// Undirected edges of every interference graph the build produced
-    /// (the precolored clique included).
-    BuildIfgEdges,
-    /// Words the build ORed into interference-matrix rows: one row's
-    /// worth per definition in the class, and per entry live-in.
-    BuildRowWords,
-    /// Nodes of every class universe the build produced (precolored
-    /// included), summed over every build.
-    BuildNodes,
-    /// Bit-matrix words every build zeroed: nodes × row words per graph.
-    BuildMatrixWords,
-    /// Preferences of every Register Preference Graph built.
-    RpgPrefs,
-    /// Entries simplify popped off its spill-candidate heap, stale ones
-    /// included (simplify's blocked branch, `iterated`'s step 4 and the
-    /// call-cost baseline's blocked branch).
-    SimplifySpillPops,
-    /// Edges built into Coloring Precedence Graphs (sentinel edges
-    /// excluded).
-    CpgEdges,
-    /// Ready-frontier size at each select pick, summed over the picks.
-    SelectFrontierScanned,
-    /// Strength differentials select recomputed after an assignment made
-    /// them stale.
-    SelectDiffRecomputes,
-    /// Entries select popped off its frontier heap, stale ones included.
-    SelectHeapPops,
-    /// Coalesce preferences whose screen narrowed the candidate set.
-    PrefCoalesceHonored,
-    /// Coalesce preferences screened for an unallocated partner (2.2).
-    PrefCoalesceDeferred,
-    /// Coalesce preferences skipped (screen would empty the set / no gain).
-    PrefCoalesceSkipped,
-    /// Plus-stride sequential-pair preferences honored.
-    PrefSeqPlusHonored,
-    /// Plus-stride sequential-pair preferences deferred.
-    PrefSeqPlusDeferred,
-    /// Plus-stride sequential-pair preferences skipped.
-    PrefSeqPlusSkipped,
-    /// Minus-stride sequential-pair preferences honored.
-    PrefSeqMinusHonored,
-    /// Minus-stride sequential-pair preferences deferred.
-    PrefSeqMinusDeferred,
-    /// Minus-stride sequential-pair preferences skipped.
-    PrefSeqMinusSkipped,
-    /// Register/set preferences (`prefers`) honored.
-    PrefPrefersHonored,
-    /// Register/set preferences deferred.
-    PrefPrefersDeferred,
-    /// Register/set preferences skipped.
-    PrefPrefersSkipped,
-    /// Symbolic-checker invocations.
-    CheckRuns,
-    /// Reachable blocks the checker proved.
-    CheckBlocksProven,
-    /// IR instructions the checker matched.
-    CheckIrInsts,
-    /// Machine instructions the checker consumed.
-    CheckMachInsts,
-    /// Fused paired loads the checker validated.
-    CheckPairedLoads,
-    /// Rules broken across all checker rejections.
-    CheckViolations,
-    /// JSONL requests a `pdgc serve` session received (well-formed or not).
-    ServeRequests,
-    /// Requests answered with an error response (parse/validation/allocation).
-    ServeErrors,
-    /// Requests whose handling panicked, answered with an `internal error`
-    /// response (each is also a serve error).
-    ServePanics,
-    /// Allocation-cache lookups answered from the cache.
-    CacheHits,
-    /// Allocation-cache lookups that had to allocate.
-    CacheMisses,
-    /// Entries inserted into the allocation cache.
-    CacheInsertions,
-    /// Entries evicted to keep the cache under its capacity.
-    CacheEvictions,
-    /// Cache hits re-proven by the sampled symbolic check.
-    CacheHitChecks,
-    /// Analysis rounds whose CFG decomposed into SPL regions: the rounds
-    /// where reload forwarding may run.
-    SplAnalysesFast,
-    /// Analysis rounds whose CFG did not decompose (no forwarding).
-    SplAnalysesFallback,
-    /// Composite SPL regions built across all analysis rounds.
-    SplRegions,
-    /// Loop regions (while-shaped plus self-loops) among them.
-    SplLoopRegions,
-    /// Reloads avoided by forwarding along SPL linear runs.
-    SplForwardedReloads,
+metric_enum! {
+    /// A named monotonic counter.
+    ///
+    /// The discriminant is the index into the registry's counter array; the
+    /// stable snake_case name ([`Counter::name`]) is what snapshots and the
+    /// `pdgc report` gate key on. A counter's [`Gate`], if it has one, is
+    /// how `pdgc report` judges it against a baseline.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    #[repr(usize)]
+    pub enum Counter named name, gated {
+        /// Functions pushed through the pipeline to completion.
+        FuncsAllocated = "funcs_allocated", Gate::Exact;
+        /// Sum of per-function round counts.
+        RoundsTotal = "rounds_total", Gate::HigherIsWorse(2);
+        /// Copies present before allocation (post ABI/φ lowering).
+        CopiesBefore = "copies_before";
+        /// Copies removed by coalescing.
+        MovesEliminated = "moves_eliminated", Gate::LowerIsWorse(2);
+        /// Copies remaining in machine code.
+        CopiesRemaining = "copies_remaining", Gate::HigherIsWorse(2);
+        /// Reloads inserted by spilling.
+        SpillLoads = "spill_loads", Gate::HigherIsWorse(2);
+        /// Stores inserted by spilling.
+        SpillStores = "spill_stores", Gate::HigherIsWorse(2);
+        /// Total spill instructions.
+        SpillInstructions = "spill_instructions", Gate::HigherIsWorse(2);
+        /// Caller-side save/restore instructions around calls.
+        CallerSaveInsts = "caller_save_insts", Gate::HigherIsWorse(5);
+        /// Distinct non-volatile registers used (prologue/epilogue cost).
+        NonvolatilesUsed = "nonvolatiles_used";
+        /// Loads whose fusion window contained an address partner (a fusion
+        /// *opportunity*, whether or not register constraints allowed it).
+        PairedLoadCandidates = "paired_load_candidates";
+        /// Paired loads actually fused by the rewriter.
+        PairedLoadsFused = "paired_loads_fused", Gate::LowerIsWorse(2);
+        /// Zero-extensions inserted after byte loads.
+        ZeroExtensions = "zero_extensions", Gate::HigherIsWorse(5);
+        /// Frame slots used.
+        FrameSlots = "frame_slots";
+        /// Select verdicts: node received a register.
+        SelectAssigned = "select_assigned";
+        /// Select verdicts: spilled because no register was available.
+        SelectSpilledNoRegister = "select_spilled_no_register";
+        /// Select verdicts: §5.4 active spill (strongest preference negative).
+        SelectSpilledPreferMemory = "select_spilled_prefer_memory";
+        // Work done by the interference-graph build, the RPG build,
+        // simplify's spill-candidate heap, the CPG build and select's
+        // frontier loop. Each is an exact function of the allocation, so
+        // any growth means a hot loop does more work for the same result.
+        /// Undirected edges of every interference graph the build produced
+        /// (the precolored clique included).
+        BuildIfgEdges = "build_ifg_edges", Gate::HigherIsWorse(0);
+        /// Words the build ORed into interference-matrix rows: one row's
+        /// worth per definition in the class, and per entry live-in.
+        BuildRowWords = "build_row_words", Gate::HigherIsWorse(0);
+        /// Nodes of every class universe the build produced (precolored
+        /// included), summed over every build.
+        BuildNodes = "build_nodes", Gate::HigherIsWorse(0);
+        /// Bit-matrix words every build zeroed: nodes × row words per graph.
+        BuildMatrixWords = "build_matrix_words", Gate::HigherIsWorse(0);
+        /// Preferences of every Register Preference Graph built.
+        RpgPrefs = "rpg_prefs", Gate::HigherIsWorse(0);
+        /// Entries simplify popped off its spill-candidate heap, stale ones
+        /// included (simplify's blocked branch, `iterated`'s step 4 and the
+        /// call-cost baseline's blocked branch).
+        SimplifySpillPops = "simplify_spill_pops", Gate::HigherIsWorse(0);
+        /// Edges built into Coloring Precedence Graphs (sentinel edges
+        /// excluded).
+        CpgEdges = "cpg_edges", Gate::HigherIsWorse(0);
+        /// Ready-frontier size at each select pick, summed over the picks.
+        SelectFrontierScanned = "select_frontier_scanned", Gate::HigherIsWorse(0);
+        /// Strength differentials select recomputed after an assignment made
+        /// them stale.
+        SelectDiffRecomputes = "select_diff_recomputes", Gate::HigherIsWorse(0);
+        /// Entries select popped off its frontier heap, stale ones included.
+        SelectHeapPops = "select_heap_pops", Gate::HigherIsWorse(0);
+        /// Coalesce preferences whose screen narrowed the candidate set.
+        PrefCoalesceHonored = "pref_coalesce_honored", Gate::LowerIsWorse(5);
+        /// Coalesce preferences screened for an unallocated partner (2.2).
+        PrefCoalesceDeferred = "pref_coalesce_deferred";
+        /// Coalesce preferences skipped (screen would empty the set / no gain).
+        PrefCoalesceSkipped = "pref_coalesce_skipped";
+        /// Plus-stride sequential-pair preferences honored.
+        PrefSeqPlusHonored = "pref_seq_plus_honored", Gate::LowerIsWorse(5);
+        /// Plus-stride sequential-pair preferences deferred.
+        PrefSeqPlusDeferred = "pref_seq_plus_deferred";
+        /// Plus-stride sequential-pair preferences skipped.
+        PrefSeqPlusSkipped = "pref_seq_plus_skipped";
+        /// Minus-stride sequential-pair preferences honored.
+        PrefSeqMinusHonored = "pref_seq_minus_honored", Gate::LowerIsWorse(5);
+        /// Minus-stride sequential-pair preferences deferred.
+        PrefSeqMinusDeferred = "pref_seq_minus_deferred";
+        /// Minus-stride sequential-pair preferences skipped.
+        PrefSeqMinusSkipped = "pref_seq_minus_skipped";
+        /// Register/set preferences (`prefers`) honored.
+        PrefPrefersHonored = "pref_prefers_honored", Gate::LowerIsWorse(5);
+        /// Register/set preferences deferred.
+        PrefPrefersDeferred = "pref_prefers_deferred";
+        /// Register/set preferences skipped.
+        PrefPrefersSkipped = "pref_prefers_skipped";
+        /// Symbolic-checker invocations.
+        CheckRuns = "check_runs";
+        /// Reachable blocks the checker proved.
+        CheckBlocksProven = "check_blocks_proven";
+        /// IR instructions the checker matched.
+        CheckIrInsts = "check_ir_insts";
+        /// Machine instructions the checker consumed.
+        CheckMachInsts = "check_mach_insts";
+        /// Fused paired loads the checker validated.
+        CheckPairedLoads = "check_paired_loads";
+        /// Rules broken across all checker rejections.
+        CheckViolations = "check_violations", Gate::HigherIsWorse(0);
+        /// JSONL requests a `pdgc serve` session received (well-formed or not).
+        ServeRequests = "serve_requests";
+        /// Requests answered with an error response (parse/validation/allocation).
+        ServeErrors = "serve_errors";
+        /// Requests whose handling panicked, answered with an `internal error`
+        /// response (each is also a serve error).
+        ServePanics = "serve_panics";
+        /// Allocation-cache lookups answered from the cache.
+        CacheHits = "cache_hits";
+        /// Allocation-cache lookups that had to allocate.
+        CacheMisses = "cache_misses";
+        /// Entries inserted into the allocation cache.
+        CacheInsertions = "cache_insertions";
+        /// Entries evicted to keep the cache under its capacity.
+        CacheEvictions = "cache_evictions";
+        /// Cache hits re-proven by the sampled symbolic check.
+        CacheHitChecks = "cache_hit_checks";
+        // SPL coverage: fewer decomposed rounds, or more fallbacks, means
+        // the recognizer stopped matching shapes it used to handle, so
+        // reload forwarding runs less. Region counts are workload shape.
+        /// Analysis rounds whose CFG decomposed into SPL regions: the rounds
+        /// where reload forwarding may run.
+        SplAnalysesFast = "spl_analyses_fast", Gate::LowerIsWorse(0);
+        /// Analysis rounds whose CFG did not decompose (no forwarding).
+        SplAnalysesFallback = "spl_analyses_fallback", Gate::HigherIsWorse(0);
+        /// Composite SPL regions built across all analysis rounds.
+        SplRegions = "spl_regions", Gate::Exact;
+        /// Loop regions (while-shaped plus self-loops) among them.
+        SplLoopRegions = "spl_loop_regions", Gate::Exact;
+        /// Reloads avoided by forwarding along SPL linear runs.
+        SplForwardedReloads = "spl_forwarded_reloads";
+    }
 }
 
-impl Counter {
-    /// Every counter, in array order.
-    pub const ALL: [Counter; 58] = [
-        Counter::FuncsAllocated,
-        Counter::RoundsTotal,
-        Counter::CopiesBefore,
-        Counter::MovesEliminated,
-        Counter::CopiesRemaining,
-        Counter::SpillLoads,
-        Counter::SpillStores,
-        Counter::SpillInstructions,
-        Counter::CallerSaveInsts,
-        Counter::NonvolatilesUsed,
-        Counter::PairedLoadCandidates,
-        Counter::PairedLoadsFused,
-        Counter::ZeroExtensions,
-        Counter::FrameSlots,
-        Counter::SelectAssigned,
-        Counter::SelectSpilledNoRegister,
-        Counter::SelectSpilledPreferMemory,
-        Counter::BuildIfgEdges,
-        Counter::BuildRowWords,
-        Counter::BuildNodes,
-        Counter::BuildMatrixWords,
-        Counter::RpgPrefs,
-        Counter::SimplifySpillPops,
-        Counter::CpgEdges,
-        Counter::SelectFrontierScanned,
-        Counter::SelectDiffRecomputes,
-        Counter::SelectHeapPops,
-        Counter::PrefCoalesceHonored,
-        Counter::PrefCoalesceDeferred,
-        Counter::PrefCoalesceSkipped,
-        Counter::PrefSeqPlusHonored,
-        Counter::PrefSeqPlusDeferred,
-        Counter::PrefSeqPlusSkipped,
-        Counter::PrefSeqMinusHonored,
-        Counter::PrefSeqMinusDeferred,
-        Counter::PrefSeqMinusSkipped,
-        Counter::PrefPrefersHonored,
-        Counter::PrefPrefersDeferred,
-        Counter::PrefPrefersSkipped,
-        Counter::CheckRuns,
-        Counter::CheckBlocksProven,
-        Counter::CheckIrInsts,
-        Counter::CheckMachInsts,
-        Counter::CheckPairedLoads,
-        Counter::CheckViolations,
-        Counter::ServeRequests,
-        Counter::ServeErrors,
-        Counter::ServePanics,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::CacheInsertions,
-        Counter::CacheEvictions,
-        Counter::CacheHitChecks,
-        Counter::SplAnalysesFast,
-        Counter::SplAnalysesFallback,
-        Counter::SplRegions,
-        Counter::SplLoopRegions,
-        Counter::SplForwardedReloads,
-    ];
+/// How `pdgc report` gates a counter against its baseline value: the
+/// direction of change that regresses it, with a tolerance in percent of
+/// the baseline. Every gated counter is also a regression when it is
+/// missing from the current snapshot, or zero there while nonzero in the
+/// baseline: it stopped counting.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Gate {
+    /// Growth beyond the tolerance is a regression (spills, rounds, hot-loop
+    /// work, …).
+    HigherIsWorse(u32),
+    /// Shrinkage beyond the tolerance is a regression (coalesced moves,
+    /// honored preferences, …).
+    LowerIsWorse(u32),
+    /// Any change is a regression (workload shape).
+    Exact,
+}
 
-    /// Number of counters.
-    pub const COUNT: usize = Counter::ALL.len();
-
-    /// Stable snake_case name used in snapshots and the regression gate.
-    pub fn name(self) -> &'static str {
+impl Gate {
+    /// The tolerance in percent of the baseline value.
+    pub fn tolerance_pct(self) -> u32 {
         match self {
-            Counter::FuncsAllocated => "funcs_allocated",
-            Counter::RoundsTotal => "rounds_total",
-            Counter::CopiesBefore => "copies_before",
-            Counter::MovesEliminated => "moves_eliminated",
-            Counter::CopiesRemaining => "copies_remaining",
-            Counter::SpillLoads => "spill_loads",
-            Counter::SpillStores => "spill_stores",
-            Counter::SpillInstructions => "spill_instructions",
-            Counter::CallerSaveInsts => "caller_save_insts",
-            Counter::NonvolatilesUsed => "nonvolatiles_used",
-            Counter::PairedLoadCandidates => "paired_load_candidates",
-            Counter::PairedLoadsFused => "paired_loads_fused",
-            Counter::ZeroExtensions => "zero_extensions",
-            Counter::FrameSlots => "frame_slots",
-            Counter::SelectAssigned => "select_assigned",
-            Counter::SelectSpilledNoRegister => "select_spilled_no_register",
-            Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
-            Counter::BuildIfgEdges => "build_ifg_edges",
-            Counter::BuildRowWords => "build_row_words",
-            Counter::BuildNodes => "build_nodes",
-            Counter::BuildMatrixWords => "build_matrix_words",
-            Counter::RpgPrefs => "rpg_prefs",
-            Counter::SimplifySpillPops => "simplify_spill_pops",
-            Counter::CpgEdges => "cpg_edges",
-            Counter::SelectFrontierScanned => "select_frontier_scanned",
-            Counter::SelectDiffRecomputes => "select_diff_recomputes",
-            Counter::SelectHeapPops => "select_heap_pops",
-            Counter::PrefCoalesceHonored => "pref_coalesce_honored",
-            Counter::PrefCoalesceDeferred => "pref_coalesce_deferred",
-            Counter::PrefCoalesceSkipped => "pref_coalesce_skipped",
-            Counter::PrefSeqPlusHonored => "pref_seq_plus_honored",
-            Counter::PrefSeqPlusDeferred => "pref_seq_plus_deferred",
-            Counter::PrefSeqPlusSkipped => "pref_seq_plus_skipped",
-            Counter::PrefSeqMinusHonored => "pref_seq_minus_honored",
-            Counter::PrefSeqMinusDeferred => "pref_seq_minus_deferred",
-            Counter::PrefSeqMinusSkipped => "pref_seq_minus_skipped",
-            Counter::PrefPrefersHonored => "pref_prefers_honored",
-            Counter::PrefPrefersDeferred => "pref_prefers_deferred",
-            Counter::PrefPrefersSkipped => "pref_prefers_skipped",
-            Counter::CheckRuns => "check_runs",
-            Counter::CheckBlocksProven => "check_blocks_proven",
-            Counter::CheckIrInsts => "check_ir_insts",
-            Counter::CheckMachInsts => "check_mach_insts",
-            Counter::CheckPairedLoads => "check_paired_loads",
-            Counter::CheckViolations => "check_violations",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeErrors => "serve_errors",
-            Counter::ServePanics => "serve_panics",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::CacheInsertions => "cache_insertions",
-            Counter::CacheEvictions => "cache_evictions",
-            Counter::CacheHitChecks => "cache_hit_checks",
-            Counter::SplAnalysesFast => "spl_analyses_fast",
-            Counter::SplAnalysesFallback => "spl_analyses_fallback",
-            Counter::SplRegions => "spl_regions",
-            Counter::SplLoopRegions => "spl_loop_regions",
-            Counter::SplForwardedReloads => "spl_forwarded_reloads",
+            Gate::HigherIsWorse(tol) | Gate::LowerIsWorse(tol) => tol,
+            Gate::Exact => 0,
         }
     }
 
-    /// Dense index (position in [`Counter::ALL`]).
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// A deterministic scorecard histogram (distinct from the wall-clock
-/// latency histograms, which are keyed by [`Phase`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum ValueHist {
-    /// Rounds used per function (1 = no spill iteration).
-    RoundsPerFunc,
-    /// Spill instructions inserted per function.
-    SpillsPerFunc,
-    /// `Str(V, P)` strength of every honored preference screen — the
-    /// Figure 5(a) screening outcome distribution.
-    PrefStrengthHonored,
-}
-
-impl ValueHist {
-    /// Every scorecard histogram, in array order.
-    pub const ALL: [ValueHist; 3] = [
-        ValueHist::RoundsPerFunc,
-        ValueHist::SpillsPerFunc,
-        ValueHist::PrefStrengthHonored,
-    ];
-
-    /// Number of scorecard histograms.
-    pub const COUNT: usize = ValueHist::ALL.len();
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
+    /// The direction of change that regresses the counter.
+    pub fn direction(self) -> &'static str {
         match self {
-            ValueHist::RoundsPerFunc => "rounds_per_func",
-            ValueHist::SpillsPerFunc => "spills_per_func",
-            ValueHist::PrefStrengthHonored => "pref_strength_honored",
+            Gate::HigherIsWorse(_) => "higher-is-worse",
+            Gate::LowerIsWorse(_) => "lower-is-worse",
+            Gate::Exact => "exact",
         }
     }
 
-    /// Dense index (position in [`ValueHist::ALL`]).
-    pub fn index(self) -> usize {
-        self as usize
+    /// Whether moving from `baseline` to `current` changes the counter by
+    /// more than the tolerance in the regressing direction. Integer
+    /// threshold math, with no rounding slack.
+    pub fn regressed(self, baseline: u64, current: u64) -> bool {
+        let (b, c) = (u128::from(baseline), u128::from(current));
+        match self {
+            Gate::HigherIsWorse(tol) => c * 100 > b * (100 + u128::from(tol)),
+            Gate::LowerIsWorse(tol) => c * 100 < b * 100u128.saturating_sub(tol.into()),
+            Gate::Exact => c != b,
+        }
+    }
+}
+
+metric_enum! {
+    /// A deterministic scorecard histogram (distinct from the wall-clock
+    /// latency histograms, which are keyed by [`Phase`]).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    #[repr(usize)]
+    pub enum ValueHist named name {
+        /// Rounds used per function (1 = no spill iteration).
+        RoundsPerFunc = "rounds_per_func";
+        /// Spill instructions inserted per function.
+        SpillsPerFunc = "spills_per_func";
+        /// `Str(V, P)` strength of every honored preference screen — the
+        /// Figure 5(a) screening outcome distribution.
+        PrefStrengthHonored = "pref_strength_honored";
     }
 }
 
@@ -443,7 +338,7 @@ impl Histogram {
 pub struct MetricsRegistry {
     counters: [u64; Counter::COUNT],
     values: [Histogram; ValueHist::COUNT],
-    latency: [Histogram; N_PHASES],
+    latency: [Histogram; Phase::COUNT],
 }
 
 impl Default for MetricsRegistry {
@@ -590,17 +485,50 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// Each generated enum's indices are dense, in `ALL` order, and its
+    /// names unique; counter and scorecard names share the snapshot's
+    /// namespace, so they are unique across both.
     #[test]
-    fn counter_names_are_unique_and_indices_dense() {
-        let mut names = std::collections::HashSet::new();
-        for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-            assert!(names.insert(c.name()), "duplicate name {}", c.name());
+    fn metric_names_are_unique_and_indices_dense() {
+        fn check<T: Copy>(
+            all: &[T],
+            index: fn(T) -> usize,
+            name: fn(T) -> &'static str,
+            names: &mut std::collections::HashSet<&'static str>,
+        ) {
+            for (i, &x) in all.iter().enumerate() {
+                assert_eq!(index(x), i);
+                assert!(names.insert(name(x)), "duplicate name {}", name(x));
+            }
         }
-        for (i, h) in ValueHist::ALL.iter().enumerate() {
-            assert_eq!(h.index(), i);
-            assert!(names.insert(h.name()), "duplicate name {}", h.name());
-        }
+        let mut snapshot = std::collections::HashSet::new();
+        check(&Counter::ALL, Counter::index, Counter::name, &mut snapshot);
+        check(
+            &ValueHist::ALL,
+            ValueHist::index,
+            ValueHist::name,
+            &mut snapshot,
+        );
+        assert_eq!(snapshot.len(), Counter::COUNT + ValueHist::COUNT);
+        let mut phases = std::collections::HashSet::new();
+        check(&Phase::ALL, Phase::index, Phase::as_str, &mut phases);
+        assert_eq!(phases.len(), Phase::COUNT);
+    }
+
+    #[test]
+    fn gates_apply_their_tolerance_in_their_direction() {
+        let higher = Gate::HigherIsWorse(2);
+        assert!(!higher.regressed(100, 102));
+        assert!(higher.regressed(100, 103));
+        assert!(!higher.regressed(100, 0));
+        let lower = Gate::LowerIsWorse(5);
+        assert!(!lower.regressed(100, 95));
+        assert!(lower.regressed(100, 94));
+        assert!(!lower.regressed(100, 1000));
+        assert!(Gate::HigherIsWorse(0).regressed(7, 8));
+        assert!(Gate::Exact.regressed(7, 6) && Gate::Exact.regressed(7, 8));
+        assert!(!Gate::Exact.regressed(7, 7));
+        assert_eq!(Gate::Exact.tolerance_pct(), 0);
     }
 
     #[test]

@@ -560,61 +560,6 @@ b2:
     Ok(())
 }
 
-/// Which direction of change regresses a gated counter.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Gate {
-    /// Growth beyond the tolerance is a regression (spills, rounds, …).
-    HigherIsWorse,
-    /// Shrinkage beyond the tolerance is a regression (coalesced moves,
-    /// honored preferences, …).
-    LowerIsWorse,
-    /// Any change is a regression (workload shape).
-    Exact,
-}
-
-/// The gated metrics: name in the snapshot's `counters` section, gate
-/// direction, and tolerance in percent of the baseline value.
-const GATES: &[(&str, Gate, u128)] = &[
-    ("spill_instructions", Gate::HigherIsWorse, 2),
-    ("spill_loads", Gate::HigherIsWorse, 2),
-    ("spill_stores", Gate::HigherIsWorse, 2),
-    ("copies_remaining", Gate::HigherIsWorse, 2),
-    ("rounds_total", Gate::HigherIsWorse, 2),
-    ("caller_save_insts", Gate::HigherIsWorse, 5),
-    ("zero_extensions", Gate::HigherIsWorse, 5),
-    ("check_violations", Gate::HigherIsWorse, 0),
-    ("moves_eliminated", Gate::LowerIsWorse, 2),
-    ("paired_loads_fused", Gate::LowerIsWorse, 2),
-    ("pref_coalesce_honored", Gate::LowerIsWorse, 5),
-    ("pref_seq_plus_honored", Gate::LowerIsWorse, 5),
-    ("pref_seq_minus_honored", Gate::LowerIsWorse, 5),
-    ("pref_prefers_honored", Gate::LowerIsWorse, 5),
-    ("funcs_allocated", Gate::Exact, 0),
-    // SPL coverage: `spl_analyses_fast` counts the rounds whose CFG
-    // decomposed, where reload forwarding may run. Fewer of them means the
-    // recognizer stopped matching shapes it used to handle; more fallbacks
-    // means the same thing from the other side. Region counts are workload
-    // shape, pinned exactly.
-    ("spl_analyses_fast", Gate::LowerIsWorse, 0),
-    ("spl_analyses_fallback", Gate::HigherIsWorse, 0),
-    ("spl_regions", Gate::Exact, 0),
-    ("spl_loop_regions", Gate::Exact, 0),
-    // Work done by the interference-graph build, the RPG build, simplify's
-    // spill-candidate heap, the CPG build and select's frontier loop.
-    // Each is an exact function of the allocation, so any growth means a
-    // hot loop does more work for the same result.
-    ("build_ifg_edges", Gate::HigherIsWorse, 0),
-    ("build_row_words", Gate::HigherIsWorse, 0),
-    ("build_nodes", Gate::HigherIsWorse, 0),
-    ("build_matrix_words", Gate::HigherIsWorse, 0),
-    ("rpg_prefs", Gate::HigherIsWorse, 0),
-    ("simplify_spill_pops", Gate::HigherIsWorse, 0),
-    ("cpg_edges", Gate::HigherIsWorse, 0),
-    ("select_frontier_scanned", Gate::HigherIsWorse, 0),
-    ("select_diff_recomputes", Gate::HigherIsWorse, 0),
-    ("select_heap_pops", Gate::HigherIsWorse, 0),
-];
-
 fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     pdgc::obs::json::Json::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -680,6 +625,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_report(argv: &[String]) -> Result<(), String> {
+    use pdgc::obs::Counter;
     let mut baseline: Option<String> = None;
     let mut current: Option<String> = None;
     let mut it = argv.iter();
@@ -707,32 +653,36 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
         cur["source"].as_str().unwrap_or("?"),
     );
     println!(
-        "{:<24} {:>12} {:>12} {:>8}   verdict",
-        "metric", "baseline", "current", "tol%"
+        "{:<24} {:>12} {:>12} {:>5}  {:<16} verdict",
+        "metric", "baseline", "current", "tol%", "gate"
     );
-    let mut regressions: Vec<String> = Vec::new();
-    for &(name, gate, tol) in GATES {
-        let Some(b) = bc[name].as_u64() else {
-            println!("{name:<24} {:>12} {:>12} {tol:>8}   skipped (not in baseline)", "-", "-");
+    let mut regressions: Vec<&str> = Vec::new();
+    for counter in Counter::ALL {
+        let Some(gate) = counter.gate() else {
             continue;
         };
-        let (c, verdict) = match cc[name].as_u64() {
-            None => (None, "REGRESSION (missing in current)"),
-            Some(c) => {
-                // Integer threshold math: regressed iff the change exceeds
-                // tol percent of the baseline, with no rounding slack.
-                let regressed = match gate {
-                    Gate::HigherIsWorse => u128::from(c) * 100 > u128::from(b) * (100 + tol),
-                    Gate::LowerIsWorse => u128::from(c) * 100 < u128::from(b) * (100 - tol),
-                    Gate::Exact => c != b,
-                };
-                (Some(c), if regressed { "REGRESSION" } else { "ok" })
-            }
+        let (name, tol, dir) = (counter.name(), gate.tolerance_pct(), gate.direction());
+        let Some(b) = bc[name].as_u64() else {
+            let skipped = "skipped (not in baseline)";
+            println!(
+                "{name:<24} {:>12} {:>12} {tol:>5}  {dir:<16} {skipped}",
+                "-", "-"
+            );
+            continue;
+        };
+        let c = cc[name].as_u64();
+        let verdict = match c {
+            None => "REGRESSION (missing in current)",
+            // A counter that reads zero where the baseline counted work has
+            // stopped counting, whatever its direction.
+            Some(0) if b != 0 => "REGRESSION (stopped counting)",
+            Some(c) if gate.regressed(b, c) => "REGRESSION",
+            Some(_) => "ok",
         };
         let cs = c.map_or("-".to_string(), |v| v.to_string());
-        println!("{name:<24} {b:>12} {cs:>12} {tol:>8}   {verdict}");
+        println!("{name:<24} {b:>12} {cs:>12} {tol:>5}  {dir:<16} {verdict}");
         if verdict.starts_with("REGRESSION") {
-            regressions.push(name.to_string());
+            regressions.push(name);
         }
     }
 

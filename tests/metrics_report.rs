@@ -29,6 +29,15 @@ fn make_snapshot(tag: &str) -> (PathBuf, String) {
     (dir, text)
 }
 
+/// `text` with counter `key` set to `value`, and the value it replaced.
+fn with_counter(text: &str, key: &str, value: u64) -> (u64, String) {
+    let quoted = format!("\"{key}\":");
+    let at = text.find(&quoted).expect("snapshot has the counter") + quoted.len();
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let was = text[at..end].parse().unwrap();
+    (was, format!("{}{value}{}", &text[..at], &text[end..]))
+}
+
 fn run_report(baseline: &std::path::Path, current: &std::path::Path) -> std::process::Output {
     Command::new(PDGC)
         .arg("report")
@@ -70,10 +79,7 @@ fn corrupted_counter_fails_naming_the_metric() {
     std::fs::write(&a, &text).unwrap();
 
     // Bump spill_instructions far past its 2% tolerance in the copy.
-    let key = "\"spill_instructions\":";
-    let at = text.find(key).expect("snapshot has spill_instructions") + key.len();
-    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    let corrupted = format!("{}999999{}", &text[..at], &text[end..]);
+    let (_, corrupted) = with_counter(&text, "spill_instructions", 999999);
     assert_ne!(corrupted, text);
     std::fs::write(&b, &corrupted).unwrap();
 
@@ -108,6 +114,98 @@ fn missing_counter_in_current_is_a_regression() {
         String::from_utf8_lossy(&out.stderr).contains("funcs_allocated"),
         "error must name the missing metric"
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A gated counter that reads zero where the baseline counted has stopped
+/// counting: `pdgc report` fails it whatever its direction, here a
+/// higher-is-worse work counter, which a plain tolerance check would pass.
+#[test]
+fn zeroed_work_counter_fails_naming_the_metric() {
+    let (dir, text) = make_snapshot("zeroed");
+    let a = dir.join("baseline.json");
+    let b = dir.join("current.json");
+    std::fs::write(&a, &text).unwrap();
+
+    let (was, zeroed) = with_counter(&text, "cpg_edges", 0);
+    assert_ne!(was, 0, "the demo must build CPG edges");
+    std::fs::write(&b, &zeroed).unwrap();
+
+    let out = run_report(&a, &b);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("cpg_edges ") && l.ends_with("REGRESSION (stopped counting)")),
+        "no stopped-counting row for cpg_edges in: {stdout}"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cpg_edges"),
+        "error must name the zeroed metric"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The report's table is the gated counters, each with its direction and
+/// tolerance, in declaration order.
+#[test]
+fn report_table_lists_every_gated_counter_with_its_gate() {
+    const GATED: [(&str, &str, u32); 29] = [
+        ("funcs_allocated", "exact", 0),
+        ("rounds_total", "higher-is-worse", 2),
+        ("moves_eliminated", "lower-is-worse", 2),
+        ("copies_remaining", "higher-is-worse", 2),
+        ("spill_loads", "higher-is-worse", 2),
+        ("spill_stores", "higher-is-worse", 2),
+        ("spill_instructions", "higher-is-worse", 2),
+        ("caller_save_insts", "higher-is-worse", 5),
+        ("paired_loads_fused", "lower-is-worse", 2),
+        ("zero_extensions", "higher-is-worse", 5),
+        ("build_ifg_edges", "higher-is-worse", 0),
+        ("build_row_words", "higher-is-worse", 0),
+        ("build_nodes", "higher-is-worse", 0),
+        ("build_matrix_words", "higher-is-worse", 0),
+        ("rpg_prefs", "higher-is-worse", 0),
+        ("simplify_spill_pops", "higher-is-worse", 0),
+        ("cpg_edges", "higher-is-worse", 0),
+        ("select_frontier_scanned", "higher-is-worse", 0),
+        ("select_diff_recomputes", "higher-is-worse", 0),
+        ("select_heap_pops", "higher-is-worse", 0),
+        ("pref_coalesce_honored", "lower-is-worse", 5),
+        ("pref_seq_plus_honored", "lower-is-worse", 5),
+        ("pref_seq_minus_honored", "lower-is-worse", 5),
+        ("pref_prefers_honored", "lower-is-worse", 5),
+        ("check_violations", "higher-is-worse", 0),
+        ("spl_analyses_fast", "lower-is-worse", 0),
+        ("spl_analyses_fallback", "higher-is-worse", 0),
+        ("spl_regions", "exact", 0),
+        ("spl_loop_regions", "exact", 0),
+    ];
+    let (dir, text) = make_snapshot("table");
+    let a = dir.join("baseline.json");
+    std::fs::write(&a, &text).unwrap();
+    let out = run_report(&a, &a);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Rows run from the header to the first blank line:
+    // name, baseline, current, tolerance, direction, verdict.
+    let rows: Vec<(String, String, u32)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("metric "))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            assert_eq!(f.get(5), Some(&"ok"), "row {l}");
+            (f[0].to_string(), f[4].to_string(), f[3].parse().unwrap())
+        })
+        .collect();
+    let expected: Vec<(String, String, u32)> = GATED
+        .iter()
+        .map(|&(n, d, t)| (n.to_string(), d.to_string(), t))
+        .collect();
+    assert_eq!(rows, expected);
     let _ = std::fs::remove_dir_all(dir);
 }
 
