@@ -291,7 +291,8 @@ impl BatchComparison {
 
 /// Runs the batch at `jobs == 1` and at `jobs`, `repeat` times each
 /// (keeping the best wall clock per job count), with the symbolic checker
-/// run on every allocation as `check` says, and pairs the results.
+/// run on every allocation as `check` says, and pairs the results. At
+/// `jobs == 1` the two legs are one run, reported as both.
 ///
 /// # Errors
 ///
@@ -312,7 +313,10 @@ pub fn compare_jobs(
 ) -> Result<BatchComparison, AllocError> {
     let repeat = repeat.max(1);
     let (serial, serial_repeats) = best_of(alloc, workloads, target, 1, repeat, check)?;
-    let (parallel, parallel_repeats) = best_of(alloc, workloads, target, jobs, repeat, check)?;
+    let (parallel, parallel_repeats) = match jobs {
+        0 | 1 => (serial.clone(), serial_repeats.clone()),
+        _ => best_of(alloc, workloads, target, jobs, repeat, check)?,
+    };
     Ok(BatchComparison {
         serial,
         parallel,
@@ -389,6 +393,20 @@ mod tests {
         }
         assert_eq!(parallel.jobs, 3);
         assert!(serial.funcs_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn one_job_runs_one_leg_and_reports_it_as_both() {
+        let target = TargetDesc::ia64_like(PressureModel::Middle);
+        let alloc = PreferenceAllocator::full();
+        let cmp = compare_jobs(&alloc, &small_workloads(), &target, 1, 2, CheckMode::Off).unwrap();
+        assert_eq!(cmp.serial_repeats.len(), 2);
+        // A second leg would have timed its own two repeats.
+        assert_eq!(cmp.parallel_repeats, cmp.serial_repeats);
+        assert_eq!(cmp.parallel.elapsed, cmp.serial.elapsed);
+        assert_eq!(cmp.parallel.jobs, 1);
+        assert!(cmp.identical());
+        assert_eq!(cmp.speedup(), 1.0);
     }
 
     #[test]

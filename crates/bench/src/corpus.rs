@@ -121,8 +121,8 @@ pub fn check_mach_roundtrip(m: &pdgc_target::MachFunction) -> Result<(), String>
     Ok(())
 }
 
-/// Runs the corpus: parse, verify, round-trip, allocate with every
-/// allocator under `check`, round-trip the rewritten code, and fold the
+/// Runs the corpus: parse (which verifies), round-trip, allocate with
+/// every allocator under `check`, round-trip the rewritten code, and fold the
 /// allocator's always-on metrics into `metrics`.
 ///
 /// Failures never abort the run — they accumulate in
@@ -151,10 +151,6 @@ pub fn run_corpus(
         for func in &funcs {
             report.funcs += 1;
             let tag = format!("{file}::{}", func.name);
-            if let Err(e) = func.verify() {
-                report.failures.push(format!("{tag}: {e}"));
-                continue;
-            }
             if let Err(e) = check_ir_roundtrip(func) {
                 report.failures.push(format!("{tag}: ir round-trip: {e}"));
                 continue;

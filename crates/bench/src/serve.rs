@@ -5,32 +5,32 @@
 //! stdin or a Unix socket and writes one JSONL response per request:
 //!
 //! ```text
-//! {"fn": "<IR text>", "target": "ia64-24", "allocator": "full", "check": "always"}
+//! {"fn": "<IR text>", "target": "ia64-24", "allocator": "full"}
 //! {"ok":true,"key":"…","cached":false,"checked":true,"fingerprint":"…","stats":{…},"mach":"…"}
 //! ```
 //!
-//! `target`, `allocator`, and `check` are optional and default to the
-//! session's configuration; `{"op":"shutdown"}` stops a streaming or
-//! socket session. Malformed JSON (including input nested beyond
-//! [`pdgc_obs::json::MAX_DEPTH`]), unparseable IR, and unknown names all
-//! produce an `{"ok":false,"error":…}` response — never a crash and never
-//! a dropped line.
+//! `target` and `allocator` are optional and default to the session's
+//! configuration; `{"op":"shutdown"}` stops a streaming or socket session.
+//! Those are the only fields a request has: any other field, or an `op`
+//! other than `shutdown`, is an error naming it. Malformed JSON (including
+//! input nested beyond [`pdgc_obs::json::MAX_DEPTH`]), unparseable IR, and
+//! unknown names all produce an `{"ok":false,"error":…}` response — never
+//! a crash and never a dropped line.
 //!
 //! # The cache key
 //!
 //! Responses are cached **content-addressed**: the key is the tuple
-//! (canonical printed IR, target name, allocator name, check mode),
-//! where "canonical" means [`Function::with_canonical_callees`] — callee
+//! (canonical printed IR, target name, allocator name), where
+//! "canonical" means [`Function::with_canonical_callees`] — callee
 //! interning order is an artifact of how a function was built, not of
 //! what it computes, so two textual spellings of the same function hash
 //! to the same entry (PR 8's `print → parse → print` fixpoint makes this
 //! well-defined). A *miss* allocates in the session's pooled
 //! [`AllocSession`] and is proven by the symbolic checker
-//! ([`CheckMode::Always`]) **before** insertion, whatever the request
-//! asked for; a *hit* returns the stored response and is re-proven at a
-//! configurable sampling rate. Hit, miss, insertion, eviction, and
-//! re-check counts ride the always-on metrics registry next to the
-//! allocator's own scorecard.
+//! ([`CheckMode::Always`]) **before** insertion; a *hit* returns the
+//! stored response and is re-proven at a configurable sampling rate.
+//! Hit, miss, insertion, eviction, and re-check counts ride the always-on
+//! metrics registry next to the allocator's own scorecard.
 //!
 //! In front of the canonical cache sits an index from the **exact request
 //! line** to the entry it resolved to. Within a session a line's parse
@@ -106,12 +106,17 @@ pub fn allocator_by_name(name: &str) -> Option<Box<dyn RegisterAllocator + Sync>
 /// printed IR plus every allocation-relevant request parameter, joined
 /// with a separator no component can contain. Two requests collide iff
 /// they demand byte-identical machine code.
-pub fn cache_key(func: &Function, target: &str, allocator: &str, check: CheckMode) -> String {
+///
+/// The [`CheckMode`] argument is not read: every miss is proven before
+/// insertion, so no check mode belongs in the key. It stays because the
+/// benchmark's traced replica (`perfbench/src/bin/trace/replica.rs`)
+/// passes it, and goes when that replica is retired.
+pub fn cache_key(func: &Function, target: &str, allocator: &str, _check: CheckMode) -> String {
     // `with_canonical_callees` renumbers callees into appearance order —
     // the form `parse(print(f))` produces — so builder-order artifacts
     // never split the cache.
     format!(
-        "{target}\u{1f}{allocator}\u{1f}{check}\u{1f}{}",
+        "{target}\u{1f}{allocator}\u{1f}{}",
         func.with_canonical_callees()
     )
 }
@@ -128,10 +133,6 @@ pub struct ServeConfig {
     pub target: String,
     /// Default allocator for requests that omit `"allocator"`.
     pub allocator: String,
-    /// Default check mode for requests that omit `"check"`. This is a
-    /// *key component* only: misses always run [`CheckMode::Always`]
-    /// before insertion regardless.
-    pub check: CheckMode,
     /// Maximum cache entries; 0 means unbounded. Insertion beyond the
     /// cap evicts the least-recently-used entry.
     pub cache_cap: usize,
@@ -145,7 +146,6 @@ impl Default for ServeConfig {
         ServeConfig {
             target: "ia64-24".into(),
             allocator: "full".into(),
-            check: CheckMode::Always,
             cache_cap: 1024,
             sample_rate: 16,
         }
@@ -298,8 +298,8 @@ pub struct ServeSession {
     /// Total hits, driving the sampled re-check cadence.
     hits: u64,
     metrics: MetricsRegistry,
-    /// Misses are proven before they are cached, whatever the request
-    /// asked for: nothing unchecked ever enters the cache.
+    /// Misses are proven before they are cached: nothing unchecked ever
+    /// enters the cache.
     session: AllocSession<'static>,
     /// The builtin targets, built once for every request to resolve in.
     targets: TargetRegistry,
@@ -344,18 +344,29 @@ impl ServeSession {
 
     fn parse_line(&self, line: &str) -> Result<Parsed, String> {
         let json = Json::parse(line)?;
-        if json["op"].as_str() == Some("shutdown") {
-            return Ok(Parsed::Shutdown);
+        // `op` alone, or `fn` with an optional `target` and `allocator`:
+        // serve reads no other field, so any other is an error.
+        let op = json.get("op");
+        let known: &[&str] = match op {
+            Some(_) => &["op"],
+            None => &["fn", "target", "allocator"],
+        };
+        let fields = json.fields().unwrap_or(&[]);
+        if let Some((name, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(format!("unexpected request field `{name}`"));
+        }
+        if let Some(op) = op {
+            return match op.as_str() {
+                Some("shutdown") => Ok(Parsed::Shutdown),
+                Some(op) => Err(format!("unknown op `{op}`")),
+                None => Err("`op` is not a string".into()),
+            };
         }
         let ir = json["fn"]
             .as_str()
             .ok_or("request missing string field `fn`")?;
         let target_name = json["target"].as_str().unwrap_or(&self.config.target);
         let alloc_name = json["allocator"].as_str().unwrap_or(&self.config.allocator);
-        let check = match json["check"].as_str() {
-            None => self.config.check,
-            Some(m) => CheckMode::parse(m)?,
-        };
         // `parse_function` returns only functions that verify.
         let func = parse_function(ir).map_err(|e| format!("parsing `fn`: {e}"))?;
         let alloc = allocator_by_name(alloc_name)
@@ -365,7 +376,7 @@ impl ServeSession {
             .resolve(target_name)
             .cloned()
             .map_err(|e| e.to_string())?;
-        let key = cache_key(&func, target_name, alloc_name, check);
+        let key = cache_key(&func, target_name, alloc_name, CheckMode::Always);
         Ok(Parsed::Alloc(Request {
             func,
             alloc,
@@ -581,20 +592,12 @@ pub fn corpus_requests(
     files: &[(String, String)],
     target: &str,
     allocator: &str,
-    check: CheckMode,
 ) -> Result<String, String> {
     let mut out = String::new();
     for (name, text) in files {
         let funcs = parse_functions(text).map_err(|e| format!("{name}: {e}"))?;
         for f in funcs {
-            out.push_str(
-                &JsonObject::new()
-                    .str("fn", &f.to_string())
-                    .str("target", target)
-                    .str("allocator", allocator)
-                    .str("check", &check.to_string())
-                    .finish(),
-            );
+            out.push_str(&request_line(&f.to_string(), target, allocator));
             out.push('\n');
         }
     }
@@ -603,12 +606,11 @@ pub fn corpus_requests(
 
 /// Builds one serve request line for an IR text (helper for tests and
 /// request generators).
-pub fn request_line(ir: &str, target: &str, allocator: &str, check: CheckMode) -> String {
+pub fn request_line(ir: &str, target: &str, allocator: &str) -> String {
     JsonObject::new()
         .str("fn", ir)
         .str("target", target)
         .str("allocator", allocator)
-        .str("check", &check.to_string())
         .finish()
 }
 
@@ -632,7 +634,7 @@ mod tests {
     #[test]
     fn resubmission_is_a_recorded_hit_with_identical_payload() {
         let mut s = session();
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         let first = Json::parse(&s.handle_line(&line).response).unwrap();
         let second = Json::parse(&s.handle_line(&line).response).unwrap();
         assert_eq!(field(&first, "ok").as_bool(), Some(true));
@@ -651,12 +653,12 @@ mod tests {
     fn malformed_and_hostile_input_is_an_error_response() {
         let mut s = session();
         // Valid IR, so these reach allocator and target resolution.
-        let bad_allocator = request_line(SMALL, "ia64-24", "nope", CheckMode::Always);
-        let bad_target = request_line(SMALL, "nope", "full", CheckMode::Always);
+        let bad_allocator = request_line(SMALL, "ia64-24", "nope");
+        let bad_target = request_line(SMALL, "nope", "full");
         // Parses, but branches to a block that does not exist: the verify
         // inside `parse_function` is the only one on the request path.
         let jump_b7 = "fn f() {\nb0:\n    jump b7\n}";
-        let unverifiable = request_line(jump_b7, "ia64-24", "full", CheckMode::Always);
+        let unverifiable = request_line(jump_b7, "ia64-24", "full");
         let deep = format!("{{\"fn\":{} }}", "[".repeat(100_000));
         for (bad, names) in [
             ("not json", "at byte 0"),
@@ -664,7 +666,9 @@ mod tests {
             ("{\"fn\":\"fn broken(\"}", "parsing `fn`"),
             (&*bad_allocator, "unknown allocator `nope`"),
             (&*bad_target, "unknown target `nope`"),
-            ("{\"fn\":\"x\",\"check\":\"nope\"}", "bad check mode `nope`"),
+            ("{\"fn\":\"x\",\"check\":\"on\"}", "request field `check`"),
+            ("{\"op\":\"restart\"}", "unknown op `restart`"),
+            ("{\"op\":\"shutdown\",\"fn\":\"x\"}", "request field `fn`"),
             (&*deep, "nesting deeper"),
             (&*unverifiable, "out-of-range"),
         ] {
@@ -675,7 +679,7 @@ mod tests {
             let error = field(&json, "error").as_str().unwrap();
             assert!(error.contains(names), "`{error}` does not name `{names}`");
         }
-        assert_eq!(s.metrics().get(Counter::ServeErrors), 8);
+        assert_eq!(s.metrics().get(Counter::ServeErrors), 10);
         assert_eq!(s.metrics().get(Counter::CacheMisses), 0);
     }
 
@@ -684,8 +688,8 @@ mod tests {
         let mut s = session();
         let input = format!(
             "{}\n{{\"op\":\"shutdown\"}}\n{}\n",
-            request_line(SMALL, "ia64-24", "full", CheckMode::Always),
-            request_line(OTHER, "ia64-24", "full", CheckMode::Always),
+            request_line(SMALL, "ia64-24", "full"),
+            request_line(OTHER, "ia64-24", "full"),
         );
         let mut out = Vec::new();
         s.run(input.as_bytes(), &mut out).unwrap();
@@ -702,8 +706,8 @@ mod tests {
             cache_cap: 1,
             ..ServeConfig::default()
         });
-        let a = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
-        let b = request_line(OTHER, "ia64-24", "full", CheckMode::Always);
+        let a = request_line(SMALL, "ia64-24", "full");
+        let b = request_line(OTHER, "ia64-24", "full");
         s.handle_line(&a);
         s.handle_line(&b); // evicts a
         assert_eq!(s.cache_len(), 1);
@@ -720,7 +724,7 @@ mod tests {
             sample_rate: 2,
             ..ServeConfig::default()
         });
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         s.handle_line(&line); // miss
         let h1 = Json::parse(&s.handle_line(&line).response).unwrap(); // hit 1: not sampled
         let h2 = Json::parse(&s.handle_line(&line).response).unwrap(); // hit 2: sampled
@@ -731,7 +735,7 @@ mod tests {
 
     #[test]
     fn a_line_hit_and_a_canonical_hit_render_the_same_bytes() {
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         let respelled = line.replacen("{\"fn\":", "{ \"fn\":", 1);
         // Rate 1 re-checks the hit and rate 0 never does: both flags.
         for sample_rate in [0, 1] {
@@ -752,10 +756,9 @@ mod tests {
     #[test]
     fn a_respelled_request_hits_through_the_key_and_becomes_the_line() {
         let mut s = session();
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         let spaced = line.replacen("{\"fn\":", "{ \"fn\":", 1);
         let reordered = JsonObject::new()
-            .str("check", "always")
             .str("allocator", "full")
             .str("target", "ia64-24")
             .str("fn", SMALL)
@@ -773,8 +776,8 @@ mod tests {
 
     #[test]
     fn eviction_and_a_failed_recheck_take_the_line_out_of_the_index() {
-        let a = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
-        let b = request_line(OTHER, "ia64-24", "full", CheckMode::Always);
+        let a = request_line(SMALL, "ia64-24", "full");
+        let b = request_line(OTHER, "ia64-24", "full");
 
         let mut s = ServeSession::new(ServeConfig {
             cache_cap: 1,
@@ -809,7 +812,7 @@ mod tests {
     #[test]
     fn ten_thousand_spellings_leave_the_index_no_larger_than_the_cache() {
         let mut s = session();
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         let body = line
             .strip_prefix("{\"fn\":")
             .unwrap()
@@ -831,15 +834,23 @@ mod tests {
     #[test]
     fn rejected_lines_never_enter_the_index() {
         let mut s = session();
-        let unknown_allocator = request_line(SMALL, "ia64-24", "nope", CheckMode::Always);
-        for bad in ["not json", "{\"fn\":\"fn broken(\"}", &unknown_allocator] {
+        let unknown_allocator = request_line(SMALL, "ia64-24", "nope");
+        let good = request_line(SMALL, "ia64-24", "full");
+        // A request field serve does not read is an error, not ignored.
+        let with_check = format!("{},\"check\":\"always\"}}", &good[..good.len() - 1]);
+        let broken = "{\"fn\":\"fn broken(\"}";
+        for bad in ["not json", broken, &unknown_allocator, &with_check] {
             for _ in 0..2 {
                 let r = Json::parse(&s.handle_line(bad).response).unwrap();
                 assert_eq!(field(&r, "ok").as_bool(), Some(false), "{bad}");
             }
         }
         assert!(s.cache.by_line.is_empty());
-        assert_eq!(s.metrics().get(Counter::ServeErrors), 6);
+        assert_eq!(s.metrics().get(Counter::ServeErrors), 8);
+        // The session serves the next line.
+        let r = Json::parse(&s.handle_line(&good).response).unwrap();
+        assert_eq!(field(&r, "ok").as_bool(), Some(true));
+        assert_eq!(s.cache.by_line.len(), 1);
     }
 
     #[test]
@@ -851,7 +862,7 @@ mod tests {
         {
             let profile = pdgc_workloads::specjvm_suite()[0].for_target(target);
             let func = pdgc_workloads::generate(&profile).funcs.swap_remove(0);
-            let line = request_line(&func.to_string(), &target.name, "full", CheckMode::Always);
+            let line = request_line(&func.to_string(), &target.name, "full");
             let mut s = session();
             let r = Json::parse(&s.handle_line(&line).response).unwrap();
             let entry = s.cache.get(s.cache.by_line[line.as_str()]).unwrap();
@@ -867,7 +878,7 @@ mod tests {
     #[test]
     fn a_panicking_request_is_an_error_response_and_the_session_serves_on() {
         let mut s = session();
-        let line = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(SMALL, "ia64-24", "full");
         s.handle_line(&line);
         assert!(s.session.scratch.costs.pooled() > 0);
         let out = s.guarded(|_| panic!("boom"));
@@ -883,7 +894,7 @@ mod tests {
         // The cache survived, and a miss allocates in the fresh session.
         let hit = Json::parse(&s.handle_line(&line).response).unwrap();
         assert_eq!(field(&hit, "cached").as_bool(), Some(true));
-        let other = request_line(OTHER, "ia64-24", "full", CheckMode::Always);
+        let other = request_line(OTHER, "ia64-24", "full");
         let miss = Json::parse(&s.handle_line(&other).response).unwrap();
         assert_eq!(field(&miss, "ok").as_bool(), Some(true));
         assert_eq!(s.metrics().get(Counter::ServePanics), 1);
@@ -917,7 +928,7 @@ mod tests {
     #[test]
     fn corpus_requests_render_one_line_per_function() {
         let files = vec![("two.pdgc".to_string(), format!("{SMALL}\n{OTHER}"))];
-        let text = corpus_requests(&files, "ia64-24", "full", CheckMode::Always).unwrap();
+        let text = corpus_requests(&files, "ia64-24", "full").unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         let mut s = session();
@@ -948,7 +959,7 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        let request = request_line(SMALL, "ia64-24", "full", CheckMode::Always);
+        let request = request_line(SMALL, "ia64-24", "full");
         let ask = |line: &str| {
             let mut stream = UnixStream::connect(&path).unwrap();
             writeln!(stream, "{line}").unwrap();

@@ -217,6 +217,7 @@ pub(crate) fn expand_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifg::IfgScratch;
     use pdgc_ir::{Block, Function, FunctionBuilder, RegClass};
     use pdgc_obs::NoopTracer;
 
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn aggressive_merges_chains() {
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(3));
         aggressive(&mut g, &[copy(1, 0), copy(2, 1)]);
         assert_eq!(g.rep(n(0)), n(2));
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn aggressive_respects_interference() {
-        let mut g = InterferenceGraph::new(2, 0);
+        let mut g = InterferenceGraph::new_in(2, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         aggressive(&mut g, &[copy(0, 1)]);
         assert!(!g.is_merged(n(0)) && !g.is_merged(n(1)));
@@ -273,7 +274,7 @@ mod tests {
 
     #[test]
     fn aggressive_absorbs_into_precolored() {
-        let mut g = InterferenceGraph::new(3, 2);
+        let mut g = InterferenceGraph::new_in(3, 2, &mut IfgScratch::default());
         aggressive(&mut g, &[copy(2, 0)]);
         assert_eq!(g.rep(n(2)), n(0));
     }
@@ -282,7 +283,7 @@ mod tests {
     fn conservative_sweep_admits_only_safe_merges() {
         // 2-3 and 3-4 are copy related; 3 interferes with 5, which
         // interferes with 2 and 4 too. With K=1 no merge is safe.
-        let mut g = InterferenceGraph::new(6, 2);
+        let mut g = InterferenceGraph::new_in(6, 2, &mut IfgScratch::default());
         for (a, b) in [(3, 5), (2, 5), (4, 5)] {
             g.add_edge(n(a), n(b));
         }
@@ -302,7 +303,7 @@ mod tests {
     #[test]
     fn briggs_criterion() {
         // a-b copy related; shared neighbor x with high degree.
-        let mut g = InterferenceGraph::new(6, 0);
+        let mut g = InterferenceGraph::new_in(6, 0, &mut IfgScratch::default());
         // x (node 2) neighbors: a, b, 3, 4 → degree 4.
         for t in [0, 1, 3, 4] {
             g.add_edge(n(2), n(t));
@@ -316,7 +317,7 @@ mod tests {
 
     #[test]
     fn george_criterion() {
-        let mut g = InterferenceGraph::new(5, 1);
+        let mut g = InterferenceGraph::new_in(5, 1, &mut IfgScratch::default());
         // b=2 has neighbors 3 (degree 1, low) and 4.
         g.add_edge(n(2), n(3));
         g.add_edge(n(2), n(4));
@@ -331,7 +332,7 @@ mod tests {
 
     #[test]
     fn george_criterion_rejects() {
-        let mut g = InterferenceGraph::new(5, 1);
+        let mut g = InterferenceGraph::new_in(5, 1, &mut IfgScratch::default());
         g.add_edge(n(2), n(3));
         g.add_edge(n(3), n(4)); // 3: degree 2, significant for k=2
         assert!(!conservative_ok(&g, n(0), n(2), 2));
@@ -341,7 +342,7 @@ mod tests {
     fn merge_folds_each_cost_once() {
         // Chained merges fold each member's cost into its survivor once:
         // 1 into 0 (30), 3 into 2 (70), then 0 into 2 (100).
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         let mut costs = vec![10, 20, 30, 40];
         merge_pair(&mut g, &mut costs, n(0), n(1));
         merge_pair(&mut g, &mut costs, n(2), n(3));
@@ -353,7 +354,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_unspillable_poison() {
-        let mut g = InterferenceGraph::new(3, 1);
+        let mut g = InterferenceGraph::new_in(3, 1, &mut IfgScratch::default());
         let mut costs = vec![0, 5, u64::MAX];
         merge_pair(&mut g, &mut costs, n(1), n(2));
         assert_eq!(costs[1], u64::MAX);
@@ -368,7 +369,11 @@ mod tests {
         let target = TargetDesc::figure7();
         let pinned = vec![None; f.num_vregs()];
         let nodes = NodeMap::build(&f, &target, RegClass::Int, &pinned);
-        let mut ifg = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+        let mut ifg = InterferenceGraph::new_in(
+            nodes.num_nodes(),
+            nodes.num_phys(),
+            &mut IfgScratch::default(),
+        );
         for (a, b) in [(4, 5), (4, 6), (5, 6)] {
             ifg.add_edge(n(a), n(b));
         }
@@ -406,7 +411,11 @@ mod tests {
         let nodes = NodeMap::build(&f, &target, RegClass::Int, &pinned);
         // Node 3 is the base pointer, 4..10 the loads: 7 and 4 merge into
         // 5, 8 into 6, and 9 into 3.
-        let mut g = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+        let mut g = InterferenceGraph::new_in(
+            nodes.num_nodes(),
+            nodes.num_phys(),
+            &mut IfgScratch::default(),
+        );
         for (keep, gone) in [(5, 7), (5, 4), (6, 8), (3, 9)] {
             g.merge(n(keep), n(gone));
         }

@@ -259,7 +259,7 @@ fn build_case(seed: u64, k: usize) -> Case {
     let n = phys + rng.gen_range(0usize..40);
     let node = NodeId::new;
     let edge_prob = rng.gen_range(0.0f64..0.6);
-    let mut ifg = InterferenceGraph::new(n, phys);
+    let mut ifg = InterferenceGraph::new_in(n, phys, &mut crate::ifg::IfgScratch::default());
     for a in phys..n {
         for x in 0..a {
             let p = if x < phys { edge_prob / 3.0 } else { edge_prob };
@@ -409,7 +409,7 @@ proptest! {
 #[test]
 fn a_merge_survivor_can_be_a_later_spill_candidate() {
     let [p, a, b, s, t, x, y, z, w, q] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9].map(NodeId::new);
-    let mut ifg = InterferenceGraph::new(10, 1);
+    let mut ifg = InterferenceGraph::new_in(10, 1, &mut crate::ifg::IfgScratch::default());
     for (u, v) in [(a, p), (a, t), (b, s), (b, t), (s, x), (x, y), (x, z)] {
         ifg.add_edge(u, v);
     }

@@ -316,6 +316,7 @@ impl Cpg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifg::IfgScratch;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -324,7 +325,7 @@ mod tests {
     /// The paper's Figure 7 interference graph over v0..v4 (nodes 0..4),
     /// no precolored nodes (the WIG drops them anyway).
     fn figure7_ifg() -> InterferenceGraph {
-        let mut g = InterferenceGraph::new(5, 0);
+        let mut g = InterferenceGraph::new_in(5, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1)); // v0 - v1
         g.add_edge(n(0), n(2)); // v0 - v2
         g.add_edge(n(1), n(2)); // v1 - v2
@@ -398,7 +399,7 @@ mod tests {
     #[test]
     fn optimistic_node_enters_unready() {
         // K4 complete graph with K=3: one node spills optimistically.
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         for a in 0..4 {
             for b in (a + 1)..4 {
                 g.add_edge(n(a), n(b));
@@ -427,7 +428,7 @@ mod tests {
     fn transitive_reduction_drops_redundant_edge() {
         // Path graph 0-1, 1-2, 0-2 (triangle) with K=1: removal order
         // 0, 1, 2 forces chains.
-        let mut g = InterferenceGraph::new(3, 0);
+        let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         g.add_edge(n(0), n(2));

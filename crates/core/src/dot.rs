@@ -10,7 +10,7 @@
 use crate::cpg::Cpg;
 use crate::ifg::InterferenceGraph;
 use crate::node::{NodeId, NodeMap};
-use crate::rpg::{PrefKind, PrefTarget, Rpg};
+use crate::rpg::{PrefTarget, Rpg};
 use std::fmt::Write as _;
 
 fn node_label(nodes: &NodeMap, n: NodeId) -> String {
@@ -71,14 +71,9 @@ pub fn rpg_to_dot(rpg: &Rpg, nodes: &NodeMap) -> String {
     };
     for n in nodes.all_nodes() {
         for p in rpg.prefs(n) {
-            let kind = match p.kind {
-                PrefKind::Coalesce => "coalesce",
-                PrefKind::SequentialPlus => "seq+",
-                PrefKind::SequentialMinus => "seq-",
-                PrefKind::Prefers => "prefers",
-            };
             let label = format!(
-                "{kind} {}/{}",
+                "{} {}/{}",
+                p.kind.label(),
                 show(p.strength_vol),
                 show(p.strength_nonvol)
             );

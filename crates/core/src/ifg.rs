@@ -93,14 +93,10 @@ pub struct InterferenceGraph {
 
 impl InterferenceGraph {
     /// Creates a graph with `n` nodes, the first `num_phys` of which are
-    /// precolored. Distinct precolored nodes are made mutually interfering.
-    pub fn new(n: usize, num_phys: usize) -> Self {
-        Self::new_in(n, num_phys, &mut IfgScratch::default())
-    }
-
-    /// Like [`InterferenceGraph::new`], drawing all storage from pooled
-    /// scratch. Return the graph with [`InterferenceGraph::recycle`] when
-    /// done to keep its buffers pooled.
+    /// precolored, drawing all storage from pooled scratch. Distinct
+    /// precolored nodes are made mutually interfering. Return the graph
+    /// with [`InterferenceGraph::recycle`] when done to keep its buffers
+    /// pooled.
     pub fn new_in(n: usize, num_phys: usize, scratch: &mut IfgScratch) -> Self {
         let stride = n.div_ceil(64);
         let mut adj = std::mem::take(&mut scratch.adj);
@@ -435,7 +431,7 @@ mod tests {
 
     #[test]
     fn precolored_mutually_interfere() {
-        let g = InterferenceGraph::new(5, 3);
+        let g = InterferenceGraph::new_in(5, 3, &mut IfgScratch::default());
         assert!(g.interferes(n(0), n(1)));
         assert!(g.interferes(n(1), n(2)));
         assert!(!g.interferes(n(0), n(3)));
@@ -444,7 +440,7 @@ mod tests {
 
     #[test]
     fn add_edge_and_degree() {
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         assert!(g.add_edge(n(0), n(1)));
         assert!(!g.add_edge(n(1), n(0)));
         assert!(g.interferes(n(0), n(1)));
@@ -455,7 +451,7 @@ mod tests {
 
     #[test]
     fn remove_updates_degrees() {
-        let mut g = InterferenceGraph::new(3, 0);
+        let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(0), n(2));
         assert_eq!(g.degree(n(0)), 2);
@@ -472,7 +468,7 @@ mod tests {
 
     #[test]
     fn merge_unions_neighbors() {
-        let mut g = InterferenceGraph::new(5, 0);
+        let mut g = InterferenceGraph::new_in(5, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(2));
         g.add_edge(n(1), n(3));
         g.add_edge(n(0), n(4));
@@ -498,7 +494,7 @@ mod tests {
     fn merge_leaves_removed_neighbor_degree_frozen() {
         // 2 is adjacent to both 0 and 1; 3 is adjacent to 1 alone. Remove
         // both, then merge 1 into 0: the frozen degrees must not move.
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(2));
         g.add_edge(n(1), n(2));
         g.add_edge(n(1), n(3));
@@ -515,7 +511,7 @@ mod tests {
 
     #[test]
     fn add_edge_to_removed_node_freezes_its_degree() {
-        let mut g = InterferenceGraph::new(3, 0);
+        let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.remove(n(1));
         let frozen = g.degree(n(1));
@@ -531,14 +527,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "interfering")]
     fn merge_interfering_panics() {
-        let mut g = InterferenceGraph::new(2, 0);
+        let mut g = InterferenceGraph::new_in(2, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.merge(n(0), n(1));
     }
 
     #[test]
     fn merge_into_precolored() {
-        let mut g = InterferenceGraph::new(4, 2);
+        let mut g = InterferenceGraph::new_in(4, 2, &mut IfgScratch::default());
         g.add_edge(n(2), n(3));
         g.merge(n(0), n(2));
         assert_eq!(g.rep(n(2)), n(0));
@@ -549,7 +545,7 @@ mod tests {
 
     #[test]
     fn chained_merges_resolve() {
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         g.merge(n(0), n(1));
         g.merge(n(2), n(0));
         assert_eq!(g.rep(n(1)), n(2));
@@ -561,7 +557,7 @@ mod tests {
     fn merge_empties_the_merged_row_and_moves_a_full_one() {
         // 0 and 1 have exact rows after the build-style fill; merging 1
         // into 0 pushes 1's neighbors onto 0's full row, which moves.
-        let mut g = InterferenceGraph::new(6, 0);
+        let mut g = InterferenceGraph::new_in(6, 0, &mut IfgScratch::default());
         g.or_row(n(0), &[1 << 5], None);
         g.or_row(n(1), &[(1 << 2) | (1 << 3) | (1 << 4)], None);
         g.close_rows();
@@ -606,7 +602,7 @@ mod tests {
 
     #[test]
     fn restore_all_requires_full_clear_and_recomputes() {
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         g.add_edge(n(2), n(3));

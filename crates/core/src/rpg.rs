@@ -37,6 +37,18 @@ pub enum PrefKind {
     Prefers,
 }
 
+impl PrefKind {
+    /// The kind's label in traces and graph dumps.
+    pub fn label(self) -> &'static str {
+        match self {
+            PrefKind::Coalesce => "coalesce",
+            PrefKind::SequentialPlus => "seq+",
+            PrefKind::SequentialMinus => "seq-",
+            PrefKind::Prefers => "prefers",
+        }
+    }
+}
+
 /// What a preference points at.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PrefTarget {

@@ -664,16 +664,6 @@ impl Selector<'_> {
         best - worst
     }
 
-    /// The trace label for a preference kind.
-    fn kind_str(kind: PrefKind) -> &'static str {
-        match kind {
-            PrefKind::Coalesce => "coalesce",
-            PrefKind::SequentialPlus => "seq+",
-            PrefKind::SequentialMinus => "seq-",
-            PrefKind::Prefers => "prefers",
-        }
-    }
-
     /// The scorecard counter for one screening outcome: the (kind,
     /// honored/deferred/skipped) cell of the Figure 5(a) table.
     fn screen_counter(kind: PrefKind, outcome: ScreenOutcome) -> Counter {
@@ -779,7 +769,7 @@ impl Selector<'_> {
                             .iter()
                             .filter(|e| !e.deferred)
                             .map(|e| Considered {
-                                kind: Self::kind_str(e.pref.kind),
+                                kind: e.pref.kind.label(),
                                 target: self.target_str(e.pref.target),
                                 strength: e.strength,
                                 deferred: false,
@@ -821,7 +811,7 @@ impl Selector<'_> {
         let mut cand = avail;
         for e in screens.drain(..) {
             let mut entry = trace.then(|| Considered {
-                kind: Self::kind_str(e.pref.kind),
+                kind: e.pref.kind.label(),
                 target: self.target_str(e.pref.target),
                 strength: e.strength,
                 deferred: e.deferred,
@@ -926,6 +916,7 @@ impl Selector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifg::IfgScratch;
     use crate::simplify::{simplify, SimplifyMode};
     use pdgc_ir::RegClass;
     use pdgc_obs::NoopTracer;
@@ -956,7 +947,8 @@ mod tests {
         let target = TargetDesc::figure7();
         let pinned = vec![None; f.num_vregs()];
         let nm = NodeMap::build(&f, &target, RegClass::Int, &pinned);
-        let mut g = InterferenceGraph::new(nm.num_nodes(), nm.num_phys());
+        let mut g =
+            InterferenceGraph::new_in(nm.num_nodes(), nm.num_phys(), &mut IfgScratch::default());
         for &(a, b2) in edges {
             g.add_edge(n(a), n(b2));
         }

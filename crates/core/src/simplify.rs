@@ -307,6 +307,7 @@ impl SpillHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifg::IfgScratch;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -314,7 +315,7 @@ mod tests {
 
     /// K4 over nodes 0..4 (no precolored).
     fn k4() -> InterferenceGraph {
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         for a in 0..4 {
             for b in (a + 1)..4 {
                 g.add_edge(n(a), n(b));
@@ -325,7 +326,7 @@ mod tests {
 
     #[test]
     fn triangle_simplifies_with_three_colors() {
-        let mut g = InterferenceGraph::new(3, 0);
+        let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         g.add_edge(n(0), n(2));
@@ -368,7 +369,7 @@ mod tests {
         // Node 0: cost 30, degree 3; node 4: cost 20, degree 1 after
         // surrounding structure... build: star where center 0 has degree 3
         // (cost/deg = 10) vs leaf pair with cost/deg 20. K=1 forces spills.
-        let mut g = InterferenceGraph::new(4, 0);
+        let mut g = InterferenceGraph::new_in(4, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(0), n(2));
         g.add_edge(n(0), n(3));
@@ -383,7 +384,7 @@ mod tests {
 
     #[test]
     fn precolored_nodes_stay() {
-        let mut g = InterferenceGraph::new(4, 2);
+        let mut g = InterferenceGraph::new_in(4, 2, &mut IfgScratch::default());
         g.add_edge(n(2), n(3));
         let costs = vec![0, 0, 5, 5];
         let r = simplify(&mut g, 2, &costs, SimplifyMode::Optimistic);
@@ -395,7 +396,7 @@ mod tests {
     #[test]
     fn stack_order_low_degree_first_by_id() {
         // Chain 0-1-2: all low-degree for K=3; removal order is by id.
-        let mut g = InterferenceGraph::new(3, 0);
+        let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         let costs = vec![1; 3];
@@ -408,7 +409,7 @@ mod tests {
         // A "caterpillar" where removing the blocked candidate unblocks
         // lower-id nodes: the worklist must still emit them lowest-id
         // first, exactly like the old full rescan.
-        let mut g = InterferenceGraph::new(6, 0);
+        let mut g = InterferenceGraph::new_in(6, 0, &mut IfgScratch::default());
         for a in 0..5 {
             for b in (a + 1)..5 {
                 g.add_edge(n(a), n(b)); // K5 over 0..5

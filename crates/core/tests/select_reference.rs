@@ -93,7 +93,7 @@ fn build_case(seed: u64, k: usize, live_ranges: usize, edge_prob: f64, pair: u8)
     let n = nodes.num_nodes();
     let node = |i: usize| NodeId::new(i);
 
-    let mut ifg = InterferenceGraph::new(n, k);
+    let mut ifg = InterferenceGraph::new_in(n, k, &mut pdgc_core::ifg::IfgScratch::default());
     for a in k..n {
         for x in 0..a {
             let p = if x < k { edge_prob / 4.0 } else { edge_prob };

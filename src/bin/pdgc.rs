@@ -21,18 +21,22 @@ fn usage() -> &'static str {
     "pdgc — preference-directed graph coloring register allocation (PLDI 2002)
 
 USAGE:
-    pdgc allocate <FILE> [--allocator NAME] [--target NAME] [--check[=MODE]] [TRACING]
-    pdgc run <FILE> [--allocator NAME] [--target NAME] [--args N,N,...] [--check[=MODE]] [TRACING]
-    pdgc demo [--check[=MODE]] [TRACING]
+    pdgc allocate <FILE> [--allocator NAME] [--target NAME] [--check[=MODE]]
+                         [--trace PATH] [--dump-graphs DIR]
+    pdgc run <FILE> [--allocator NAME] [--target NAME] [--args N,N,...]
+                    [--check[=MODE]] [--trace PATH] [--dump-graphs DIR]
+    pdgc demo [--check[=MODE]] [--trace PATH] [--dump-graphs DIR]
     pdgc bench batch [--jobs N] [--repeat N] [--min-speedup X] [--allocator NAME]
                      [--target NAME] [--check[=MODE]]
     pdgc corpus <DIR> [--allocator NAME] [--target NAME] [--check[=MODE]]
                       [--baseline FILE] [--write-baseline]
     pdgc report --baseline FILE --current FILE
     pdgc serve [--socket PATH] [--allocator NAME] [--target NAME]
-               [--check[=MODE]] [--cache-cap N] [--sample-rate N]
-               [--emit-requests DIR]
+               [--cache-cap N] [--sample-rate N] [--emit-requests DIR]
     pdgc --help
+
+Each command takes only the flags its line lists; any other flag, or a
+file given to a command without <FILE> or <DIR>, is an error.
 
 ALLOCATORS:
     full (default), coalesce, precoalesce, chaitin, briggs, iterated,
@@ -70,10 +74,11 @@ BENCH:
     available parallelism), verifies the allocations are bit-identical,
     prints throughput, and writes results/bench_batch.json and
     results/metrics.json (the always-on counter/histogram snapshot).
-    --repeat N runs each job count N times and keeps the best wall clock;
-    --min-speedup X fails the command when the --jobs N run is not X times
-    as fast as the --jobs 1 run. A function that fails to allocate fails
-    the command with its error.
+    --repeat N runs each job count N times and keeps the best wall clock
+    (at --jobs 1 the one run is both legs); --min-speedup X fails the
+    command when the --jobs N run is not X times as fast as the --jobs 1
+    run. A function that fails to allocate fails the command with its
+    error.
 
 CORPUS:
     `corpus` runs every function in the `.pdgc` files under DIR through
@@ -81,23 +86,24 @@ CORPUS:
     optionally prove with the symbolic checker, and certify the exact
     text round-trip at both levels (IR and rewritten machine code).
     Results are compared exactly against DIR/baseline.json (or
-    --baseline FILE): any changed spill/copy/pair count or code
-    fingerprint exits non-zero naming the function. --write-baseline
-    regenerates the baseline instead of comparing.
+    --baseline FILE), on the rows of the allocators that ran: any changed
+    spill/copy/pair count or code fingerprint exits non-zero naming the
+    function. --write-baseline regenerates the baseline, with every
+    allocator's rows, instead of comparing; it refuses --allocator.
 
 SERVE:
     `serve` runs a long-lived allocation daemon with a content-addressed
-    cache. It reads JSONL requests — one
-    {\"fn\": \"<IR text>\", \"target\": …, \"allocator\": …, \"check\": …}
-    object per line, all fields but `fn` optional — from stdin (or a Unix
-    socket with --socket PATH) and answers each with one JSONL response
-    carrying the rewritten machine code, its fingerprint, and the
-    allocation scorecard. The cache key is the canonical printed IR plus
-    target, allocator, and check mode; misses are proven by the symbolic
-    checker before insertion and hits are re-proven every --sample-rate
-    hits (default 16, 0 = never). --cache-cap N (default 1024, 0 =
-    unbounded) bounds the cache with LRU eviction. Serve and cache
-    counters land in results/metrics.json on exit.
+    cache. It reads JSONL requests, one per line, from stdin (or a Unix
+    socket with --socket PATH): {\"fn\": \"<IR text>\", \"target\": …,
+    \"allocator\": …}, `target` and `allocator` optional, or
+    {\"op\": \"shutdown\"}; any other field is an error response. It
+    answers each with one JSONL response carrying the rewritten machine
+    code, its fingerprint, and the allocation scorecard. The cache key is
+    the canonical printed IR plus target and allocator; every miss is
+    proven by the symbolic checker before insertion, and hits are
+    re-proven every --sample-rate hits (default 16, 0 = never).
+    --cache-cap N (default 1024, 0 = unbounded) bounds the cache with LRU
+    eviction. Serve and cache counters land in results/metrics.json on exit.
     --emit-requests DIR instead prints one request line per function of
     the `.pdgc` corpus under DIR — a self-contained request generator:
         pdgc serve --emit-requests corpus | pdgc serve
@@ -127,6 +133,7 @@ fn pick_target(name: &str) -> Result<TargetDesc, String> {
         .map_err(|e| e.to_string())
 }
 
+#[derive(Default)]
 struct Options {
     file: Option<String>,
     allocator: String,
@@ -158,6 +165,11 @@ fn split_flag(arg: &str) -> (&str, Option<&str>) {
     }
 }
 
+/// `v` parsed as a number, or an error naming `what` it counts.
+fn number<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} `{v}`"))
+}
+
 /// A valued flag's value: the inline `=value`, or else the next argument.
 fn flag_value<'a>(
     flag: &str,
@@ -173,46 +185,59 @@ fn flag_value<'a>(
     }
 }
 
-fn parse_options(argv: &[String]) -> Result<Options, String> {
+/// Each command but `report`, with the rest of its USAGE line: its
+/// `<FILE>` or `<DIR>` if it takes one, and the flags it takes.
+#[rustfmt::skip]
+const COMMANDS: [(&str, &str); 6] = [
+    ("allocate", "<FILE> --allocator --target --check --trace --dump-graphs"),
+    ("run", "<FILE> --allocator --target --args --check --trace --dump-graphs"),
+    ("demo", "--check --trace --dump-graphs"),
+    ("bench batch", "--jobs --repeat --min-speedup --allocator --target --check"),
+    ("corpus", "<DIR> --allocator --target --check --baseline --write-baseline"),
+    ("serve", "--socket --allocator --target --cache-cap --sample-rate --emit-requests"),
+];
+
+/// Whether a [`COMMANDS`] list takes `flag`.
+fn takes(list: &str, flag: &str) -> bool {
+    list.split(' ').any(|w| w == flag)
+}
+
+/// Parses `argv` against the named command's list: a flag outside it, or a
+/// file given to a command that takes none, is an error rather than
+/// ignored.
+fn parse_options(name: &str, argv: &[String]) -> Result<Options, String> {
+    let found = COMMANDS.into_iter().find(|(n, _)| *n == name);
+    let (_, list) = found.expect("every parsed command is listed");
     let mut o = Options {
-        file: None,
         allocator: "full".into(),
-        allocator_given: false,
         target: "ia64-24".into(),
-        args: Vec::new(),
-        trace: None,
-        dump_graphs: None,
-        jobs: None,
-        repeat: None,
-        min_speedup: None,
-        check: CheckMode::Off,
-        baseline: None,
-        write_baseline: false,
-        socket: None,
         cache_cap: 1024,
         sample_rate: 16,
-        emit_requests: None,
+        ..Options::default()
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         let (flag, inline) = split_flag(a);
         if !flag.starts_with("--") {
+            if !list.starts_with('<') {
+                return Err(format!("`pdgc {name}` takes no file (got `{a}`)"));
+            }
             if o.file.replace(a.clone()).is_some() {
                 return Err("more than one input file".into());
             }
             continue;
         }
-        // The flags that take no value; bare `--check` means `always`.
-        match (flag, inline) {
-            ("--check", None) => {
-                o.check = CheckMode::Always;
-                continue;
-            }
-            ("--write-baseline", None) => {
-                o.write_baseline = true;
-                continue;
-            }
-            _ => {}
+        if !takes(list, flag) {
+            let takers: Vec<String> = COMMANDS
+                .into_iter()
+                .filter(|(_, list)| takes(list, flag))
+                .map(|(name, _)| format!("`pdgc {name}`"))
+                .collect();
+            return Err(if takers.is_empty() {
+                format!("unknown flag {flag}")
+            } else {
+                format!("{flag} is only taken by {}", takers.join(", "))
+            });
         }
         let mut value = || flag_value(flag, inline, &mut it);
         match flag {
@@ -230,32 +255,18 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             }
             "--trace" => o.trace = Some(value()?),
             "--dump-graphs" => o.dump_graphs = Some(value()?),
-            "--jobs" => {
-                let v = value()?;
-                o.jobs = Some(v.parse().map_err(|_| format!("bad job count `{v}`"))?);
-            }
-            "--repeat" => {
-                let v = value()?;
-                o.repeat = Some(v.parse().map_err(|_| format!("bad repeat count `{v}`"))?);
-            }
-            "--min-speedup" => {
-                let v = value()?;
-                o.min_speedup = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad minimum speedup `{v}`"))?,
-                );
-            }
+            "--jobs" => o.jobs = Some(number(&value()?, "job count")?),
+            "--repeat" => o.repeat = Some(number(&value()?, "repeat count")?),
+            "--min-speedup" => o.min_speedup = Some(number(&value()?, "minimum speedup")?),
+            // Bare `--check` means `always`; `--write-baseline` takes no value.
+            "--check" if inline.is_none() => o.check = CheckMode::Always,
             "--check" => o.check = CheckMode::parse(&value()?)?,
+            "--write-baseline" if inline.is_none() => o.write_baseline = true,
+            "--write-baseline" => return Err("--write-baseline takes no value".into()),
             "--baseline" => o.baseline = Some(value()?),
             "--socket" => o.socket = Some(value()?),
-            "--cache-cap" => {
-                let v = value()?;
-                o.cache_cap = v.parse().map_err(|_| format!("bad cache cap `{v}`"))?;
-            }
-            "--sample-rate" => {
-                let v = value()?;
-                o.sample_rate = v.parse().map_err(|_| format!("bad sample rate `{v}`"))?;
-            }
+            "--cache-cap" => o.cache_cap = number(&value()?, "cache cap")?,
+            "--sample-rate" => o.sample_rate = number(&value()?, "sample rate")?,
             "--emit-requests" => o.emit_requests = Some(value()?),
             _ => return Err(format!("unknown flag {a}")),
         }
@@ -440,6 +451,9 @@ fn cmd_bench_batch(o: &Options) -> Result<(), String> {
 fn cmd_corpus(o: &Options) -> Result<(), String> {
     use pdgc_bench::corpus;
     let dir = o.file.as_ref().ok_or("missing corpus directory")?;
+    if o.write_baseline && o.allocator_given {
+        return Err("--write-baseline writes every allocator's rows: drop --allocator".into());
+    }
     let files = corpus::load_corpus_dir(std::path::Path::new(dir))
         .map_err(|e| format!("loading corpus {dir}: {e}"))?;
     let target = pick_target(&o.target)?;
@@ -508,8 +522,10 @@ fn cmd_corpus(o: &Options) -> Result<(), String> {
     }
     match std::fs::read_to_string(&bpath) {
         Ok(text) => {
-            let (btarget, brows) =
+            let (btarget, mut brows) =
                 corpus::parse_baseline(&text).map_err(|e| format!("{bpath}: {e}"))?;
+            // Only the allocators that ran have rows to compare.
+            brows.retain(|b| allocators.iter().any(|a| a.name() == b.allocator));
             let regressions =
                 corpus::compare_baseline(&btarget, &brows, &target.name, &report.rows);
             if !regressions.is_empty() {
@@ -574,7 +590,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         // daemon without any external JSON tooling.
         let files = pdgc_bench::corpus::load_corpus_dir(std::path::Path::new(dir))
             .map_err(|e| format!("loading corpus {dir}: {e}"))?;
-        let text = corpus_requests(&files, &o.target, &o.allocator, o.check)?;
+        let text = corpus_requests(&files, &o.target, &o.allocator)?;
         print!("{text}");
         return Ok(());
     }
@@ -585,7 +601,6 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let mut session = ServeSession::new(ServeConfig {
         target: o.target.clone(),
         allocator: o.allocator.clone(),
-        check: o.check,
         cache_cap: o.cache_cap,
         sample_rate: o.sample_rate,
     });
@@ -713,34 +728,20 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// [`parse_options`] for every subcommand but `bench batch`, the only one
-/// that reads `--jobs`, `--repeat` and `--min-speedup`: elsewhere each is
-/// an error, not ignored.
-fn parse_options_outside_batch(argv: &[String]) -> Result<Options, String> {
-    let o = parse_options(argv)?;
-    let batch_only = [
-        ("--jobs", o.jobs.is_some()),
-        ("--repeat", o.repeat.is_some()),
-        ("--min-speedup", o.min_speedup.is_some()),
-    ];
-    if let Some((flag, _)) = batch_only.iter().find(|(_, given)| *given) {
-        return Err(format!("{flag} is only taken by `pdgc bench batch`"));
-    }
-    Ok(o)
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_options_outside_batch;
+    let opts = |name| parse_options(name, &argv[1..]);
     let result = match argv.first().map(String::as_str) {
-        Some("allocate") => opts(&argv[1..]).and_then(|o| cmd_allocate(&o)),
-        Some("run") => opts(&argv[1..]).and_then(|o| cmd_run(&o)),
-        Some("demo") => opts(&argv[1..]).and_then(|o| cmd_demo(&o)),
-        Some("corpus") => opts(&argv[1..]).and_then(|o| cmd_corpus(&o)),
+        Some("allocate") => opts("allocate").and_then(|o| cmd_allocate(&o)),
+        Some("run") => opts("run").and_then(|o| cmd_run(&o)),
+        Some("demo") => opts("demo").and_then(|o| cmd_demo(&o)),
+        Some("corpus") => opts("corpus").and_then(|o| cmd_corpus(&o)),
         Some("report") => cmd_report(&argv[1..]),
-        Some("serve") => opts(&argv[1..]).and_then(|o| cmd_serve(&o)),
+        Some("serve") => opts("serve").and_then(|o| cmd_serve(&o)),
         Some("bench") => match argv.get(1).map(String::as_str) {
-            Some("batch") => parse_options(&argv[2..]).and_then(|o| cmd_bench_batch(&o)),
+            Some("batch") => {
+                parse_options("bench batch", &argv[2..]).and_then(|o| cmd_bench_batch(&o))
+            }
             other => Err(format!(
                 "unknown bench subcommand {}\n\n{}",
                 other.unwrap_or("(none)"),
@@ -758,6 +759,51 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each command line of the USAGE block as its [`COMMANDS`] entry
+    /// reads joined: its words, brackets and value placeholders dropped.
+    fn usage_lists() -> Vec<String> {
+        let block = usage().split("USAGE:\n").nth(1).expect("a USAGE block");
+        let mut lists: Vec<String> = Vec::new();
+        for line in block.split("\n\n").next().unwrap().lines() {
+            for word in line.split_whitespace() {
+                let word = word.split(['[', ']']).find(|w| !w.is_empty()).unwrap();
+                if word == "pdgc" {
+                    lists.push(String::new());
+                } else if word.starts_with(['-', '<']) || word.starts_with(char::is_lowercase) {
+                    let list = lists.last_mut().expect("a command line first");
+                    list.extend([if list.is_empty() { "" } else { " " }, word]);
+                }
+            }
+        }
+        lists
+    }
+
+    #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        let mut lists = usage_lists();
+        lists.retain(|l| !l.starts_with("report ") && l != "--help");
+        let commands = COMMANDS.map(|(name, list)| format!("{name} {list}"));
+        assert_eq!(lists, commands);
+    }
+
+    #[test]
+    fn every_listed_flag_parses() {
+        for (name, list) in COMMANDS {
+            for flag in list.split(' ').filter(|w| w.starts_with("--")) {
+                // `=1` suits every valued flag; `--check` also stands bare,
+                // and `--write-baseline` only does.
+                let parsed = parse_options(name, &[format!("{flag}=1")])
+                    .or_else(|_| parse_options(name, &[flag.to_string()]));
+                assert!(parsed.is_ok(), "pdgc {name} {flag}: {:?}", parsed.err());
+            }
         }
     }
 }

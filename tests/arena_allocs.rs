@@ -298,7 +298,6 @@ const SERVE_REPEATED_LINE_ALLOC_BUDGET: u64 = 1;
 #[test]
 fn answering_a_repeated_serve_line_stays_within_its_allocation_budget() {
     use pdgc_bench::serve::{request_line, ServeConfig, ServeSession};
-    use pdgc_core::CheckMode;
     let target = pdgc_target::TargetRegistry::builtin()
         .resolve("ia64-24")
         .expect("ia64-24 is a builtin target")
@@ -307,7 +306,7 @@ fn answering_a_repeated_serve_line_stays_within_its_allocation_budget() {
         .iter()
         .flat_map(|p| pdgc_workloads::generate(&p.for_target(&target)).funcs)
         .take(20)
-        .map(|f| request_line(&f.to_string(), "ia64-24", "full", CheckMode::Always))
+        .map(|f| request_line(&f.to_string(), "ia64-24", "full"))
         .collect();
     let mut session = ServeSession::new(ServeConfig {
         sample_rate: 0,

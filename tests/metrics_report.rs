@@ -328,3 +328,153 @@ fn batch_reports_a_failed_allocation_instead_of_panicking() {
     );
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Each command line of `pdgc --help`'s USAGE block but `report`'s and
+/// `--help`'s: the command's words, its `<FILE>` or `<DIR>` if it takes
+/// one, and the flags it lists.
+fn usage_commands() -> Vec<(Vec<String>, Option<String>, Vec<String>)> {
+    let out = Command::new(PDGC)
+        .arg("--help")
+        .output()
+        .expect("run pdgc --help");
+    let help = String::from_utf8(out.stdout).unwrap();
+    let block = help.split("USAGE:\n").nth(1).expect("a USAGE block");
+    let mut commands: Vec<(Vec<String>, Option<String>, Vec<String>)> = Vec::new();
+    for line in block.split("\n\n").next().unwrap().lines().map(str::trim) {
+        let words = line.split_whitespace().map(|w| w.trim_start_matches('['));
+        if line.starts_with("pdgc ") {
+            let name = words.clone().skip(1);
+            commands.push((
+                name.take_while(|w| w.starts_with(|c: char| c.is_ascii_lowercase()))
+                    .map(String::from)
+                    .collect(),
+                words.clone().find(|w| w.starts_with('<')).map(String::from),
+                Vec::new(),
+            ));
+        }
+        let flags = words.filter(|w| w.starts_with("--")).map(|w| {
+            w.chars()
+                .take_while(|&c| c == '-' || c.is_ascii_alphanumeric())
+                .collect()
+        });
+        commands
+            .last_mut()
+            .expect("a command line first")
+            .2
+            .extend(flags);
+    }
+    commands.retain(|(name, ..)| !name.is_empty() && name != &["report"]);
+    commands
+}
+
+/// Every command takes only the flags its USAGE line lists: each other
+/// flag, as `--flag v` and as `--flag=v`, exits 1 naming the flag and the
+/// commands that take it, and a file given to a command without `<FILE>`
+/// or `<DIR>` exits 1 too.
+#[test]
+fn every_flag_outside_a_commands_usage_line_is_rejected() {
+    let commands = usage_commands();
+    let mut every_flag: Vec<&str> = commands
+        .iter()
+        .flat_map(|(_, _, flags)| flags.iter().map(String::as_str))
+        .collect();
+    every_flag.sort_unstable();
+    every_flag.dedup();
+    assert_eq!(every_flag.len(), 15, "{every_flag:?}");
+    let dir = std::env::temp_dir().join(format!("pdgc-report-{}-flags", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let pdgc = |args: &[String]| {
+        Command::new(PDGC)
+            .args(args)
+            .current_dir(&dir)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run pdgc")
+    };
+    for (name, positional, flags) in &commands {
+        let mut base = name.clone();
+        match positional.as_deref() {
+            Some("<FILE>") => base.push(root.join("examples/ir/dot2.pdgc").display().to_string()),
+            Some(_) => base.push(root.join("corpus").display().to_string()),
+            None => {
+                let out = pdgc(&[base.clone(), vec!["extra.pdgc".into()]].concat());
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(
+                    out.status.code(),
+                    Some(1),
+                    "pdgc {name:?} took a file: {err}"
+                );
+                assert!(err.contains("takes no file"), "pdgc {name:?}: {err}");
+            }
+        }
+        for flag in every_flag.iter().filter(|f| !flags.iter().any(|g| g == *f)) {
+            let takers: Vec<String> = commands
+                .iter()
+                .filter(|(_, _, flags)| flags.iter().any(|g| g == flag))
+                .map(|(name, ..)| format!("`pdgc {}`", name.join(" ")))
+                .collect();
+            let expected = format!("{flag} is only taken by {}", takers.join(", "));
+            for spelling in [
+                vec![flag.to_string(), "1".into()],
+                vec![format!("{flag}=1")],
+            ] {
+                let args = [base.clone(), spelling].concat();
+                let out = pdgc(&args);
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(
+                    out.status.code(),
+                    Some(1),
+                    "pdgc {args:?} was accepted: {err}"
+                );
+                assert!(err.contains(&expected), "pdgc {args:?}: {err}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `pdgc corpus --allocator NAME` compares only that allocator's rows of
+/// the committed baseline, and refuses `--write-baseline`, which would
+/// replace every allocator's rows with its own, before running anything.
+#[test]
+fn corpus_with_one_allocator_compares_and_keeps_only_its_rows() {
+    let dir = std::env::temp_dir().join(format!("pdgc-report-{}-corpus", std::process::id()));
+    let copy = dir.join("corpus");
+    std::fs::create_dir_all(&copy).unwrap();
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    for entry in std::fs::read_dir(&corpus).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+    }
+    let pdgc = |extra: &[&str]| {
+        Command::new(PDGC)
+            .arg("corpus")
+            .arg(&copy)
+            .args(["--allocator", "full"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("run pdgc corpus")
+    };
+    let out = pdgc(&[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("baseline match: all 26 entries"),
+        "{stdout}"
+    );
+
+    let baseline = copy.join("baseline.json");
+    let before = std::fs::read(&baseline).unwrap();
+    let out = pdgc(&["--write-baseline"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--write-baseline"), "{err}");
+    assert_eq!(std::fs::read(&baseline).unwrap(), before);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use pdgc::analysis::{Cfg, Spl};
 use pdgc::core::cpg::Cpg;
-use pdgc::core::ifg::InterferenceGraph;
+use pdgc::core::ifg::{IfgScratch, InterferenceGraph};
 use pdgc::core::node::NodeId;
 use pdgc::core::simplify::{simplify, SimplifyMode};
 use pdgc::core::spill::{insert_spill_code, insert_spill_code_fwd};
@@ -22,7 +22,7 @@ use pdgc::workloads::WorkloadProfile;
 /// with the given edge probability.
 fn random_ifg(n: usize, edge_prob: f64, seed: u64) -> InterferenceGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = InterferenceGraph::new(n, 0);
+    let mut g = InterferenceGraph::new_in(n, 0, &mut IfgScratch::default());
     for a in 0..n {
         for b in (a + 1)..n {
             if rng.gen_bool(edge_prob) {
@@ -166,7 +166,7 @@ proptest! {
         edges in proptest::collection::vec((0usize..30, 0usize..30), 0..80),
         merges in proptest::collection::vec((0usize..30, 0usize..30), 0..8),
     ) {
-        let mut g = InterferenceGraph::new(n, 0);
+        let mut g = InterferenceGraph::new_in(n, 0, &mut IfgScratch::default());
         for (a, b) in edges {
             let (a, b) = (a % n, b % n);
             if a != b {
@@ -211,7 +211,7 @@ proptest! {
         n in 2usize..20,
         ops in proptest::collection::vec((0usize..6, 0usize..20, 0usize..20), 1..60),
     ) {
-        let mut g = InterferenceGraph::new(n, 0);
+        let mut g = InterferenceGraph::new_in(n, 0, &mut IfgScratch::default());
         // frozen[i] = the degree node i carried when it was removed.
         let mut frozen: Vec<Option<usize>> = vec![None; n];
         for (kind, x, y) in ops {
@@ -656,7 +656,7 @@ proptest! {
         num_phys in 0usize..4,
         ops in proptest::collection::vec((0usize..8, 0usize..24, 0usize..24), 1..120),
     ) {
-        let mut g = InterferenceGraph::new(n, num_phys);
+        let mut g = InterferenceGraph::new_in(n, num_phys, &mut IfgScratch::default());
         let mut m = VecIfg::of(&g);
         same_as_model(&g, &m, 0)?;
         let last = n - 1;

@@ -77,7 +77,7 @@ fn cache_hit_matches_fresh_allocation_on_every_target() {
         let w = pdgc::workloads::generate(&profile(7, 60, 1, 0.2).for_target(&target));
         let func = &w.funcs[0];
         let mut s = session();
-        let line = request_line(&func.to_string(), &target.name, "full", CheckMode::Always);
+        let line = request_line(&func.to_string(), &target.name, "full");
         let miss = Json::parse(&s.handle_line(&line).response).unwrap();
         let hit = Json::parse(&s.handle_line(&line).response).unwrap();
         assert_eq!(miss["ok"].as_bool(), Some(true), "{}: miss failed", target.name);
@@ -134,7 +134,6 @@ fn hostile_nesting_yields_an_error_response_not_a_crash() {
         "fn id(v0: int) -> int {\nb0:\n    ret v0\n}\n",
         "ia64-24",
         "full",
-        CheckMode::Always,
     );
     let ok = Json::parse(&s.handle_line(&good).response).unwrap();
     assert_eq!(ok["ok"].as_bool(), Some(true));
@@ -197,7 +196,7 @@ proptest! {
             .iter()
             .map(|&cp| char::from_u32(cp).expect("generated ranges skip surrogates"))
             .collect();
-        let line = request_line(&s, "ia64-24", "full", CheckMode::Always);
+        let line = request_line(&s, "ia64-24", "full");
         let parsed = Json::parse(&line)
             .map_err(|e| TestCaseError::fail(format!("{line:?}: {e}")))?;
         prop_assert_eq!(parsed["fn"].as_str(), Some(s.as_str()));

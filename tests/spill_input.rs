@@ -152,7 +152,7 @@ fn a_slot_no_frame_can_hold_is_an_allocation_error() {
 #[test]
 fn the_daemon_answers_a_slot_no_frame_can_hold_with_an_error() {
     let mut serve = ServeSession::new(ServeConfig::default());
-    let line = request_line(LAST_SLOT, "ia64-24", "full", CheckMode::Always);
+    let line = request_line(LAST_SLOT, "ia64-24", "full");
     let out = serve.handle_line(&line);
     assert!(out.response.contains("\"ok\":false"), "{}", out.response);
     assert!(
@@ -161,7 +161,7 @@ fn the_daemon_answers_a_slot_no_frame_can_hold_with_an_error() {
         out.response
     );
     // The session survives to answer the next request.
-    let line = request_line(SPILL_ACROSS_CALL, "ia64-24", "full", CheckMode::Always);
+    let line = request_line(SPILL_ACROSS_CALL, "ia64-24", "full");
     let out = serve.handle_line(&line);
     assert!(out.response.contains("\"ok\":true"), "{}", out.response);
 }

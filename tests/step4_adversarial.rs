@@ -10,7 +10,7 @@
 //! non-volatile, parity-paired loads) unless noted.
 
 use pdgc::core::cpg::Cpg;
-use pdgc::core::ifg::InterferenceGraph;
+use pdgc::core::ifg::{IfgScratch, InterferenceGraph};
 use pdgc::core::node::{NodeId, NodeMap};
 use pdgc::core::rpg::{PrefKind, PrefTarget, Preference, Rpg};
 use pdgc::core::select::{select_traced_in, SelectConfig, SelectResult, SelectScratch};
@@ -36,7 +36,8 @@ fn setup(m: usize, edges: &[(usize, usize)]) -> (InterferenceGraph, NodeMap, Tar
     let target = TargetDesc::toy(4);
     let pinned = vec![None; f.num_vregs()];
     let nm = NodeMap::build(&f, &target, RegClass::Int, &pinned);
-    let mut g = InterferenceGraph::new(nm.num_nodes(), nm.num_phys());
+    let mut g =
+        InterferenceGraph::new_in(nm.num_nodes(), nm.num_phys(), &mut IfgScratch::default());
     for &(a, b2) in edges {
         g.add_edge(n(a), n(b2));
     }

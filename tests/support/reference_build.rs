@@ -65,7 +65,11 @@ pub fn build_ifg(
     liveness: &Liveness,
     nodes: &NodeMap,
 ) -> InterferenceGraph {
-    let mut g = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+    let mut g = InterferenceGraph::new_in(
+        nodes.num_nodes(),
+        nodes.num_phys(),
+        &mut pdgc::core::ifg::IfgScratch::default(),
+    );
 
     // Values live into the entry block are all defined "at entry"
     // (pre-lowering parameters): make them pairwise interfere.
