@@ -1,11 +1,10 @@
 //! The public allocator API and the paper's allocator (Figure 8).
 
 use crate::baselines::coalesce::{coalesce_copies, conservative_ok};
-use crate::cpg::Cpg;
 use crate::pipeline::{AllocSession, Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::rpg::build_rpg_in;
 use crate::select::{select_traced_in, SelectConfig};
-use crate::simplify::{simplify_in, SimplifyMode};
+use crate::simplify::simplify_with_cpg_in;
 use pdgc_ir::Function;
 use pdgc_obs::{Counter, Event, GraphKind, Phase, PhaseTimer, Tracer};
 use pdgc_target::TargetDesc;
@@ -46,9 +45,9 @@ pub trait RegisterAllocator: ClassStrategy {
 }
 
 /// The paper's allocator (Figure 8): renumber → build interference graph
-/// and Register Preference Graph → optimistic simplify → build Coloring
-/// Precedence Graph → integrated preference-directed select → spill &
-/// iterate.
+/// and Register Preference Graph → optimistic simplify, which builds the
+/// Coloring Precedence Graph as it removes → integrated preference-directed
+/// select → spill & iterate.
 #[derive(Clone, Copy, Debug)]
 pub struct PreferenceAllocator {
     prefs: PreferenceSet,
@@ -146,20 +145,14 @@ impl ClassStrategy for PreferenceAllocator {
                 }
             }
         }
+        // Simplify builds the CPG as it removes: the CPG build is timed
+        // inside this span.
         let timer = PhaseTimer::start(Phase::Simplify, round, Some(class));
-        let sr = simplify_in(
-            &mut ctx.ifg,
-            ctx.k,
-            &costs,
-            SimplifyMode::Optimistic,
-            &mut cls.simplify,
-        );
+        let (sr, cpg) =
+            simplify_with_cpg_in(&mut ctx.ifg, ctx.k, &costs, &mut cls.simplify, &mut cls.cpg);
         ctx.ifg.restore_all();
-        cls.simplify.flush_counters(&mut cls.select.metrics);
-        timer.stop(&mut cls.select.metrics, tracer);
-        let timer = PhaseTimer::start(Phase::Cpg, round, Some(class));
-        let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
         sr.recycle(&mut cls.simplify);
+        cls.simplify.flush_counters(&mut cls.select.metrics);
         timer.stop(&mut cls.select.metrics, tracer);
         cls.select
             .metrics

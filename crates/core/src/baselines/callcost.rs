@@ -91,6 +91,7 @@ impl ClassStrategy for CallCostAllocator {
             &costs,
             SimplifyMode::Chaitin,
             priority,
+            None,
             &mut ctx.scratch.simplify,
         );
         ctx.scratch

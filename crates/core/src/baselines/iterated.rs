@@ -246,12 +246,12 @@ impl<'c> Worklists<'c> {
     /// Removes the live range `n`, queueing each neighbor whose degree
     /// falls below K.
     fn remove(&mut self, ifg: &mut InterferenceGraph, n: NodeId) {
-        ifg.remove(n);
-        for &x in ifg.neighbors_slice(n) {
-            if !ifg.is_removed(x) && !ifg.is_precolored(x) && ifg.degree(x) + 1 == self.k {
+        let num_phys = ifg.num_phys();
+        ifg.remove(n, |x, degree| {
+            if x.index() >= num_phys && degree + 1 == self.k {
                 self.queue_low(x);
             }
-        }
+        });
         self.remaining -= 1;
     }
 

@@ -66,7 +66,7 @@ fn spec_simplify(
         .collect();
     let mut remaining = ifg.active_live_ranges().len();
     let pop_neighbors = |ifg: &mut InterferenceGraph, n: NodeId, worklist: &mut BinaryHeap<_>| {
-        ifg.remove(n);
+        ifg.remove(n, |_, _| {});
         for &x in ifg.neighbors_slice(n) {
             if !ifg.is_removed(x) && !ifg.is_precolored(x) && ifg.degree(x) + 1 == k {
                 worklist.push(Reverse(x.index()));
@@ -115,12 +115,12 @@ fn spec_simplify_keyed(
             .filter(|&n| ifg.degree(n) < k)
             .min_by_key(|&n| (key[n.index()], n.index()));
         if let Some(n) = low {
-            ifg.remove(n);
+            ifg.remove(n, |_, _| {});
             stack.push(n);
             continue;
         }
         let cand = spill_candidate(ifg, k, costs, active);
-        ifg.remove(cand);
+        ifg.remove(cand, |_, _| {});
         spills.push(cand);
     }
     (stack, Vec::new(), spills)
@@ -198,7 +198,7 @@ fn spec_iterated(
             .iter()
             .find(|&&n| ifg.degree(n) < k && !move_related(n))
         {
-            ifg.remove(n);
+            ifg.remove(n, |_, _| {});
             stack.push(n);
             continue;
         }
@@ -218,7 +218,7 @@ fn spec_iterated(
             continue;
         }
         let cand = spill_candidate(ifg, k, costs, active);
-        ifg.remove(cand);
+        ifg.remove(cand, |_, _| {});
         stack.push(cand);
         spills.push(cand);
     }
@@ -348,7 +348,7 @@ proptest! {
         let (mut g, mut spec_g) = (c.ifg.clone(), c.ifg.clone());
         let key = |n: NodeId| c.key[n.index()];
         let new = run(|| {
-            let sr = simplify_keyed_in(&mut g, k, &c.costs, SimplifyMode::Chaitin, key, &mut scratch);
+            let sr = simplify_keyed_in(&mut g, k, &c.costs, SimplifyMode::Chaitin, key, None, &mut scratch);
             (sr.stack, sr.optimistic, sr.chaitin_spills)
         });
         let spec = run(|| spec_simplify_keyed(&mut spec_g, k, &c.costs, &c.key));
@@ -374,7 +374,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         for n in g.active_live_ranges() {
             if rng.gen_bool(0.3) {
-                g.remove(n);
+                g.remove(n, |_, _| {});
             }
         }
         let ends: Vec<NodeId> = (0..g.num_nodes())

@@ -9,10 +9,15 @@
 //! The preference-directed select phase ([`crate::select`]) then walks the
 //! DAG frontier, free to pick whichever ready node has the most at stake.
 //!
-//! Construction follows the paper's nine steps: replay the simplification
-//! stack against a working interference graph (physical-register nodes
-//! removed), detect which removals *enable* which ("removing one enables
-//! the other's removal"), and record those enabling constraints as edges.
+//! Construction follows the paper's nine steps: walk the simplification
+//! stack's removals against a working interference graph (physical-register
+//! nodes removed), detect which removals *enable* which ("removing one
+//! enables the other's removal"), and record those enabling constraints as
+//! edges. The rule is written once, in `CpgBuilder`. The allocator feeds it
+//! from simplify's own removal walk, as the removals happen
+//! ([`simplify_with_cpg_in`](crate::simplify::simplify_with_cpg_in));
+//! [`Cpg::build`] replays a finished stack through it.
+//!
 //! The built DAG keeps every enabling edge, including the ones a longer
 //! path already implies: it has the same reachability as the transitively
 //! reduced DAG the paper draws, hence the same ready frontier at every
@@ -24,9 +29,9 @@ use crate::ifg::InterferenceGraph;
 use crate::node::NodeId;
 use pdgc_arena::{RowTable, VecPool};
 
-/// Reusable storage for [`Cpg::build_in`]: the DAG's own vectors and
-/// successor table plus the construction temporaries (working-graph flags
-/// and degrees). One scratch serves any number of sequential builds;
+/// Reusable storage for a CPG build: the DAG's own vectors and successor
+/// table plus the construction temporaries (working-graph flags and
+/// degrees). One scratch serves any number of sequential builds;
 /// recycle each [`Cpg`] with [`Cpg::recycle`] when done so the next build
 /// is allocation-free.
 #[derive(Debug, Default)]
@@ -50,7 +55,7 @@ impl CpgScratch {
 /// edges to the `bottom` sentinel. Select reads only successor lists and
 /// predecessor counts, so predecessors are stored as a count. The
 /// successor lists are the rows of one [`RowTable`], each in the order the
-/// build's replay produced its edges.
+/// removals produced its edges.
 #[derive(Clone, Debug)]
 pub struct Cpg {
     k: usize,
@@ -86,6 +91,11 @@ impl Cpg {
     /// Like [`Cpg::build`], drawing the DAG's storage and every
     /// construction temporary from pooled scratch. Return the DAG with
     /// [`Cpg::recycle`] when done.
+    ///
+    /// This replays `stack` against `ifg`, the paper's construction as
+    /// written. The allocator itself never replays: it builds the same DAG
+    /// during simplification
+    /// ([`simplify_with_cpg_in`](crate::simplify::simplify_with_cpg_in)).
     pub fn build_in(
         ifg: &InterferenceGraph,
         stack: &[NodeId],
@@ -93,78 +103,22 @@ impl Cpg {
         k: usize,
         scratch: &mut CpgScratch,
     ) -> Cpg {
-        let n = ifg.num_nodes();
-        let mut cpg = Cpg {
-            k,
-            present: scratch.flags.take_filled(n, false),
-            succs: std::mem::take(&mut scratch.succs),
-            pred_count: scratch.counts.take_filled(n, 0),
-            from_top: scratch.flags.take_filled(n, false),
-            to_bottom: scratch.flags.take_filled(n, false),
-        };
-
-        let is_lr = |x: NodeId| !ifg.is_precolored(x) && !ifg.is_merged(x);
-        // Working interference graph: live-range nodes of the stack.
-        let mut removed = scratch.flags.take_filled(n, false);
-        let mut degree = scratch.counts.take_filled(n, 0);
-        for &x in stack {
-            degree[x.index()] = ifg
-                .neighbors_slice(x)
-                .iter()
-                .filter(|&&y| is_lr(y))
-                .count();
-        }
-
-        let mut ready = scratch.flags.take_filled(n, false);
-
-        // Step 4: initial low-degree nodes, then spilled (optimistic) nodes.
-        for &x in stack {
-            if degree[x.index()] < k {
-                cpg.present[x.index()] = true;
-                cpg.to_bottom[x.index()] = true;
-                ready[x.index()] = true;
-            }
-        }
+        let mut cpg = CpgBuilder::new(ifg, stack.iter().copied(), k, scratch);
         for &x in optimistic {
-            if !cpg.present[x.index()] {
-                cpg.present[x.index()] = true;
-                cpg.to_bottom[x.index()] = true;
-                // not ready
-            }
+            cpg.spill(x);
         }
-
-        // Steps 5–9: replay removals. Every edge points *into* the node
-        // being popped, from a working-graph neighbor that is not yet
-        // ready: its removal was enabled by `popped`'s. So a node ready from
-        // the start has no successors, and another's are among the
-        // working-graph neighbors it has now: its row has room for its
-        // degree and fills in place, in replay order.
-        let room = (0..n).map(|i| if ready[i] { 0 } else { degree[i] });
-        cpg.succs.reset_with_room(room, NodeId::new(0));
+        // Steps 5–9: replay the removals against the working graph.
+        let mut removed = scratch.flags.take_filled(ifg.num_nodes(), false);
         for &popped in stack {
             removed[popped.index()] = true;
-            cpg.present[popped.index()] = true;
             for &x in ifg.neighbors_slice(popped) {
-                if !is_lr(x) || removed[x.index()] {
-                    continue;
-                }
-                cpg.present[x.index()] = true;
-                if !ready[x.index()] {
-                    cpg.succs.push(x.index(), popped);
-                    cpg.pred_count[popped.index()] += 1;
-                }
-                // Step 8: removal may make the neighbor low-degree.
-                degree[x.index()] -= 1;
-                if degree[x.index()] < k {
-                    ready[x.index()] = true;
+                if !ifg.is_precolored(x) && !removed[x.index()] {
+                    cpg.neighbor(popped, x);
                 }
             }
-            cpg.from_top[popped.index()] = cpg.pred_count[popped.index()] == 0;
         }
         scratch.flags.put(removed);
-        scratch.flags.put(ready);
-        scratch.counts.put(degree);
-        cpg
+        cpg.finish(scratch)
     }
 
     /// The transitive reduction of this DAG: the same nodes, sentinels and
@@ -310,6 +264,85 @@ impl Cpg {
             }
         }
         seen == self.nodes().count()
+    }
+}
+
+/// §5.2's construction rule, fed one removal at a time. Two drivers feed
+/// it the same removals in the same order: simplify's own removal walk
+/// ([`simplify_with_cpg_in`](crate::simplify::simplify_with_cpg_in)), and
+/// [`Cpg::build_in`]'s replay of a finished stack.
+pub(crate) struct CpgBuilder {
+    cpg: Cpg,
+    /// Step 4's working degrees: each live range's live-range neighbors
+    /// still in the working graph. A node is *ready* once its working
+    /// degree is below K; degrees only fall, so it stays ready.
+    degree: Vec<usize>,
+}
+
+impl CpgBuilder {
+    /// Step 4 over `live_ranges`, the nodes of `ifg` the stack will hold:
+    /// each becomes a CPG node with its working degree, and points at
+    /// `bottom` if it is ready from the start.
+    ///
+    /// A working degree is the node's row length less its precolored
+    /// neighbors, O(1) per node. A node ready from the start never gets a
+    /// successor, and another gets at most one per working-graph neighbor,
+    /// so its successor row has room for its degree and fills in place, in
+    /// removal order.
+    pub(crate) fn new(
+        ifg: &InterferenceGraph,
+        live_ranges: impl Iterator<Item = NodeId>,
+        k: usize,
+        scratch: &mut CpgScratch,
+    ) -> Self {
+        let n = ifg.num_nodes();
+        let mut cpg = Cpg {
+            k,
+            present: scratch.flags.take_filled(n, false),
+            succs: std::mem::take(&mut scratch.succs),
+            pred_count: scratch.counts.take_filled(n, 0),
+            from_top: scratch.flags.take_filled(n, false),
+            to_bottom: scratch.flags.take_filled(n, false),
+        };
+        let mut degree = scratch.counts.take_filled(n, 0);
+        for x in live_ranges {
+            let d = ifg.neighbors_slice(x).len() - ifg.precolored_degree(x);
+            degree[x.index()] = d;
+            cpg.present[x.index()] = true;
+            cpg.to_bottom[x.index()] = d < k;
+        }
+        let room = (0..n).map(|i| if cpg.to_bottom[i] { 0 } else { degree[i] });
+        cpg.succs.reset_with_room(room, NodeId::new(0));
+        CpgBuilder { cpg, degree }
+    }
+
+    /// Step 4's potential spill: `x`, removed optimistically, points at
+    /// `bottom`. It is ready only if its working degree says so.
+    pub(crate) fn spill(&mut self, x: NodeId) {
+        self.cpg.to_bottom[x.index()] = true;
+    }
+
+    /// Steps 6–8 for `x`, a live-range neighbor of `popped` that is still
+    /// in the working graph as `popped` leaves it: if `x` is not ready,
+    /// `popped`'s removal enabled `x`'s, so `x → popped`; then `x` loses a
+    /// working neighbor.
+    pub(crate) fn neighbor(&mut self, popped: NodeId, x: NodeId) {
+        let degree = &mut self.degree[x.index()];
+        if *degree >= self.cpg.k {
+            self.cpg.succs.push(x.index(), popped);
+            self.cpg.pred_count[popped.index()] += 1;
+        }
+        *degree -= 1;
+    }
+
+    /// The finished DAG: `top` points at every node no edge enters.
+    pub(crate) fn finish(self, scratch: &mut CpgScratch) -> Cpg {
+        let mut cpg = self.cpg;
+        scratch.counts.put(self.degree);
+        for (i, top) in cpg.from_top.iter_mut().enumerate() {
+            *top = cpg.present[i] && cpg.pred_count[i] == 0;
+        }
+        cpg
     }
 }
 

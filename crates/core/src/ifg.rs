@@ -361,10 +361,15 @@ impl InterferenceGraph {
     /// Marks `n` as removed (simplified), decrementing live neighbors'
     /// degrees. `n`'s own degree is frozen at its current value.
     ///
+    /// `visit` receives each live neighbor (precolored ones included) with
+    /// its degree after the decrement, once each, in row order: the one
+    /// walk over `n`'s row, which simplify also uses to refill its
+    /// worklist and build the CPG.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is precolored, merged, or already removed.
-    pub fn remove(&mut self, n: NodeId) {
+    pub fn remove(&mut self, n: NodeId, mut visit: impl FnMut(NodeId, usize)) {
         let n = self.rep(n);
         assert!(!self.is_precolored(n), "removing precolored {n}");
         assert!(!self.removed[n.index()], "removing {n} twice");
@@ -372,8 +377,25 @@ impl InterferenceGraph {
         for &x in self.adj.row(n.index()) {
             if !self.removed[x.index()] {
                 self.degree[x.index()] -= 1;
+                visit(x, self.degree[x.index()]);
             }
         }
+    }
+
+    /// The number of precolored neighbors of the live range `n`, read off
+    /// its matrix row in O(1): precolored nodes are `0..num_phys` and a
+    /// class has at most 64 registers, so their bits all sit in the row's
+    /// first word. [`merge`](Self::merge) sets the survivor's bit for every
+    /// neighbor it gains and never merges a precolored node away, so the
+    /// count matches `n`'s adjacency row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than 64 precolored nodes.
+    pub(crate) fn precolored_degree(&self, n: NodeId) -> usize {
+        assert!(self.num_phys <= 64, "more than 64 precolored nodes");
+        let mask = u64::MAX.checked_shr(64 - self.num_phys as u32).unwrap_or(0);
+        (self.words[self.rep(n).index() * self.stride] & mask).count_ones() as usize
     }
 
     /// Clears all removal marks and recomputes degrees (used between the
@@ -455,7 +477,7 @@ mod tests {
         g.add_edge(n(0), n(1));
         g.add_edge(n(0), n(2));
         assert_eq!(g.degree(n(0)), 2);
-        g.remove(n(1));
+        g.remove(n(1), |_, _| {});
         assert_eq!(g.degree(n(0)), 1);
         assert!(g.is_removed(n(1)));
         assert_eq!(g.live_neighbors(n(0)), vec![n(2)]);
@@ -498,8 +520,8 @@ mod tests {
         g.add_edge(n(0), n(2));
         g.add_edge(n(1), n(2));
         g.add_edge(n(1), n(3));
-        g.remove(n(2));
-        g.remove(n(3));
+        g.remove(n(2), |_, _| {});
+        g.remove(n(3), |_, _| {});
         let (d2, d3) = (g.degree(n(2)), g.degree(n(3)));
         g.merge(n(0), n(1));
         assert_eq!(g.degree(n(2)), d2, "shared removed neighbor mutated");
@@ -513,7 +535,7 @@ mod tests {
     fn add_edge_to_removed_node_freezes_its_degree() {
         let mut g = InterferenceGraph::new_in(3, 0, &mut IfgScratch::default());
         g.add_edge(n(0), n(1));
-        g.remove(n(1));
+        g.remove(n(1), |_, _| {});
         let frozen = g.degree(n(1));
         assert!(g.add_edge(n(1), n(2)));
         assert_eq!(g.degree(n(1)), frozen);
@@ -582,7 +604,7 @@ mod tests {
             let mut g = InterferenceGraph::new_in(5, 2, scratch);
             g.add_edge(n(2), n(3));
             g.add_edge(n(3), n(4));
-            g.remove(n(3));
+            g.remove(n(3), |_, _| {});
             g
         };
         let g1 = build(&mut scratch);
@@ -606,8 +628,8 @@ mod tests {
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         g.add_edge(n(2), n(3));
-        g.remove(n(1));
-        g.remove(n(2));
+        g.remove(n(1), |_, _| {});
+        g.remove(n(2), |_, _| {});
         g.restore_all();
         for i in 0..4 {
             assert!(!g.is_removed(n(i)));

@@ -55,6 +55,8 @@ pub struct SelectScratch {
     nodes: VecPool<NodeId>,
     /// Reused per-node screening list (honorable + deferred preferences).
     screens: Vec<ScreenEntry>,
+    /// Reused list of an assigned node's neighbors in the frontier.
+    stale: Vec<NodeId>,
     /// The per-node occupancy masks, parked between selects.
     used: Vec<u64>,
     /// The frontier heap, parked (empty) between selects.
@@ -217,6 +219,7 @@ pub fn select_traced_in(
         heap,
         frontier_len: 0,
         screen_buf: std::mem::take(&mut scratch.screens),
+        stale_neighbors: std::mem::take(&mut scratch.stale),
         metrics: std::mem::take(&mut scratch.metrics),
     }
     .run(tracer, scratch)
@@ -266,6 +269,9 @@ struct Selector<'a> {
     frontier_len: usize,
     /// Reused screening list, cleared between nodes.
     screen_buf: Vec<ScreenEntry>,
+    /// The frontier neighbors of the node just assigned, in row order,
+    /// cleared between nodes.
+    stale_neighbors: Vec<NodeId>,
     /// Taken from the scratch for the duration of the select, parked back
     /// in `run`; every bump is an array write, never an allocation.
     metrics: MetricsRegistry,
@@ -444,6 +450,7 @@ impl Selector<'_> {
         scratch.used = std::mem::take(&mut self.used);
         scratch.heap = std::mem::take(&mut self.heap);
         scratch.screens = std::mem::take(&mut self.screen_buf);
+        scratch.stale = std::mem::take(&mut self.stale_neighbors);
         scratch.metrics = std::mem::take(&mut self.metrics);
         SelectResult {
             assignment: self.assignment,
@@ -608,11 +615,19 @@ impl Selector<'_> {
     /// holders of preferences targeting `n` (those preferences just became
     /// honorable) — and re-keys those in the frontier. Spills change no
     /// assignment, so they invalidate nothing.
+    ///
+    /// `n`'s row is walked once: the walk that updates `used` also lists
+    /// the neighbors in the frontier, the only ones re-keying can move.
     fn invalidate_after_assign(&mut self, n: NodeId, reg: PhysReg) {
         let ifg = self.ifg;
+        let mut stale = std::mem::take(&mut self.stale_neighbors);
+        stale.clear();
         for &x in ifg.neighbors_slice(n) {
             self.used[x.index()] |= 1 << reg.index();
             self.diff_dirty[x.index()] = true;
+            if self.in_frontier[x.index()] {
+                stale.push(x);
+            }
         }
         let rpg = self.rpg;
         for i in 0..self.rev_pref.row(n.index()).len() {
@@ -628,9 +643,10 @@ impl Selector<'_> {
             }
         }
         // Re-key only now: a node may be both a neighbor and a holder.
-        for &x in ifg.neighbors_slice(n) {
+        for &x in &stale {
             self.rekey(x);
         }
+        self.stale_neighbors = stale;
         for i in 0..self.rev_pref.row(n.index()).len() {
             self.rekey(self.rev_pref.row(n.index())[i]);
         }

@@ -14,14 +14,20 @@
 //!
 //! * the low-degree worklist is a min-heap of `(key, id)`, seeded with
 //!   every initially low-degree node; each removal pushes exactly the
-//!   neighbors whose degree crosses below K. No edge is added during
-//!   simplification, so degrees only fall, a node enters the heap at most
-//!   once, and the minimum is the low-degree active node of least key,
-//!   ties to the lower id. [`simplify_in`] keys every node alike (pure id
+//!   neighbors whose degree crosses below K, found by the removal's own
+//!   walk over the row ([`InterferenceGraph::remove`]'s visitor). No edge
+//!   is added during simplification, so degrees only fall, a node enters
+//!   the heap at most once, and the minimum is the low-degree active node
+//!   of least key, ties to the lower id. [`simplify_in`] keys every node alike (pure id
 //!   order); the call-cost baseline keys by priority;
 //! * the spill candidate comes off a `SpillHeap`, built at the first
 //!   block.
+//!
+//! The same walk can apply §5.2's CPG rule as each node leaves the graph
+//! ([`simplify_with_cpg_in`]), so the preference-directed allocator gets
+//! its Coloring Precedence Graph from simplify with no replay of the stack.
 
+use crate::cpg::{Cpg, CpgBuilder, CpgScratch};
 use crate::ifg::InterferenceGraph;
 use crate::node::NodeId;
 use pdgc_arena::VecPool;
@@ -34,6 +40,9 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Default)]
 pub struct SimplifyScratch {
     heap: BinaryHeap<Reverse<(i64, usize)>>,
+    /// Worklist entries popped, stale ones included, since the last
+    /// [`flush_counters`](Self::flush_counters).
+    heap_pops: u64,
     pub(crate) spill: SpillHeap,
     nodes: VecPool<NodeId>,
 }
@@ -44,9 +53,13 @@ impl SimplifyScratch {
         Self::default()
     }
 
-    /// Moves the spill-heap pops tallied since the last call into
-    /// `metrics`.
+    /// Moves the worklist and spill-heap pops tallied since the last call
+    /// into `metrics`.
     pub(crate) fn flush_counters(&mut self, metrics: &mut MetricsRegistry) {
+        metrics.add(
+            Counter::SimplifyWorklistPops,
+            std::mem::take(&mut self.heap_pops),
+        );
         metrics.add(
             Counter::SimplifySpillPops,
             std::mem::take(&mut self.spill.pops),
@@ -121,18 +134,47 @@ pub fn simplify_in(
     mode: SimplifyMode,
     scratch: &mut SimplifyScratch,
 ) -> SimplifyResult {
-    simplify_keyed_in(ifg, k, spill_costs, mode, |_| 0, scratch)
+    simplify_keyed_in(ifg, k, spill_costs, mode, |_| 0, None, scratch)
+}
+
+/// [`simplify_in`] in [`SimplifyMode::Optimistic`] that also builds §5.2's
+/// Coloring Precedence Graph from its own removals: the one walk each
+/// removal makes over the removed node's row refills the worklist and
+/// applies the CPG rule. The DAG equals [`Cpg::build_in`]'s replay of the
+/// returned stack against the restored graph. `ifg` must have no node
+/// removed. Recycle the result with [`SimplifyResult::recycle`] and the
+/// DAG with [`Cpg::recycle`].
+pub fn simplify_with_cpg_in(
+    ifg: &mut InterferenceGraph,
+    k: usize,
+    spill_costs: &[u64],
+    scratch: &mut SimplifyScratch,
+    cpg_scratch: &mut CpgScratch,
+) -> (SimplifyResult, Cpg) {
+    let live_ranges = (ifg.num_phys()..ifg.num_nodes())
+        .map(NodeId::new)
+        .filter(|&n| !ifg.is_merged(n));
+    debug_assert!(
+        live_ranges.clone().all(|n| !ifg.is_removed(n)),
+        "building the CPG from a partly simplified graph"
+    );
+    let mut cpg = CpgBuilder::new(ifg, live_ranges, k, cpg_scratch);
+    let mode = SimplifyMode::Optimistic;
+    let sr = simplify_keyed_in(ifg, k, spill_costs, mode, |_| 0, Some(&mut cpg), scratch);
+    (sr, cpg.finish(cpg_scratch))
 }
 
 /// [`simplify_in`] that removes, among the low-degree nodes, the one of
-/// least `(key(n), id)` first. `key` is read once per node, when it
-/// enters the worklist, so it must not change during the call.
+/// least `(key(n), id)` first, and feeds each removal to `cpg` if given.
+/// `key` is read once per node, when it enters the worklist, so it must
+/// not change during the call.
 pub(crate) fn simplify_keyed_in(
     ifg: &mut InterferenceGraph,
     k: usize,
     spill_costs: &[u64],
     mode: SimplifyMode,
     key: impl Fn(NodeId) -> i64,
+    mut cpg: Option<&mut CpgBuilder>,
     scratch: &mut SimplifyScratch,
 ) -> SimplifyResult {
     let mut result = SimplifyResult {
@@ -154,11 +196,14 @@ pub(crate) fn simplify_keyed_in(
         .map(NodeId::new)
         .filter(|&n| !ifg.is_merged(n) && !ifg.is_removed(n))
         .count();
+    let num_phys = ifg.num_phys();
 
     while remaining > 0 {
         // Drain the worklist, skipping stale entries defensively (the
         // threshold-crossing push discipline should never produce one).
-        let (n, blocked) = match worklist.pop() {
+        let popped = worklist.pop();
+        scratch.heap_pops += u64::from(popped.is_some());
+        let (n, blocked) = match popped {
             Some(Reverse((_, i))) if ifg.is_removed(NodeId::new(i)) => continue,
             Some(Reverse((_, i))) => (NodeId::new(i), false),
             // Blocked: every active node is significant-degree.
@@ -168,12 +213,18 @@ pub(crate) fn simplify_keyed_in(
             blocked || ifg.degree(n) < k,
             "worklist entry regained degree"
         );
-        ifg.remove(n);
-        for &x in ifg.neighbors_slice(n) {
-            if !ifg.is_removed(x) && !ifg.is_precolored(x) && ifg.degree(x) + 1 == k {
-                worklist.push(entry(x));
+        // The one walk over `n`'s row: a live-range neighbor whose degree
+        // just fell to K − 1 joins the worklist, and the CPG rule sees it.
+        ifg.remove(n, |x, degree| {
+            if x.index() >= num_phys {
+                if degree + 1 == k {
+                    worklist.push(entry(x));
+                }
+                if let Some(cpg) = cpg.as_deref_mut() {
+                    cpg.neighbor(n, x);
+                }
             }
-        }
+        });
         remaining -= 1;
         match (blocked, mode) {
             (false, _) => result.stack.push(n),
@@ -181,6 +232,9 @@ pub(crate) fn simplify_keyed_in(
             (true, SimplifyMode::Optimistic) => {
                 result.stack.push(n);
                 result.optimistic.push(n);
+                if let Some(cpg) = cpg.as_deref_mut() {
+                    cpg.spill(n);
+                }
             }
         }
     }

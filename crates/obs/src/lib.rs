@@ -5,7 +5,7 @@
 //! crate defines the event vocabulary the pipeline emits while it works:
 //!
 //! * **phase spans** — one per pipeline phase (lower, analyze, build,
-//!   coalesce, simplify, cpg, select, spill, rewrite, check) with
+//!   coalesce, simplify, select, spill, rewrite, check) with
 //!   monotonic wall-clock durations and the spill round they belong to;
 //! * **decision events** — one per node the select phase resolves: the
 //!   ready-frontier snapshot, the strength differential that made the node
@@ -127,10 +127,10 @@ metric_enum! {
         Rpg = "rpg";
         /// Coalescing (aggressive, conservative, or pre-coalescing).
         Coalesce = "coalesce";
-        /// Chaitin/Briggs graph simplification.
+        /// Chaitin/Briggs graph simplification, and for the
+        /// preference-directed allocator the Coloring Precedence Graph
+        /// construction it performs as it removes.
         Simplify = "simplify";
-        /// Coloring Precedence Graph construction from the simplify stack.
-        Cpg = "cpg";
         /// Register selection (preference-directed or stack coloring).
         Select = "select";
         /// Spill-code insertion between rounds.
@@ -427,8 +427,8 @@ mod tests {
         assert_eq!(
             names,
             [
-                "lower", "analyze", "build", "rpg", "coalesce", "simplify", "cpg", "select",
-                "spill", "rewrite", "check"
+                "lower", "analyze", "build", "rpg", "coalesce", "simplify", "select", "spill",
+                "rewrite", "check"
             ]
         );
         for (i, p) in Phase::ALL.iter().enumerate() {

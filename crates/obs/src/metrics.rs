@@ -80,9 +80,10 @@ metric_enum! {
         /// Select verdicts: §5.4 active spill (strongest preference negative).
         SelectSpilledPreferMemory = "select_spilled_prefer_memory";
         // Work done by the interference-graph build, the RPG build,
-        // simplify's spill-candidate heap, the CPG build and select's
-        // frontier loop. Each is an exact function of the allocation, so
-        // any growth means a hot loop does more work for the same result.
+        // simplify's worklist and spill-candidate heap, the CPG build and
+        // select's frontier loop. Each is an exact function of the
+        // allocation, so any growth means a hot loop does more work for the
+        // same result.
         /// Undirected edges of every interference graph the build produced
         /// (the precolored clique included).
         BuildIfgEdges = "build_ifg_edges", Gate::HigherIsWorse(0);
@@ -96,6 +97,9 @@ metric_enum! {
         BuildMatrixWords = "build_matrix_words", Gate::HigherIsWorse(0);
         /// Preferences of every Register Preference Graph built.
         RpgPrefs = "rpg_prefs", Gate::HigherIsWorse(0);
+        /// Entries simplify popped off its low-degree worklist, stale ones
+        /// included (simplify and the call-cost baseline's keyed simplify).
+        SimplifyWorklistPops = "simplify_worklist_pops", Gate::HigherIsWorse(0);
         /// Entries simplify popped off its spill-candidate heap, stale ones
         /// included (simplify's blocked branch, `iterated`'s step 4 and the
         /// call-cost baseline's blocked branch).
@@ -590,7 +594,7 @@ mod tests {
         b.merge(&a);
         let ms = b.latency_ms_json();
         assert!(ms.contains("\"select\":2"), "{ms}");
-        assert!(ms.contains("\"cpg\":0"), "{ms}");
+        assert!(ms.contains("\"simplify\":0"), "{ms}");
     }
 
     #[test]

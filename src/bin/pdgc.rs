@@ -32,7 +32,8 @@ USAGE:
                       [--baseline FILE] [--write-baseline]
     pdgc report --baseline FILE --current FILE
     pdgc serve [--socket PATH] [--allocator NAME] [--target NAME]
-               [--cache-cap N] [--sample-rate N] [--emit-requests DIR]
+               [--cache-cap N] [--sample-rate N]
+    pdgc requests <DIR> [--allocator NAME] [--target NAME]
     pdgc --help
 
 Each command takes only the flags its line lists; any other flag, or a
@@ -104,9 +105,10 @@ SERVE:
     re-proven every --sample-rate hits (default 16, 0 = never).
     --cache-cap N (default 1024, 0 = unbounded) bounds the cache with LRU
     eviction. Serve and cache counters land in results/metrics.json on exit.
-    --emit-requests DIR instead prints one request line per function of
-    the `.pdgc` corpus under DIR — a self-contained request generator:
-        pdgc serve --emit-requests corpus | pdgc serve
+    `requests` prints one request line per function of the `.pdgc` corpus
+    under DIR, naming --target and --allocator — a self-contained request
+    generator:
+        pdgc requests corpus | pdgc serve
 
 REPORT:
     `report` diffs two metrics.json snapshots (e.g. a committed baseline
@@ -153,7 +155,6 @@ struct Options {
     socket: Option<String>,
     cache_cap: usize,
     sample_rate: u64,
-    emit_requests: Option<String>,
 }
 
 /// Splits `--flag=value` into the flag and its inline value; any other
@@ -188,13 +189,14 @@ fn flag_value<'a>(
 /// Each command but `report`, with the rest of its USAGE line: its
 /// `<FILE>` or `<DIR>` if it takes one, and the flags it takes.
 #[rustfmt::skip]
-const COMMANDS: [(&str, &str); 6] = [
+const COMMANDS: [(&str, &str); 7] = [
     ("allocate", "<FILE> --allocator --target --check --trace --dump-graphs"),
     ("run", "<FILE> --allocator --target --args --check --trace --dump-graphs"),
     ("demo", "--check --trace --dump-graphs"),
     ("bench batch", "--jobs --repeat --min-speedup --allocator --target --check"),
     ("corpus", "<DIR> --allocator --target --check --baseline --write-baseline"),
-    ("serve", "--socket --allocator --target --cache-cap --sample-rate --emit-requests"),
+    ("serve", "--socket --allocator --target --cache-cap --sample-rate"),
+    ("requests", "<DIR> --allocator --target"),
 ];
 
 /// Whether a [`COMMANDS`] list takes `flag`.
@@ -267,7 +269,6 @@ fn parse_options(name: &str, argv: &[String]) -> Result<Options, String> {
             "--socket" => o.socket = Some(value()?),
             "--cache-cap" => o.cache_cap = number(&value()?, "cache cap")?,
             "--sample-rate" => o.sample_rate = number(&value()?, "sample rate")?,
-            "--emit-requests" => o.emit_requests = Some(value()?),
             _ => return Err(format!("unknown flag {a}")),
         }
     }
@@ -581,19 +582,20 @@ fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {
     pdgc::obs::json::Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Renders a corpus as a JSONL request stream, so a shell pipeline (or
+/// CI) can feed `pdgc serve` without any external JSON tooling.
+fn cmd_requests(o: &Options) -> Result<(), String> {
+    let dir = o.file.as_ref().ok_or("missing corpus directory")?;
+    let files = pdgc_bench::corpus::load_corpus_dir(std::path::Path::new(dir))
+        .map_err(|e| format!("loading corpus {dir}: {e}"))?;
+    let text = pdgc_bench::serve::corpus_requests(&files, &o.target, &o.allocator)?;
+    print!("{text}");
+    Ok(())
+}
+
 fn cmd_serve(o: &Options) -> Result<(), String> {
     use pdgc::obs::Counter;
-    use pdgc_bench::serve::{corpus_requests, ServeConfig, ServeSession};
-    if let Some(dir) = &o.emit_requests {
-        // Request-generator mode: render a corpus as a JSONL request
-        // stream and exit, so a shell pipeline (or CI) can feed the
-        // daemon without any external JSON tooling.
-        let files = pdgc_bench::corpus::load_corpus_dir(std::path::Path::new(dir))
-            .map_err(|e| format!("loading corpus {dir}: {e}"))?;
-        let text = corpus_requests(&files, &o.target, &o.allocator)?;
-        print!("{text}");
-        return Ok(());
-    }
+    use pdgc_bench::serve::{ServeConfig, ServeSession};
     // Validate the default names up front so a typo fails at startup
     // rather than on every request.
     allocator_named(&o.allocator)?;
@@ -738,6 +740,7 @@ fn main() -> ExitCode {
         Some("corpus") => opts("corpus").and_then(|o| cmd_corpus(&o)),
         Some("report") => cmd_report(&argv[1..]),
         Some("serve") => opts("serve").and_then(|o| cmd_serve(&o)),
+        Some("requests") => opts("requests").and_then(|o| cmd_requests(&o)),
         Some("bench") => match argv.get(1).map(String::as_str) {
             Some("batch") => {
                 parse_options("bench batch", &argv[2..]).and_then(|o| cmd_bench_batch(&o))

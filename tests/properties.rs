@@ -10,27 +10,49 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pdgc::analysis::{Cfg, Spl};
-use pdgc::core::cpg::Cpg;
+use pdgc::core::cpg::{Cpg, CpgScratch};
 use pdgc::core::ifg::{IfgScratch, InterferenceGraph};
 use pdgc::core::node::NodeId;
-use pdgc::core::simplify::{simplify, SimplifyMode};
+use pdgc::core::simplify::{simplify, simplify_with_cpg_in, SimplifyMode, SimplifyScratch};
 use pdgc::core::spill::{insert_spill_code, insert_spill_code_fwd};
 use pdgc::prelude::*;
 use pdgc::workloads::WorkloadProfile;
 
-/// A random interference graph over `n` live-range nodes (no precolored)
-/// with the given edge probability.
-fn random_ifg(n: usize, edge_prob: f64, seed: u64) -> InterferenceGraph {
+/// A random interference graph over `num_phys` precolored nodes (a
+/// clique) and `n` live ranges, every other pair of nodes interfering with
+/// the given probability.
+fn random_ifg(n: usize, num_phys: usize, edge_prob: f64, seed: u64) -> InterferenceGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = InterferenceGraph::new_in(n, 0, &mut IfgScratch::default());
-    for a in 0..n {
-        for b in (a + 1)..n {
+    let total = num_phys + n;
+    let mut g = InterferenceGraph::new_in(total, num_phys, &mut IfgScratch::default());
+    for a in 0..total {
+        for b in (a + 1).max(num_phys)..total {
             if rng.gen_bool(edge_prob) {
                 g.add_edge(NodeId::new(a), NodeId::new(b));
             }
         }
     }
     g
+}
+
+/// Merges up to `tries` random non-interfering pairs that pass Briggs's
+/// conservative test: the merged node keeps fewer than `k` neighbors of
+/// degree `k` or more. The survivor may be precolored.
+fn conservative_merges(g: &mut InterferenceGraph, k: usize, tries: usize, rng: &mut StdRng) {
+    for _ in 0..tries {
+        let a = g.rep(NodeId::new(rng.gen_range(0..g.num_nodes())));
+        let b = g.rep(NodeId::new(rng.gen_range(g.num_phys()..g.num_nodes())));
+        if a == b || g.is_precolored(b) || g.interferes(a, b) {
+            continue;
+        }
+        let mut union = g.neighbors(a);
+        union.extend(g.neighbors(b));
+        union.sort_unstable();
+        union.dedup();
+        if union.iter().filter(|&&x| g.degree(x) >= k).count() < k {
+            g.merge(a, b);
+        }
+    }
 }
 
 /// Colors the CPG in a random topological order with a first-fit rule;
@@ -85,7 +107,7 @@ proptest! {
         graph_seed in any::<u64>(),
         order_seed in any::<u64>(),
     ) {
-        let mut g = random_ifg(n, edge_prob, graph_seed);
+        let mut g = random_ifg(n, 0, edge_prob, graph_seed);
         let costs = vec![1u64; n];
         let sr = simplify(&mut g, k, &costs, SimplifyMode::Optimistic);
         g.restore_all();
@@ -106,6 +128,51 @@ proptest! {
         }
     }
 
+    /// The CPG simplify builds as it removes is the one §5.2's replay of
+    /// its stack builds: the same nodes, sentinel flags, predecessor
+    /// counts and successor rows, in order. The graphs have precolored
+    /// nodes, random spill costs and K, and some have conservative merges.
+    /// The stack and optimistic removals are plain simplify's, and the
+    /// working degrees step 4 starts from count live-range neighbors only.
+    #[test]
+    fn cpg_built_during_simplify_equals_the_replay_of_its_stack(
+        n in 1usize..40,
+        num_phys in 0usize..6,
+        edge_prob in 0.05f64..0.6,
+        k in 1usize..8,
+        merges in prop_oneof![Just(0usize), 1usize..16],
+        graph_seed in any::<u64>(),
+    ) {
+        let mut g = random_ifg(n, num_phys, edge_prob, graph_seed);
+        let mut rng = StdRng::seed_from_u64(graph_seed ^ 0xc0);
+        let costs: Vec<u64> = (0..g.num_nodes()).map(|_| rng.gen_range(1..1000)).collect();
+        conservative_merges(&mut g, k, merges, &mut rng);
+        let mut plain = g.clone();
+        let sr = simplify(&mut plain, k, &costs, SimplifyMode::Optimistic);
+        let (mut scratch, mut cpg_scratch) = (SimplifyScratch::new(), CpgScratch::new());
+        let (fused, cpg) = simplify_with_cpg_in(&mut g, k, &costs, &mut scratch, &mut cpg_scratch);
+        prop_assert_eq!(&fused.stack, &sr.stack);
+        prop_assert_eq!(&fused.optimistic, &sr.optimistic);
+        g.restore_all();
+        let replay = Cpg::build(&g, &sr.stack, &sr.optimistic, k);
+        prop_assert_eq!(cpg.k(), replay.k());
+        prop_assert_eq!(cpg.nodes().collect::<Vec<_>>(), replay.nodes().collect::<Vec<_>>());
+        for x in (0..g.num_nodes()).map(NodeId::new) {
+            prop_assert_eq!(cpg.from_top(x), replay.from_top(x), "top -> {}", x);
+            prop_assert_eq!(cpg.to_bottom(x), replay.to_bottom(x), "{} -> bottom", x);
+            prop_assert_eq!(cpg.pred_count(x), replay.pred_count(x), "predecessors of {}", x);
+            prop_assert_eq!(cpg.succs(x), replay.succs(x), "successors of {}", x);
+        }
+        // Step 4's working degree, read off the matrix row, is the number
+        // of live-range neighbors: below K, or an optimistic removal, is
+        // what points a node at bottom.
+        for x in cpg.nodes() {
+            let degree = g.neighbors_slice(x).iter().filter(|&&y| !g.is_precolored(y)).count();
+            let bottom = degree < k || sr.optimistic.contains(&x);
+            prop_assert_eq!(cpg.to_bottom(x), bottom, "{} -> bottom, degree {}", x, degree);
+        }
+    }
+
     /// The built CPG keeps edges its transitive reduction drops, and the
     /// two are interchangeable for select: the same reachability between
     /// every pair of nodes (hence the same ready frontier at every step),
@@ -119,7 +186,7 @@ proptest! {
         graph_seed in any::<u64>(),
         order_seed in any::<u64>(),
     ) {
-        let mut g = random_ifg(n, edge_prob, graph_seed);
+        let mut g = random_ifg(n, 0, edge_prob, graph_seed);
         let costs = vec![1u64; n];
         let sr = simplify(&mut g, k, &costs, SimplifyMode::Optimistic);
         g.restore_all();
@@ -235,7 +302,7 @@ proptest! {
                 4 => {
                     let r = g.rep(a);
                     if !g.is_removed(r) {
-                        g.remove(r);
+                        g.remove(r, |_, _| {});
                         frozen[r.index()] = Some(g.degree(r));
                     }
                 }
@@ -549,14 +616,19 @@ impl VecIfg {
         appended
     }
 
-    fn remove(&mut self, n: NodeId) {
+    /// Removes `n`; returns each live neighbor with its lowered degree,
+    /// in row order.
+    fn remove(&mut self, n: NodeId) -> Vec<(NodeId, usize)> {
         let n = self.rep(n);
         self.removed[n.index()] = true;
+        let mut lowered = Vec::new();
         for &x in &self.adj[n.index()] {
             if !self.removed[x.index()] {
                 self.degree[x.index()] -= 1;
+                lowered.push((x, self.degree[x.index()]));
             }
         }
+        lowered
     }
 
     fn restore_all(&mut self) {
@@ -603,7 +675,9 @@ fn same_as_model(g: &InterferenceGraph, m: &VecIfg, step: usize) -> TestCaseResu
 
 /// Applies one `(kind, x, y)` operation to the graph and its model —
 /// `add_edge`, `merge`, `remove` or `restore_all`, skipping a merge or
-/// removal the graph would refuse — and checks they still agree. Returns
+/// removal the graph would refuse — and checks they still agree, a
+/// removal's visitor included: it sees each of the model's live neighbors
+/// once, in row order, with its degree after the removal. Returns
 /// the entries a merge appended to the surviving node's row.
 fn apply_to_both(
     g: &mut InterferenceGraph,
@@ -631,8 +705,10 @@ fn apply_to_both(
         6 => {
             let r = g.rep(a);
             if !g.is_precolored(r) && !g.is_removed(r) {
-                g.remove(r);
-                m.remove(r);
+                let mut visited = Vec::new();
+                g.remove(r, |x, degree| visited.push((x, degree)));
+                let lowered = m.remove(r);
+                prop_assert_eq!(visited, lowered, "{}'s visitor at step {}", r, step);
             }
         }
         _ => {
